@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import TrainConfig
-from .data import Clip, Dataset, argmax_lowest
+from .data import Clip, Dataset
 from .errors import ContractError, TrainingError
 from .forest import Forest, train_forest
 from .nn import EVAL, TRAIN, MLPHead, softmax, softmax_cross_entropy_batch
@@ -35,17 +35,29 @@ class AudioModel:
     def params(self):
         return self.mlp.params() if self.mlp is not None else []
 
-    def predict(self, clip: Clip) -> np.ndarray:
-        if clip.audio is None:
-            raise ContractError(f"clip {clip.id} has no audio features")
-        if clip.audio.shape[0] != self.d_audio:
-            raise ContractError(
-                f"clip {clip.id}: audio dim {clip.audio.shape[0]} does not "
-                f"match model dim {self.d_audio}")
+    def predict_batch(self, clips) -> np.ndarray:
+        """Class probabilities (N, C), one row per clip, in order.
+
+        The only inference path: one MLP forward or one forest traversal
+        over the stacked audio vectors. ``predict`` is its one-row case.
+        """
+        for clip in clips:
+            if clip.audio is None:
+                raise ContractError(f"clip {clip.id} has no audio features")
+            if clip.audio.shape[0] != self.d_audio:
+                raise ContractError(
+                    f"clip {clip.id}: audio dim {clip.audio.shape[0]} does "
+                    f"not match model dim {self.d_audio}")
+        if not clips:
+            return np.empty((0, self.n_classes))
+        X = np.stack([c.audio for c in clips])
         if self.kind == "mlp":
-            logits, _ = self.mlp.forward(clip.audio[None, :], mode=EVAL)
-            return softmax(logits[0])
-        return self.forest.predict_proba(clip.audio[None, :])[0]
+            logits, _ = self.mlp.forward(X, mode=EVAL)
+            return softmax(logits, axis=1)
+        return self.forest.predict_proba(X)
+
+    def predict(self, clip: Clip) -> np.ndarray:
+        return self.predict_batch([clip])[0]
 
 
 def predict_audio(model: AudioModel, clip: Clip) -> np.ndarray:
@@ -72,7 +84,8 @@ def _val_accuracy(model: AudioModel, clips) -> float | None:
     usable = [c for c in clips if c.audio is not None and c.label is not None]
     if not usable:
         return None
-    hits = sum(int(argmax_lowest(model.predict(c)) == c.label) for c in usable)
+    pred = model.predict_batch(usable).argmax(axis=1)
+    hits = int(np.sum(pred == [c.label for c in usable]))
     return hits / len(usable)
 
 

@@ -22,15 +22,13 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from . import __version__
 from .audio import train_audio_model
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import TrainConfig, load_config
-from .data import (argmax_lowest, atomic_write_text, class_names,
-                   load_dataset, load_distribution,
-                   packaged_distribution_path, validate_dataset, write_dataset)
+from .data import (atomic_write_text, class_names, load_dataset,
+                   load_distribution, packaged_distribution_path,
+                   validate_dataset, write_dataset)
 from .errors import ConfigError, ContractError, ParseError, SmallclipError
 from .evaluate import (cross_validate, evaluate, predictions_from_table,
                        repeated_runs)
@@ -234,8 +232,8 @@ def _cmd_predict(args):
     clips = ds.clips if args.split == "all" else ds.split(args.split)
     if not clips:
         raise ContractError(f"no clips in split {args.split!r}")
-    probs = parallel_map(model.predict, clips, jobs=args.jobs)
-    table = score_table_from_predictions([c.id for c in clips], probs)
+    table = score_table_from_predictions([c.id for c in clips],
+                                         model.predict_batch(clips))
     write_score_table(table, args.out)
     run.emit(args.out)
     _print(f"scored {len(clips)} clips to {args.out}")
@@ -284,7 +282,7 @@ def _cmd_ensemble(args):
         else:
             model, _ = train_audio_model(ds, cfg, seed=seed)
         return ScoreTable([c.id for c in ds.clips],
-                          np.stack([model.predict(c) for c in ds.clips]))
+                          model.predict_batch(ds.clips))
 
     tables = parallel_map(member, seeds, jobs=args.jobs)
     fused = fuse_tables(tables)
@@ -322,8 +320,7 @@ def _cmd_cross_validate(args):
             model, _ = train_video_model(fold_ds, cfg, seed=args.seed + fold)
         else:
             model, _ = train_audio_model(fold_ds, cfg, seed=args.seed + fold)
-        return [argmax_lowest(model.predict(c))
-                for c in fold_ds.split("val")]
+        return model.predict_batch(fold_ds.split("val")).argmax(axis=1)
 
     report = cross_validate(ds, args.folds, fit_predict, jobs=args.jobs)
     text = report.to_text()
@@ -452,7 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--split", default="all",
                    choices=("all", "train", "val", "test"))
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; scoring is one batched "
+                        "call")
     p.add_argument("--out", required=True, help="score CSV path")
 
     p = add("fuse", help="combine score tables (mean or fixed weights)")

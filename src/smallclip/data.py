@@ -54,9 +54,15 @@ class Clip:
     Frames are stored stacked: ``features`` is (L, d_feature), ``scores`` is
     (L, n_classes), ``av`` is (L, 2). ``audio`` is a (d_audio,) vector or None;
     ``label`` is a class index or None.
+
+    ``selected`` memoizes key-frame selections by frame count ``n`` (filled
+    by :func:`smallclip.video.selected_frames`), so a clip's frames are
+    selected once however many models and epochs score it. Treat the frame
+    arrays as read-only once the clip has been scored.
     """
 
-    __slots__ = ("id", "split", "label", "features", "scores", "av", "audio")
+    __slots__ = ("id", "split", "label", "features", "scores", "av", "audio",
+                 "selected")
 
     def __init__(self, id, split, features, scores, av, audio=None, label=None):
         self.id = str(id)
@@ -66,6 +72,7 @@ class Clip:
         self.av = np.asarray(av, dtype=np.float64)
         self.audio = None if audio is None else np.asarray(audio, dtype=np.float64)
         self.label = None if label is None else int(label)
+        self.selected = {}
 
     @classmethod
     def from_frames(cls, id, split, frames, audio=None, label=None):
@@ -80,6 +87,13 @@ class Clip:
             audio=audio,
             label=label,
         )
+
+    def with_split(self, split) -> "Clip":
+        """This clip under another split, sharing its arrays and selections."""
+        clip = Clip(self.id, split, self.features, self.scores, self.av,
+                    audio=self.audio, label=self.label)
+        clip.selected = self.selected
+        return clip
 
     @property
     def n_frames(self) -> int:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .data import Clip, ClassDistribution, Dataset, argmax_lowest, build_dataset
+from .data import ClassDistribution, Dataset, argmax_lowest, build_dataset
 from .errors import ConfigError, ContractError, TrainingError
 from .parallel import parallel_map
 
@@ -209,11 +209,6 @@ class CVReport:
                 f"pooled: {self.pooled:.4f}\n")
 
 
-def _with_split(clip: Clip, split: str) -> Clip:
-    return Clip(clip.id, split, clip.features, clip.scores, clip.av,
-                audio=clip.audio, label=clip.label)
-
-
 def cross_validate(ds: Dataset, k: int, fit_predict, jobs=1) -> CVReport:
     """Stratified k-fold CV over the merged labeled train+val pool.
 
@@ -243,9 +238,9 @@ def cross_validate(ds: Dataset, k: int, fit_predict, jobs=1) -> CVReport:
             fold_of[c.id] = i % k
 
     def run_fold(fold):
-        train = [_with_split(c, "train") for c in pool if fold_of[c.id] != fold]
+        train = [c.with_split("train") for c in pool if fold_of[c.id] != fold]
         held = [c for c in pool if fold_of[c.id] == fold]
-        val = [_with_split(c, "val") for c in held]
+        val = [c.with_split("val") for c in held]
         fold_ds = build_dataset(train + val, meta=dict(ds.meta or {}))
         pred = np.asarray(fit_predict(fold_ds, fold), dtype=np.int64)
         true = np.array([c.label for c in held], dtype=np.int64)

@@ -112,14 +112,12 @@ class Sigmoid:
 
 
 def sigmoid(x):
-    # Branch on sign to avoid overflow in exp.
+    # exp(-x) overflows to inf below x = -709.78 and the result is then 0,
+    # the correctly rounded value; above that it stays strictly positive,
+    # which pool_weighted's positive frame weights rely on.
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 class BatchNorm:
@@ -321,10 +319,12 @@ def lstm_step_backward(params: LSTMParams, cache, dh, dc):
     return dx, dh_prev, dc_prev
 
 
-def lstm_forward(params: LSTMParams, xs):
+def lstm_forward(params: LSTMParams, xs, keep_caches=True):
     """Run a (B, T, D) batch through the cell from zero state.
 
-    Returns the final hidden state (B, H) and the cache list for BPTT.
+    Returns the final hidden state (B, H) and the cache list for BPTT. With
+    ``keep_caches=False`` (inference) each step's cache is dropped once the
+    next step runs and the list comes back empty, so memory stays flat in T.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 3:
@@ -335,7 +335,8 @@ def lstm_forward(params: LSTMParams, xs):
     caches = []
     for t in range(xs.shape[1]):
         (h, c), cache = lstm_step(params, (h, c), xs[:, t, :])
-        caches.append(cache)
+        if keep_caches:
+            caches.append(cache)
     return h, caches
 
 

@@ -1,6 +1,6 @@
 """Order-preserving parallel map over independent work units.
 
-Used for ensemble members, CV folds, and per-clip prediction. Each unit's
+Used for ensemble members, CV folds and repeated seeds. Each unit's
 result depends only on its own inputs, and results come back in submission
 order, so outputs are identical no matter how many workers run.
 """

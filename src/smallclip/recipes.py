@@ -17,11 +17,9 @@ import os
 from dataclasses import dataclass, field
 from importlib import resources
 
-import numpy as np
-
 from .audio import train_audio_model
 from .config import AUDIO_MODELS, VIDEO_HEADS, TrainConfig
-from .data import Clip, Dataset, build_dataset
+from .data import Dataset, build_dataset
 from .errors import ConfigError, ContractError
 from .evaluate import EvalReport, evaluate, predictions_from_table
 from .fusion import ensemble_tables, fuse_tables
@@ -148,8 +146,7 @@ class RecipeResult:
 
 
 def _merge_val_into_train(ds: Dataset) -> Dataset:
-    clips = [Clip(c.id, "train", c.features, c.scores, c.av, audio=c.audio,
-                  label=c.label) if c.split == "val" else c
+    clips = [c.with_split("train") if c.split == "val" else c
              for c in ds.clips]
     return build_dataset(clips, meta=dict(ds.meta or {}))
 
@@ -186,8 +183,7 @@ def run_recipe(recipe: Recipe, ds: Dataset, config: TrainConfig, seed: int,
             model, _ = train_audio_model(
                 train_ds, cfg, seed=member["seed"],
                 pretrain=pretrain if member["kind"] == "mlp" else None)
-        return ScoreTable(all_ids,
-                          np.stack([model.predict(c) for c in ds.clips]))
+        return ScoreTable(all_ids, model.predict_batch(ds.clips))
 
     tables = parallel_map(train_member, members, jobs=jobs)
     modality_tables = []

@@ -14,6 +14,7 @@ selected frame features into class scores:
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,31 @@ def select_frames(clip: Clip, n: int = 16) -> SelectedClip:
     return SelectedClip(clip.features[indices], clip.av[indices], indices)
 
 
+_SELECT_LOCK = threading.Lock()
+
+
+def selected_frames(clip: Clip, n: int) -> SelectedClip:
+    """``select_frames(clip, n)``, computed once per clip and ``n``.
+
+    The selection is memoized on the clip, so every member, epoch and batch
+    that scores the clip shares it. It is filled under a lock, so concurrent
+    workers select each clip exactly once; the result is deterministic.
+    """
+    sel = clip.selected.get(n)
+    if sel is None:
+        with _SELECT_LOCK:
+            sel = clip.selected.get(n)
+            if sel is None:
+                sel = clip.selected[n] = select_frames(clip, n)
+    return sel
+
+
+def _stack_selected(clips, n: int):
+    """(F, AV) of shapes (N, n, D) and (N, n, 2) for a list of clips."""
+    sel = [selected_frames(c, n) for c in clips]
+    return np.stack([s.features for s in sel]), np.stack([s.av for s in sel])
+
+
 def predict_score_mean(clip: Clip, score_mode: str = "probs") -> np.ndarray:
     """Classify from the stored frame scores alone (no trained parameters).
 
@@ -106,9 +132,9 @@ def pool_weighted(selected: SelectedClip, regressor: Linear):
 class VideoModel:
     """A trained (or trainable) temporal pooling head.
 
-    Parameters live in ``ParamTensor`` objects reachable via ``params()``;
-    the per-head batched forward/backward used in training shares the exact
-    math of the public single-clip operations.
+    Parameters live in ``ParamTensor`` objects reachable via ``params()``.
+    Training and inference share one batched forward pass; ``predict_batch``
+    is the only inference path and ``predict`` is its one-row case.
     """
 
     def __init__(self, kind: str, n: int, d_feature: int, n_classes: int,
@@ -143,10 +169,14 @@ class VideoModel:
             out.extend(self.regressor.params())
         return out
 
-    # -- batched training path ------------------------------------------
+    # -- batched forward and backward -----------------------------------
 
-    def forward_batch(self, F, AV):
-        """Logits for a batch of selected clips; returns (logits, cache)."""
+    def forward_batch(self, F, AV, keep_cache=True):
+        """Logits for a batch of selected clips; returns (logits, cache).
+
+        ``keep_cache=False`` is for inference: the LSTM then keeps no BPTT
+        caches, so the returned cache cannot be passed to ``backward_batch``.
+        """
         if self.kind == "avg-pool":
             pooled = F.mean(axis=1)
             logits, lcache = self.classifier.forward(pooled)
@@ -160,7 +190,7 @@ class VideoModel:
             logits, lcache = self.classifier.forward(pooled)
             return logits, (lcache, F, AV, w, s, pooled)
         if self.kind == "lstm":
-            h, caches = lstm_forward(self.lstm, F)
+            h, caches = lstm_forward(self.lstm, F, keep_caches=keep_cache)
             logits, lcache = self.classifier.forward(h)
             return logits, (lcache, caches, F.shape)
         raise ContractError(f"head {self.kind!r} has no trainable forward")
@@ -186,25 +216,30 @@ class VideoModel:
             return lstm_backward(self.lstm, caches, dh)
         raise ContractError(f"head {self.kind!r} has no trainable backward")
 
-    # -- single-clip inference -------------------------------------------
+    # -- inference -------------------------------------------------------
+
+    def predict_batch(self, clips) -> np.ndarray:
+        """Class probabilities (N, C), one row per clip, in order.
+
+        Frames are selected once per clip (``selected_frames``); the trained
+        heads then run ``forward_batch`` over the whole batch.
+        """
+        for clip in clips:
+            if clip.features.shape[1] != self.d_feature:
+                raise ContractError(
+                    f"clip {clip.id}: feature dim {clip.features.shape[1]} "
+                    f"does not match model dim {self.d_feature}")
+        if not clips:
+            return np.empty((0, self.n_classes))
+        if self.kind == "score-mean":
+            return np.stack([predict_score_mean(c, self.score_mode)
+                             for c in clips])
+        logits, _ = self.forward_batch(*_stack_selected(clips, self.n),
+                                       keep_cache=False)
+        return softmax(logits, axis=1)
 
     def predict(self, clip: Clip) -> np.ndarray:
-        if clip.features.shape[1] != self.d_feature:
-            raise ContractError(
-                f"clip {clip.id}: feature dim {clip.features.shape[1]} does "
-                f"not match model dim {self.d_feature}")
-        if self.kind == "score-mean":
-            return predict_score_mean(clip, self.score_mode)
-        sel = select_frames(clip, self.n)
-        if self.kind == "avg-pool":
-            logits, _ = self.classifier.forward(pool_average(sel))
-        elif self.kind == "weighted-avg-pool":
-            pooled, _ = pool_weighted(sel, self.regressor)
-            logits, _ = self.classifier.forward(pooled)
-        else:
-            h, _ = lstm_forward(self.lstm, sel.features[None, :, :])
-            logits, _ = self.classifier.forward(h[0])
-        return softmax(logits)
+        return self.predict_batch([clip])[0]
 
 
 def predict_video(model: VideoModel, clip: Clip) -> np.ndarray:
@@ -216,8 +251,8 @@ def _split_accuracy(model: VideoModel, clips) -> float | None:
     labeled = [c for c in clips if c.label is not None]
     if not labeled:
         return None
-    hits = sum(int(argmax_lowest(model.predict(c)) == c.label)
-               for c in labeled)
+    pred = model.predict_batch(labeled).argmax(axis=1)
+    hits = int(np.sum(pred == [c.label for c in labeled]))
     return hits / len(labeled)
 
 
@@ -226,7 +261,8 @@ def train_video_model(ds: Dataset, config: TrainConfig, seed: int):
 
     The log is one dict per epoch with the mean train loss and the val-split
     accuracy (None when the val split is empty). Runs are deterministic in
-    (dataset, config, seed). Frame selection is precomputed once; only head
+    (dataset, config, seed). Frames are selected once per clip and shared
+    with every other model trained or scored on the same clips; only head
     parameters are trained.
     """
     config.validate()
@@ -243,9 +279,7 @@ def train_video_model(ds: Dataset, config: TrainConfig, seed: int):
         return model, [{"epoch": 0, "train_loss": None,
                         "val_accuracy": _split_accuracy(model, val_clips)}]
 
-    selected = [select_frames(c, config.n) for c in train_clips]
-    F = np.stack([s.features for s in selected])
-    AV = np.stack([s.av for s in selected])
+    F, AV = _stack_selected(train_clips, config.n)
     y = np.array([c.label for c in train_clips], dtype=np.int64)
 
     opt = make_optimizer(model.params(), config.optimizer, lr=config.lr,

@@ -145,3 +145,30 @@ def test_prediction_is_valid_distribution():
         assert probs.shape == (7,)
         assert np.all(probs >= 0)
         assert abs(probs.sum() - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("kind", ["mlp", "forest"])
+def test_predict_batch_matches_one_row_calls(kind):
+    ds = audio_dataset(seed=8)
+    cfg = TrainConfig(model=kind, epochs=3, hidden=16, n_trees=7)
+    model, _ = train_audio_model(ds, cfg, seed=0)
+    batch = model.predict_batch(ds.clips)
+    rows = np.stack([model.predict(c) for c in ds.clips])
+    assert batch.shape == (len(ds.clips), 7)
+    if kind == "forest":
+        assert np.array_equal(batch, rows)
+    np.testing.assert_allclose(batch, rows, rtol=0, atol=1e-12)
+    assert np.array_equal(batch.argmax(axis=1), rows.argmax(axis=1))
+    assert model.predict_batch([]).shape == (0, 7)
+
+
+def test_predict_batch_names_the_bad_clip():
+    ds = audio_dataset(seed=10)
+    model, _ = train_audio_model(ds, TrainConfig(model="mlp", epochs=1),
+                                 seed=0)
+    rng = np.random.default_rng(0)
+    good = ds.clips[:2]
+    with pytest.raises(ContractError, match="clip noaudio has no audio"):
+        model.predict_batch(good + [make_clip(rng, "noaudio")])
+    with pytest.raises(ContractError, match="clip thin: audio dim 4"):
+        model.predict_batch(good + [make_clip(rng, "thin", d_audio=4)])

@@ -78,6 +78,35 @@ def test_bad_config_file_exits_two(workdir, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_predict_bad_clip_exits_one_with_one_error_line(workdir, capsys):
+    m = workdir / "data.jsonl"
+    cfg = str(workdir / "fast.cfg")
+    audio, video = str(workdir / "audio.json"), str(workdir / "video.json")
+    assert main(["train-audio", "--manifest", str(m), "--config", cfg,
+                 "--model", "forest", "--out", audio]) == 0
+    assert main(["train-video", "--manifest", str(m), "--config", cfg,
+                 "--out", video]) == 0
+    records = [json.loads(line) for line in m.read_text().splitlines()]
+    records[3]["audio"] = None
+    holey = workdir / "holey.jsonl"
+    holey.write_text("".join(json.dumps(r) + "\n" for r in records))
+    narrow = workdir / "narrow.jsonl"
+    assert main(SYNTH[:-2] + ["--d-feature", "4", "--seed", "0",
+                              "--out", str(narrow)]) == 0
+    capsys.readouterr()
+
+    out = workdir / "scores.csv"
+    for model, manifest, message in (
+            (audio, holey, f"clip {records[3]['id']} has no audio"),
+            (video, narrow, "feature dim 4 does not match model dim 5")):
+        assert main(["predict", "--model", model, "--manifest",
+                     str(manifest), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: clip ")
+        assert message in err[0]
+        assert not out.exists()
+
+
 def test_train_predict_evaluate_pipeline(workdir, capsys):
     m = str(workdir / "data.jsonl")
     cfg = str(workdir / "fast.cfg")

@@ -189,6 +189,39 @@ def test_lstm_forward_purity(rng):
     np.testing.assert_array_equal(h1, h2)
 
 
+def test_lstm_forward_without_caches_matches(rng):
+    p = LSTMParams(4, 3, rng=rng)
+    xs = rng.standard_normal((6, 5, 4))
+    h, caches = lstm_forward(p, xs)
+    h_free, no_caches = lstm_forward(p, xs, keep_caches=False)
+    np.testing.assert_array_equal(h_free, h)
+    assert len(caches) == 5 and no_caches == []
+
+
+def masked_sigmoid(x):
+    """Reference: exp only of non-positive arguments, selected by sign."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.filterwarnings("error")
+def test_sigmoid_matches_reference_and_stays_positive(rng):
+    x = np.concatenate([np.linspace(-745.0, 745.0, 20001),
+                        rng.standard_normal(20000) * 8.0])
+    np.testing.assert_allclose(sigmoid(x), masked_sigmoid(x), rtol=0,
+                               atol=2 * np.finfo(np.float64).eps)
+    # 0.5 * (1 + tanh(x / 2)) rounds to exactly 0 here; pool_weighted
+    # needs strictly positive frame weights.
+    assert sigmoid(-40.0) > 0 and sigmoid(-700.0) > 0
+    assert sigmoid(0.0) == 0.5 and sigmoid(800.0) == 1.0
+    assert sigmoid(-800.0) == 0.0  # exp overflows without a warning
+
+
 def test_forward_purity_linear_and_mlp(rng):
     lin = Linear(4, 3, rng=rng)
     x = rng.standard_normal((2, 4))

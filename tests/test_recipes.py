@@ -1,10 +1,14 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from smallclip import video
 from smallclip.config import TrainConfig
 from smallclip.errors import ConfigError
 from smallclip.recipes import (PRESET_NAMES, Recipe, load_recipe,
                                packaged_recipe, parse_recipe, run_recipe)
+from smallclip.scores import score_table_to_text
 from smallclip.synth import SynthConfig, generate_synthetic
 
 
@@ -157,3 +161,24 @@ def test_run_recipe_train_plus_val_beats_more_data_signal():
     recipe = parse_recipe("video = avg-pool\ntrain_on = train+val\n")
     result = run_recipe(recipe, ds, fast_config(), seed=0)
     assert set(result.table.ids) == {c.id for c in ds.clips}
+
+
+@pytest.mark.parametrize("train_on", ["train", "train+val"])
+def test_recipe_selects_frames_once_per_clip(monkeypatch, train_on):
+    calls = Counter()
+    real = video.select_frames
+
+    def counting(clip, n=16):
+        calls[clip.id] += 1
+        return real(clip, n)
+
+    monkeypatch.setattr(video, "select_frames", counting)
+    recipe = parse_recipe(f"video = avg-pool*3\ntrain_on = {train_on}\n")
+    tables = []
+    for jobs in (1, 2):
+        calls.clear()
+        ds = recipe_dataset(seed=5)  # fresh clips, nothing selected yet
+        result = run_recipe(recipe, ds, fast_config(), seed=0, jobs=jobs)
+        assert calls == {c.id: 1 for c in ds.clips}
+        tables.append(score_table_to_text(result.table))
+    assert tables[0] == tables[1]

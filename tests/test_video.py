@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from smallclip.config import TrainConfig
+from smallclip.config import VIDEO_HEADS, TrainConfig
 from smallclip.data import Clip
 from smallclip.errors import ContractError, TrainingError
-from smallclip.nn import Linear, sigmoid, softmax
+from smallclip.nn import Linear, lstm_forward, sigmoid, softmax
 from smallclip.synth import SynthConfig, generate_synthetic
+from smallclip import video as video_module
 from smallclip.video import (VideoModel, frame_score, pool_average,
                              pool_weighted, predict_score_mean, predict_video,
-                             select_frames, train_video_model)
+                             select_frames, selected_frames,
+                             train_video_model)
 
 from conftest import make_clip
 
@@ -290,6 +292,77 @@ def test_predict_video_dimension_mismatch():
     clip = clip_with_scores([0.1], d_feature=6)
     with pytest.raises(ContractError):
         predict_video(model, clip)
+
+
+def one_clip_reference(model, clip):
+    """Class probabilities from the single-clip head math."""
+    if model.kind == "score-mean":
+        return predict_score_mean(clip, model.score_mode)
+    sel = select_frames(clip, model.n)
+    if model.kind == "avg-pool":
+        pooled = pool_average(sel)
+    elif model.kind == "weighted-avg-pool":
+        pooled, _ = pool_weighted(sel, model.regressor)
+    else:
+        pooled = lstm_forward(model.lstm, sel.features[None])[0][0]
+    return softmax(model.classifier.forward(pooled)[0])
+
+
+@pytest.mark.parametrize("head", VIDEO_HEADS)
+def test_predict_batch_matches_one_row_calls(head):
+    rng = np.random.default_rng(12)
+    model = VideoModel(head, 6, 5, 7, lstm_hidden=8, rng=rng)
+    if model.regressor is not None:
+        model.regressor.W.values[:] = [[1.5, -2.0]]
+        model.regressor.b.values[:] = [0.3]
+    # lengths below, at and above n = 6, mixed in one batch
+    clips = [make_clip(rng, f"c{i}", L=L, d_feature=5)
+             for i, L in enumerate([1, 4, 6, 7, 2, 15, 5])]
+    batch = model.predict_batch(clips)
+    assert batch.shape == (len(clips), 7)
+    for other in (np.stack([model.predict(c) for c in clips]),
+                  np.stack([one_clip_reference(model, c) for c in clips])):
+        np.testing.assert_allclose(batch, other, rtol=0, atol=1e-12)
+        assert np.array_equal(batch.argmax(axis=1), other.argmax(axis=1))
+    assert model.predict_batch([]).shape == (0, 7)
+
+
+def test_lstm_inference_forward_keeps_no_caches():
+    rng = np.random.default_rng(13)
+    model = VideoModel("lstm", 4, 5, 7, lstm_hidden=8, rng=rng)
+    F, AV = rng.standard_normal((3, 4, 5)), rng.standard_normal((3, 4, 2))
+    logits, (_, caches, _) = model.forward_batch(F, AV)
+    free, (_, no_caches, _) = model.forward_batch(F, AV, keep_cache=False)
+    np.testing.assert_array_equal(free, logits)
+    assert len(caches) == 4 and no_caches == []
+
+
+def test_predict_batch_names_the_mismatched_clip():
+    rng = np.random.default_rng(14)
+    model = VideoModel("avg-pool", 4, 5, 7)
+    clips = [make_clip(rng, "fine", d_feature=5),
+             make_clip(rng, "wide", d_feature=6),
+             make_clip(rng, "also-fine", d_feature=5)]
+    with pytest.raises(ContractError, match="clip wide: feature dim 6"):
+        model.predict_batch(clips)
+
+
+def test_selected_frames_computed_once_and_shared(monkeypatch):
+    calls = []
+    real = video_module.select_frames
+
+    def counting(clip, n=16):
+        calls.append((clip.id, n))
+        return real(clip, n)
+
+    monkeypatch.setattr(video_module, "select_frames", counting)
+    clip = clip_with_scores([0.2, 0.9, 0.3, 0.5])
+    first = selected_frames(clip, 2)
+    assert selected_frames(clip, 2) is first
+    assert selected_frames(clip.with_split("val"), 2) is first
+    selected_frames(clip, 3)
+    assert calls == [("c", 2), ("c", 3)]
+    assert first.indices.tolist() == [1, 3]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
