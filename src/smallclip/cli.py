@@ -5,8 +5,9 @@ predict, fuse, learn-fusion, ensemble, evaluate, cross-validate, repeat,
 recipe). Every file output is written atomically and accompanied by a
 ``<out>.manifest.json`` run manifest recording the command, config snapshot,
 seeds, paths, version, and duration, which is enough to reproduce the output
-bit for bit. All randomness flows from ``--seed``; ``--jobs`` parallelizes
-only across independent units and never changes results.
+bit for bit. All randomness flows from ``--seed``. ``--jobs N`` (N >= 1)
+trains independent units (ensemble members, folds, seeds) in up to N forked
+worker processes, capped at the core count, and never changes results.
 
 Exit codes: 0 success, 2 usage error, 1 runtime error. ``SMALLCLIP_LOG``
 (error, info, debug) controls logging verbosity.
@@ -38,7 +39,7 @@ from .recipes import load_recipe, packaged_recipe, run_recipe
 from .scores import (ScoreTable, load_score_table, score_table_from_predictions,
                      write_score_table)
 from .synth import SynthConfig, generate_synthetic
-from .video import train_video_model
+from .video import selected_frames, train_video_model
 
 log = logging.getLogger("smallclip")
 
@@ -284,6 +285,9 @@ def _cmd_ensemble(args):
         return ScoreTable([c.id for c in ds.clips],
                           model.predict_batch(ds.clips))
 
+    if args.modality == "video" and cfg.head != "score-mean":
+        for clip in ds.clips:  # select once here; forked workers inherit it
+            selected_frames(clip, cfg.n)
     tables = parallel_map(member, seeds, jobs=args.jobs)
     fused = fuse_tables(tables)
     write_score_table(fused, args.out)
@@ -554,6 +558,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse handles --help and usage errors
         return int(exc.code or 0)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         return _HANDLERS[args.command](args)
     except ConfigError as exc:
         log.debug("usage error", exc_info=True)

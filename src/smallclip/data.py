@@ -284,14 +284,36 @@ def write_dataset(ds: Dataset, manifest_path):
 
 
 def atomic_write_text(path, text):
-    """Write-then-rename so a partial file is never left behind."""
+    """Write-then-rename so a partial file is never left behind.
+
+    The text goes to a uniquely named temp file in the target's directory,
+    which replaces ``path`` once complete; on any failure the temp file is
+    removed. The file gets the usual ``0o666 & ~umask`` mode. An OSError
+    becomes a ParseError naming ``path``.
+    """
+    import tempfile  # here, not at the top: most commands never write
+
     path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".",
+                                   suffix=".tmp",
+                                   dir=os.path.dirname(path) or ".")
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException as exc:
+        if tmp is not None and os.path.lexists(tmp):
+            os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ParseError(f"cannot write {path}: "
+                             f"{exc.strerror or exc}") from exc
+        raise
 
 
 # -- class distribution CSV ---------------------------------------------------

@@ -2,12 +2,12 @@
 
 Both kernels exist twice: a numba ``@njit`` version and a pure-numpy fallback.
 The env flag ``SMALLCLIP_NUMBA=0`` (or a failed numba import) selects the
-fallback; ``set_backend()`` switches at runtime (used by
-``benchmarks/bench_kernels.py`` and the forest tests' ``backend`` fixture). The
-two paths do the same integer count arithmetic and the same float divisions in
-the same order, so they return identical results. The equivalence tests call
-both kernels directly: the loop kernel runs compiled where numba imports and,
-through the ``njit`` shim below, as plain Python otherwise.
+fallback; ``set_backend()`` switches at runtime (used by the forest tests'
+``backend`` fixture). The two paths do the same integer count arithmetic and
+the same float divisions in the same order, so they return identical
+results. The equivalence tests call both kernels directly: the loop kernel
+runs compiled where numba imports and, through the ``njit`` shim below, as
+plain Python otherwise.
 
 Split quality: for class counts c with S = sum(c^2) over a node of n samples,
 the (unnormalized) Gini impurity is n - S/n. The kernel maximizes

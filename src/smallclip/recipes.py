@@ -25,7 +25,7 @@ from .evaluate import EvalReport, evaluate, predictions_from_table
 from .fusion import ensemble_tables, fuse_tables
 from .parallel import parallel_map
 from .scores import ScoreTable
-from .video import train_video_model
+from .video import selected_frames, train_video_model
 
 PRESET_NAMES = tuple(f"submission{i}" for i in range(1, 8))
 
@@ -156,10 +156,12 @@ def run_recipe(recipe: Recipe, ds: Dataset, config: TrainConfig, seed: int,
     """Train every member, ensemble within modality, fuse across modalities.
 
     Member i (in recipe order, video first) trains with seed ``seed + i``;
-    members are independent, so ``jobs`` only changes wall-clock time. The
-    returned table scores every clip in the dataset; the report holds
-    val-split accuracy, or test-split accuracy when training consumed the
-    val split, or None when the relevant split has no labels.
+    members are independent, so ``jobs`` only changes wall-clock time.
+    Frames are selected for every clip before the members start, so worker
+    processes share one selection per clip. The returned table scores every
+    clip in the dataset; the report holds val-split accuracy, or test-split
+    accuracy when training consumed the val split, or None when the
+    relevant split has no labels.
     """
     recipe.validate()
     config.validate()
@@ -185,6 +187,9 @@ def run_recipe(recipe: Recipe, ds: Dataset, config: TrainConfig, seed: int,
                 pretrain=pretrain if member["kind"] == "mlp" else None)
         return ScoreTable(all_ids, model.predict_batch(ds.clips))
 
+    if any(kind != "score-mean" for kind, _ in recipe.video):
+        for clip in ds.clips:  # train_ds's clips share this memo
+            selected_frames(clip, config.n)
     tables = parallel_map(train_member, members, jobs=jobs)
     modality_tables = []
     for modality in ("video", "audio"):

@@ -14,7 +14,6 @@ selected frame features into class scores:
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,22 +63,15 @@ def select_frames(clip: Clip, n: int = 16) -> SelectedClip:
     return SelectedClip(clip.features[indices], clip.av[indices], indices)
 
 
-_SELECT_LOCK = threading.Lock()
-
-
 def selected_frames(clip: Clip, n: int) -> SelectedClip:
     """``select_frames(clip, n)``, computed once per clip and ``n``.
 
     The selection is memoized on the clip, so every member, epoch and batch
-    that scores the clip shares it. It is filled under a lock, so concurrent
-    workers select each clip exactly once; the result is deterministic.
+    that scores the clip shares it; the result is deterministic.
     """
     sel = clip.selected.get(n)
     if sel is None:
-        with _SELECT_LOCK:
-            sel = clip.selected.get(n)
-            if sel is None:
-                sel = clip.selected[n] = select_frames(clip, n)
+        sel = clip.selected[n] = select_frames(clip, n)
     return sel
 
 
@@ -256,13 +248,25 @@ def _split_accuracy(model: VideoModel, clips) -> float | None:
     return hits / len(labeled)
 
 
+def _batch_accuracy(model: VideoModel, batch) -> float | None:
+    """Accuracy on a pre-stacked ``(F, AV, labels)`` batch, as
+    ``_split_accuracy`` computes it (softmax, then argmax); None if empty."""
+    if batch is None:
+        return None
+    F, AV, labels = batch
+    logits, _ = model.forward_batch(F, AV, keep_cache=False)
+    pred = softmax(logits, axis=1).argmax(axis=1)
+    return int(np.sum(pred == labels)) / len(labels)
+
+
 def train_video_model(ds: Dataset, config: TrainConfig, seed: int):
     """Fit the configured head on the train split; returns (model, log).
 
     The log is one dict per epoch with the mean train loss and the val-split
     accuracy (None when the val split is empty). Runs are deterministic in
     (dataset, config, seed). Frames are selected once per clip and shared
-    with every other model trained or scored on the same clips; only head
+    with every other model trained or scored on the same clips; the train
+    and labeled val clips are stacked once per training, and only head
     parameters are trained.
     """
     config.validate()
@@ -281,6 +285,11 @@ def train_video_model(ds: Dataset, config: TrainConfig, seed: int):
 
     F, AV = _stack_selected(train_clips, config.n)
     y = np.array([c.label for c in train_clips], dtype=np.int64)
+    val_labeled = [c for c in val_clips if c.label is not None]
+    val_batch = None
+    if val_labeled:
+        val_batch = (*_stack_selected(val_labeled, config.n),
+                     np.array([c.label for c in val_labeled], dtype=np.int64))
 
     opt = make_optimizer(model.params(), config.optimizer, lr=config.lr,
                          momentum=config.momentum)
@@ -300,5 +309,5 @@ def train_video_model(ds: Dataset, config: TrainConfig, seed: int):
             opt.step()
             total += loss * batch.size
         log.append({"epoch": epoch, "train_loss": total / n_train,
-                    "val_accuracy": _split_accuracy(model, val_clips)})
+                    "val_accuracy": _batch_accuracy(model, val_batch)})
     return model, log

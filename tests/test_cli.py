@@ -308,3 +308,34 @@ def test_recipe_file_and_member_manifest(workdir, capsys):
     assert kinds == ["avg-pool", "avg-pool", "weighted-avg-pool",
                      "weighted-avg-pool", "forest", "mlp"]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [
+    ["predict", "--model", "m.json", "--manifest", "data.jsonl",
+     "--out", "x.csv"],
+    ["ensemble", "--manifest", "data.jsonl", "--out", "x.csv"],
+    ["cross-validate", "--manifest", "data.jsonl"],
+    ["repeat", "--manifest", "data.jsonl", "--seeds", "1", "2"],
+    ["recipe", "--preset", "submission1", "--manifest", "data.jsonl",
+     "--out", "x.csv"],
+])
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_is_a_usage_error(workdir, capsys, command, jobs):
+    argv = [str(workdir / a) if a.endswith((".json", ".jsonl", ".csv"))
+            else a for a in command]
+    assert main(argv + ["--jobs", jobs]) == 2
+    assert capsys.readouterr().err.splitlines() == \
+        [f"error: --jobs must be >= 1, got {jobs}"]
+    assert not (workdir / "x.csv").exists()
+
+
+def test_out_directory_fails_without_traceback(workdir, capsys):
+    taken = workdir / "taken"
+    taken.mkdir()
+    before = sorted(p.name for p in workdir.iterdir())
+    assert main(["validate", "--manifest", str(workdir / "data.jsonl"),
+                 "--out", str(taken)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write ")
+    assert sorted(p.name for p in workdir.iterdir()) == before
+    assert list(taken.iterdir()) == []

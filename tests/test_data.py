@@ -1,12 +1,13 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 from smallclip.data import (
-    Clip, ClassDistribution, build_dataset, class_names, load_dataset,
-    load_distribution, packaged_distribution_path, validate_dataset,
-    write_dataset, write_distribution,
+    Clip, ClassDistribution, atomic_write_text, build_dataset, class_names,
+    load_dataset, load_distribution, packaged_distribution_path,
+    validate_dataset, write_dataset, write_distribution,
 )
 from smallclip.errors import DataValidationError, ParseError
 from conftest import make_clip, dataset_from_counts
@@ -143,3 +144,25 @@ def test_distribution_bad_header(tmp_path):
     path.write_text("klass,n\nAngry,1\n")
     with pytest.raises(ParseError):
         load_distribution(path)
+
+
+def test_atomic_write_failure_leaves_nothing_behind(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(ParseError, match="cannot write .*taken"):
+        atomic_write_text(target, "text\n")
+    with pytest.raises(ParseError, match="cannot write"):
+        atomic_write_text(tmp_path / "missing" / "out.txt", "text\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert list(target.iterdir()) == []
+
+
+def test_atomic_write_replaces_file_with_umask_mode(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+    atomic_write_text(path, "new\r\nline\n")
+    assert path.read_bytes() == b"new\r\nline\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert path.stat().st_mode & 0o777 == 0o666 & ~umask

@@ -374,3 +374,27 @@ def test_nonfinite_loss_names_epoch():
                       lr=0.01)
     with pytest.raises(TrainingError, match="epoch"):
         train_video_model(ds, cfg, seed=0)
+
+
+@pytest.mark.parametrize("head", ["avg-pool", "weighted-avg-pool", "lstm"])
+def test_logged_val_accuracy_matches_predict_batch(head, monkeypatch):
+    ds = easy_dataset(seed=3, margin=1.0)
+    val = ds.split("val")
+    cfg = TrainConfig(head=head, n=4, epochs=3, lstm_hidden=6)
+    stacks = []
+    real = video_module._stack_selected
+
+    def counting(clips, n):
+        stacks.append(len(clips))
+        return real(clips, n)
+
+    monkeypatch.setattr(video_module, "_stack_selected", counting)
+    _, log = train_video_model(ds, cfg, seed=2)
+    # train and val are each stacked once, however many epochs run
+    assert stacks == [len(ds.split("train")), len(val)]
+    monkeypatch.undo()
+    for epochs in (1, 2, 3):
+        cfg.epochs = epochs
+        model, _ = train_video_model(ds, cfg, seed=2)
+        assert log[epochs - 1]["val_accuracy"] == \
+            video_module._split_accuracy(model, val)
