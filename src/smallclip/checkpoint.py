@@ -21,7 +21,7 @@ import json
 import numpy as np
 
 from .audio import AudioModel
-from .data import atomic_write_text
+from .data import atomic_write_text, read_text
 from .errors import ContractError, ParseError
 from .forest import Forest, Tree
 from .nn import MLPHead
@@ -136,11 +136,9 @@ def model_from_dict(obj) -> VideoModel | AudioModel:
 
 
 def load_checkpoint(path) -> VideoModel | AudioModel:
+    text = read_text(path, "checkpoint")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read checkpoint {path}: {exc}") from exc
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     return model_from_dict(obj)

@@ -35,7 +35,7 @@ from .evaluate import (cross_validate, evaluate, predictions_from_table,
                        repeated_runs)
 from .fusion import fuse_tables, learn_fusion_weights
 from .parallel import parallel_map
-from .recipes import load_recipe, packaged_recipe, run_recipe
+from .recipes import load_recipe, packaged_recipe, run_recipe, train_member
 from .scores import (ScoreTable, load_score_table, score_table_from_predictions,
                      write_score_table)
 from .synth import SynthConfig, generate_synthetic
@@ -278,10 +278,7 @@ def _cmd_ensemble(args):
     run.extra["modality"] = args.modality
 
     def member(seed):
-        if args.modality == "video":
-            model, _ = train_video_model(ds, cfg, seed=seed)
-        else:
-            model, _ = train_audio_model(ds, cfg, seed=seed)
+        model, _ = train_member(ds, cfg, args.modality, seed)
         return ScoreTable([c.id for c in ds.clips],
                           model.predict_batch(ds.clips))
 
@@ -320,10 +317,7 @@ def _cmd_cross_validate(args):
     run.seeds = [args.seed]
 
     def fit_predict(fold_ds, fold):
-        if args.modality == "video":
-            model, _ = train_video_model(fold_ds, cfg, seed=args.seed + fold)
-        else:
-            model, _ = train_audio_model(fold_ds, cfg, seed=args.seed + fold)
+        model, _ = train_member(fold_ds, cfg, args.modality, args.seed + fold)
         return model.predict_batch(fold_ds.split("val")).argmax(axis=1)
 
     report = cross_validate(ds, args.folds, fit_predict, jobs=args.jobs)
@@ -346,12 +340,9 @@ def _cmd_repeat(args):
     run.seeds = list(args.seeds)
 
     def one(seed):
-        if args.modality == "video":
-            _, history = train_video_model(ds, cfg, seed=seed)
-            acc = history[-1]["val_accuracy"]
-        else:
-            _, history = train_audio_model(ds, cfg, seed=seed)
-            acc = history.get("val_accuracy")
+        _, history = train_member(ds, cfg, args.modality, seed)
+        acc = (history[-1]["val_accuracy"] if args.modality == "video"
+               else history.get("val_accuracy"))
         if acc is None:
             raise ContractError("no labeled val clips to score")
         return acc

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from .data import read_text
 from .errors import ConfigError
 
 VIDEO_HEADS = ("score-mean", "avg-pool", "weighted-avg-pool", "lstm")
@@ -103,12 +104,7 @@ def parse_config(text: str, base: TrainConfig | None = None) -> TrainConfig:
 
 
 def load_config(path, base: TrainConfig | None = None) -> TrainConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text, base=base)
+    return parse_config(read_text(path, "config", ConfigError), base=base)
 
 
 def config_to_text(cfg: TrainConfig) -> str:

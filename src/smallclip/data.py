@@ -227,6 +227,10 @@ def build_dataset(clips, meta=None) -> Dataset:
 def _clip_from_json(obj, line_no):
     try:
         frames = obj["frames"]
+        label = obj.get("label")
+        if label is not None and type(label) is not int:  # bool is an int
+            raise ParseError(f"line {line_no}: label must be an integer or "
+                             f"null, got {json.dumps(label)}")
         if not isinstance(frames, list) or not frames:
             raise DataValidationError(
                 f"clip {obj.get('id')!r}: must contain at least one frame"
@@ -235,24 +239,46 @@ def _clip_from_json(obj, line_no):
         scores = np.array([fr["s"] for fr in frames], dtype=np.float64)
         av = np.array([fr["av"] for fr in frames], dtype=np.float64)
         return Clip(obj["id"], obj["split"], features, scores, av,
-                    audio=obj.get("audio"), label=obj.get("label"))
+                    audio=obj.get("audio"), label=label)
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"line {line_no}: malformed clip record ({e})") from e
 
 
+def read_text(path, what, error=ParseError) -> str:
+    """The whole UTF-8 text of ``path``.
+
+    A file that cannot be opened or read, or is not UTF-8, raises ``error``
+    naming ``what`` and ``path``.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
 def load_dataset(manifest_path) -> Dataset:
-    """Load and validate a JSON-Lines clip manifest."""
+    """Load and validate a JSON-Lines clip manifest.
+
+    The file is parsed line by line rather than read whole, so a large
+    manifest is never held in memory as text.
+    """
     clips = []
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"line {line_no}: invalid JSON ({e.msg})") from e
-            clips.append(_clip_from_json(obj, line_no))
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise ParseError(f"line {line_no}: invalid JSON "
+                                     f"({e.msg})") from e
+                clips.append(_clip_from_json(obj, line_no))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read manifest {manifest_path}: "
+                         f"{exc}") from exc
     return build_dataset(clips)
 
 
@@ -329,8 +355,8 @@ def write_distribution(dist: ClassDistribution, path, names=None):
 
 
 def load_distribution(path) -> ClassDistribution:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(io.StringIO(read_text(path, "distribution"),
+                                       newline="")))
     if not rows or [c.strip() for c in rows[0]] != ["class", "count"]:
         raise ParseError(f"{path}: expected header 'class,count'")
     counts = []

@@ -19,7 +19,7 @@ from importlib import resources
 
 from .audio import train_audio_model
 from .config import AUDIO_MODELS, VIDEO_HEADS, TrainConfig
-from .data import Dataset, build_dataset
+from .data import Dataset, build_dataset, read_text
 from .errors import ConfigError, ContractError
 from .evaluate import EvalReport, evaluate, predictions_from_table
 from .fusion import ensemble_tables, fuse_tables
@@ -118,13 +118,8 @@ def parse_recipe(text: str, name: str = "recipe") -> Recipe:
 
 
 def load_recipe(path) -> Recipe:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read recipe {path}: {exc}") from exc
     stem = os.path.splitext(os.path.basename(path))[0]
-    return parse_recipe(text, name=stem)
+    return parse_recipe(read_text(path, "recipe", ConfigError), name=stem)
 
 
 def packaged_recipe(name: str) -> Recipe:
@@ -143,6 +138,23 @@ class RecipeResult:
     members: list = field(default_factory=list)  # dicts: modality, kind, seed
     fusion: str = "mean"
     weights: list | None = None
+
+
+def train_member(ds: Dataset, cfg: TrainConfig, modality: str, seed: int,
+                 pretrain: Dataset | None = None):
+    """Train one member on ``ds``; returns ``(model, history)``.
+
+    ``modality`` "video" trains the head ``cfg.head`` (history: a list of
+    per-epoch dicts); "audio" trains the model ``cfg.model`` (history: one
+    dict). Only the audio mlp takes a ``pretrain`` corpus.
+    """
+    if modality == "audio":
+        return train_audio_model(ds, cfg, seed=seed, pretrain=pretrain)
+    if modality != "video":
+        raise ContractError(f"unknown modality {modality!r}")
+    if pretrain is not None:
+        raise ContractError("video heads do not support pretraining")
+    return train_video_model(ds, cfg, seed=seed)
 
 
 def _merge_val_into_train(ds: Dataset) -> Dataset:
@@ -175,22 +187,19 @@ def run_recipe(recipe: Recipe, ds: Dataset, config: TrainConfig, seed: int,
                 members.append({"modality": modality, "kind": kind,
                                 "seed": seed + len(members)})
 
-    def train_member(member) -> ScoreTable:
+    def score_member(member) -> ScoreTable:
         cfg = TrainConfig(**vars(config))
-        if member["modality"] == "video":
-            cfg.head = member["kind"]
-            model, _ = train_video_model(train_ds, cfg, seed=member["seed"])
-        else:
-            cfg.model = member["kind"]
-            model, _ = train_audio_model(
-                train_ds, cfg, seed=member["seed"],
-                pretrain=pretrain if member["kind"] == "mlp" else None)
+        setattr(cfg, "head" if member["modality"] == "video" else "model",
+                member["kind"])
+        model, _ = train_member(
+            train_ds, cfg, member["modality"], member["seed"],
+            pretrain=pretrain if member["kind"] == "mlp" else None)
         return ScoreTable(all_ids, model.predict_batch(ds.clips))
 
     if any(kind != "score-mean" for kind, _ in recipe.video):
         for clip in ds.clips:  # train_ds's clips share this memo
             selected_frames(clip, config.n)
-    tables = parallel_map(train_member, members, jobs=jobs)
+    tables = parallel_map(score_member, members, jobs=jobs)
     modality_tables = []
     for modality in ("video", "audio"):
         group = [t for t, m in zip(tables, members)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import atomic_write_text
+from .data import atomic_write_text, read_text
 from .errors import ContractError, ParseError
 
 
@@ -72,11 +72,7 @@ def write_score_table(table: ScoreTable, path):
 
 
 def load_score_table(path) -> ScoreTable:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read score table {path}: {exc}") from exc
+    lines = read_text(path, "score table").splitlines()
     if not lines:
         raise ParseError(f"{path}: empty score table")
     header = lines[0].split(",")

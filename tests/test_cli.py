@@ -65,8 +65,29 @@ def test_missing_files_exit_one(workdir, capsys):
                  "--manifest", m, "--out", str(workdir / "s.csv")]) == 1
     assert main(["evaluate", "--scores", str(workdir / "gone.csv"),
                  "--manifest", m]) == 1
-    err = capsys.readouterr().err
-    assert "error:" in err
+    capsys.readouterr()
+    # files that exist but cannot be read as UTF-8 text, and a directory
+    # where a file is expected
+    garbage = workdir / "garbage"
+    garbage.write_bytes(b"\xff\xfe")
+    ids = [json.loads(line)["id"]
+           for line in (workdir / "data.jsonl").read_text().splitlines()]
+    scores = workdir / "s.csv"
+    scores.write_text("clip_id,p0,p1,p2\n"
+                      + "".join(f"{i},1,0,0\n" for i in ids))
+    for argv in (
+            ["validate", "--manifest", str(garbage)],
+            ["validate", "--manifest", str(workdir)],
+            ["evaluate", "--scores", str(garbage), "--manifest", m],
+            ["predict", "--model", str(garbage), "--manifest", m,
+             "--out", str(workdir / "p.csv")],
+            ["evaluate", "--scores", str(scores), "--manifest", m,
+             "--dist", str(garbage)],
+            ["evaluate", "--scores", str(scores), "--manifest", m,
+             "--dist", str(workdir)]):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read ") and err.count("\n") == 1
 
 
 def test_bad_config_file_exits_two(workdir, capsys):
@@ -76,6 +97,25 @@ def test_bad_config_file_exits_two(workdir, capsys):
                  "--config", str(bad),
                  "--out", str(workdir / "m.json")]) == 2
     assert "line 1" in capsys.readouterr().err
+
+
+def test_unreadable_config_or_recipe_exits_two(workdir, capsys):
+    m = str(workdir / "data.jsonl")
+    garbage = workdir / "garbage.preset"
+    garbage.write_bytes(b"\xff\xfe")
+    out = str(workdir / "out")
+    for argv in (
+            ["train-video", "--manifest", m, "--config", str(garbage),
+             "--out", out],
+            ["train-video", "--manifest", m, "--config", str(workdir),
+             "--out", out],
+            ["recipe", "--recipe", str(garbage), "--manifest", m,
+             "--out", out],
+            ["recipe", "--recipe", str(workdir), "--manifest", m,
+             "--out", out]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read ") and err.count("\n") == 1
 
 
 def test_predict_bad_clip_exits_one_with_one_error_line(workdir, capsys):

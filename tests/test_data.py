@@ -74,6 +74,21 @@ def test_missing_field_names_line_number(tmp_path, rng):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("label", [1.7, 1.0, True, "1", [1]],
+                         ids=["float", "whole-float", "bool", "string", "list"])
+def test_non_integer_label_names_line_number(tmp_path, rng, label):
+    path = tmp_path / "d.jsonl"
+    write_dataset(build_dataset([make_clip(rng, "a"), make_clip(rng, "b")]),
+                  path)
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[1])
+    obj["label"] = label
+    lines[1] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="line 2: label must be an integer"):
+        load_dataset(path)
+
+
 def test_dimension_mismatch_names_clip(tmp_path, rng):
     clips = [make_clip(rng, "good", n_classes=7), make_clip(rng, "bad", n_classes=3)]
     with pytest.raises(DataValidationError, match="bad"):

@@ -5,9 +5,10 @@ import pytest
 
 from smallclip import video
 from smallclip.config import TrainConfig
-from smallclip.errors import ConfigError
+from smallclip.errors import ConfigError, ContractError
 from smallclip.recipes import (PRESET_NAMES, Recipe, load_recipe,
-                               packaged_recipe, parse_recipe, run_recipe)
+                               packaged_recipe, parse_recipe, run_recipe,
+                               train_member)
 from smallclip.scores import score_table_to_text
 from smallclip.synth import SynthConfig, generate_synthetic
 
@@ -109,6 +110,19 @@ def recipe_dataset(seed=0, test_labels=True):
 
 def fast_config():
     return TrainConfig(epochs=2, n=3, hidden=8, n_trees=3, lstm_hidden=8)
+
+
+def test_train_member_dispatches_on_modality():
+    ds = recipe_dataset()
+    cfg = fast_config()
+    model, history = train_member(ds, cfg, "video", 0)
+    assert model.kind == cfg.head and len(history) == cfg.epochs
+    model, history = train_member(ds, cfg, "audio", 0, pretrain=ds)
+    assert model.kind == "mlp" and "val_accuracy" in history
+    with pytest.raises(ContractError, match="pretraining"):
+        train_member(ds, cfg, "video", 0, pretrain=ds)
+    with pytest.raises(ContractError, match="unknown modality"):
+        train_member(ds, cfg, "speech", 0)
 
 
 def test_run_recipe_members_and_seeds():
