@@ -20,7 +20,7 @@ from importlib import resources
 from .audio import train_audio_model
 from .config import AUDIO_MODELS, VIDEO_HEADS, TrainConfig
 from .data import Dataset, build_dataset, read_text
-from .errors import ConfigError, ContractError
+from .errors import ConfigError
 from .evaluate import EvalReport, evaluate, predictions_from_table
 from .fusion import ensemble_tables, fuse_tables
 from .parallel import parallel_map
@@ -148,13 +148,9 @@ def train_member(ds: Dataset, cfg: TrainConfig, modality: str, seed: int,
     per-epoch dicts); "audio" trains the model ``cfg.model`` (history: one
     dict). Only the audio mlp takes a ``pretrain`` corpus.
     """
-    if modality == "audio":
-        return train_audio_model(ds, cfg, seed=seed, pretrain=pretrain)
-    if modality != "video":
-        raise ContractError(f"unknown modality {modality!r}")
-    if pretrain is not None:
-        raise ContractError("video heads do not support pretraining")
-    return train_video_model(ds, cfg, seed=seed)
+    if modality == "video":
+        return train_video_model(ds, cfg, seed=seed)
+    return train_audio_model(ds, cfg, seed=seed, pretrain=pretrain)
 
 
 def _merge_val_into_train(ds: Dataset) -> Dataset:

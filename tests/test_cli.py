@@ -65,7 +65,8 @@ def test_missing_files_exit_one(workdir, capsys):
                  "--manifest", m, "--out", str(workdir / "s.csv")]) == 1
     assert main(["evaluate", "--scores", str(workdir / "gone.csv"),
                  "--manifest", m]) == 1
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert "error:" in err
     # files that exist but cannot be read as UTF-8 text, and a directory
     # where a file is expected
     garbage = workdir / "garbage"
