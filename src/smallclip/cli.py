@@ -6,8 +6,9 @@ recipe). Every file output is written atomically and accompanied by a
 ``<out>.manifest.json`` run manifest recording the command, config snapshot,
 seeds, paths, version, and duration, which is enough to reproduce the output
 bit for bit. All randomness flows from ``--seed``. ``--jobs N`` (N >= 1)
-trains independent units (ensemble members, folds, seeds) in up to N forked
-worker processes, capped at the core count, and never changes results.
+trains independent units (ensemble members or stacks of avg-pool members,
+folds, seeds) in up to N forked worker processes, capped at the core count,
+and never changes results.
 
 Exit codes: 0 success, 2 usage error, 1 runtime error. ``SMALLCLIP_LOG``
 (error, info, debug) controls logging verbosity.
@@ -34,12 +35,12 @@ from .errors import ConfigError, ContractError, ParseError, SmallclipError
 from .evaluate import (cross_validate, evaluate, predictions_from_table,
                        repeated_runs)
 from .fusion import fuse_tables, learn_fusion_weights
-from .parallel import parallel_map
-from .recipes import load_recipe, packaged_recipe, run_recipe, train_member
+from .recipes import (load_recipe, packaged_recipe, run_recipe, score_members,
+                      train_member)
 from .scores import (ScoreTable, load_score_table, score_table_from_predictions,
                      write_score_table)
 from .synth import SynthConfig, generate_synthetic
-from .video import selected_frames, train_video_model
+from .video import train_video_model
 
 log = logging.getLogger("smallclip")
 
@@ -277,16 +278,12 @@ def _cmd_ensemble(args):
     run.seeds = seeds
     run.extra["modality"] = args.modality
 
-    def member(seed):
-        model, _ = train_member(ds, cfg, args.modality, seed)
-        return ScoreTable([c.id for c in ds.clips],
-                          model.predict_batch(ds.clips))
-
-    if args.modality == "video" and cfg.head != "score-mean":
-        for clip in ds.clips:  # select once here; forked workers inherit it
-            selected_frames(clip, cfg.n)
-    tables = parallel_map(member, seeds, jobs=args.jobs)
-    fused = fuse_tables(tables)
+    kind = cfg.head if args.modality == "video" else cfg.model
+    members = [{"modality": args.modality, "kind": kind, "seed": seed}
+               for seed in seeds]
+    ids = [c.id for c in ds.clips]
+    fused = fuse_tables([ScoreTable(ids, p) for p in score_members(
+        ds, cfg, members, ds.clips, jobs=args.jobs)])
     write_score_table(fused, args.out)
     run.emit(args.out)
     _print(f"ensembled {args.count} members to {args.out}")

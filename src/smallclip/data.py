@@ -74,20 +74,6 @@ class Clip:
         self.label = None if label is None else int(label)
         self.selected = {}
 
-    @classmethod
-    def from_frames(cls, id, split, frames, audio=None, label=None):
-        if not frames:
-            raise DataValidationError(f"clip {id!r}: must contain at least one frame")
-        return cls(
-            id,
-            split,
-            np.stack([f.feature for f in frames]),
-            np.stack([f.scores for f in frames]),
-            np.stack([f.av for f in frames]),
-            audio=audio,
-            label=label,
-        )
-
     def with_split(self, split) -> "Clip":
         """This clip under another split, sharing its arrays and selections."""
         clip = Clip(self.id, split, self.features, self.scores, self.av,

@@ -98,19 +98,6 @@ class ReLU:
         return grad_out * (cache > 0)
 
 
-class Sigmoid:
-    def params(self):
-        return []
-
-    def forward(self, x, mode=TRAIN, rng=None):
-        s = sigmoid(x)
-        return s, s
-
-    def backward(self, cache, grad_out):
-        s = cache
-        return grad_out * s * (1.0 - s)
-
-
 def sigmoid(x):
     # exp(-x) overflows to inf below x = -709.78 and the result is then 0,
     # the correctly rounded value; above that it stays strictly positive,
@@ -223,18 +210,26 @@ def softmax_cross_entropy(logits, label):
 
 
 def softmax_cross_entropy_batch(logits, labels):
-    """Mean cross-entropy over a batch; grad already divided by batch size."""
+    """Mean cross-entropy over a batch; grad already divided by batch size.
+
+    ``logits`` is (B, C) with ``labels`` (B,), and the loss is a float; or
+    (M, B, C) with ``labels`` (M, B) for M stacked models, and the loss is
+    an (M,) array. Each model's loss and grad are computed as in the
+    (B, C) case.
+    """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if logits.ndim != 2 or labels.shape != (logits.shape[0],):
+    if logits.ndim not in (2, 3) or labels.shape != logits.shape[:-1]:
         raise ContractError(f"batch shapes mismatch: {logits.shape} vs {labels.shape}")
-    B = logits.shape[0]
-    probs = softmax(logits, axis=1)
-    losses = -np.log(probs[np.arange(B), labels])
+    B = logits.shape[-2]
+    probs = softmax(logits, axis=-1)
+    picked = (*np.indices(labels.shape, sparse=True), labels)
+    losses = -np.log(probs[picked])
     grad = probs.copy()
-    grad[np.arange(B), labels] -= 1.0
+    grad[picked] -= 1.0
     grad /= B
-    return float(losses.mean()), grad, probs
+    loss = losses.mean(axis=-1)
+    return (float(loss) if logits.ndim == 2 else loss), grad, probs
 
 
 # -- LSTM ----------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Order-preserving parallel map over independent work units.
 
-Used for ensemble members, CV folds and repeated seeds. Each unit's result
-depends only on its own inputs, and results come back in submission order,
-so outputs are identical no matter how many workers run.
+Used for ensemble members, CV folds and repeated seeds. An ensemble unit is
+one member, or a stack of avg-pool members that train as one stacked model
+(``recipes.score_members`` splits each such group into at most ``jobs``
+stacks, so the workers share it). Each unit's result depends only on its
+own inputs, and results come back in submission order, so outputs are
+identical no matter how many workers run.
 
 With ``jobs > 1`` the units run in worker processes started with the
 ``fork`` start method, at most ``min(jobs, len(items), os.cpu_count())`` of

@@ -25,7 +25,8 @@ from .evaluate import EvalReport, evaluate, predictions_from_table
 from .fusion import ensemble_tables, fuse_tables
 from .parallel import parallel_map
 from .scores import ScoreTable
-from .video import selected_frames, train_video_model
+from .video import (predict_stacked, selected_frames, train_video_model,
+                    train_video_models)
 
 PRESET_NAMES = tuple(f"submission{i}" for i in range(1, 8))
 
@@ -153,6 +154,70 @@ def train_member(ds: Dataset, cfg: TrainConfig, modality: str, seed: int,
     return train_audio_model(ds, cfg, seed=seed, pretrain=pretrain)
 
 
+def _units(members, jobs: int):
+    """Lists of member indices, each trained as one unit.
+
+    The avg-pool members train as stacks (one stacked model, see
+    ``video.train_video_models``): they are split into at most ``jobs``
+    stacks of contiguous members, as even as can be, so the workers share
+    them. Every other member is a unit of its own. Units are in order of
+    their first member.
+    """
+    stack, units = [], []
+    for i, member in enumerate(members):
+        if member["kind"] != "avg-pool":
+            units.append([i])
+            continue
+        if not stack:
+            units.append(stack)
+        stack.append(i)
+    out = []
+    for unit in units:
+        k = min(jobs, len(unit))
+        out.extend(unit[j * len(unit) // k:(j + 1) * len(unit) // k]
+                   for j in range(k))
+    return out
+
+
+def score_members(train_ds: Dataset, config: TrainConfig, members, clips,
+                  jobs: int = 1, pretrain: Dataset | None = None):
+    """Train ``members`` on ``train_ds`` and score ``clips`` with each.
+
+    ``members`` are dicts with ``modality``, ``kind`` and ``seed``. Returns
+    one (N, C) probability array per member, in member order. Members are
+    independent, so how ``jobs`` splits them into units (``_units``) only
+    changes wall-clock time: a stack scores every clip in one batched pass.
+    Frames are selected for every clip before the units start, so worker
+    processes share one selection per clip. Only the audio mlp takes the
+    ``pretrain`` corpus.
+    """
+    if any(m["modality"] == "video" and m["kind"] != "score-mean"
+           for m in members):
+        for clip in [*train_ds.clips, *clips]:  # forked workers inherit it
+            selected_frames(clip, config.n)
+
+    def run_unit(unit):
+        first = members[unit[0]]
+        cfg = TrainConfig(**vars(config))
+        setattr(cfg, "head" if first["modality"] == "video" else "model",
+                first["kind"])
+        if first["modality"] == "video":
+            trained = train_video_models(
+                train_ds, cfg, [members[i]["seed"] for i in unit])
+            return predict_stacked([model for model, _ in trained], clips)
+        model, _ = train_member(
+            train_ds, cfg, first["modality"], first["seed"],
+            pretrain=pretrain if first["kind"] == "mlp" else None)
+        return model.predict_batch(clips)[None]
+
+    units = _units(members, jobs)
+    probs = [None] * len(members)
+    for unit, out in zip(units, parallel_map(run_unit, units, jobs=jobs)):
+        for i, p in zip(unit, out):
+            probs[i] = p
+    return probs
+
+
 def _merge_val_into_train(ds: Dataset) -> Dataset:
     clips = [c.with_split("train") if c.split == "val" else c
              for c in ds.clips]
@@ -163,13 +228,13 @@ def run_recipe(recipe: Recipe, ds: Dataset, config: TrainConfig, seed: int,
                pretrain: Dataset | None = None, jobs: int = 1) -> RecipeResult:
     """Train every member, ensemble within modality, fuse across modalities.
 
-    Member i (in recipe order, video first) trains with seed ``seed + i``;
-    members are independent, so ``jobs`` only changes wall-clock time.
-    Frames are selected for every clip before the members start, so worker
-    processes share one selection per clip. The returned table scores every
-    clip in the dataset; the report holds val-split accuracy, or test-split
-    accuracy when training consumed the val split, or None when the
-    relevant split has no labels.
+    Member i (in recipe order, video first) trains with seed ``seed + i``.
+    The avg-pool members train as stacked models, split into at most
+    ``jobs`` stacks; every other member trains alone (``score_members``). Members are independent, so ``jobs`` only changes
+    wall-clock time. The returned table scores every clip in the dataset;
+    the report holds val-split accuracy, or test-split accuracy when
+    training consumed the val split, or None when the relevant split has no
+    labels.
     """
     recipe.validate()
     config.validate()
@@ -183,22 +248,11 @@ def run_recipe(recipe: Recipe, ds: Dataset, config: TrainConfig, seed: int,
                 members.append({"modality": modality, "kind": kind,
                                 "seed": seed + len(members)})
 
-    def score_member(member) -> ScoreTable:
-        cfg = TrainConfig(**vars(config))
-        setattr(cfg, "head" if member["modality"] == "video" else "model",
-                member["kind"])
-        model, _ = train_member(
-            train_ds, cfg, member["modality"], member["seed"],
-            pretrain=pretrain if member["kind"] == "mlp" else None)
-        return ScoreTable(all_ids, model.predict_batch(ds.clips))
-
-    if any(kind != "score-mean" for kind, _ in recipe.video):
-        for clip in ds.clips:  # train_ds's clips share this memo
-            selected_frames(clip, config.n)
-    tables = parallel_map(score_member, members, jobs=jobs)
+    probs = score_members(train_ds, config, members, ds.clips, jobs=jobs,
+                          pretrain=pretrain)
     modality_tables = []
     for modality in ("video", "audio"):
-        group = [t for t, m in zip(tables, members)
+        group = [ScoreTable(all_ids, p) for p, m in zip(probs, members)
                  if m["modality"] == modality]
         if group:
             modality_tables.append(ensemble_tables(group))

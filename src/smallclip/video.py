@@ -21,8 +21,8 @@ import numpy as np
 from .config import TrainConfig, VIDEO_HEADS
 from .data import Clip, Dataset, FrameRecord, argmax_lowest
 from .errors import ContractError, TrainingError
-from .nn import (LSTMParams, Linear, lstm_backward, lstm_forward, sigmoid,
-                 softmax, softmax_cross_entropy_batch)
+from .nn import (LSTMParams, Linear, ParamTensor, lstm_backward,
+                 lstm_forward, sigmoid, softmax, softmax_cross_entropy_batch)
 from .optim import make_optimizer
 
 
@@ -121,6 +121,14 @@ def pool_weighted(selected: SelectedClip, regressor: Linear):
     return pooled, w
 
 
+def _check_feature_dim(clips, d_feature):
+    for clip in clips:
+        if clip.features.shape[1] != d_feature:
+            raise ContractError(
+                f"clip {clip.id}: feature dim {clip.features.shape[1]} "
+                f"does not match model dim {d_feature}")
+
+
 class VideoModel:
     """A trained (or trainable) temporal pooling head.
 
@@ -216,11 +224,7 @@ class VideoModel:
         Frames are selected once per clip (``selected_frames``); the trained
         heads then run ``forward_batch`` over the whole batch.
         """
-        for clip in clips:
-            if clip.features.shape[1] != self.d_feature:
-                raise ContractError(
-                    f"clip {clip.id}: feature dim {clip.features.shape[1]} "
-                    f"does not match model dim {self.d_feature}")
+        _check_feature_dim(clips, self.d_feature)
         if not clips:
             return np.empty((0, self.n_classes))
         if self.kind == "score-mean":
@@ -259,41 +263,95 @@ def _batch_accuracy(model: VideoModel, batch) -> float | None:
     return int(np.sum(pred == labels)) / len(labels)
 
 
-def train_video_model(ds: Dataset, config: TrainConfig, seed: int):
-    """Fit the configured head on the train split; returns (model, log).
+def _stacked_logits(x, W, b):
+    """``x @ W[m].T + b[m]`` for every stacked member m, as (M, B, C).
 
-    The log is one dict per epoch with the mean train loss and the val-split
-    accuracy (None when the val split is empty). Runs are deterministic in
-    (dataset, config, seed). Frames are selected once per clip and shared
-    with every other model trained or scored on the same clips; the train
-    and labeled val clips are stacked once per training, and only head
-    parameters are trained.
+    ``x`` is (M, B, D), one batch per member, or (B, D), shared by all. Each
+    member's slice is the matmul and add that ``Linear.forward`` runs for
+    that member alone, so it is the same bit for bit.
     """
-    config.validate()
-    train_clips = [c for c in ds.split("train") if c.label is not None]
-    if not train_clips:
-        raise TrainingError("train split has no labeled clips")
-    val_clips = ds.split("val")
-    rng = np.random.default_rng([seed, 0x71D])
+    y = x @ W.transpose(0, 2, 1)
+    y += b[:, None, :]
+    return y
 
-    model = VideoModel(config.head, config.n, ds.d_feature, ds.n_classes,
-                       score_mode=config.score_mode,
-                       lstm_hidden=config.lstm_hidden, rng=rng)
-    if config.head == "score-mean":
-        return model, [{"epoch": 0, "train_loss": None,
-                        "val_accuracy": _split_accuracy(model, val_clips)}]
 
-    F, AV = _stack_selected(train_clips, config.n)
-    y = np.array([c.label for c in train_clips], dtype=np.int64)
-    val_labeled = [c for c in val_clips if c.label is not None]
-    val_batch = None
-    if val_labeled:
-        val_batch = (*_stack_selected(val_labeled, config.n),
-                     np.array([c.label for c in val_labeled], dtype=np.int64))
+def stacked_avg_pool_loss(x, labels, W: ParamTensor, b: ParamTensor):
+    """Per-member mean cross-entropy of M stacked avg-pool classifiers.
 
+    ``x`` is (M, B, D) pooled features, ``labels`` (M, B), ``W`` (M, C, D)
+    and ``b`` (M, C). Accumulates each member's gradient into ``W.grad`` and
+    ``b.grad`` and returns the (M,) losses.
+    """
+    loss, g, _ = softmax_cross_entropy_batch(
+        _stacked_logits(x, W.values, b.values), labels)
+    W.grad += g.transpose(0, 2, 1) @ x
+    b.grad += g.sum(axis=1)
+    return loss
+
+
+def _check_stack_finite(epoch, seeds, loss, params):
+    """TrainingError naming ``epoch`` and the seed of the first member
+    whose loss or gradient is not finite; nothing if all are finite."""
+    bad_loss = ~np.isfinite(loss)
+    bad = bad_loss.copy()
+    for p in params:
+        bad |= ~np.isfinite(p.grad).reshape(len(seeds), -1).all(axis=1)
+    if bad.any():
+        m = int(np.argmax(bad))
+        what = "loss" if bad_loss[m] else "gradient"
+        raise TrainingError(f"non-finite {what} at epoch {epoch} in the "
+                            f"member with seed {seeds[m]}; try a lower lr")
+
+
+def _train_avg_pool_stack(models, rngs, seeds, P, y, val_batch, config):
+    """Train avg-pool members in lockstep, stacked on a leading axis.
+
+    Avg-pool's pooling has no parameters, so ``P``, the train clips' mean
+    frame features computed once, feeds every step. Each member draws its
+    epoch permutation from its own ``rng`` and gathers its own batch rows;
+    every matmul, softmax and reduction runs per member slice, and the
+    optimizers are elementwise, so each member's parameters and log are
+    bit for bit those it gets when trained alone. Returns one log per member.
+    """
+    W = ParamTensor("classifier.W",
+                    np.stack([m.classifier.W.values for m in models]))
+    b = ParamTensor("classifier.b",
+                    np.stack([m.classifier.b.values for m in models]))
+    opt = make_optimizer([W, b], config.optimizer, lr=config.lr,
+                         momentum=config.momentum)
+    if val_batch is not None:
+        P_val, y_val = val_batch[0].mean(axis=1), val_batch[2]
+    n_train = len(y)
+    logs = [[] for _ in models]
+    for epoch in range(config.epochs):
+        perms = np.stack([rng.permutation(n_train) for rng in rngs])
+        total = np.zeros(len(models))
+        for start in range(0, n_train, config.batch_size):
+            batch = perms[:, start:start + config.batch_size]
+            loss = stacked_avg_pool_loss(P[batch], y[batch], W, b)
+            _check_stack_finite(epoch, seeds, loss, (W, b))
+            opt.step()
+            total += loss * batch.shape[1]
+        accs = [None] * len(models)
+        if val_batch is not None:
+            pred = softmax(_stacked_logits(P_val, W.values, b.values),
+                           axis=-1).argmax(axis=-1)
+            accs = [int(h) / len(y_val) for h in (pred == y_val).sum(axis=1)]
+        for log, t, acc in zip(logs, total, accs):
+            log.append({"epoch": epoch, "train_loss": float(t) / n_train,
+                        "val_accuracy": acc})
+    for model, W_m, b_m in zip(models, W.values, b.values):
+        model.classifier.W.values = W_m.copy()
+        model.classifier.b.values = b_m.copy()
+    return logs
+
+
+def _train_one(model, rng, seed, F, AV, y, val_batch, config):
+    """Train one head of any trainable kind over the stacked train clips;
+    returns its per-epoch log."""
     opt = make_optimizer(model.params(), config.optimizer, lr=config.lr,
                          momentum=config.momentum)
-    n_train = len(train_clips)
+    n_train = len(y)
     log = []
     for epoch in range(config.epochs):
         perm = rng.permutation(n_train)
@@ -304,10 +362,90 @@ def train_video_model(ds: Dataset, config: TrainConfig, seed: int):
             loss, dlogits, _ = softmax_cross_entropy_batch(logits, y[batch])
             if not np.isfinite(loss):
                 raise TrainingError(
-                    f"non-finite loss at epoch {epoch}; try a lower lr")
+                    f"non-finite loss at epoch {epoch} in the member with "
+                    f"seed {seed}; try a lower lr")
             model.backward_batch(cache, dlogits)
             opt.step()
             total += loss * batch.size
         log.append({"epoch": epoch, "train_loss": total / n_train,
                     "val_accuracy": _batch_accuracy(model, val_batch)})
-    return model, log
+    return log
+
+
+def train_video_model(ds: Dataset, config: TrainConfig, seed: int):
+    """Fit the configured head on the train split; returns (model, log).
+
+    The one-seed call of :func:`train_video_models`.
+    """
+    return train_video_models(ds, config, [seed])[0]
+
+
+def train_video_models(ds: Dataset, config: TrainConfig, seeds):
+    """Fit one head per seed on the train split; returns [(model, log), ...].
+
+    A log is one dict per epoch with the mean train loss and the val-split
+    accuracy (None when the val split is empty). Each member is
+    deterministic in (dataset, config, seed) and does not depend on the
+    other seeds: its rng ``default_rng([seed, 0x71D])`` draws its init and
+    its epoch permutations. Frames are selected once per clip and shared
+    with every other model trained or scored on the same clips; the train
+    and labeled val clips are stacked once per call, and only head
+    parameters are trained. Avg-pool members train in lockstep as one
+    stacked model (``_train_avg_pool_stack``); the other heads train one
+    after another. A non-finite loss (or, for avg-pool, gradient) raises a
+    TrainingError naming the epoch and the first failing member's seed.
+    """
+    config.validate()
+    seeds = list(seeds)
+    if not seeds:
+        return []
+    train_clips = [c for c in ds.split("train") if c.label is not None]
+    if not train_clips:
+        raise TrainingError("train split has no labeled clips")
+    val_clips = ds.split("val")
+    rngs = [np.random.default_rng([seed, 0x71D]) for seed in seeds]
+    models = [VideoModel(config.head, config.n, ds.d_feature, ds.n_classes,
+                         score_mode=config.score_mode,
+                         lstm_hidden=config.lstm_hidden, rng=rng)
+              for rng in rngs]
+    if config.head == "score-mean":
+        return [(model, [{"epoch": 0, "train_loss": None,
+                          "val_accuracy": _split_accuracy(model, val_clips)}])
+                for model in models]
+
+    F, AV = _stack_selected(train_clips, config.n)
+    y = np.array([c.label for c in train_clips], dtype=np.int64)
+    val_labeled = [c for c in val_clips if c.label is not None]
+    val_batch = None
+    if val_labeled:
+        val_batch = (*_stack_selected(val_labeled, config.n),
+                     np.array([c.label for c in val_labeled], dtype=np.int64))
+
+    if config.head == "avg-pool":
+        logs = _train_avg_pool_stack(models, rngs, seeds, F.mean(axis=1), y,
+                                     val_batch, config)
+    else:
+        logs = [_train_one(model, rng, seed, F, AV, y, val_batch, config)
+                for model, rng, seed in zip(models, rngs, seeds)]
+    return list(zip(models, logs))
+
+
+def predict_stacked(models, clips) -> np.ndarray:
+    """``np.stack([m.predict_batch(clips) for m in models])``, as (M, N, C).
+
+    The models share kind, ``n`` and feature dim. Avg-pool heads score all
+    clips in one batched pass over the pooled frame features, and member
+    m's rows are bit for bit ``models[m].predict_batch(clips)``; other heads
+    are scored one model at a time.
+    """
+    first = models[0]
+    if first.kind != "avg-pool" or not clips:
+        return np.stack([m.predict_batch(clips) for m in models])
+    _check_feature_dim(clips, first.d_feature)
+    P = _stack_selected(clips, first.n)[0].mean(axis=1)
+    W = np.stack([m.classifier.W.values for m in models])
+    b = np.stack([m.classifier.b.values for m in models])
+    probs = _stacked_logits(P, W, b)
+    for m, logits in enumerate(probs):  # per member: temporaries stay (N, C)
+        probs[m] = softmax(logits, axis=-1)
+    return probs

@@ -135,6 +135,23 @@ def test_batch_cross_entropy_matches_single(rng):
     np.testing.assert_allclose(grad_b, np.stack([s[1] for s in singles]) / 4, atol=1e-12)
 
 
+def test_stacked_cross_entropy_matches_each_model(rng):
+    logits = rng.standard_normal((3, 5, 4))
+    labels = rng.integers(0, 4, size=(3, 5))
+    loss, grad, probs = softmax_cross_entropy_batch(logits, labels)
+    assert loss.shape == (3,)
+    for m in range(3):
+        loss_m, grad_m, probs_m = softmax_cross_entropy_batch(logits[m],
+                                                              labels[m])
+        assert type(loss_m) is float and loss[m] == loss_m
+        assert np.array_equal(grad[m], grad_m)
+        assert np.array_equal(probs[m], probs_m)
+    with pytest.raises(ContractError, match="batch shapes mismatch"):
+        softmax_cross_entropy_batch(logits, labels[:, :4])
+    with pytest.raises(ContractError, match="batch shapes mismatch"):
+        softmax_cross_entropy_batch(logits[0, 0], labels[0, 0])
+
+
 # -- LSTM ------------------------------------------------------------------
 
 def test_lstm_zero_fixed_point():

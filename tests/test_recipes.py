@@ -6,10 +6,11 @@ import pytest
 from smallclip import video
 from smallclip.config import TrainConfig
 from smallclip.errors import ConfigError
-from smallclip.recipes import (PRESET_NAMES, Recipe, load_recipe,
+from smallclip.fusion import ensemble_tables, fuse_tables
+from smallclip.recipes import (PRESET_NAMES, Recipe, _units, load_recipe,
                                packaged_recipe, parse_recipe, run_recipe,
                                train_member)
-from smallclip.scores import score_table_to_text
+from smallclip.scores import ScoreTable, score_table_to_text
 from smallclip.synth import SynthConfig, generate_synthetic
 
 
@@ -192,3 +193,41 @@ def test_recipe_selects_frames_once_per_clip(monkeypatch, train_on):
         assert calls == {c.id: 1 for c in ds.clips}
         tables.append(score_table_to_text(result.table))
     assert tables[0] == tables[1]
+
+
+def test_units_split_avg_pool_groups_into_contiguous_stacks():
+    recipe = parse_recipe("video = avg-pool*5 weighted-avg-pool avg-pool*2\n"
+                          "audio = mlp\n")
+    members = [{"modality": modality, "kind": kind}
+               for modality, groups in (("video", recipe.video),
+                                        ("audio", recipe.audio))
+               for kind, mult in groups for _ in range(mult)]
+    assert _units(members, 1) == [[0, 1, 2, 3, 4, 6, 7], [5], [8]]
+    assert _units(members, 2) == [[0, 1, 2], [3, 4, 6, 7], [5], [8]]
+    assert _units(members, 3) == [[0, 1], [2, 3], [4, 6, 7], [5], [8]]
+    assert _units(members[:2], 8) == [[0], [1]]
+
+
+def test_run_recipe_stacks_are_jobs_invariant_and_match_members_alone():
+    ds = recipe_dataset(seed=6)
+    cfg = fast_config()
+    recipe = parse_recipe("video = avg-pool*5 weighted-avg-pool avg-pool*2\n"
+                          "audio = mlp\n")
+    results = [run_recipe(recipe, ds, cfg, seed=20, jobs=jobs)
+               for jobs in (1, 2, 3)]
+    for r in results[1:]:
+        assert np.array_equal(r.table.probs, results[0].table.probs)
+        assert r.members == results[0].members
+    # reference: every member trained alone and scored with predict_batch
+    ids = [c.id for c in ds.clips]
+    tables = {"video": [], "audio": []}
+    for m in results[0].members:
+        member_cfg = TrainConfig(**vars(cfg))
+        setattr(member_cfg, "head" if m["modality"] == "video" else "model",
+                m["kind"])
+        model, _ = train_member(ds, member_cfg, m["modality"], m["seed"])
+        tables[m["modality"]].append(
+            ScoreTable(ids, model.predict_batch(ds.clips)))
+    fused = fuse_tables([ensemble_tables(tables["video"]),
+                         ensemble_tables(tables["audio"])])
+    assert np.array_equal(results[0].table.probs, fused.probs)

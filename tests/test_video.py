@@ -4,13 +4,15 @@ import pytest
 from smallclip.config import VIDEO_HEADS, TrainConfig
 from smallclip.data import Clip
 from smallclip.errors import ContractError, TrainingError
-from smallclip.nn import Linear, lstm_forward, sigmoid, softmax
+from smallclip.gradcheck import grad_check
+from smallclip.nn import Linear, ParamTensor, lstm_forward, sigmoid, softmax
 from smallclip.synth import SynthConfig, generate_synthetic
 from smallclip import video as video_module
 from smallclip.video import (VideoModel, frame_score, pool_average,
                              pool_weighted, predict_score_mean, predict_video,
-                             select_frames, selected_frames,
-                             train_video_model)
+                             predict_stacked, select_frames, selected_frames,
+                             stacked_avg_pool_loss, train_video_model,
+                             train_video_models)
 
 from conftest import make_clip
 
@@ -398,3 +400,107 @@ def test_logged_val_accuracy_matches_predict_batch(head, monkeypatch):
         model, _ = train_video_model(ds, cfg, seed=2)
         assert log[epochs - 1]["val_accuracy"] == \
             video_module._split_accuracy(model, val)
+
+
+def _train_alone_per_model(ds, cfg, seed):
+    """Reference: one avg-pool head trained through the per-model
+    ``forward_batch``/``backward_batch`` path, as before stacking."""
+    train = [c for c in ds.split("train") if c.label is not None]
+    val = [c for c in ds.split("val") if c.label is not None]
+    F, AV = video_module._stack_selected(train, cfg.n)
+    val_batch = (*video_module._stack_selected(val, cfg.n),
+                 np.array([c.label for c in val]))
+    rng = np.random.default_rng([seed, 0x71D])
+    model = VideoModel(cfg.head, cfg.n, ds.d_feature, ds.n_classes, rng=rng)
+    log = video_module._train_one(model, rng, seed, F, AV,
+                                  np.array([c.label for c in train]),
+                                  val_batch, cfg)
+    return model, log
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_avg_pool_stack_matches_members_trained_alone(optimizer):
+    # 35 train clips at batch size 16 end on a 3-row batch
+    ds = generate_synthetic(SynthConfig(
+        train_per_class=5, val_per_class=3, n_classes=7, margin=2.0,
+        noise=0.5, frames_min=3, frames_max=9), seed=4)
+    cfg = TrainConfig(head="avg-pool", n=6, epochs=3, optimizer=optimizer,
+                      momentum=0.9, lr=0.05)
+    stack = train_video_models(ds, cfg, range(50))
+    assert len(stack) == 50
+    for seed, (model, log) in enumerate(stack):
+        alone, alone_log = train_video_model(ds, cfg, seed)
+        for p, q in zip(model.params(), alone.params()):
+            assert p.name == q.name
+            assert np.array_equal(p.values, q.values)
+        assert log == alone_log
+        assert len(log) == cfg.epochs
+        assert all(type(e["train_loss"]) is float for e in log)
+    for seed in (0, 17, 49):  # the stack equals the per-model math too
+        ref, ref_log = _train_alone_per_model(ds, cfg, seed)
+        model, log = stack[seed]
+        assert np.array_equal(model.classifier.W.values,
+                              ref.classifier.W.values)
+        assert np.array_equal(model.classifier.b.values,
+                              ref.classifier.b.values)
+        assert log == ref_log
+
+
+def test_stacked_avg_pool_loss_gradients():
+    rng = np.random.default_rng(21)
+    M, B, D, C = 3, 4, 5, 3
+    x = rng.standard_normal((M, B, D))
+    labels = rng.integers(0, C, size=(M, B))
+    W = ParamTensor("W", rng.standard_normal((M, C, D)))
+    b = ParamTensor("b", rng.standard_normal((M, C)))
+
+    def loss_fn(compute_grad):
+        # grad_check copies the gradient of the first call; the sum's
+        # gradient in W[m], b[m] is member m's own
+        return float(stacked_avg_pool_loss(x, labels, W, b).sum())
+
+    assert grad_check(loss_fn, [W, b]) < 1e-6
+
+
+def test_predict_stacked_matches_predict_batch():
+    ds = easy_dataset(seed=6)
+    cfg = TrainConfig(head="avg-pool", n=5, epochs=2)
+    models = [m for m, _ in train_video_models(ds, cfg, [3, 1, 4])]
+    probs = predict_stacked(models, ds.clips)
+    assert probs.shape == (3, len(ds.clips), ds.n_classes)
+    for model, rows in zip(models, probs):
+        assert np.array_equal(rows, model.predict_batch(ds.clips))
+    lstm = [m for m, _ in train_video_models(
+        ds, TrainConfig(head="lstm", n=5, epochs=1, lstm_hidden=4), [0, 1])]
+    probs = predict_stacked(lstm, ds.clips)
+    for model, rows in zip(lstm, probs):
+        assert np.array_equal(rows, model.predict_batch(ds.clips))
+    wide = make_clip(np.random.default_rng(0), "wide", d_feature=9)
+    with pytest.raises(ContractError, match="clip wide: feature dim 9"):
+        predict_stacked(models, [wide])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_loss_in_stack_names_epoch_and_seed():
+    ds = easy_dataset()
+    for c in ds.clips:  # finite but extreme: products overflow to inf
+        c.features *= 1e200
+    cfg = TrainConfig(head="avg-pool", n=8, epochs=3, optimizer="sgd",
+                      lr=0.01)
+    # the first member in stack order is named, not the smallest seed
+    with pytest.raises(TrainingError, match=r"epoch 0 .*seed 5;"):
+        train_video_models(ds, cfg, [5, 3, 9])
+
+
+def test_stack_finite_check_names_first_failing_member():
+    W = ParamTensor("W", np.zeros((3, 2, 2)))
+    b = ParamTensor("b", np.zeros((3, 2)))
+    check = video_module._check_stack_finite
+    check(4, [7, 8, 9], np.ones(3), (W, b))  # all finite: no error
+    with pytest.raises(TrainingError,
+                       match=r"non-finite loss at epoch 4 .*seed 9;"):
+        check(4, [7, 8, 9], np.array([1.0, 2.0, np.nan]), (W, b))
+    b.grad[1, 0] = np.inf
+    with pytest.raises(TrainingError,
+                       match=r"non-finite gradient at epoch 2 .*seed 8;"):
+        check(2, [7, 8, 9], np.array([1.0, 2.0, np.nan]), (W, b))
