@@ -60,11 +60,6 @@ class AudioModel:
         return self.predict_batch([clip])[0]
 
 
-def predict_audio(model: AudioModel, clip: Clip) -> np.ndarray:
-    """Class probabilities for one clip's audio features."""
-    return model.predict(clip)
-
-
 def _audio_matrix(clips, d_audio=None, require_label=True):
     rows, labels = [], []
     for c in clips:

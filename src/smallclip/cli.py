@@ -34,11 +34,10 @@ from .data import (atomic_write_text, class_names, load_dataset,
 from .errors import ConfigError, ContractError, ParseError, SmallclipError
 from .evaluate import (cross_validate, evaluate, predictions_from_table,
                        repeated_runs)
-from .fusion import fuse_tables, learn_fusion_weights
+from .fusion import fuse_tables, grid_divisions, learn_fusion_weights
 from .recipes import (load_recipe, packaged_recipe, run_recipe, score_members,
                       train_member)
-from .scores import (ScoreTable, load_score_table, score_table_from_predictions,
-                     write_score_table)
+from .scores import ScoreTable, load_score_table, write_score_table
 from .synth import SynthConfig, generate_synthetic
 from .video import train_video_model
 
@@ -234,8 +233,7 @@ def _cmd_predict(args):
     clips = ds.clips if args.split == "all" else ds.split(args.split)
     if not clips:
         raise ContractError(f"no clips in split {args.split!r}")
-    table = score_table_from_predictions([c.id for c in clips],
-                                         model.predict_batch(clips))
+    table = ScoreTable([c.id for c in clips], model.predict_batch(clips))
     write_score_table(table, args.out)
     run.emit(args.out)
     _print(f"scored {len(clips)} clips to {args.out}")
@@ -538,6 +536,19 @@ _HANDLERS = {
 }
 
 
+def _check_flags(args):
+    """ConfigError naming the first flag whose value is out of range."""
+    if getattr(args, "jobs", 1) < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.command == "ensemble" and args.count < 1:
+        raise ConfigError(f"--count must be >= 1, got {args.count}")
+    if args.command == "repeat" and len(args.seeds) < 2:
+        raise ConfigError(f"--seeds needs at least two seeds, got "
+                          f"{len(args.seeds)}")
+    if args.command == "learn-fusion" and args.grid_step is not None:
+        grid_divisions(args.grid_step, "--grid-step", ConfigError)
+
+
 def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
@@ -546,8 +557,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse handles --help and usage errors
         return int(exc.code or 0)
     try:
-        if getattr(args, "jobs", 1) < 1:
-            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+        _check_flags(args)
         return _HANDLERS[args.command](args)
     except ConfigError as exc:
         log.debug("usage error", exc_info=True)

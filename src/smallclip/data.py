@@ -39,15 +39,6 @@ def class_names(n_classes: int) -> tuple[str, ...]:
     return tuple(f"class{i}" for i in range(n_classes))
 
 
-@dataclass
-class FrameRecord:
-    """One frame: face feature vector, per-class scores, arousal-valence pair."""
-
-    feature: np.ndarray
-    scores: np.ndarray
-    av: np.ndarray
-
-
 class Clip:
     """An ordered frame sequence plus optional per-clip audio vector and label.
 
@@ -84,13 +75,6 @@ class Clip:
     @property
     def n_frames(self) -> int:
         return self.features.shape[0]
-
-    def frame(self, i: int) -> FrameRecord:
-        return FrameRecord(self.features[i], self.scores[i], self.av[i])
-
-    @property
-    def frames(self) -> list[FrameRecord]:
-        return [self.frame(i) for i in range(self.n_frames)]
 
 
 @dataclass
@@ -147,13 +131,6 @@ class Dataset:
     def distribution(self, split: str) -> ClassDistribution:
         labels = [c.label for c in self.labeled(split)]
         return ClassDistribution.from_labels(labels, self.n_classes)
-
-    @property
-    def distributions(self) -> dict:
-        return {s: self.distribution(s) for s in SPLITS}
-
-    def by_id(self) -> dict:
-        return {c.id: c for c in self.clips}
 
 
 def _check_clip(clip: Clip, dims, line_no=None, check_finite=True):
@@ -341,6 +318,7 @@ def write_distribution(dist: ClassDistribution, path, names=None):
 
 
 def load_distribution(path) -> ClassDistribution:
+    """Read a ``class,count`` CSV; the counts must not all be 0."""
     rows = list(csv.reader(io.StringIO(read_text(path, "distribution"),
                                        newline="")))
     if not rows or [c.strip() for c in rows[0]] != ["class", "count"]:
@@ -353,7 +331,10 @@ def load_distribution(path) -> ClassDistribution:
             counts.append(int(row[1]))
         except ValueError as e:
             raise ParseError(f"{path}: line {i}: bad count {row[1]!r}") from e
-    return ClassDistribution(np.array(counts, dtype=np.int64))
+    dist = ClassDistribution(np.array(counts, dtype=np.int64))
+    if dist.total == 0:
+        raise ParseError(f"{path}: class counts sum to 0")
+    return dist
 
 
 def packaged_distribution_path(name="afew_test_dist.csv"):

@@ -25,11 +25,13 @@ from .parallel import parallel_map
 def weighted_accuracy(per_class_acc, counts) -> float:
     """Combine per-class accuracies under given class counts, exactly.
 
-    Computes sum(a_k * n_k) / sum(n_k) in rational arithmetic (floats are
-    converted to exact fractions), so uniform per-class accuracy comes back
-    unchanged and results are reproducible to the last bit.
+    Computes sum(a_k * n_k) / sum(n_k) in rational arithmetic. A
+    ``Fraction`` accuracy is used as given; any other value is converted to
+    the exact fraction of its float. So uniform per-class accuracy comes
+    back unchanged and results are reproducible to the last bit.
     """
-    accs = [Fraction(float(a)) for a in per_class_acc]
+    accs = [a if isinstance(a, Fraction) else Fraction(float(a))
+            for a in per_class_acc]
     ns = [int(c) for c in counts]
     if len(accs) != len(ns):
         raise ContractError(f"{len(accs)} accuracies vs {len(ns)} counts")
@@ -107,10 +109,9 @@ def evaluate(pred_labels, true_labels, n_classes,
         if len(dist.counts) != n_classes:
             raise ContractError(f"distribution covers {len(dist.counts)} "
                                 f"classes, expected {n_classes}")
-        acc = [Fraction(int(hits[k]), int(support[k])) if support[k] > 0
-               else Fraction(0) for k in range(n_classes)]
-        weighted = float(sum(a * int(n) for a, n in zip(acc, dist.counts))
-                         / int(dist.total))
+        weighted = weighted_accuracy(
+            [Fraction(int(hits[k]), int(support[k])) if support[k] > 0
+             else Fraction(0) for k in range(n_classes)], dist.counts)
     return EvalReport(int(pred.size), overall, per_class, support, confusion,
                       weighted)
 

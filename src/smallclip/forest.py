@@ -12,7 +12,7 @@ histogram) so traversal stays in the compiled kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,7 +100,6 @@ class Forest:
     n_classes: int
     d_feature: int
     seed: int
-    oob_indices: list[np.ndarray] = field(default_factory=list, repr=False)
 
     def predict_proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -133,11 +132,10 @@ def train_forest(X, y, n_classes, n_trees=100, seed=0, max_depth=None,
         raise ContractError("labels out of range for n_classes")
 
     children = np.random.SeedSequence(seed).spawn(n_trees)
-    trees, oob = [], []
+    trees = []
     for ss in children:
         rng = np.random.default_rng(ss)
         boot = rng.integers(0, n, size=n)
         trees.append(grow_tree(X, y, n_classes, rng, max_depth=max_depth,
                                max_features=max_features, sample_idx=boot))
-        oob.append(np.setdiff1d(np.arange(n), boot))
-    return Forest(trees, n_classes, X.shape[1], seed, oob)
+    return Forest(trees, n_classes, X.shape[1], seed)

@@ -16,17 +16,18 @@ from .errors import ContractError
 from .scores import ScoreTable
 
 
-def _check_sources(stack) -> np.ndarray:
-    if stack.ndim != 2 or stack.shape[0] < 1:
+def _check_sources(probs) -> None:
+    """ContractError unless ``probs`` (N, C) holds N >= 1 finite,
+    nonnegative score vectors with positive sums."""
+    if probs.ndim != 2 or probs.shape[0] < 1:
         raise ContractError(f"expected a nonempty list of score vectors, "
-                            f"got shape {stack.shape}")
-    if not np.all(np.isfinite(stack)):
+                            f"got shape {probs.shape}")
+    if not np.all(np.isfinite(probs)):
         raise ContractError("score vectors must be finite")
-    if np.any(stack < 0):
+    if np.any(probs < 0):
         raise ContractError("fusion expects probabilities, got negative scores")
-    if np.any(stack.sum(axis=1) <= 0):
+    if np.any(probs.sum(axis=1) <= 0):
         raise ContractError("score vectors must have positive sum")
-    return stack
 
 
 def _check_weights(weights, n) -> np.ndarray:
@@ -38,36 +39,6 @@ def _check_weights(weights, n) -> np.ndarray:
     if w.sum() <= 0:
         raise ContractError("fusion weights must not all be zero")
     return w
-
-
-def _combine(stack, w) -> np.ndarray:
-    # uniform weights take the mean path so the reduction identity is exact
-    if np.all(w == w[0]):
-        v = stack.sum(axis=0)
-    else:
-        v = w @ stack
-    return v / v.sum(axis=-1, keepdims=True) if v.ndim > 1 else v / v.sum()
-
-
-def fuse_mean(sources) -> np.ndarray:
-    """Mean of the source vectors, renormalized to sum 1."""
-    stack = _check_sources(np.stack([np.asarray(s, dtype=np.float64)
-                                     for s in sources]))
-    return _combine(stack, np.ones(stack.shape[0]))
-
-
-def fuse_weighted(sources, weights) -> np.ndarray:
-    """Convex combination of the source vectors, renormalized to sum 1."""
-    stack = _check_sources(np.stack([np.asarray(s, dtype=np.float64)
-                                     for s in sources]))
-    return _combine(stack, _check_weights(weights, stack.shape[0]))
-
-
-def ensemble_predict(models, clip) -> np.ndarray:
-    """Mean prediction of same-shaped models on one clip."""
-    if not models:
-        raise ContractError("ensemble needs at least one model")
-    return fuse_mean([m.predict(clip) for m in models])
 
 
 def _aligned(tables) -> np.ndarray:
@@ -84,22 +55,23 @@ def _aligned(tables) -> np.ndarray:
 
 
 def fuse_tables(tables, weights=None) -> ScoreTable:
-    """Fuse whole tables over the same clips (mean, or weighted mean)."""
+    """Fuse whole tables over the same clips: mean, or weighted mean.
+
+    With no weights, or equal ones, the tables are summed, so fusing copies
+    of one table gives it back up to renormalization; other weights take
+    one matrix product. Every row is then renormalized to sum 1, and comes
+    out bit for bit as it would if fused alone.
+    """
     stack = _aligned(tables)
-    for m in range(stack.shape[0]):
-        _check_sources(stack[m])
-    if weights is None:
-        w = np.ones(stack.shape[0])
+    for probs in stack:
+        _check_sources(probs)
+    w = None if weights is None else _check_weights(weights, stack.shape[0])
+    if w is None or np.all(w == w[0]):
+        fused = stack.sum(axis=0)
     else:
-        w = _check_weights(weights, stack.shape[0])
-    fused = np.stack([_combine(stack[:, i, :], w)
-                      for i in range(stack.shape[1])])
-    return ScoreTable(list(tables[0].ids), fused)
-
-
-def ensemble_tables(tables) -> ScoreTable:
-    """Average the score tables of ensemble members (equal weights)."""
-    return fuse_tables(tables, weights=None)
+        fused = w @ stack.transpose(1, 0, 2)
+    return ScoreTable(list(tables[0].ids),
+                      fused / fused.sum(axis=1, keepdims=True))
 
 
 def _compositions(total, parts):
@@ -117,23 +89,34 @@ def default_grid_step(n_sources: int) -> float:
     return 0.05 if n_sources <= 2 else 0.1
 
 
+def grid_divisions(grid_step, name="grid_step", error=ContractError) -> int:
+    """K = 1 / grid_step, for a step in (0, 0.5] whose reciprocal is an
+    integer (to within 1e-9); otherwise ``error`` naming ``name``."""
+    if not 0 < grid_step <= 0.5:
+        raise error(f"{name} must be in (0, 0.5], got {grid_step}")
+    k = round(1.0 / grid_step)
+    if abs(1.0 / grid_step - k) > 1e-9:
+        raise error(f"{name} must be 1/K for a whole number K, got "
+                    f"{grid_step}")
+    return k
+
+
 def learn_fusion_weights(tables, labels, grid_step=None):
     """Exhaustive simplex-grid search for fusion weights.
 
     ``labels`` maps clip id to class index and must cover every clip of the
     aligned tables. Candidate weights are multiples of ``grid_step`` summing
-    to one (K = round(1/grid_step) steps); accuracy ties prefer the vector
-    closest to uniform (exact integer distance), then the lexicographically
-    smallest. Returns ``(weights, accuracy)``. Unit vectors are on the grid,
-    so the winner is never worse than any single source.
+    to one (K = 1/grid_step steps, see ``grid_divisions``); accuracy ties
+    prefer the vector closest to uniform (exact integer distance), then the
+    lexicographically smallest. Returns ``(weights, accuracy)``. Unit
+    vectors are on the grid, so the winner is never worse than any single
+    source.
     """
     stack = _aligned(tables)
     m, n_clips, _ = stack.shape
     if grid_step is None:
         grid_step = default_grid_step(m)
-    if not 0 < grid_step <= 0.5:
-        raise ContractError(f"grid_step must be in (0, 0.5], got {grid_step}")
-    k = round(1.0 / grid_step)
+    k = grid_divisions(grid_step)
     ids = tables[0].ids
     missing = [cid for cid in ids if cid not in labels]
     if missing:

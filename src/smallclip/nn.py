@@ -101,7 +101,7 @@ class ReLU:
 def sigmoid(x):
     # exp(-x) overflows to inf below x = -709.78 and the result is then 0,
     # the correctly rounded value; above that it stays strictly positive,
-    # which pool_weighted's positive frame weights rely on.
+    # which the positive frame weights of video.pool_weighted rely on.
     x = np.asarray(x, dtype=np.float64)
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-x))
@@ -190,23 +190,6 @@ def softmax(logits, axis=-1):
     z = z - z.max(axis=axis, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=axis, keepdims=True)
-
-
-def softmax_cross_entropy(logits, label):
-    """Loss, d(loss)/d(logits), and probabilities for a single score vector."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1:
-        raise ContractError(f"expected 1-d logits, got shape {logits.shape}")
-    if not np.all(np.isfinite(logits)):
-        raise ContractError("logits must be finite")
-    label = int(label)
-    if not (0 <= label < logits.shape[0]):
-        raise ContractError(f"label {label} out of range [0, {logits.shape[0]})")
-    probs = softmax(logits)
-    loss = -np.log(probs[label])
-    grad = probs.copy()
-    grad[label] -= 1.0
-    return float(loss), grad, probs
 
 
 def softmax_cross_entropy_batch(logits, labels):

@@ -34,13 +34,6 @@ class SGD:
                 p.values -= self.lr * p.grad
             p.zero_grad()
 
-    def state_dict(self):
-        return {
-            "kind": self.kind, "lr": self.lr, "momentum": self.momentum,
-            "step_count": self.step_count,
-            "velocity": {p.name: v for p, v in zip(self.params, self.velocity)},
-        }
-
 
 class Adam:
     kind = "adam"
@@ -66,14 +59,6 @@ class Adam:
             v += (1.0 - self.beta2) * p.grad * p.grad
             p.values -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
             p.zero_grad()
-
-    def state_dict(self):
-        return {
-            "kind": self.kind, "lr": self.lr, "beta1": self.beta1,
-            "beta2": self.beta2, "eps": self.eps, "step_count": self.step_count,
-            "m": {p.name: m for p, m in zip(self.params, self.m)},
-            "v": {p.name: v for p, v in zip(self.params, self.v)},
-        }
 
 
 def _check_finite(params):

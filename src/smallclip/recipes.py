@@ -22,7 +22,7 @@ from .config import AUDIO_MODELS, VIDEO_HEADS, TrainConfig
 from .data import Dataset, build_dataset, read_text
 from .errors import ConfigError
 from .evaluate import EvalReport, evaluate, predictions_from_table
-from .fusion import ensemble_tables, fuse_tables
+from .fusion import fuse_tables
 from .parallel import parallel_map
 from .scores import ScoreTable
 from .video import (predict_stacked, selected_frames, train_video_model,
@@ -255,7 +255,7 @@ def run_recipe(recipe: Recipe, ds: Dataset, config: TrainConfig, seed: int,
         group = [ScoreTable(all_ids, p) for p, m in zip(probs, members)
                  if m["modality"] == modality]
         if group:
-            modality_tables.append(ensemble_tables(group))
+            modality_tables.append(fuse_tables(group))
 
     weights = recipe.weights if recipe.fusion == "weighted" else None
     fused = fuse_tables(modality_tables, weights=weights)

@@ -54,11 +54,6 @@ class ScoreTable:
         return ScoreTable(list(ids), self.probs[rows])
 
 
-def score_table_from_predictions(ids, probs) -> ScoreTable:
-    return ScoreTable(list(ids), np.stack([np.asarray(p, dtype=np.float64)
-                                           for p in probs]))
-
-
 def score_table_to_text(table: ScoreTable) -> str:
     header = "clip_id," + ",".join(f"p{i}" for i in range(table.n_classes))
     lines = [header]

@@ -19,16 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TrainConfig, VIDEO_HEADS
-from .data import Clip, Dataset, FrameRecord, argmax_lowest
+from .data import Clip, Dataset, argmax_lowest
 from .errors import ContractError, TrainingError
 from .nn import (LSTMParams, Linear, ParamTensor, lstm_backward,
                  lstm_forward, sigmoid, softmax, softmax_cross_entropy_batch)
 from .optim import make_optimizer
-
-
-def frame_score(frame: FrameRecord) -> float:
-    """Confidence of a frame: the maximum entry of its score vector."""
-    return float(np.max(frame.scores))
 
 
 @dataclass
@@ -101,23 +96,25 @@ def predict_score_mean(clip: Clip, score_mode: str = "probs") -> np.ndarray:
     return mean / mean.sum()
 
 
-def pool_average(selected: SelectedClip) -> np.ndarray:
-    """Unweighted mean of the selected frame features."""
-    return selected.features.mean(axis=0)
+def pool_average(F) -> np.ndarray:
+    """Unweighted mean of each clip's selected frame features.
 
-
-def pool_weighted(selected: SelectedClip, regressor: Linear):
-    """Weighted mean with weights sigmoid(av @ a + b) from the regressor.
-
-    Returns ``(pooled, weights)``. Weights are strictly positive (sigmoid),
-    and the pooled vector is the weight-normalized average, so a zero
-    regressor (all weights 0.5) reduces to the plain average.
+    ``F`` is (B, n, D), one row of frames per clip; returns (B, D).
     """
-    z = (selected.av @ regressor.W.values[0])
-    if regressor.b is not None:
-        z = z + regressor.b.values[0]
-    w = sigmoid(z)
-    pooled = (w @ selected.features) / w.sum()
+    return F.mean(axis=1)
+
+
+def pool_weighted(F, AV, regressor: Linear):
+    """Weighted mean of each clip's frames, weights sigmoid(av @ a + b).
+
+    ``F`` is (B, n, D) and ``AV`` (B, n, 2); returns ``(pooled, w)`` of
+    shapes (B, D) and (B, n). Weights are strictly positive (sigmoid), and
+    each pooled row is the weight-normalized average of its clip's frames,
+    so a zero regressor (all weights 0.5) reduces to the plain average.
+    """
+    z = AV.reshape(-1, 2) @ regressor.W.values.T + regressor.b.values
+    w = sigmoid(z.reshape(F.shape[0], F.shape[1]))
+    pooled = np.einsum("bn,bnd->bd", w, F) / w.sum(axis=1)[:, None]
     return pooled, w
 
 
@@ -178,17 +175,12 @@ class VideoModel:
         caches, so the returned cache cannot be passed to ``backward_batch``.
         """
         if self.kind == "avg-pool":
-            pooled = F.mean(axis=1)
-            logits, lcache = self.classifier.forward(pooled)
+            logits, lcache = self.classifier.forward(pool_average(F))
             return logits, (lcache, F.shape[1])
         if self.kind == "weighted-avg-pool":
-            z = AV.reshape(-1, 2) @ self.regressor.W.values.T \
-                + self.regressor.b.values
-            w = sigmoid(z.reshape(F.shape[0], F.shape[1]))
-            s = w.sum(axis=1)
-            pooled = np.einsum("bn,bnd->bd", w, F) / s[:, None]
+            pooled, w = pool_weighted(F, AV, self.regressor)
             logits, lcache = self.classifier.forward(pooled)
-            return logits, (lcache, F, AV, w, s, pooled)
+            return logits, (lcache, F, AV, w, pooled)
         if self.kind == "lstm":
             h, caches = lstm_forward(self.lstm, F, keep_caches=keep_cache)
             logits, lcache = self.classifier.forward(h)
@@ -201,7 +193,8 @@ class VideoModel:
             dpooled = self.classifier.backward(lcache, dlogits)
             return np.repeat(dpooled[:, None, :], n, axis=1) / n
         if self.kind == "weighted-avg-pool":
-            lcache, F, AV, w, s, pooled = cache
+            lcache, F, AV, w, pooled = cache
+            s = w.sum(axis=1)
             dpooled = self.classifier.backward(lcache, dlogits)
             # quotient rule through pooled = sum_i w_i f_i / sum_i w_i
             dw = np.einsum("bnd,bd->bn", F - pooled[:, None, :], dpooled)
@@ -236,11 +229,6 @@ class VideoModel:
 
     def predict(self, clip: Clip) -> np.ndarray:
         return self.predict_batch([clip])[0]
-
-
-def predict_video(model: VideoModel, clip: Clip) -> np.ndarray:
-    """Class probabilities for one clip under a trained head."""
-    return model.predict(clip)
 
 
 def _split_accuracy(model: VideoModel, clips) -> float | None:
@@ -320,7 +308,7 @@ def _train_avg_pool_stack(models, rngs, seeds, P, y, val_batch, config):
     opt = make_optimizer([W, b], config.optimizer, lr=config.lr,
                          momentum=config.momentum)
     if val_batch is not None:
-        P_val, y_val = val_batch[0].mean(axis=1), val_batch[2]
+        P_val, y_val = pool_average(val_batch[0]), val_batch[2]
     n_train = len(y)
     logs = [[] for _ in models]
     for epoch in range(config.epochs):
@@ -422,7 +410,7 @@ def train_video_models(ds: Dataset, config: TrainConfig, seeds):
                      np.array([c.label for c in val_labeled], dtype=np.int64))
 
     if config.head == "avg-pool":
-        logs = _train_avg_pool_stack(models, rngs, seeds, F.mean(axis=1), y,
+        logs = _train_avg_pool_stack(models, rngs, seeds, pool_average(F), y,
                                      val_batch, config)
     else:
         logs = [_train_one(model, rng, seed, F, AV, y, val_batch, config)
@@ -442,7 +430,7 @@ def predict_stacked(models, clips) -> np.ndarray:
     if first.kind != "avg-pool" or not clips:
         return np.stack([m.predict_batch(clips) for m in models])
     _check_feature_dim(clips, first.d_feature)
-    P = _stack_selected(clips, first.n)[0].mean(axis=1)
+    P = pool_average(_stack_selected(clips, first.n)[0])
     W = np.stack([m.classifier.W.values for m in models])
     b = np.stack([m.classifier.b.values for m in models])
     probs = _stacked_logits(P, W, b)

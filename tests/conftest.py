@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from smallclip.data import Clip, build_dataset
+from smallclip.nn import softmax
 
 
 def make_clip(rng, clip_id, split="train", L=3, d_feature=4, n_classes=7,
@@ -16,6 +17,15 @@ def make_clip(rng, clip_id, split="train", L=3, d_feature=4, n_classes=7,
         audio=audio,
         label=label,
     )
+
+
+def softmax_cross_entropy(logits, label):
+    """Reference for ``softmax_cross_entropy_batch``: loss, d(loss)/d(logits)
+    and probabilities for a single score vector."""
+    probs = softmax(np.asarray(logits, dtype=np.float64))
+    grad = probs.copy()
+    grad[label] -= 1.0
+    return float(-np.log(probs[label])), grad, probs
 
 
 @pytest.fixture

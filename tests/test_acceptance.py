@@ -15,17 +15,17 @@ import numpy as np
 from smallclip.cli import main
 from smallclip.config import TrainConfig
 from smallclip.data import ClassDistribution, Clip
-from smallclip.evaluate import evaluate, weighted_accuracy
-from smallclip.fusion import fuse_mean, fuse_weighted
+from smallclip.evaluate import evaluate
+from smallclip.fusion import fuse_tables
 from smallclip.gradcheck import grad_check
 from smallclip.nn import (Linear, LSTMParams, MLPHead, ParamTensor,
                           lstm_forward, lstm_backward,
                           softmax_cross_entropy_batch)
 from smallclip.audio import train_audio_model
+from smallclip.scores import ScoreTable
 from smallclip.synth import SynthConfig, generate_synthetic
-from smallclip.video import (SelectedClip, VideoModel, pool_average,
-                             pool_weighted, predict_video, select_frames,
-                             train_video_model)
+from smallclip.video import (VideoModel, pool_average, pool_weighted,
+                             select_frames, train_video_model)
 
 
 def criterion(num, ok, detail):
@@ -143,11 +143,23 @@ def test_criterion_2_selection_matches_oracle():
 
 # -- 3: weighted accuracy formula ----------------------------------------------
 
+def weighted_via_evaluate(hits, support, counts):
+    """``evaluate``'s weighted accuracy when class k has ``support`` clips,
+    the first ``hits[k]`` of them predicted right and the rest wrong."""
+    c = len(counts)
+    true = np.repeat(np.arange(c), support)
+    pred = true.copy()
+    for k, h in enumerate(hits):
+        pred[k * support + h:(k + 1) * support] = (k + 1) % c
+    return evaluate(pred, true, c,
+                    dist=ClassDistribution(np.asarray(counts))).weighted
+
+
 def test_criterion_3_weighted_accuracy():
     counts = [99, 40, 70, 144, 80, 191, 29]
-    one_hot = abs(weighted_accuracy([1, 0, 0, 0, 0, 0, 0], counts)
+    one_hot = abs(weighted_via_evaluate([2, 0, 0, 0, 0, 0, 0], 2, counts)
                   - 99 / 653) <= 1e-12
-    uniform = all(weighted_accuracy([a] * 7, counts) == a
+    uniform = all(weighted_via_evaluate([round(a * 60)] * 7, 60, counts) == a
                   for a in (0.0, 0.25, 1 / 3, 0.9, 1.0))
     rng = np.random.default_rng(3)
     worst = 0.0
@@ -171,20 +183,21 @@ def test_criterion_4_reduction_identities():
     rng = np.random.default_rng(4)
     worst = 0.0
     for _ in range(25):
-        L = int(rng.integers(1, 12))
-        sel = SelectedClip(rng.standard_normal((L, 6)),
-                           rng.uniform(-1, 1, (L, 2)),
-                           np.arange(L))
+        B, L = int(rng.integers(1, 5)), int(rng.integers(1, 12))
+        F = rng.standard_normal((B, L, 6))
+        AV = rng.uniform(-1, 1, (B, L, 2))
         reg = Linear(2, 1, rng=None, name="regressor")  # zero weights
-        pooled, _ = pool_weighted(sel, reg)
-        worst = max(worst, float(np.max(np.abs(pooled - pool_average(sel)))))
+        pooled, _ = pool_weighted(F, AV, reg)
+        worst = max(worst, float(np.max(np.abs(pooled - pool_average(F)))))
 
-        srcs = list(rng.dirichlet(np.ones(7), size=3))
-        gap = np.abs(fuse_weighted(srcs, [1 / 3] * 3) - fuse_mean(srcs))
+        srcs = [ScoreTable(["c"], p[None])
+                for p in rng.dirichlet(np.ones(7), size=3)]
+        gap = np.abs(fuse_tables(srcs, [1 / 3] * 3).probs
+                     - fuse_tables(srcs).probs)
         worst = max(worst, float(gap.max()))
 
-        member = rng.dirichlet(np.ones(7))
-        gap = np.abs(fuse_mean([member] * 5) - member)
+        member = ScoreTable(["c"], rng.dirichlet(np.ones(7))[None])
+        gap = np.abs(fuse_tables([member] * 5).probs - member.probs)
         worst = max(worst, float(gap.max()))
     criterion(4, worst <= 1e-12,
               f"max deviation {worst:.1e} across weighted-pool/fusion/"
@@ -235,8 +248,7 @@ def test_criterion_6_ensemble_and_pretraining_trends():
         tables = []
         for j in range(4):
             model, _ = train_video_model(ds, video_cfg, seed=seed * 10 + j)
-            tables.append(np.stack([predict_video(model, c)
-                                    for c in ds.clips]))
+            tables.append(np.stack([model.predict(c) for c in ds.clips]))
         singles.append(_val_acc_from_tables(tables[:1], ds))
         ensembles.append(_val_acc_from_tables(tables, ds))
 

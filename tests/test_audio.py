@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smallclip.audio import AudioModel, predict_audio, train_audio_model
+from smallclip.audio import AudioModel, train_audio_model
 from smallclip.config import TrainConfig
 from smallclip.data import argmax_lowest, build_dataset
 from smallclip.errors import ContractError, TrainingError
@@ -20,7 +20,7 @@ def audio_dataset(seed=0, margin=6.0, noise=0.3, centroid_seed=None):
 
 def val_accuracy(model, ds):
     val = [c for c in ds.clips if c.split == "val"]
-    hits = [argmax_lowest(predict_audio(model, c)) == c.label for c in val]
+    hits = [argmax_lowest(model.predict(c)) == c.label for c in val]
     return np.mean(hits)
 
 
@@ -97,7 +97,7 @@ def test_zero_output_weights_give_uniform():
     mlp.out_layer.b.values[:] = 0.0
     model = AudioModel("mlp", 5, 7, mlp=mlp)
     clip = make_clip(np.random.default_rng(1), "c0", d_audio=5)
-    probs = predict_audio(model, clip)
+    probs = model.predict(clip)
     assert np.allclose(probs, np.full(7, 1 / 7), atol=1e-12)
 
 
@@ -141,7 +141,7 @@ def test_prediction_is_valid_distribution():
         cfg = TrainConfig(model=kind, epochs=3, n_trees=5)
         model, _ = train_audio_model(ds, cfg, seed=0)
         clip = next(c for c in ds.clips if c.split == "test")
-        probs = predict_audio(model, clip)
+        probs = model.predict(clip)
         assert probs.shape == (7,)
         assert np.all(probs >= 0)
         assert abs(probs.sum() - 1.0) < 1e-9

@@ -9,7 +9,7 @@ from smallclip.checkpoint import (checkpoint_dict, load_checkpoint,
 from smallclip.config import TrainConfig
 from smallclip.errors import ContractError, ParseError
 from smallclip.synth import SynthConfig, generate_synthetic
-from smallclip.video import predict_video, train_video_model
+from smallclip.video import train_video_model
 
 
 def small_dataset(seed=0):
@@ -32,8 +32,8 @@ def test_video_checkpoint_round_trip(tmp_path, head):
         assert p.name == q.name
         assert np.array_equal(p.values, q.values)  # json repr is bit-exact
     for clip in ds.split("test"):
-        assert np.array_equal(predict_video(model, clip),
-                              predict_video(back, clip))
+        assert np.array_equal(model.predict(clip),
+                              back.predict(clip))
 
 
 def test_audio_mlp_checkpoint_round_trip(tmp_path):

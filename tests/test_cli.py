@@ -89,6 +89,13 @@ def test_missing_files_exit_one(workdir, capsys):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read ") and err.count("\n") == 1
+    # a distribution that parses but whose counts are all 0
+    zeros = workdir / "zeros.csv"
+    zeros.write_text("class,count\nclass0,0\nclass1,0\nclass2,0\n")
+    assert main(["evaluate", "--scores", str(scores), "--manifest", m,
+                 "--dist", str(zeros)]) == 1
+    assert capsys.readouterr().err.splitlines() == \
+        [f"error: {zeros}: class counts sum to 0"]
 
 
 def test_bad_config_file_exits_two(workdir, capsys):
@@ -256,9 +263,9 @@ def test_fuse_and_learn_fusion(workdir, capsys):
     assert 0.0 <= payload["accuracy"] <= 1.0
     out = capsys.readouterr().out
     assert "weights:" in out
-    # out-of-range grid step fails the run
+    # out-of-range grid step is a usage error
     assert main(["learn-fusion", "--scores", *tables, "--manifest", m,
-                 "--grid-step", "0.7"]) == 1
+                 "--grid-step", "0.7"]) == 2
 
 
 def test_ensemble_jobs_do_not_change_output(workdir, capsys):
@@ -367,6 +374,32 @@ def test_jobs_below_one_is_a_usage_error(workdir, capsys, command, jobs):
     assert main(argv + ["--jobs", jobs]) == 2
     assert capsys.readouterr().err.splitlines() == \
         [f"error: --jobs must be >= 1, got {jobs}"]
+    assert not (workdir / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command, message", [
+    (["learn-fusion", "--scores", "s.csv", "--manifest", "data.jsonl",
+      "--grid-step", "0.7", "--out", "x.csv"],
+     "--grid-step must be in (0, 0.5], got 0.7"),
+    (["learn-fusion", "--scores", "s.csv", "--manifest", "data.jsonl",
+      "--grid-step", "0", "--out", "x.csv"],
+     "--grid-step must be in (0, 0.5], got 0.0"),
+    (["learn-fusion", "--scores", "s.csv", "--manifest", "data.jsonl",
+      "--grid-step", "0.3", "--out", "x.csv"],
+     "--grid-step must be 1/K for a whole number K, got 0.3"),
+    (["ensemble", "--manifest", "data.jsonl", "--count", "0",
+      "--out", "x.csv"],
+     "--count must be >= 1, got 0"),
+    (["repeat", "--manifest", "data.jsonl", "--seeds", "4",
+      "--out", "x.csv"],
+     "--seeds needs at least two seeds, got 1"),
+], ids=["grid-step-above", "grid-step-zero", "grid-step-thirds",
+        "count-zero", "one-seed"])
+def test_bad_flag_value_is_a_usage_error(workdir, capsys, command, message):
+    argv = [str(workdir / a) if a.endswith((".jsonl", ".csv"))
+            else a for a in command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not (workdir / "x.csv").exists()
 
 

@@ -262,7 +262,12 @@ def test_bootstrap_oob_fraction():
     X = rng.normal(size=(250, 4))
     y = rng.integers(0, 3, size=250).astype(np.int64)
     forest = train_forest(X, y, 3, n_trees=40, seed=1)
-    fractions = [oob.size / 250 for oob in forest.oob_indices]
+    # each tree's bootstrap draw is the first draw of its spawned rng
+    fractions = []
+    for tree, ss in zip(forest.trees, np.random.SeedSequence(1).spawn(40)):
+        boot = np.random.default_rng(ss).integers(0, 250, size=250)
+        assert np.array_equal(tree.hist[0], np.bincount(y[boot], minlength=3))
+        fractions.append(np.setdiff1d(np.arange(250), boot).size / 250)
     assert abs(np.mean(fractions) - 1 / np.e) < 0.05
 
 

@@ -2,103 +2,110 @@ import numpy as np
 import pytest
 
 from smallclip.errors import ContractError
-from smallclip.fusion import (default_grid_step, ensemble_predict,
-                              ensemble_tables, fuse_mean, fuse_tables,
-                              fuse_weighted, learn_fusion_weights)
+from smallclip.fusion import (default_grid_step, fuse_tables, grid_divisions,
+                              learn_fusion_weights)
 from smallclip.scores import ScoreTable
 
 
-class FixedModel:
-    """Stub with a canned prediction per clip id."""
+def fuse_rows(sources, weights=None):
+    """The fused row of ``fuse_tables`` over one-row tables, one per source
+    vector."""
+    tables = [ScoreTable(["c"], np.asarray(s, dtype=np.float64)[None])
+              for s in sources]
+    return fuse_tables(tables, weights).probs[0]
 
-    def __init__(self, by_id):
-        self.by_id = by_id
 
-    def predict(self, clip):
-        return np.asarray(self.by_id[clip], dtype=np.float64)
+def per_row_reference(tables, weights=None):
+    """Reference: each clip's row fused on its own, uniform weights by a
+    plain sum, then renormalized."""
+    first = tables[0]
+    stack = np.stack([first.probs]
+                     + [t.reordered(first.ids).probs for t in tables[1:]])
+    w = np.ones(len(tables)) if weights is None else np.asarray(weights)
+    rows = []
+    for i in range(stack.shape[1]):
+        v = (stack[:, i, :].sum(axis=0) if np.all(w == w[0])
+             else w @ stack[:, i, :])
+        rows.append(v / v.sum())
+    return np.stack(rows)
 
 
 def test_mean_of_identical_sources_is_identity():
     p = np.array([0.25, 0.25, 0.5])  # dyadic, so the reduction is exact
-    assert np.array_equal(fuse_mean([p, p, p]), p)
+    assert np.array_equal(fuse_rows([p, p, p]), p)
     q = np.random.default_rng(0).dirichlet(np.ones(7))
-    assert np.allclose(fuse_mean([q, q]), q, atol=1e-12)
+    assert np.allclose(fuse_rows([q, q]), q, atol=1e-12)
 
 
 def test_mean_of_one_hots():
     a = np.array([1.0, 0.0, 0.0])
     b = np.array([0.0, 1.0, 0.0])
-    assert np.array_equal(fuse_mean([a, b]), [0.5, 0.5, 0.0])
+    assert np.array_equal(fuse_rows([a, b]), [0.5, 0.5, 0.0])
 
 
 def test_mean_matches_manual_average(rng):
     stack = rng.dirichlet(np.ones(5), size=4)
     expected = stack.mean(axis=0)
     expected = expected / expected.sum()
-    assert np.allclose(fuse_mean(list(stack)), expected, atol=1e-12)
+    assert np.allclose(fuse_rows(list(stack)), expected, atol=1e-12)
 
 
 def test_output_is_renormalized(rng):
     # sources that do not sum to one still fuse to a distribution
     a = np.array([0.2, 0.2, 0.2])
     b = np.array([0.6, 0.3, 0.3])
-    out = fuse_mean([a, b])
+    out = fuse_rows([a, b])
     assert abs(out.sum() - 1.0) < 1e-9
-    out = fuse_weighted([a, b], [0.7, 0.3])
+    out = fuse_rows([a, b], [0.7, 0.3])
     assert abs(out.sum() - 1.0) < 1e-9
 
 
 def test_unit_weight_returns_source_unchanged():
     a = np.array([0.25, 0.25, 0.5])
     b = np.array([0.1, 0.1, 0.8])
-    assert np.array_equal(fuse_weighted([a, b], [1.0, 0.0]), a)
+    assert np.array_equal(fuse_rows([a, b], [1.0, 0.0]), a)
 
 
 def test_uniform_weights_match_mean_exactly(rng):
     srcs = list(rng.dirichlet(np.ones(7), size=3))
-    assert np.array_equal(fuse_weighted(srcs, [0.5, 0.5, 0.5]),
-                          fuse_mean(srcs))
+    assert np.array_equal(fuse_rows(srcs, [0.5, 0.5, 0.5]),
+                          fuse_rows(srcs))
 
 
 def test_weighted_fixture():
     a = np.array([0.8, 0.2])
     b = np.array([0.4, 0.6])
-    out = fuse_weighted([a, b], [0.65, 0.35])
+    out = fuse_rows([a, b], [0.65, 0.35])
     assert np.allclose(out, [0.66, 0.34], atol=1e-12)
 
 
 def test_negative_and_nonfinite_sources_rejected():
     with pytest.raises(ContractError):
-        fuse_mean([np.array([0.5, -0.1]), np.array([0.5, 0.5])])
+        fuse_rows([np.array([0.5, -0.1]), np.array([0.5, 0.5])])
     with pytest.raises(ContractError):
-        fuse_mean([np.array([np.inf, 0.0])])
+        fuse_rows([np.array([np.inf, 0.0])])
     with pytest.raises(ContractError):
-        fuse_mean([np.array([0.0, 0.0])])
+        fuse_rows([np.array([0.0, 0.0])])
 
 
 def test_bad_weights_rejected():
     a = np.array([0.5, 0.5])
     with pytest.raises(ContractError):
-        fuse_weighted([a, a], [1.0])
+        fuse_rows([a, a], [1.0])
     with pytest.raises(ContractError):
-        fuse_weighted([a, a], [0.5, -0.5])
+        fuse_rows([a, a], [0.5, -0.5])
     with pytest.raises(ContractError):
-        fuse_weighted([a, a], [0.0, 0.0])
+        fuse_rows([a, a], [0.0, 0.0])
 
 
-def test_ensemble_predict_copies_and_order(rng):
-    probs = {f"c{i}": rng.dirichlet(np.ones(4)) for i in range(3)}
-    others = {k: rng.dirichlet(np.ones(4)) for k in probs}
-    m1, m2 = FixedModel(probs), FixedModel(others)
-    for cid in probs:
-        solo = m1.predict(cid)
-        assert np.allclose(ensemble_predict([m1, m1, m1], cid), solo,
-                           atol=1e-12)
-        ab = ensemble_predict([m1, m2], cid)
-        ba = ensemble_predict([m2, m1], cid)
-        assert np.allclose(ab, ba, atol=1e-12)
+def test_fuse_tables_copies_and_order(rng):
+    a, b = table_pair(rng)
+    assert np.allclose(fuse_tables([a, a, a]).probs, a.probs, atol=1e-12)
+    ab = fuse_tables([a, b])
+    ba = fuse_tables([b, a]).reordered(a.ids)
+    assert np.allclose(ab.probs, ba.probs, atol=1e-12)
     with pytest.raises(ContractError):
-        ensemble_predict([], "c0")
+        fuse_tables([])
 
 
 def table_pair(rng, n=6, c=4, shuffle=True):
@@ -116,22 +123,32 @@ def test_fuse_tables_aligns_rows(rng):
     fused = fuse_tables([a, b])
     assert fused.ids == a.ids
     for cid in a.ids:
-        expected = fuse_mean([a.row(cid), b.row(cid)])
+        expected = fuse_rows([a.row(cid), b.row(cid)])
         assert np.allclose(fused.row(cid), expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("m", [1, 2, 3, 50])
+def test_fuse_tables_matches_per_row_reference(m, weighted):
+    rng = np.random.default_rng([m, weighted])
+    ids = [f"clip{i}" for i in range(40)]
+    for c in (3, 7):
+        tables = [ScoreTable([ids[i] for i in rng.permutation(40)],
+                             rng.dirichlet(np.ones(c), size=40))
+                  for _ in range(m)]
+        weights = rng.random(m) + 0.05 if weighted else None
+        fused = fuse_tables(tables, weights)
+        assert fused.ids == tables[0].ids
+        assert np.array_equal(fused.probs,
+                              per_row_reference(tables, weights))
 
 
 def test_fuse_tables_weighted(rng):
     a, b = table_pair(rng, shuffle=False)
     fused = fuse_tables([a, b], weights=[0.65, 0.35])
     for cid in a.ids:
-        expected = fuse_weighted([a.row(cid), b.row(cid)], [0.65, 0.35])
+        expected = fuse_rows([a.row(cid), b.row(cid)], [0.65, 0.35])
         assert np.allclose(fused.row(cid), expected, atol=1e-12)
-
-
-def test_ensemble_tables_is_uniform_fuse(rng):
-    a, b = table_pair(rng)
-    assert np.array_equal(ensemble_tables([a, b]).probs,
-                          fuse_tables([a, b]).probs)
 
 
 def test_fuse_tables_rejects_mismatched_tables(rng):
@@ -152,10 +169,13 @@ def test_default_grid_step():
 def test_grid_step_bounds(rng):
     a, b = table_pair(rng, shuffle=False)
     labels = {cid: 0 for cid in a.ids}
-    for bad in (0.0, -0.1, 0.6, 1.0):
+    # 0.3 and 0.4 would search thirds and halves, not the step asked for
+    for bad in (0.0, -0.1, 0.6, 1.0, 0.3, 0.4):
         with pytest.raises(ContractError):
             learn_fusion_weights([a, b], labels, grid_step=bad)
     learn_fusion_weights([a, b], labels, grid_step=0.5)  # boundary is legal
+    for step, k in ((0.05, 20), (0.1, 10), (0.25, 4), (0.5, 2), (1 / 3, 3)):
+        assert grid_divisions(step) == k
 
 
 def test_learned_weights_isolate_reliable_source():

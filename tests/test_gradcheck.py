@@ -3,7 +3,9 @@ import pytest
 
 from smallclip.errors import ContractError
 from smallclip.gradcheck import grad_check
-from smallclip.nn import Linear, MLPHead, ParamTensor, softmax_cross_entropy
+from smallclip.nn import Linear, MLPHead, ParamTensor
+
+from conftest import softmax_cross_entropy
 
 
 def projection_loss(module, x_t, proj, mode="train"):

@@ -6,8 +6,10 @@ from smallclip.errors import ContractError
 from smallclip.nn import (
     BatchNorm, Dropout, Linear, LSTMParams, MLPHead, ParamTensor, ReLU,
     lstm_backward, lstm_forward, lstm_step, lstm_step_backward, sigmoid,
-    softmax, softmax_cross_entropy, softmax_cross_entropy_batch,
+    softmax, softmax_cross_entropy_batch,
 )
+
+from conftest import softmax_cross_entropy
 
 
 def test_linear_identity():
@@ -97,33 +99,31 @@ def test_softmax_properties(rng):
 
 
 def test_softmax_cross_entropy_uniform():
-    loss, grad, probs = softmax_cross_entropy(np.zeros(7), 2)
-    np.testing.assert_allclose(probs, np.full(7, 1 / 7), atol=1e-15)
+    loss, grad, probs = softmax_cross_entropy_batch(np.zeros((1, 7)), [2])
+    np.testing.assert_allclose(probs, np.full((1, 7), 1 / 7), atol=1e-15)
     np.testing.assert_allclose(loss, np.log(7.0), atol=1e-12)
 
 
 def test_softmax_cross_entropy_stability():
-    loss, grad, probs = softmax_cross_entropy(np.array([1000.0, 0.0]), 0)
+    loss, grad, probs = softmax_cross_entropy_batch(
+        np.array([[1000.0, 0.0]]), [0])
     assert np.isfinite(loss) and loss < 1e-12
     assert np.all(np.isfinite(grad))
 
 
-def test_softmax_cross_entropy_label_range():
-    with pytest.raises(ContractError):
-        softmax_cross_entropy(np.zeros(3), 3)
-
-
 def test_softmax_cross_entropy_grad_fd(rng):
     # Direct finite differences at 1e-6 relative.
-    logits = rng.standard_normal(5)
-    label = 3
-    _, grad, _ = softmax_cross_entropy(logits, label)
+    logits = rng.standard_normal((1, 5))
+    label = [3]
+    _, grad, _ = softmax_cross_entropy_batch(logits, label)
     eps = 1e-6
     for i in range(5):
-        lp = logits.copy(); lp[i] += eps
-        lm = logits.copy(); lm[i] -= eps
-        num = (softmax_cross_entropy(lp, label)[0] - softmax_cross_entropy(lm, label)[0]) / (2 * eps)
-        assert abs(grad[i] - num) / max(abs(grad[i]), abs(num), 1e-8) < 1e-6
+        lp = logits.copy(); lp[0, i] += eps
+        lm = logits.copy(); lm[0, i] -= eps
+        num = (softmax_cross_entropy_batch(lp, label)[0]
+               - softmax_cross_entropy_batch(lm, label)[0]) / (2 * eps)
+        g = grad[0, i]
+        assert abs(g - num) / max(abs(g), abs(num), 1e-8) < 1e-6
 
 
 def test_batch_cross_entropy_matches_single(rng):
@@ -232,7 +232,7 @@ def test_sigmoid_matches_reference_and_stays_positive(rng):
                         rng.standard_normal(20000) * 8.0])
     np.testing.assert_allclose(sigmoid(x), masked_sigmoid(x), rtol=0,
                                atol=2 * np.finfo(np.float64).eps)
-    # 0.5 * (1 + tanh(x / 2)) rounds to exactly 0 here; pool_weighted
+    # 0.5 * (1 + tanh(x / 2)) rounds to exactly 0 here; video.pool_weighted
     # needs strictly positive frame weights.
     assert sigmoid(-40.0) > 0 and sigmoid(-700.0) > 0
     assert sigmoid(0.0) == 0.5 and sigmoid(800.0) == 1.0

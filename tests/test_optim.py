@@ -60,11 +60,3 @@ def test_make_optimizer():
     with pytest.raises(ConfigError):
         make_optimizer([p], "nadam")
 
-
-def test_state_dict_shapes():
-    p = ParamTensor("w", np.zeros((2, 3)))
-    opt = Adam([p])
-    p.grad[:] = 1.0
-    opt.step()
-    sd = opt.state_dict()
-    assert sd["step_count"] == 1 and sd["m"]["w"].shape == (2, 3)

@@ -6,7 +6,7 @@ import pytest
 from smallclip import video
 from smallclip.config import TrainConfig
 from smallclip.errors import ConfigError
-from smallclip.fusion import ensemble_tables, fuse_tables
+from smallclip.fusion import fuse_tables
 from smallclip.recipes import (PRESET_NAMES, Recipe, _units, load_recipe,
                                packaged_recipe, parse_recipe, run_recipe,
                                train_member)
@@ -228,6 +228,6 @@ def test_run_recipe_stacks_are_jobs_invariant_and_match_members_alone():
         model, _ = train_member(ds, member_cfg, m["modality"], m["seed"])
         tables[m["modality"]].append(
             ScoreTable(ids, model.predict_batch(ds.clips)))
-    fused = fuse_tables([ensemble_tables(tables["video"]),
-                         ensemble_tables(tables["audio"])])
+    fused = fuse_tables([fuse_tables(tables["video"]),
+                         fuse_tables(tables["audio"])])
     assert np.array_equal(results[0].table.probs, fused.probs)

@@ -3,7 +3,6 @@ import pytest
 
 from smallclip.errors import ContractError, ParseError
 from smallclip.scores import (ScoreTable, load_score_table,
-                              score_table_from_predictions,
                               score_table_to_text, write_score_table)
 
 
@@ -112,7 +111,7 @@ def test_reordered_permutes_rows(rng):
 
 def test_from_predictions_stacks_rows(rng):
     rows = [rng.dirichlet(np.ones(3)) for _ in range(4)]
-    table = score_table_from_predictions(["a", "b", "c", "d"], rows)
+    table = ScoreTable(["a", "b", "c", "d"], rows)
     assert len(table) == 4
     assert table.n_classes == 3
     assert np.array_equal(table.probs[1], rows[1])

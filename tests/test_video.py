@@ -8,9 +8,9 @@ from smallclip.gradcheck import grad_check
 from smallclip.nn import Linear, ParamTensor, lstm_forward, sigmoid, softmax
 from smallclip.synth import SynthConfig, generate_synthetic
 from smallclip import video as video_module
-from smallclip.video import (VideoModel, frame_score, pool_average,
-                             pool_weighted, predict_score_mean, predict_video,
-                             predict_stacked, select_frames, selected_frames,
+from smallclip.video import (VideoModel, pool_average, pool_weighted,
+                             predict_score_mean, predict_stacked,
+                             select_frames, selected_frames,
                              stacked_avg_pool_loss, train_video_model,
                              train_video_models)
 
@@ -18,7 +18,8 @@ from conftest import make_clip
 
 
 def clip_with_scores(per_frame_scores, n_classes=7, d_feature=4):
-    """Clip whose frame_score sequence equals the given list."""
+    """Clip whose class-0 scores are the given list and whose other class
+    scores are 0, so a nonnegative list is each frame's max class score."""
     L = len(per_frame_scores)
     scores = np.zeros((L, n_classes))
     scores[:, 0] = per_frame_scores
@@ -43,14 +44,27 @@ def oracle_select(per_frame, L, n):
     return out
 
 
+def single_clip_pool_average(features):
+    """Reference: mean of one clip's (n, D) selected frame features."""
+    return features.mean(axis=0)
+
+
+def single_clip_pool_weighted(features, av, regressor):
+    """Reference: one clip's weighted mean with weights sigmoid(av @ a + b);
+    returns (pooled, weights)."""
+    w = sigmoid(av @ regressor.W.values[0] + regressor.b.values[0])
+    return (w @ features) / w.sum(), w
+
+
 def test_frame_score_is_max():
-    clip = clip_with_scores([0.5])
-    clip.scores[0] = [0.1, 0.7, 0.2, 0, 0, 0, 0]
-    assert frame_score(clip.frame(0)) == 0.7
-    clip.scores[0] = np.full(7, 1 / 7)
-    assert frame_score(clip.frame(0)) == 1 / 7
-    clip.scores[0] = [-2, -1, -3, -4, -5, -6, -7]
-    assert frame_score(clip.frame(0)) == -1
+    # a frame's score is its max class score, in whatever column it sits;
+    # chunks of two frames: (0, 1), (2, 3), (4, 5)
+    clip = clip_with_scores([0.6, 0.1, 0.1, 0.1, -2.0, -1.5])
+    clip.scores[1] = [0.1, 0.7, 0.2, 0, 0, 0, 0]      # 0.7 beats 0.6
+    clip.scores[2] = np.full(7, 1 / 7)                # 1/7 beats 0.1
+    clip.scores[4] = [-2, -1, -3, -4, -5, -6, -7]     # -1 beats -1.5
+    clip.scores[5] = [-1.5, -3, -4, -5, -6, -7, -8]
+    assert select_frames(clip, 3).indices.tolist() == [1, 2, 4]
 
 
 def test_select_frames_documented_cases():
@@ -144,27 +158,26 @@ def test_predict_score_mean_logits_mode():
 def test_pool_average_cases():
     rng = np.random.default_rng(1)
     r = rng.standard_normal(5)
-    sel = select_frames(clip_with_scores([0.1] * 4, d_feature=5), 4)
-    sel.features[:] = r
-    assert np.allclose(pool_average(sel), r, atol=1e-12)
-    sel2 = select_frames(clip_with_scores([0.1, 0.1], d_feature=5), 2)
-    sel2.features[0] = r
-    sel2.features[1] = -r
-    assert np.allclose(pool_average(sel2), 0.0, atol=1e-12)
-    m = rng.standard_normal((4, 3))
-    sel3 = select_frames(clip_with_scores([0.1] * 4, d_feature=3), 4)
-    sel3.features[:] = m
-    assert np.allclose(pool_average(sel3), m.sum(axis=0) / 4)
+    # clip 0 repeats r, clip 1 alternates r and -r
+    F = np.stack([np.tile(r, (4, 1)), np.stack([r, -r, r, -r])])
+    pooled = pool_average(F)
+    assert pooled.shape == (2, 5)
+    assert np.allclose(pooled[0], r, atol=1e-12)
+    assert np.allclose(pooled[1], 0.0, atol=1e-12)
+    m = rng.standard_normal((3, 4, 3))
+    assert np.allclose(pool_average(m), m.sum(axis=1) / 4)
+    for row, clip in zip(pool_average(m), m):
+        assert np.array_equal(row, single_clip_pool_average(clip))
 
 
 def test_pool_weighted_zero_regressor_is_average():
     rng = np.random.default_rng(5)
-    clip = clip_with_scores(rng.random(8).tolist(), d_feature=6)
-    sel = select_frames(clip, 8)
+    F = rng.standard_normal((3, 8, 6))
+    AV = rng.uniform(-1, 1, (3, 8, 2))
     reg = Linear(2, 1)  # zero-initialized without an rng
-    pooled, w = pool_weighted(sel, reg)
-    assert np.allclose(w, 0.5)
-    assert np.allclose(pooled, pool_average(sel), atol=1e-12)
+    pooled, w = pool_weighted(F, AV, reg)
+    assert w.shape == (3, 8) and np.allclose(w, 0.5)
+    assert np.allclose(pooled, pool_average(F), atol=1e-12)
 
 
 def test_pool_weighted_saturated_picks_one_frame():
@@ -173,20 +186,23 @@ def test_pool_weighted_saturated_picks_one_frame():
     sel = select_frames(clip, 3)
     reg = Linear(2, 1)
     reg.W.values[:] = [[30.0, 0.0]]  # w ~ 1 for av=(1,0), ~ 0 otherwise
-    pooled, w = pool_weighted(sel, reg)
-    assert np.allclose(pooled, clip.features[2], atol=1e-6)
-    assert w[2] > 0.999 and max(w[0], w[1]) < 1e-9
+    pooled, w = pool_weighted(sel.features[None], sel.av[None], reg)
+    assert np.allclose(pooled[0], clip.features[2], atol=1e-6)
+    assert w[0, 2] > 0.999 and max(w[0, 0], w[0, 1]) < 1e-9
 
 
 def test_pool_weighted_weights_match_formula():
     rng = np.random.default_rng(9)
-    clip = clip_with_scores(rng.random(5).tolist(), d_feature=3)
-    sel = select_frames(clip, 5)
+    F = rng.standard_normal((4, 5, 3))
+    AV = rng.uniform(-1, 1, (4, 5, 2))
     reg = Linear(2, 1, rng=rng)
-    pooled, w = pool_weighted(sel, reg)
-    z = sel.av @ reg.W.values[0] + reg.b.values[0]
-    assert np.allclose(w, sigmoid(z))
-    assert np.allclose(pooled, (w @ sel.features) / w.sum())
+    reg.b.values[:] = [0.4]
+    pooled, w = pool_weighted(F, AV, reg)
+    for i in range(4):
+        ref_pooled, ref_w = single_clip_pool_weighted(F[i], AV[i], reg)
+        np.testing.assert_allclose(w[i], ref_w, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(pooled[i], ref_pooled, rtol=0,
+                                   atol=1e-12)
 
 
 def easy_dataset(seed=1, margin=5.0, **kw):
@@ -251,7 +267,7 @@ def test_predict_video_identical_frames_avg_pool():
     clip = clip_with_scores([0.1] * 4, d_feature=6)
     clip.features[:] = r
     expected = softmax(model.classifier.forward(r)[0])
-    assert np.allclose(predict_video(model, clip), expected, atol=1e-12)
+    assert np.allclose(model.predict(clip), expected, atol=1e-12)
 
 
 def test_predict_video_weighted_zero_reduces_to_avg():
@@ -261,8 +277,8 @@ def test_predict_video_weighted_zero_reduces_to_avg():
     weighted.classifier.W.values = avg.classifier.W.values.copy()
     weighted.classifier.b.values = avg.classifier.b.values.copy()
     clip = make_clip(np.random.default_rng(8), "x", L=9, d_feature=6)
-    assert np.allclose(predict_video(weighted, clip),
-                       predict_video(avg, clip), atol=1e-12)
+    assert np.allclose(weighted.predict(clip),
+                       avg.predict(clip), atol=1e-12)
 
 
 def test_predict_video_lstm_matches_unrolled():
@@ -274,7 +290,7 @@ def test_predict_video_lstm_matches_unrolled():
     for _ in range(16):  # n=16 selections of the single frame
         state, _ = lstm_step(model.lstm, state, clip.features[0])
     expected = softmax(model.classifier.forward(state[0])[0])
-    assert np.allclose(predict_video(model, clip), expected, atol=1e-10)
+    assert np.allclose(model.predict(clip), expected, atol=1e-10)
 
 
 def test_predict_video_outputs_valid_scores():
@@ -284,7 +300,7 @@ def test_predict_video_outputs_valid_scores():
     for head in ("score-mean", "avg-pool", "weighted-avg-pool", "lstm"):
         model = VideoModel(head, 8, ds.d_feature, ds.n_classes,
                            lstm_hidden=8, rng=rng)
-        p = predict_video(model, clip)
+        p = model.predict(clip)
         assert p.shape == (7,)
         assert np.all(p >= 0) and abs(p.sum() - 1) < 1e-9
 
@@ -293,7 +309,7 @@ def test_predict_video_dimension_mismatch():
     model = VideoModel("avg-pool", 4, 10, 7)
     clip = clip_with_scores([0.1], d_feature=6)
     with pytest.raises(ContractError):
-        predict_video(model, clip)
+        model.predict(clip)
 
 
 def one_clip_reference(model, clip):
@@ -302,9 +318,10 @@ def one_clip_reference(model, clip):
         return predict_score_mean(clip, model.score_mode)
     sel = select_frames(clip, model.n)
     if model.kind == "avg-pool":
-        pooled = pool_average(sel)
+        pooled = single_clip_pool_average(sel.features)
     elif model.kind == "weighted-avg-pool":
-        pooled, _ = pool_weighted(sel, model.regressor)
+        pooled, _ = single_clip_pool_weighted(sel.features, sel.av,
+                                              model.regressor)
     else:
         pooled = lstm_forward(model.lstm, sel.features[None])[0][0]
     return softmax(model.classifier.forward(pooled)[0])
