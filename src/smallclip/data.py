@@ -331,6 +331,8 @@ def load_distribution(path) -> ClassDistribution:
             counts.append(int(row[1]))
         except ValueError as e:
             raise ParseError(f"{path}: line {i}: bad count {row[1]!r}") from e
+        if counts[-1] < 0:
+            raise ParseError(f"{path}: line {i}: negative count {row[1]!r}")
     dist = ClassDistribution(np.array(counts, dtype=np.int64))
     if dist.total == 0:
         raise ParseError(f"{path}: class counts sum to 0")

@@ -124,17 +124,17 @@ def predictions_from_table(table, ds: Dataset, split: str | None = None):
     the table's own coverage defines the evaluation set.
     """
     clips = ds.labeled(split)
-    have = set(table.ids)
+    pos = {cid: i for i, cid in enumerate(table.ids)}
     if split is not None:
-        missing = [c.id for c in clips if c.id not in have]
+        missing = [c.id for c in clips if c.id not in pos]
         if missing:
             raise ContractError(f"no prediction for labeled clip "
                                 f"{missing[0]!r} in split {split!r}")
     else:
-        clips = [c for c in clips if c.id in have]
+        clips = [c for c in clips if c.id in pos]
     if not clips:
         raise ContractError("score table covers no labeled clips")
-    pred = np.array([argmax_lowest(table.row(c.id)) for c in clips],
+    pred = np.array([argmax_lowest(table.probs[pos[c.id]]) for c in clips],
                     dtype=np.int64)
     true = np.array([c.label for c in clips], dtype=np.int64)
     return pred, true

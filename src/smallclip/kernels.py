@@ -8,11 +8,18 @@ Split quality: for class counts c with S = sum(c^2) over a node of n samples,
 the (unnormalized) Gini impurity is n - S/n. The kernel maximizes
 S_L/n_L + S_R/n_R, which is equivalent to minimizing the summed child
 impurity; a split is accepted only if it strictly beats the parent's S/n, so
-an accepted split never worsens impurity. Ties are broken toward the lowest
-feature index, then the lowest threshold (features and candidate thresholds
-are scanned in ascending order with a strict improvement test). The threshold
-is the midpoint of the two adjacent distinct values, or the lower value when
-the midpoint rounds up to the upper one.
+an accepted split never worsens impurity. The threshold is the midpoint of
+the two adjacent distinct values, or the lower value when the midpoint rounds
+up to the upper one.
+
+``best_split`` scores all drawn features at once: it sorts the node's (n, m)
+values column by column, accumulates the sorted labels' one-hot rows into
+(n-1, m, C) left-child class counts, and evaluates the metric for every
+boundary of every feature. Ties are broken toward the lowest feature index,
+then the lowest threshold: each feature's first best boundary, then the first
+feature holding the largest value. That is the split an ascending scan over
+features and boundaries keeps when it replaces its candidate only on strict
+improvement, so the result is the loop reference's bit for bit.
 """
 
 from __future__ import annotations
@@ -36,34 +43,32 @@ def best_split(X, y, idx, feats, n_classes):
     counts = np.bincount(yy, minlength=n_classes).astype(np.int64)
     s_parent = int(np.sum(counts * counts))
     best_metric = s_parent / n
-    best_feat = -1
-    best_thr = 0.0
-    for f in feats:
-        vals = X[idx, f]
-        order = np.argsort(vals, kind="mergesort")
-        sv = vals[order]
-        if sv[0] == sv[-1]:
-            continue
-        sy = yy[order]
-        onehot = np.zeros((n, n_classes), dtype=np.int64)
-        onehot[np.arange(n), sy] = 1
-        left = np.cumsum(onehot, axis=0)[:-1]
-        n_l = np.arange(1, n, dtype=np.int64)
-        s_left = np.sum(left * left, axis=1)
-        right = counts[None, :] - left
-        s_right = np.sum(right * right, axis=1)
-        metric = s_left / n_l + s_right / (n - n_l)
-        metric[sv[:-1] == sv[1:]] = -np.inf
-        j = int(np.argmax(metric))
-        if metric[j] > best_metric:
-            best_metric = float(metric[j])
-            best_feat = int(f)
-            v, v_next = sv[j], sv[j + 1]
-            thr = v + (v_next - v) / 2.0
-            if thr >= v_next:  # midpoint rounded up to the next value
-                thr = v
-            best_thr = float(thr)
-    return best_feat, best_thr, best_metric
+    m = feats.shape[0]
+    cols = np.arange(m)
+    vals = X[idx[:, None], feats]
+    order = np.argsort(vals, axis=0, kind="stable")
+    sv = np.take_along_axis(vals, order, axis=0)
+    # left[j, k]: class counts of the j + 1 smallest values of feature k
+    onehot = np.zeros((n, m, n_classes), dtype=np.int64)
+    onehot[np.arange(n)[:, None], cols, yy[order]] = 1
+    left = np.cumsum(onehot, axis=0)[:-1]
+    n_l = np.arange(1, n, dtype=np.int64)[:, None]
+    s_left = np.sum(left * left, axis=2)
+    right = counts - left
+    s_right = np.sum(right * right, axis=2)
+    metric = s_left / n_l + s_right / (n - n_l)
+    metric[sv[:-1] == sv[1:]] = -np.inf
+    rows = np.argmax(metric, axis=0)  # first best boundary per feature
+    top = metric[rows, cols]
+    k = int(np.argmax(top))  # first feature holding the largest value
+    if top[k] <= best_metric:
+        return -1, 0.0, best_metric
+    j = rows[k]
+    v, v_next = sv[j, k], sv[j + 1, k]
+    thr = v + (v_next - v) / 2.0
+    if thr >= v_next:  # midpoint rounded up to the next value
+        thr = v
+    return int(feats[k]), float(thr), float(top[k])
 
 
 def tree_apply(feature, threshold, left, right, X):

@@ -204,6 +204,9 @@ def softmax_cross_entropy_batch(logits, labels):
     labels = np.asarray(labels, dtype=np.int64)
     if logits.ndim not in (2, 3) or labels.shape != logits.shape[:-1]:
         raise ContractError(f"batch shapes mismatch: {logits.shape} vs {labels.shape}")
+    C = logits.shape[-1]
+    if labels.min() < 0 or labels.max() >= C:
+        raise ContractError(f"labels must be in [0, {C})")
     B = logits.shape[-2]
     probs = softmax(logits, axis=-1)
     picked = (*np.indices(labels.shape, sparse=True), labels)
@@ -242,92 +245,75 @@ class LSTMParams:
         return [self.Wx, self.Wh, self.b]
 
 
-def lstm_step(params: LSTMParams, state, x):
-    """One cell update (sigmoid gates, tanh candidate): returns ((h', c'), cache)."""
-    h, c = state
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    x2 = np.atleast_2d(x)
-    h2 = np.atleast_2d(np.asarray(h, dtype=np.float64))
-    c2 = np.atleast_2d(np.asarray(c, dtype=np.float64))
-    H = params.hidden
-    if x2.shape[1] != params.d_in or h2.shape[1] != H or c2.shape[1] != H:
-        raise ContractError(
-            f"lstm_step shapes: x{x2.shape} h{h2.shape} c{c2.shape} "
-            f"for d_in={params.d_in} hidden={H}")
-    z = x2 @ params.Wx.values.T + h2 @ params.Wh.values.T + params.b.values
-    i = sigmoid(z[:, 0:H])
-    f = sigmoid(z[:, H:2 * H])
-    g = np.tanh(z[:, 2 * H:3 * H])
-    o = sigmoid(z[:, 3 * H:4 * H])
-    c_new = f * c2 + i * g
-    tc = np.tanh(c_new)
-    h_new = o * tc
-    cache = (x2, h2, c2, i, f, g, o, tc)
-    if single:
-        return (h_new[0], c_new[0]), cache
-    return (h_new, c_new), cache
-
-
-def lstm_step_backward(params: LSTMParams, cache, dh, dc):
-    """Backward through one cell step; returns (dx, dh_prev, dc_prev)."""
-    x2, h2, c2, i, f, g, o, tc = cache
-    dh2 = np.atleast_2d(dh)
-    dc2 = np.atleast_2d(dc)
-    H = params.hidden
-    do = dh2 * tc
-    dcell = dc2 + dh2 * o * (1.0 - tc * tc)
-    di = dcell * g
-    df = dcell * c2
-    dg = dcell * i
-    dc_prev = dcell * f
-    dz = np.concatenate([
-        di * i * (1.0 - i),
-        df * f * (1.0 - f),
-        dg * (1.0 - g * g),
-        do * o * (1.0 - o),
-    ], axis=1)
-    params.Wx.grad += dz.T @ x2
-    params.Wh.grad += dz.T @ h2
-    params.b.grad += dz.sum(axis=0)
-    dx = dz @ params.Wx.values
-    dh_prev = dz @ params.Wh.values
-    if np.ndim(dh) == 1:
-        return dx[0], dh_prev[0], dc_prev[0]
-    return dx, dh_prev, dc_prev
-
-
 def lstm_forward(params: LSTMParams, xs, keep_caches=True):
     """Run a (B, T, D) batch through the cell from zero state.
 
-    Returns the final hidden state (B, H) and the cache list for BPTT. With
-    ``keep_caches=False`` (inference) each step's cache is dropped once the
-    next step runs and the list comes back empty, so memory stays flat in T.
+    Each step computes ``z = (x_t Wx^T + h Wh^T) + b``, one sigmoid over the
+    whole (B, 4H) gate block and a tanh on its cell slice. Returns the final
+    hidden state (B, H) and the BPTT cache: the inputs and per-step gates,
+    hidden and cell states and tanh(c), as (T, B, .) arrays. With
+    ``keep_caches=False`` (inference) nothing is stored and the cache is
+    None, so memory stays flat in T.
     """
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 3:
-        raise ContractError(f"lstm_forward expects (B, T, D), got {xs.shape}")
-    B = xs.shape[0]
-    h = np.zeros((B, params.hidden))
-    c = np.zeros((B, params.hidden))
-    caches = []
-    for t in range(xs.shape[1]):
-        (h, c), cache = lstm_step(params, (h, c), xs[:, t, :])
+    if xs.ndim != 3 or xs.shape[2] != params.d_in:
+        raise ContractError(
+            f"lstm_forward expects (B, T, {params.d_in}), got {xs.shape}")
+    B, T, _ = xs.shape
+    H = params.hidden
+    h = np.zeros((B, H))
+    c = np.zeros((B, H))
+    if keep_caches:
+        gates = np.empty((T, B, 4 * H))
+        hs, cs, tcs = (np.empty((T, B, H)) for _ in range(3))
+    for t in range(T):
+        z = xs[:, t, :] @ params.Wx.values.T + h @ params.Wh.values.T
+        z += params.b.values
+        a = sigmoid(z)
+        a[:, 2 * H:3 * H] = np.tanh(z[:, 2 * H:3 * H])
+        i, f, g, o = a[:, 0:H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
         if keep_caches:
-            caches.append(cache)
-    return h, caches
+            gates[t], hs[t], cs[t] = a, h, c
+        c = f * c + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        if keep_caches:
+            tcs[t] = tc
+    return h, ((xs, gates, hs, cs, tcs) if keep_caches else None)
 
 
-def lstm_backward(params: LSTMParams, caches, dh_last):
-    """BPTT from a gradient on the final hidden state; returns d(inputs) (B, T, D)."""
-    T = len(caches)
+def lstm_backward(params: LSTMParams, cache, dh_last):
+    """BPTT from a gradient on the final hidden state; returns d(inputs) (B, T, D).
+
+    The time loop carries only ``dh`` and ``dc``: each step writes its
+    pre-activation gradient dz over its gate cache (so a cache serves one
+    backward pass). The weight gradients and ``dx`` are then one matmul each
+    over all (T * B) rows.
+    """
+    xs, gates, hs, cs, tcs = cache
+    B, T, D = xs.shape
+    H = params.hidden
     dh = np.asarray(dh_last, dtype=np.float64)
     dc = np.zeros_like(dh)
-    dxs = [None] * T
     for t in reversed(range(T)):
-        dx, dh, dc = lstm_step_backward(params, caches[t], dh, dc)
-        dxs[t] = dx
-    return np.stack(dxs, axis=1)
+        a, tc = gates[t], tcs[t]
+        i, f, g, o = a[:, 0:H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
+        do = dh * tc
+        dcell = dc + dh * o * (1.0 - tc * tc)
+        di = dcell * g
+        df = dcell * cs[t]
+        dg = dcell * i
+        dc = dcell * f
+        a[:, 0:H] = di * i * (1.0 - i)
+        a[:, H:2 * H] = df * f * (1.0 - f)
+        a[:, 2 * H:3 * H] = dg * (1.0 - g * g)
+        a[:, 3 * H:] = do * o * (1.0 - o)
+        dh = a @ params.Wh.values
+    dz = gates.reshape(T * B, 4 * H)
+    params.Wx.grad += dz.T @ xs.transpose(1, 0, 2).reshape(T * B, D)
+    params.Wh.grad += dz.T @ hs.reshape(T * B, H)
+    params.b.grad += dz.sum(axis=0)
+    return (dz @ params.Wx.values).reshape(T, B, D).transpose(1, 0, 2)
 
 
 # -- MLP head ------------------------------------------------------------------

@@ -182,9 +182,9 @@ class VideoModel:
             logits, lcache = self.classifier.forward(pooled)
             return logits, (lcache, F, AV, w, pooled)
         if self.kind == "lstm":
-            h, caches = lstm_forward(self.lstm, F, keep_caches=keep_cache)
+            h, lstm_cache = lstm_forward(self.lstm, F, keep_caches=keep_cache)
             logits, lcache = self.classifier.forward(h)
-            return logits, (lcache, caches, F.shape)
+            return logits, (lcache, lstm_cache, F.shape)
         raise ContractError(f"head {self.kind!r} has no trainable forward")
 
     def backward_batch(self, cache, dlogits):
@@ -204,9 +204,9 @@ class VideoModel:
             self.regressor.b.grad += dz.sum()
             return w[:, :, None] * dpooled[:, None, :] / s[:, None, None]
         if self.kind == "lstm":
-            lcache, caches, shape = cache
+            lcache, lstm_cache, shape = cache
             dh = self.classifier.backward(lcache, dlogits)
-            return lstm_backward(self.lstm, caches, dh)
+            return lstm_backward(self.lstm, lstm_cache, dh)
         raise ContractError(f"head {self.kind!r} has no trainable backward")
 
     # -- inference -------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from smallclip.data import Clip, build_dataset
-from smallclip.nn import softmax
+from smallclip.nn import sigmoid, softmax
 
 
 def make_clip(rng, clip_id, split="train", L=3, d_feature=4, n_classes=7,
@@ -26,6 +26,59 @@ def softmax_cross_entropy(logits, label):
     grad = probs.copy()
     grad[label] -= 1.0
     return float(-np.log(probs[label])), grad, probs
+
+
+def lstm_step(params, state, x):
+    """Per-step reference for ``nn.lstm_forward``: one cell update (sigmoid
+    gates, tanh candidate); returns ((h', c'), cache)."""
+    h, c = state
+    x = np.asarray(x, dtype=np.float64)
+    single = x.ndim == 1
+    x2 = np.atleast_2d(x)
+    h2 = np.atleast_2d(np.asarray(h, dtype=np.float64))
+    c2 = np.atleast_2d(np.asarray(c, dtype=np.float64))
+    H = params.hidden
+    z = x2 @ params.Wx.values.T + h2 @ params.Wh.values.T + params.b.values
+    i = sigmoid(z[:, 0:H])
+    f = sigmoid(z[:, H:2 * H])
+    g = np.tanh(z[:, 2 * H:3 * H])
+    o = sigmoid(z[:, 3 * H:4 * H])
+    c_new = f * c2 + i * g
+    tc = np.tanh(c_new)
+    h_new = o * tc
+    cache = (x2, h2, c2, i, f, g, o, tc)
+    if single:
+        return (h_new[0], c_new[0]), cache
+    return (h_new, c_new), cache
+
+
+def lstm_step_backward(params, cache, dh, dc):
+    """Per-step reference for ``nn.lstm_backward``: backward through one
+    cell step, accumulating that step's parameter gradients; returns
+    (dx, dh_prev, dc_prev)."""
+    x2, h2, c2, i, f, g, o, tc = cache
+    dh2 = np.atleast_2d(dh)
+    dc2 = np.atleast_2d(dc)
+    do = dh2 * tc
+    dcell = dc2 + dh2 * o * (1.0 - tc * tc)
+    di = dcell * g
+    df = dcell * c2
+    dg = dcell * i
+    dc_prev = dcell * f
+    dz = np.concatenate([
+        di * i * (1.0 - i),
+        df * f * (1.0 - f),
+        dg * (1.0 - g * g),
+        do * o * (1.0 - o),
+    ], axis=1)
+    params.Wx.grad += dz.T @ x2
+    params.Wh.grad += dz.T @ h2
+    params.b.grad += dz.sum(axis=0)
+    dx = dz @ params.Wx.values
+    dh_prev = dz @ params.Wh.values
+    if np.ndim(dh) == 1:
+        return dx[0], dh_prev[0], dc_prev[0]
+    return dx, dh_prev, dc_prev
 
 
 @pytest.fixture

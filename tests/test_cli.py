@@ -98,6 +98,22 @@ def test_missing_files_exit_one(workdir, capsys):
         [f"error: {zeros}: class counts sum to 0"]
 
 
+def test_negative_distribution_count_exits_one(workdir, capsys):
+    m = str(workdir / "data.jsonl")
+    ids = [json.loads(line)["id"]
+           for line in (workdir / "data.jsonl").read_text().splitlines()]
+    scores = workdir / "s.csv"
+    scores.write_text("clip_id,p0,p1,p2\n"
+                      + "".join(f"{i},1,0,0\n" for i in ids))
+    neg = workdir / "neg.csv"
+    neg.write_text("class,count\nclass0,3\nclass1,-2\nclass2,4\n")
+    assert main(["evaluate", "--scores", str(scores), "--manifest", m,
+                 "--dist", str(neg)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert str(neg) in lines[0] and "line 3" in lines[0]
+
+
 def test_bad_config_file_exits_two(workdir, capsys):
     bad = workdir / "bad.cfg"
     bad.write_text("epochs = sometimes\n")

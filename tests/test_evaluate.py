@@ -143,6 +143,21 @@ def test_predictions_from_table_split_coverage(rng):
     assert pred.size == 3
 
 
+def test_predictions_from_table_ignores_row_order(rng):
+    clips = [make_clip(rng, f"c{i}", split="val", label=i % 3, n_classes=3)
+             for i in range(30)]
+    ds = build_dataset(clips)
+    probs = {c.id: rng.random(3) for c in clips}
+    table = table_for(clips, probs)
+    shuffled = table.reordered(list(rng.permutation(table.ids)))
+    assert shuffled.ids != table.ids
+    for split in ("val", None):
+        pred, true = predictions_from_table(table, ds, split)
+        pred_s, true_s = predictions_from_table(shuffled, ds, split)
+        assert np.array_equal(pred_s, pred) and np.array_equal(true_s, true)
+        assert np.array_equal(pred, [np.argmax(probs[c.id]) for c in clips])
+
+
 def test_predictions_from_table_no_overlap(rng):
     clips = [make_clip(rng, "c0", split="val", label=0)]
     ds = build_dataset(clips)

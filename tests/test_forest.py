@@ -189,6 +189,30 @@ def test_kernel_paths_match_loop_reference():
             assert a == b
 
 
+def test_best_split_matches_loop_reference_on_random_nodes():
+    rng = np.random.default_rng(31)
+    kinds = {"split": 0, "no split": 0}
+    for node in range(500):
+        n = int(rng.integers(2, 41))
+        d = int(rng.integers(1, 10))
+        n_classes = int(rng.integers(2, 8))
+        # few distinct values, so boundaries tie within and across features
+        X = rng.integers(0, 4, size=(n, d)) * 0.5
+        if d > 1:
+            X[:, rng.integers(0, d)] = X[:, rng.integers(0, d)]  # copy
+            X[:, rng.integers(0, d)] = 1.5  # a constant feature
+        if node % 10 == 0:
+            X[:] = 0.25  # every feature constant
+        y = rng.integers(0, n_classes, size=n).astype(np.int64)
+        idx = rng.integers(0, n, size=n)  # bootstrap rows repeat
+        m = int(rng.integers(1, d + 1))
+        feats = np.sort(rng.choice(d, size=m, replace=False))
+        a, b = split_and_reference(X, y, idx, feats, n_classes)
+        assert a == b, (node, a, b)
+        kinds["split" if a[0] >= 0 else "no split"] += 1
+    assert min(kinds.values()) >= 50
+
+
 def test_tree_apply_paths_match_loop_reference():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(300, 6))

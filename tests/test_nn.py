@@ -5,11 +5,10 @@ from smallclip import nn
 from smallclip.errors import ContractError
 from smallclip.nn import (
     BatchNorm, Dropout, Linear, LSTMParams, MLPHead, ParamTensor, ReLU,
-    lstm_backward, lstm_forward, lstm_step, lstm_step_backward, sigmoid,
-    softmax, softmax_cross_entropy_batch,
+    lstm_backward, lstm_forward, sigmoid, softmax, softmax_cross_entropy_batch,
 )
 
-from conftest import softmax_cross_entropy
+from conftest import lstm_step, lstm_step_backward, softmax_cross_entropy
 
 
 def test_linear_identity():
@@ -152,14 +151,29 @@ def test_stacked_cross_entropy_matches_each_model(rng):
         softmax_cross_entropy_batch(logits[0, 0], labels[0, 0])
 
 
+def test_batch_cross_entropy_rejects_out_of_range_labels(rng):
+    logits = rng.standard_normal((2, 4, 3))
+    for bad in (-1, 3):
+        labels = np.zeros((2, 4), dtype=np.int64)
+        labels[1, 2] = bad
+        with pytest.raises(ContractError, match=r"labels must be in \[0, 3\)"):
+            softmax_cross_entropy_batch(logits, labels)
+        with pytest.raises(ContractError, match=r"labels must be in \[0, 3\)"):
+            softmax_cross_entropy_batch(logits[1], labels[1])
+    # the largest and smallest valid labels still work
+    loss, _, _ = softmax_cross_entropy_batch(logits[0], np.array([0, 2, 2, 0]))
+    assert np.isfinite(loss)
+
+
 # -- LSTM ------------------------------------------------------------------
 
 def test_lstm_zero_fixed_point():
     p = LSTMParams(3, 2)
     p.b.values[:] = 0.0  # clear the forget-bias init
-    (h, c), _ = lstm_step(p, (np.zeros(2), np.zeros(2)), np.zeros(3))
-    np.testing.assert_array_equal(h, np.zeros(2))
-    np.testing.assert_array_equal(c, np.zeros(2))
+    h, (_, _, hs, cs, tcs) = lstm_forward(p, np.zeros((2, 4, 3)))
+    np.testing.assert_array_equal(h, np.zeros((2, 2)))
+    for states in (hs, cs, tcs):
+        np.testing.assert_array_equal(states, np.zeros((4, 2, 2)))
 
 
 def test_lstm_forget_bias_default_one():
@@ -170,8 +184,9 @@ def test_lstm_forget_bias_default_one():
 
 
 def test_lstm_large_forget_bias_closed_form():
-    # With f ~ 1 the cell accumulates: c' ~ c + i*g. H=2, D=2,
-    # closed-form gate equations evaluated independently below.
+    # With f ~ 1 the cell accumulates: c2 ~ c1 + i*g. H=2, D=2, Wh = 0 so
+    # each step's gates depend on its own input only; closed-form gate
+    # equations evaluated independently below.
     H = 2
     p = LSTMParams(2, H)
     rng = np.random.default_rng(3)
@@ -179,23 +194,26 @@ def test_lstm_large_forget_bias_closed_form():
     wx[H:2 * H] = 0.0  # forget gate driven only by its bias
     p.Wx.values[:] = wx
     p.b.values[H:2 * H] = 50.0
-    x = np.array([0.7, -1.2])
-    c0 = np.array([0.3, -0.4])
-    h0 = np.zeros(H)
-    (h1, c1), _ = lstm_step(p, (h0, c0), x)
+    xs = np.array([[[0.4, 0.9], [0.7, -1.2]]])
+    h2, (_, _, _, cs, _) = lstm_forward(p, xs)
 
-    z = p.Wx.values @ x + p.b.values
-    i = 1 / (1 + np.exp(-z[0:H]))
-    g = np.tanh(z[2 * H:3 * H])
-    o = 1 / (1 + np.exp(-z[3 * H:4 * H]))
-    np.testing.assert_allclose(c1, c0 + i * g, atol=1e-8)
-    np.testing.assert_allclose(h1, o * np.tanh(c0 + i * g), atol=1e-8)
+    def gates(x):
+        z = p.Wx.values @ x + p.b.values
+        return (1 / (1 + np.exp(-z[0:H])), np.tanh(z[2 * H:3 * H]),
+                1 / (1 + np.exp(-z[3 * H:4 * H])))
+
+    i1, g1, _ = gates(xs[0, 0])
+    i2, g2, o2 = gates(xs[0, 1])
+    c1 = i1 * g1
+    np.testing.assert_allclose(cs[1, 0], c1, atol=1e-8)
+    np.testing.assert_allclose(h2[0], o2 * np.tanh(c1 + i2 * g2), atol=1e-8)
 
 
-def test_lstm_step_shape_error():
+def test_lstm_forward_shape_error():
     p = LSTMParams(3, 2)
-    with pytest.raises(ContractError):
-        lstm_step(p, (np.zeros(2), np.zeros(2)), np.zeros(4))
+    for bad in (np.zeros((2, 5, 4)), np.zeros((5, 3))):
+        with pytest.raises(ContractError, match="lstm_forward expects"):
+            lstm_forward(p, bad)
 
 
 def test_lstm_forward_purity(rng):
@@ -209,10 +227,47 @@ def test_lstm_forward_purity(rng):
 def test_lstm_forward_without_caches_matches(rng):
     p = LSTMParams(4, 3, rng=rng)
     xs = rng.standard_normal((6, 5, 4))
-    h, caches = lstm_forward(p, xs)
-    h_free, no_caches = lstm_forward(p, xs, keep_caches=False)
+    h, cache = lstm_forward(p, xs)
+    h_free, no_cache = lstm_forward(p, xs, keep_caches=False)
     np.testing.assert_array_equal(h_free, h)
-    assert len(caches) == 5 and no_caches == []
+    assert no_cache is None
+    _, gates, hs, cs, tcs = cache
+    assert gates.shape == (5, 6, 12)
+    assert hs.shape == cs.shape == tcs.shape == (5, 6, 3)
+
+
+def assert_close_relative(actual, expected, rtol):
+    scale = max(np.abs(expected).max(), np.finfo(np.float64).tiny)
+    assert np.abs(actual - expected).max() <= rtol * scale
+
+
+@pytest.mark.parametrize("B, T", [(1, 1), (3, 5), (16, 16)])
+def test_lstm_matches_per_step_reference(B, T):
+    rng = np.random.default_rng(100 * B + T)
+    D, H = 5, 7
+    p = LSTMParams(D, H, rng=rng)
+    p.b.values += rng.standard_normal(4 * H) * 0.5
+    xs = rng.standard_normal((B, T, D))
+    dh_last = rng.standard_normal((B, H))
+
+    state, steps = (np.zeros((B, H)), np.zeros((B, H))), []
+    for t in range(T):
+        state, step_cache = lstm_step(p, state, xs[:, t, :])
+        steps.append(step_cache)
+    dh, dc, dxs = dh_last, np.zeros((B, H)), [None] * T
+    for t in reversed(range(T)):
+        dxs[t], dh, dc = lstm_step_backward(p, steps[t], dh, dc)
+    ref_grads = [q.grad.copy() for q in p.params()]
+    for q in p.params():
+        q.zero_grad()
+
+    h, cache = lstm_forward(p, xs)
+    assert np.array_equal(h, state[0])  # bit for bit
+    dx = lstm_backward(p, cache, dh_last)
+    assert dx.shape == (B, T, D)
+    assert_close_relative(dx, np.stack(dxs, axis=1), 1e-12)
+    for q, ref in zip(p.params(), ref_grads):
+        assert_close_relative(q.grad, ref, 1e-12)
 
 
 def masked_sigmoid(x):

@@ -14,7 +14,7 @@ from smallclip.video import (VideoModel, pool_average, pool_weighted,
                              stacked_avg_pool_loss, train_video_model,
                              train_video_models)
 
-from conftest import make_clip
+from conftest import lstm_step, make_clip
 
 
 def clip_with_scores(per_frame_scores, n_classes=7, d_feature=4):
@@ -285,7 +285,6 @@ def test_predict_video_lstm_matches_unrolled():
     rng = np.random.default_rng(6)
     model = VideoModel("lstm", 16, 5, 7, lstm_hidden=8, rng=rng)
     clip = make_clip(np.random.default_rng(1), "x", L=1, d_feature=5)
-    from smallclip.nn import lstm_step
     state = (np.zeros(8), np.zeros(8))
     for _ in range(16):  # n=16 selections of the single frame
         state, _ = lstm_step(model.lstm, state, clip.features[0])
@@ -350,10 +349,10 @@ def test_lstm_inference_forward_keeps_no_caches():
     rng = np.random.default_rng(13)
     model = VideoModel("lstm", 4, 5, 7, lstm_hidden=8, rng=rng)
     F, AV = rng.standard_normal((3, 4, 5)), rng.standard_normal((3, 4, 2))
-    logits, (_, caches, _) = model.forward_batch(F, AV)
-    free, (_, no_caches, _) = model.forward_batch(F, AV, keep_cache=False)
+    logits, (_, cache, _) = model.forward_batch(F, AV)
+    free, (_, no_cache, _) = model.forward_batch(F, AV, keep_cache=False)
     np.testing.assert_array_equal(free, logits)
-    assert len(caches) == 4 and no_caches == []
+    assert cache[1].shape == (4, 3, 32) and no_cache is None
 
 
 def test_predict_batch_names_the_mismatched_clip():
