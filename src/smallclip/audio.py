@@ -16,7 +16,7 @@ from .data import Clip, Dataset
 from .errors import ContractError, TrainingError
 from .forest import Forest, train_forest
 from .nn import EVAL, TRAIN, MLPHead, softmax, softmax_cross_entropy_batch
-from .optim import make_optimizer
+from .optim import train_minibatches
 
 
 class AudioModel:
@@ -84,35 +84,17 @@ def _val_accuracy(model: AudioModel, clips) -> float | None:
     return hits / len(usable)
 
 
-def _run_epochs(mlp, X, y, epochs, lr, config, rng, phase):
-    opt = make_optimizer(mlp.params(), config.optimizer, lr=lr,
-                         momentum=config.momentum)
-    n = X.shape[0]
-    losses = []
-    for epoch in range(epochs):
-        perm = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, config.batch_size):
-            batch = perm[start:start + config.batch_size]
-            logits, cache = mlp.forward(X[batch], mode=TRAIN, rng=rng)
-            loss, dlogits, _ = softmax_cross_entropy_batch(logits, y[batch])
-            if not np.isfinite(loss):
-                raise TrainingError(f"non-finite loss in {phase} epoch "
-                                    f"{epoch}; try a lower lr")
-            mlp.backward(cache, dlogits)
-            opt.step()
-            total += loss * batch.size
-        losses.append(total / n)
-    return losses
-
-
 def train_audio_mlp(ds: Dataset, config: TrainConfig, seed: int,
                     pretrain: Dataset | None = None):
     """Fit the audio MLP on the train split; returns (model, log).
 
     Clips without audio or labels are skipped. When ``pretrain`` is given,
     the net first trains on that dataset's labeled audio, then fine-tunes on
-    the target train split at ``lr * finetune_lr_ratio``.
+    the target train split at ``lr * finetune_lr_ratio``. Both phases run
+    ``optim.train_minibatches`` as a stack of one; the rng
+    ``default_rng([seed, 0xA0D])`` draws the init, then each epoch's
+    permutation and that epoch's dropout masks. A non-finite loss or
+    gradient raises a TrainingError naming the phase, epoch and seed.
     """
     config.validate()
     if ds.d_audio is None:
@@ -125,6 +107,18 @@ def train_audio_mlp(ds: Dataset, config: TrainConfig, seed: int,
                   dropout=config.dropout, rng=rng, name="audio")
     model = AudioModel("mlp", ds.d_audio, ds.n_classes, mlp=mlp)
 
+    def train(X, y, epochs, lr, phase):
+        def step(batch):
+            rows = batch[0]
+            logits, cache = mlp.forward(X[rows], mode=TRAIN, rng=rng)
+            loss, dlogits, _ = softmax_cross_entropy_batch(logits, y[rows])
+            mlp.backward(cache, dlogits)
+            return np.array([loss])
+
+        log, = train_minibatches(mlp.params(), step, [rng], [seed], len(y),
+                                 epochs, lr, config, phase=phase)
+        return [e["train_loss"] for e in log]
+
     log = {"pretrain_loss": [], "train_loss": [], "lr": config.lr}
     lr = config.lr
     if pretrain is not None:
@@ -133,13 +127,12 @@ def train_audio_mlp(ds: Dataset, config: TrainConfig, seed: int,
         Xp, yp = _audio_matrix(pretrain.labeled(), ds.d_audio)
         if Xp is None:
             raise TrainingError("pretraining dataset has no labeled audio")
-        p_epochs = config.pretrain_epochs or config.epochs
-        log["pretrain_loss"] = _run_epochs(mlp, Xp, yp, p_epochs, lr, config,
-                                           rng, "pretraining")
+        p_epochs = (config.epochs if config.pretrain_epochs is None
+                    else config.pretrain_epochs)
+        log["pretrain_loss"] = train(Xp, yp, p_epochs, lr, "pretraining")
         lr = config.lr * config.finetune_lr_ratio
         log["lr"] = lr
-    log["train_loss"] = _run_epochs(mlp, X, y, config.epochs, lr, config, rng,
-                                    "training")
+    log["train_loss"] = train(X, y, config.epochs, lr, "training")
     log["val_accuracy"] = _val_accuracy(model, ds.split("val"))
     return model, log
 

@@ -14,6 +14,9 @@ from .errors import ConfigError
 
 VIDEO_HEADS = ("score-mean", "avg-pool", "weighted-avg-pool", "lstm")
 AUDIO_MODELS = ("mlp", "forest")
+OPTIMIZERS = ("adam", "sgd")
+# optional int fields: `none` leaves them unset, else they must be >= 1
+_OPTIONAL_FIELDS = ("pretrain_epochs", "max_depth", "max_features")
 
 
 @dataclass
@@ -29,12 +32,11 @@ class TrainConfig:
     optimizer: str = "adam"
     lr: float = 0.01
     momentum: float = 0.9
-    seed: int | None = None
     # audio mlp
     model: str = "mlp"
     hidden: int = 64
     dropout: float = 0.2
-    pretrain_epochs: int | None = None   # defaults to `epochs` when pretraining
+    pretrain_epochs: int | None = None   # `epochs` when unset
     finetune_lr_ratio: float = 0.1
     # audio forest
     n_trees: int = 100
@@ -42,35 +44,33 @@ class TrainConfig:
     max_features: int | None = None
 
     def validate(self):
-        if self.head not in VIDEO_HEADS:
-            raise ConfigError(f"unknown head {self.head!r}, expected one of "
-                              f"{', '.join(VIDEO_HEADS)}")
-        if self.model not in AUDIO_MODELS:
-            raise ConfigError(f"unknown model {self.model!r}, expected one of "
-                              f"{', '.join(AUDIO_MODELS)}")
-        if self.score_mode not in ("probs", "logits"):
-            raise ConfigError(f"score_mode must be 'probs' or 'logits', "
-                              f"got {self.score_mode!r}")
-        if self.n < 1:
-            raise ConfigError(f"n must be >= 1, got {self.n}")
-        for name in ("epochs", "batch_size", "lstm_hidden", "hidden",
-                     "n_trees"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        for name, allowed in (("head", VIDEO_HEADS), ("model", AUDIO_MODELS),
+                              ("optimizer", OPTIMIZERS),
+                              ("score_mode", ("probs", "logits"))):
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}, "
+                                  f"expected one of {', '.join(allowed)}")
+        for name in ("n", "epochs", "batch_size", "lstm_hidden", "hidden",
+                     "n_trees", *_OPTIONAL_FIELDS):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
+        if not 0.0 < self.lr < float("inf"):
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if not 0.0 < self.finetune_lr_ratio <= 1.0:
-            raise ConfigError("finetune_lr_ratio must be in (0, 1]")
+            raise ConfigError(f"finetune_lr_ratio must be in (0, 1], "
+                              f"got {self.finetune_lr_ratio}")
         return self
 
 
 _FIELDS = {f.name: f for f in fields(TrainConfig)}
-_INT_FIELDS = {"n", "lstm_hidden", "epochs", "batch_size", "seed", "hidden",
+_INT_FIELDS = {"n", "lstm_hidden", "epochs", "batch_size", "hidden",
                "pretrain_epochs", "n_trees", "max_depth", "max_features"}
 _FLOAT_FIELDS = {"lr", "momentum", "dropout", "finetune_lr_ratio"}
-_OPTIONAL_FIELDS = {"seed", "pretrain_epochs", "max_depth", "max_features"}
 
 
 def parse_config(text: str, base: TrainConfig | None = None) -> TrainConfig:

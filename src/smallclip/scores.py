@@ -2,7 +2,7 @@
 
 The format is one header row ``clip_id,p0,...,p{C-1}`` followed by one row
 per clip. Floats are written with ``repr`` so a read back is bit-exact.
-Tables keep their row order; lookups go through ``index_of``.
+Tables keep their row order; ``reordered`` aligns one table to another's.
 """
 
 from __future__ import annotations
@@ -35,15 +35,6 @@ class ScoreTable:
 
     def __len__(self):
         return len(self.ids)
-
-    def index_of(self, clip_id: str) -> int:
-        try:
-            return self.ids.index(clip_id)
-        except ValueError:
-            raise ContractError(f"clip {clip_id!r} not in score table") from None
-
-    def row(self, clip_id: str) -> np.ndarray:
-        return self.probs[self.index_of(clip_id)]
 
     def reordered(self, ids) -> "ScoreTable":
         """Same table with rows in the order of ``ids`` (must be the same set)."""

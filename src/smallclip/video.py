@@ -23,7 +23,7 @@ from .data import Clip, Dataset, argmax_lowest
 from .errors import ContractError, TrainingError
 from .nn import (LSTMParams, Linear, ParamTensor, lstm_backward,
                  lstm_forward, sigmoid, softmax, softmax_cross_entropy_batch)
-from .optim import make_optimizer
+from .optim import train_minibatches
 
 
 @dataclass
@@ -240,17 +240,6 @@ def _split_accuracy(model: VideoModel, clips) -> float | None:
     return hits / len(labeled)
 
 
-def _batch_accuracy(model: VideoModel, batch) -> float | None:
-    """Accuracy on a pre-stacked ``(F, AV, labels)`` batch, as
-    ``_split_accuracy`` computes it (softmax, then argmax); None if empty."""
-    if batch is None:
-        return None
-    F, AV, labels = batch
-    logits, _ = model.forward_batch(F, AV, keep_cache=False)
-    pred = softmax(logits, axis=1).argmax(axis=1)
-    return int(np.sum(pred == labels)) / len(labels)
-
-
 def _stacked_logits(x, W, b):
     """``x @ W[m].T + b[m]`` for every stacked member m, as (M, B, C).
 
@@ -277,87 +266,51 @@ def stacked_avg_pool_loss(x, labels, W: ParamTensor, b: ParamTensor):
     return loss
 
 
-def _check_stack_finite(epoch, seeds, loss, params):
-    """TrainingError naming ``epoch`` and the seed of the first member
-    whose loss or gradient is not finite; nothing if all are finite."""
-    bad_loss = ~np.isfinite(loss)
-    bad = bad_loss.copy()
-    for p in params:
-        bad |= ~np.isfinite(p.grad).reshape(len(seeds), -1).all(axis=1)
-    if bad.any():
-        m = int(np.argmax(bad))
-        what = "loss" if bad_loss[m] else "gradient"
-        raise TrainingError(f"non-finite {what} at epoch {epoch} in the "
-                            f"member with seed {seeds[m]}; try a lower lr")
-
-
 def _train_avg_pool_stack(models, rngs, seeds, P, y, val_batch, config):
     """Train avg-pool members in lockstep, stacked on a leading axis.
 
     Avg-pool's pooling has no parameters, so ``P``, the train clips' mean
-    frame features computed once, feeds every step. Each member draws its
-    epoch permutation from its own ``rng`` and gathers its own batch rows;
-    every matmul, softmax and reduction runs per member slice, and the
-    optimizers are elementwise, so each member's parameters and log are
-    bit for bit those it gets when trained alone. Returns one log per member.
+    frame features computed once, feeds every step. Each member gathers its
+    own batch rows; every matmul, softmax and reduction runs per member
+    slice, and the optimizers are elementwise, so each member's parameters
+    and log are bit for bit those it gets when trained alone. Returns one
+    log per member.
     """
     W = ParamTensor("classifier.W",
                     np.stack([m.classifier.W.values for m in models]))
     b = ParamTensor("classifier.b",
                     np.stack([m.classifier.b.values for m in models]))
-    opt = make_optimizer([W, b], config.optimizer, lr=config.lr,
-                         momentum=config.momentum)
+    val = None
     if val_batch is not None:
-        P_val, y_val = pool_average(val_batch[0]), val_batch[2]
-    n_train = len(y)
-    logs = [[] for _ in models]
-    for epoch in range(config.epochs):
-        perms = np.stack([rng.permutation(n_train) for rng in rngs])
-        total = np.zeros(len(models))
-        for start in range(0, n_train, config.batch_size):
-            batch = perms[:, start:start + config.batch_size]
-            loss = stacked_avg_pool_loss(P[batch], y[batch], W, b)
-            _check_stack_finite(epoch, seeds, loss, (W, b))
-            opt.step()
-            total += loss * batch.shape[1]
-        accs = [None] * len(models)
-        if val_batch is not None:
-            pred = softmax(_stacked_logits(P_val, W.values, b.values),
-                           axis=-1).argmax(axis=-1)
-            accs = [int(h) / len(y_val) for h in (pred == y_val).sum(axis=1)]
-        for log, t, acc in zip(logs, total, accs):
-            log.append({"epoch": epoch, "train_loss": float(t) / n_train,
-                        "val_accuracy": acc})
+        P_val = pool_average(val_batch[0])
+        val = (lambda: _stacked_logits(P_val, W.values, b.values),
+               val_batch[2])
+    logs = train_minibatches(
+        [W, b], lambda batch: stacked_avg_pool_loss(P[batch], y[batch], W, b),
+        rngs, seeds, len(y), config.epochs, config.lr, config, val)
     for model, W_m, b_m in zip(models, W.values, b.values):
         model.classifier.W.values = W_m.copy()
         model.classifier.b.values = b_m.copy()
     return logs
 
 
-def _train_one(model, rng, seed, F, AV, y, val_batch, config):
-    """Train one head of any trainable kind over the stacked train clips;
-    returns its per-epoch log."""
-    opt = make_optimizer(model.params(), config.optimizer, lr=config.lr,
-                         momentum=config.momentum)
-    n_train = len(y)
-    log = []
-    for epoch in range(config.epochs):
-        perm = rng.permutation(n_train)
-        total = 0.0
-        for start in range(0, n_train, config.batch_size):
-            batch = perm[start:start + config.batch_size]
-            logits, cache = model.forward_batch(F[batch], AV[batch])
-            loss, dlogits, _ = softmax_cross_entropy_batch(logits, y[batch])
-            if not np.isfinite(loss):
-                raise TrainingError(
-                    f"non-finite loss at epoch {epoch} in the member with "
-                    f"seed {seed}; try a lower lr")
-            model.backward_batch(cache, dlogits)
-            opt.step()
-            total += loss * batch.size
-        log.append({"epoch": epoch, "train_loss": total / n_train,
-                    "val_accuracy": _batch_accuracy(model, val_batch)})
-    return log
+def _train_alone(model, rng, seed, F, AV, y, val_batch, config):
+    """Train one head of any trainable kind as a stack of one, through
+    ``forward_batch``/``backward_batch``; returns its per-epoch log."""
+    def step(batch):
+        rows = batch[0]
+        logits, cache = model.forward_batch(F[rows], AV[rows])
+        loss, dlogits, _ = softmax_cross_entropy_batch(logits, y[rows])
+        model.backward_batch(cache, dlogits)
+        return np.array([loss])
+
+    val = None
+    if val_batch is not None:
+        F_val, AV_val, y_val = val_batch
+        val = (lambda: model.forward_batch(F_val, AV_val,
+                                           keep_cache=False)[0][None], y_val)
+    return train_minibatches(model.params(), step, [rng], [seed], len(y),
+                             config.epochs, config.lr, config, val)[0]
 
 
 def train_video_model(ds: Dataset, config: TrainConfig, seed: int):
@@ -378,10 +331,11 @@ def train_video_models(ds: Dataset, config: TrainConfig, seeds):
     its epoch permutations. Frames are selected once per clip and shared
     with every other model trained or scored on the same clips; the train
     and labeled val clips are stacked once per call, and only head
-    parameters are trained. Avg-pool members train in lockstep as one
-    stacked model (``_train_avg_pool_stack``); the other heads train one
-    after another. A non-finite loss (or, for avg-pool, gradient) raises a
-    TrainingError naming the epoch and the first failing member's seed.
+    parameters are trained. Every head trains in ``optim.train_minibatches``:
+    avg-pool members in lockstep as one stacked model
+    (``_train_avg_pool_stack``), the other heads one after another as
+    stacks of one. A non-finite loss or gradient raises a TrainingError
+    naming the epoch and the first failing member's seed.
     """
     config.validate()
     seeds = list(seeds)
@@ -413,7 +367,7 @@ def train_video_models(ds: Dataset, config: TrainConfig, seeds):
         logs = _train_avg_pool_stack(models, rngs, seeds, pool_average(F), y,
                                      val_batch, config)
     else:
-        logs = [_train_one(model, rng, seed, F, AV, y, val_batch, config)
+        logs = [_train_alone(model, rng, seed, F, AV, y, val_batch, config)
                 for model, rng, seed in zip(models, rngs, seeds)]
     return list(zip(models, logs))
 

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from smallclip import audio as audio_module
 from smallclip.audio import AudioModel, train_audio_model
 from smallclip.config import TrainConfig
 from smallclip.data import argmax_lowest, build_dataset
 from smallclip.errors import ContractError, TrainingError
-from smallclip.nn import MLPHead
+from smallclip.nn import TRAIN, MLPHead, softmax_cross_entropy_batch
+from smallclip.optim import make_optimizer
 from smallclip.synth import SynthConfig, generate_synthetic
 
 from conftest import make_clip
@@ -172,3 +174,85 @@ def test_predict_batch_names_the_bad_clip():
         model.predict_batch(good + [make_clip(rng, "noaudio")])
     with pytest.raises(ContractError, match="clip thin: audio dim 4"):
         model.predict_batch(good + [make_clip(rng, "thin", d_audio=4)])
+
+
+def _run_epochs(mlp, X, y, epochs, lr, config, rng, phase):
+    """Reference: the MLP's own epoch loop before the shared
+    ``optim.train_minibatches`` (it checked the loss only, named no seed)."""
+    opt = make_optimizer(mlp.params(), config.optimizer, lr=lr,
+                         momentum=config.momentum)
+    n = X.shape[0]
+    losses = []
+    for epoch in range(epochs):
+        perm = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, config.batch_size):
+            batch = perm[start:start + config.batch_size]
+            logits, cache = mlp.forward(X[batch], mode=TRAIN, rng=rng)
+            loss, dlogits, _ = softmax_cross_entropy_batch(logits, y[batch])
+            if not np.isfinite(loss):
+                raise TrainingError(f"non-finite loss in {phase} epoch "
+                                    f"{epoch}; try a lower lr")
+            mlp.backward(cache, dlogits)
+            opt.step()
+            total += loss * batch.size
+        losses.append(total / n)
+    return losses
+
+
+def _train_mlp_reference(ds, config, seed, pretrain=None):
+    """Reference: ``train_audio_mlp`` running ``_run_epochs`` per phase."""
+    X, y = audio_module._audio_matrix(ds.split("train"), ds.d_audio)
+    rng = np.random.default_rng([seed, 0xA0D])
+    mlp = MLPHead(ds.d_audio, config.hidden, ds.n_classes,
+                  dropout=config.dropout, rng=rng, name="audio")
+    log = {"pretrain_loss": [], "train_loss": [], "lr": config.lr}
+    lr = config.lr
+    if pretrain is not None:
+        Xp, yp = audio_module._audio_matrix(pretrain.labeled(), ds.d_audio)
+        log["pretrain_loss"] = _run_epochs(
+            mlp, Xp, yp, config.pretrain_epochs or config.epochs, lr, config,
+            rng, "pretraining")
+        lr = config.lr * config.finetune_lr_ratio
+        log["lr"] = lr
+    log["train_loss"] = _run_epochs(mlp, X, y, config.epochs, lr, config,
+                                    rng, "training")
+    model = AudioModel("mlp", ds.d_audio, ds.n_classes, mlp=mlp)
+    log["val_accuracy"] = audio_module._val_accuracy(model, ds.split("val"))
+    return model, log
+
+
+@pytest.mark.parametrize("pretrained", [False, True])
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_mlp_matches_per_phase_reference(optimizer, pretrained):
+    # 42 train and 63 pretraining clips at batch size 16 end on short
+    # batches; dropout makes every step draw from the member's rng
+    ds = audio_dataset(seed=11)
+    pre = audio_dataset(seed=12, centroid_seed=3) if pretrained else None
+    cfg = TrainConfig(model="mlp", epochs=3, hidden=12, dropout=0.3,
+                      optimizer=optimizer, lr=0.05, pretrain_epochs=2)
+    for seed in (0, 5, 9):
+        model, log = train_audio_model(ds, cfg, seed, pretrain=pre)
+        ref, ref_log = _train_mlp_reference(ds, cfg, seed, pretrain=pre)
+        for p, q in zip(model.params(), ref.params(), strict=True):
+            assert p.name == q.name
+            assert np.array_equal(p.values, q.values)
+        assert np.array_equal(model.mlp.bn.running_mean,
+                              ref.mlp.bn.running_mean)
+        assert np.array_equal(model.mlp.bn.running_var,
+                              ref.mlp.bn.running_var)
+        assert log == ref_log
+        assert len(log["pretrain_loss"]) == (2 if pretrained else 0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("pretrained", [False, True])
+def test_nonfinite_mlp_run_names_phase_epoch_and_seed(pretrained):
+    ds = audio_dataset(seed=13)
+    phase = "pretraining" if pretrained else "training"
+    cfg = TrainConfig(model="mlp", epochs=3, hidden=8, optimizer="sgd",
+                      lr=1e100)
+    with pytest.raises(TrainingError,
+                       match=rf"^non-finite loss at {phase} epoch 0 in the "
+                             r"member with seed 7; try a lower lr$"):
+        train_audio_model(ds, cfg, seed=7, pretrain=ds if pretrained else None)

@@ -123,6 +123,43 @@ def test_bad_config_file_exits_two(workdir, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+FOREST = ["train-audio", "--model", "forest"]
+
+
+@pytest.mark.parametrize("command, line, message", [
+    (FOREST, "max_features = 0", "max_features must be >= 1, got 0"),
+    (FOREST, "max_features = -1", "max_features must be >= 1, got -1"),
+    (FOREST, "max_depth = -2", "max_depth must be >= 1, got -2"),
+    (FOREST, "max_depth = 0", "max_depth must be >= 1, got 0"),
+    (["train-audio", "--model", "mlp", "--pretrain", "data.jsonl"],
+     "pretrain_epochs = -3", "pretrain_epochs must be >= 1, got -3"),
+    (["train-audio", "--model", "mlp", "--pretrain", "data.jsonl"],
+     "pretrain_epochs = 0", "pretrain_epochs must be >= 1, got 0"),
+    (FOREST, "optimizer = foo",
+     "unknown optimizer 'foo', expected one of adam, sgd"),
+    (["train-video", "--pooling", "score-mean"], "optimizer = foo",
+     "unknown optimizer 'foo', expected one of adam, sgd"),
+    (["train-video", "--pooling", "avg-pool"], "optimizer = sgd-momentum",
+     "unknown optimizer 'sgd-momentum', expected one of adam, sgd"),
+    (["train-video", "--pooling", "avg-pool"], "lr = inf",
+     "lr must be positive and finite, got inf"),
+    (["train-video", "--pooling", "avg-pool"], "momentum = 1.5",
+     "momentum must be in [0, 1), got 1.5"),
+], ids=["max-features-zero", "max-features-negative", "max-depth-negative",
+        "max-depth-zero", "pretrain-epochs-negative", "pretrain-epochs-zero",
+        "optimizer-forest", "optimizer-score-mean", "optimizer-alias",
+        "lr-inf", "momentum-one-and-a-half"])
+def test_bad_config_value_exits_two(workdir, capsys, command, line, message):
+    bad = workdir / "bad.cfg"
+    bad.write_text(FAST_CFG + line + "\n")
+    argv = [str(workdir / a) if a.endswith(".jsonl") else a for a in command]
+    assert main(argv + ["--manifest", str(workdir / "data.jsonl"),
+                        "--config", str(bad),
+                        "--out", str(workdir / "m.json")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (workdir / "m.json").exists()
+
+
 def test_unreadable_config_or_recipe_exits_two(workdir, capsys):
     m = str(workdir / "data.jsonl")
     garbage = workdir / "garbage.preset"

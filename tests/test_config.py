@@ -16,7 +16,8 @@ def test_defaults_validate():
 
 
 def test_parse_round_trip():
-    cfg = TrainConfig(head="lstm", n=8, lr=0.003, seed=42, max_depth=5)
+    cfg = TrainConfig(head="lstm", n=8, lr=0.003, pretrain_epochs=42,
+                      max_depth=5)
     back = parse_config(config_to_text(cfg))
     assert back == cfg
 
@@ -59,8 +60,9 @@ def test_missing_equals_rejected():
 
 
 def test_none_for_optional_fields():
-    cfg = parse_config("seed = none\nmax_depth = None\npretrain_epochs = 7\n")
-    assert cfg.seed is None
+    cfg = parse_config("max_features = none\nmax_depth = None\n"
+                       "pretrain_epochs = 7\n")
+    assert cfg.max_features is None
     assert cfg.max_depth is None
     assert cfg.pretrain_epochs == 7
     # 'none' is not a value for required numeric fields
@@ -82,6 +84,18 @@ def test_validate_rejects_bad_fields():
         dict(dropout=-0.1),
         dict(finetune_lr_ratio=0.0),
         dict(finetune_lr_ratio=1.5),
+        dict(optimizer="foo"),
+        dict(optimizer="sgd-momentum"),
+        dict(lr=float("inf")),
+        dict(lr=float("nan")),
+        dict(momentum=-0.1),
+        dict(momentum=1.0),
+        dict(pretrain_epochs=0),
+        dict(pretrain_epochs=-3),
+        dict(max_depth=0),
+        dict(max_depth=-2),
+        dict(max_features=0),
+        dict(max_features=-1),
     ]
     for kw in cases:
         with pytest.raises(ConfigError):
@@ -100,6 +114,6 @@ def test_load_config(tmp_path):
 
 def test_config_text_lists_every_field():
     text = config_to_text(TrainConfig())
-    for key in ("head", "n", "epochs", "lr", "model", "n_trees", "seed"):
+    for key in ("head", "n", "epochs", "lr", "model", "n_trees", "max_depth"):
         assert any(line.startswith(f"{key} = ") for line in text.splitlines())
-    assert "seed = none" in text
+    assert "max_depth = none" in text

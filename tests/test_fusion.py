@@ -108,6 +108,10 @@ def test_fuse_tables_copies_and_order(rng):
         fuse_tables([])
 
 
+def rows_by_id(table):
+    return dict(zip(table.ids, table.probs))
+
+
 def table_pair(rng, n=6, c=4, shuffle=True):
     ids = [f"clip{i}" for i in range(n)]
     a = ScoreTable(list(ids), rng.dirichlet(np.ones(c), size=n))
@@ -122,9 +126,10 @@ def test_fuse_tables_aligns_rows(rng):
     a, b = table_pair(rng)
     fused = fuse_tables([a, b])
     assert fused.ids == a.ids
+    a_rows, b_rows, fused_rows = map(rows_by_id, (a, b, fused))
     for cid in a.ids:
-        expected = fuse_rows([a.row(cid), b.row(cid)])
-        assert np.allclose(fused.row(cid), expected, atol=1e-12)
+        expected = fuse_rows([a_rows[cid], b_rows[cid]])
+        assert np.allclose(fused_rows[cid], expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("weighted", [False, True])
@@ -146,9 +151,10 @@ def test_fuse_tables_matches_per_row_reference(m, weighted):
 def test_fuse_tables_weighted(rng):
     a, b = table_pair(rng, shuffle=False)
     fused = fuse_tables([a, b], weights=[0.65, 0.35])
+    a_rows, b_rows, fused_rows = map(rows_by_id, (a, b, fused))
     for cid in a.ids:
-        expected = fuse_rows([a.row(cid), b.row(cid)], [0.65, 0.35])
-        assert np.allclose(fused.row(cid), expected, atol=1e-12)
+        expected = fuse_rows([a_rows[cid], b_rows[cid]], [0.65, 0.35])
+        assert np.allclose(fused_rows[cid], expected, atol=1e-12)
 
 
 def test_fuse_tables_rejects_mismatched_tables(rng):

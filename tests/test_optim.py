@@ -56,7 +56,9 @@ def test_nonfinite_grad_names_parameter():
 def test_make_optimizer():
     p = scalar_param()
     assert isinstance(make_optimizer([p], "adam"), Adam)
-    assert isinstance(make_optimizer([p], "sgd-momentum", lr=0.5), SGD)
-    with pytest.raises(ConfigError):
-        make_optimizer([p], "nadam")
+    assert isinstance(make_optimizer([p], "sgd", lr=0.5), SGD)
+    for kind in ("nadam", "sgd-momentum"):
+        with pytest.raises(ConfigError, match=rf"unknown optimizer '{kind}', "
+                                              "expected one of adam, sgd"):
+            make_optimizer([p], kind)
 

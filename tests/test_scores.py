@@ -91,14 +91,6 @@ def test_shape_mismatch_rejected():
         ScoreTable(["a"], np.ones(3))
 
 
-def test_lookup_and_missing_id(rng):
-    table = random_table(rng, n=4)
-    assert table.index_of("clip-002") == 2
-    assert np.array_equal(table.row("clip-002"), table.probs[2])
-    with pytest.raises(ContractError, match="ghost"):
-        table.row("ghost")
-
-
 def test_reordered_permutes_rows(rng):
     table = random_table(rng, n=5)
     new_order = list(reversed(table.ids))

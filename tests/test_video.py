@@ -5,7 +5,9 @@ from smallclip.config import VIDEO_HEADS, TrainConfig
 from smallclip.data import Clip
 from smallclip.errors import ContractError, TrainingError
 from smallclip.gradcheck import grad_check
-from smallclip.nn import Linear, ParamTensor, lstm_forward, sigmoid, softmax
+from smallclip.nn import (Linear, ParamTensor, lstm_forward, sigmoid, softmax,
+                          softmax_cross_entropy_batch)
+from smallclip.optim import _check_stack_finite, make_optimizer
 from smallclip.synth import SynthConfig, generate_synthetic
 from smallclip import video as video_module
 from smallclip.video import (VideoModel, pool_average, pool_weighted,
@@ -418,20 +420,87 @@ def test_logged_val_accuracy_matches_predict_batch(head, monkeypatch):
             video_module._split_accuracy(model, val)
 
 
+def _batch_accuracy(model: VideoModel, batch) -> float | None:
+    """Accuracy on a pre-stacked ``(F, AV, labels)`` batch, as
+    ``_split_accuracy`` computes it (softmax, then argmax); None if empty."""
+    if batch is None:
+        return None
+    F, AV, labels = batch
+    logits, _ = model.forward_batch(F, AV, keep_cache=False)
+    pred = softmax(logits, axis=1).argmax(axis=1)
+    return int(np.sum(pred == labels)) / len(labels)
+
+
+def _train_one(model, rng, seed, F, AV, y, val_batch, config):
+    """Reference: the per-model epoch loop the heads ran before the shared
+    ``optim.train_minibatches`` (it checked the loss only)."""
+    opt = make_optimizer(model.params(), config.optimizer, lr=config.lr,
+                         momentum=config.momentum)
+    n_train = len(y)
+    log = []
+    for epoch in range(config.epochs):
+        perm = rng.permutation(n_train)
+        total = 0.0
+        for start in range(0, n_train, config.batch_size):
+            batch = perm[start:start + config.batch_size]
+            logits, cache = model.forward_batch(F[batch], AV[batch])
+            loss, dlogits, _ = softmax_cross_entropy_batch(logits, y[batch])
+            if not np.isfinite(loss):
+                raise TrainingError(
+                    f"non-finite loss at epoch {epoch} in the member with "
+                    f"seed {seed}; try a lower lr")
+            model.backward_batch(cache, dlogits)
+            opt.step()
+            total += loss * batch.size
+        log.append({"epoch": epoch, "train_loss": total / n_train,
+                    "val_accuracy": _batch_accuracy(model, val_batch)})
+    return log
+
+
 def _train_alone_per_model(ds, cfg, seed):
-    """Reference: one avg-pool head trained through the per-model
-    ``forward_batch``/``backward_batch`` path, as before stacking."""
+    """Reference: one head trained by ``_train_one`` through the per-model
+    ``forward_batch``/``backward_batch`` path."""
     train = [c for c in ds.split("train") if c.label is not None]
     val = [c for c in ds.split("val") if c.label is not None]
     F, AV = video_module._stack_selected(train, cfg.n)
     val_batch = (*video_module._stack_selected(val, cfg.n),
                  np.array([c.label for c in val]))
     rng = np.random.default_rng([seed, 0x71D])
-    model = VideoModel(cfg.head, cfg.n, ds.d_feature, ds.n_classes, rng=rng)
-    log = video_module._train_one(model, rng, seed, F, AV,
-                                  np.array([c.label for c in train]),
-                                  val_batch, cfg)
+    model = VideoModel(cfg.head, cfg.n, ds.d_feature, ds.n_classes,
+                       lstm_hidden=cfg.lstm_hidden, rng=rng)
+    log = _train_one(model, rng, seed, F, AV,
+                     np.array([c.label for c in train]), val_batch, cfg)
     return model, log
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("head", ["weighted-avg-pool", "lstm"])
+def test_stack_of_one_matches_per_model_reference(head, optimizer):
+    # 35 train clips at batch size 16 end on a 3-row batch
+    ds = generate_synthetic(SynthConfig(
+        train_per_class=5, val_per_class=3, n_classes=7, margin=2.0,
+        noise=0.5, frames_min=3, frames_max=9), seed=4)
+    cfg = TrainConfig(head=head, n=6, epochs=3, optimizer=optimizer,
+                      momentum=0.9, lr=0.05, lstm_hidden=8)
+    seeds = [0, 5, 9]
+    for seed, (model, log) in zip(seeds, train_video_models(ds, cfg, seeds)):
+        ref, ref_log = _train_alone_per_model(ds, cfg, seed)
+        for p, q in zip(model.params(), ref.params(), strict=True):
+            assert p.name == q.name
+            assert np.array_equal(p.values, q.values)
+        assert log == ref_log
+        assert len(log) == cfg.epochs
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_lstm_run_names_epoch_and_seed():
+    ds = easy_dataset()
+    cfg = TrainConfig(head="lstm", n=4, epochs=3, lstm_hidden=6,
+                      optimizer="sgd", lr=1e100)
+    with pytest.raises(TrainingError,
+                       match=r"^non-finite loss at epoch 0 in the member "
+                             r"with seed 7; try a lower lr$"):
+        train_video_models(ds, cfg, [7, 8])
 
 
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
@@ -511,7 +580,7 @@ def test_nonfinite_loss_in_stack_names_epoch_and_seed():
 def test_stack_finite_check_names_first_failing_member():
     W = ParamTensor("W", np.zeros((3, 2, 2)))
     b = ParamTensor("b", np.zeros((3, 2)))
-    check = video_module._check_stack_finite
+    check = _check_stack_finite
     check(4, [7, 8, 9], np.ones(3), (W, b))  # all finite: no error
     with pytest.raises(TrainingError,
                        match=r"non-finite loss at epoch 4 .*seed 9;"):
@@ -520,3 +589,12 @@ def test_stack_finite_check_names_first_failing_member():
     with pytest.raises(TrainingError,
                        match=r"non-finite gradient at epoch 2 .*seed 8;"):
         check(2, [7, 8, 9], np.array([1.0, 2.0, np.nan]), (W, b))
+    with pytest.raises(TrainingError,
+                       match=r"^non-finite gradient at pretraining epoch 1 "
+                             r"in the member with seed 8; try a lower lr$"):
+        check(1, [7, 8, 9], np.ones(3), (W, b), "pretraining")
+    alone = ParamTensor("W", np.zeros((2, 2)))  # a stack of one's own shape
+    check(0, [3], np.ones(1), [alone])
+    alone.grad[1, 1] = np.nan
+    with pytest.raises(TrainingError, match=r"gradient at epoch 0 .*seed 3;"):
+        check(0, [3], np.ones(1), [alone])
