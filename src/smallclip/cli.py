@@ -24,6 +24,15 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 
+# One BLAS thread per process, set before the first numpy import: the
+# products here are tiny ((16, 128) @ (128, 512) per LSTM step), so a second
+# BLAS thread mostly spin-waits and burns CPU for no wall time, and `--jobs`
+# worker processes are the parallelism. A value the user set still wins.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+for _name in BLAS_THREAD_VARS:
+    os.environ.setdefault(_name, "1")
+
 from . import __version__
 from .audio import train_audio_model
 from .checkpoint import load_checkpoint, save_checkpoint

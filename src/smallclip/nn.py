@@ -98,13 +98,16 @@ class ReLU:
         return grad_out * (cache > 0)
 
 
-def sigmoid(x):
+def sigmoid(x, out=None):
+    """``1 / (1 + exp(-x))``, into ``out`` when given (it may be ``x``)."""
     # exp(-x) overflows to inf below x = -709.78 and the result is then 0,
     # the correctly rounded value; above that it stays strictly positive,
     # which the positive frame weights of video.pool_weighted rely on.
     x = np.asarray(x, dtype=np.float64)
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        e = np.exp(np.negative(x, out=out), out=out)
+    e += 1.0
+    return np.divide(1.0, e, out=out)
 
 
 class BatchNorm:
@@ -245,7 +248,7 @@ class LSTMParams:
         return [self.Wx, self.Wh, self.b]
 
 
-def lstm_forward(params: LSTMParams, xs, keep_caches=True):
+def lstm_forward(params: LSTMParams, xs, keep_caches=True, cache=None):
     """Run a (B, T, D) batch through the cell from zero state.
 
     Each step computes ``z = (x_t Wx^T + h Wh^T) + b``, one sigmoid over the
@@ -254,6 +257,11 @@ def lstm_forward(params: LSTMParams, xs, keep_caches=True):
     hidden and cell states and tanh(c), as (T, B, .) arrays. With
     ``keep_caches=False`` (inference) nothing is stored and the cache is
     None, so memory stays flat in T.
+
+    ``cache`` may be an earlier cache that ``lstm_backward`` has consumed;
+    if its shapes match this batch, the gates and states are written into
+    its arrays, which saves allocating and first touching fresh ones every
+    training step. Otherwise it is ignored. The results are the same.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 3 or xs.shape[2] != params.d_in:
@@ -263,22 +271,27 @@ def lstm_forward(params: LSTMParams, xs, keep_caches=True):
     H = params.hidden
     h = np.zeros((B, H))
     c = np.zeros((B, H))
-    if keep_caches:
+    if not keep_caches:
+        gates = np.empty((1, B, 4 * H))  # one block, rewritten every step
+    elif cache is not None and cache[1].shape == (T, B, 4 * H):
+        _, gates, hs, cs, tcs = cache
+    else:
         gates = np.empty((T, B, 4 * H))
         hs, cs, tcs = (np.empty((T, B, H)) for _ in range(3))
     for t in range(T):
-        z = xs[:, t, :] @ params.Wx.values.T + h @ params.Wh.values.T
-        z += params.b.values
-        a = sigmoid(z)
-        a[:, 2 * H:3 * H] = np.tanh(z[:, 2 * H:3 * H])
-        i, f, g, o = a[:, 0:H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
+        a = gates[t if keep_caches else 0]
+        np.matmul(xs[:, t, :], params.Wx.values.T, out=a)
+        a += h @ params.Wh.values.T
+        a += params.b.values
+        g = np.tanh(a[:, 2 * H:3 * H])
+        sigmoid(a, out=a)
+        a[:, 2 * H:3 * H] = g
+        i, f, o = a[:, 0:H], a[:, H:2 * H], a[:, 3 * H:]
         if keep_caches:
-            gates[t], hs[t], cs[t] = a, h, c
+            hs[t], cs[t] = h, c
         c = f * c + i * g
-        tc = np.tanh(c)
+        tc = np.tanh(c, out=tcs[t] if keep_caches else None)
         h = o * tc
-        if keep_caches:
-            tcs[t] = tc
     return h, ((xs, gates, hs, cs, tcs) if keep_caches else None)
 
 

@@ -2,10 +2,12 @@
 minibatch training loop that every gradient-trained model runs.
 
 An optimizer step consumes the accumulated ``.grad`` of every parameter and
-zeroes it afterward. A non-finite gradient aborts with a TrainingError naming
-the offending parameter. ``train_minibatches`` checks each member's loss and
-gradient before that, so a training run names the epoch and the member's
-seed instead.
+zeroes it afterward. It updates in place through two scratch arrays made
+once per optimizer, in the operation order of the textbook expressions, so
+its results are those expressions' bit for bit. A step does not check its
+gradients: ``train_minibatches`` checks each member's loss and gradient
+before every step, so a non-finite one raises a TrainingError naming the
+epoch and the member's seed and leaves parameters and moments untouched.
 """
 
 from __future__ import annotations
@@ -17,6 +19,15 @@ from .errors import ConfigError, TrainingError
 from .nn import softmax
 
 
+def _scratch(params):
+    """Two scratch views per parameter, shaped like it, into two buffers the
+    size of the largest parameter."""
+    size = max((p.values.size for p in params), default=0)
+    a, b = np.empty(size), np.empty(size)
+    return [(a[:p.values.size].reshape(p.shape),
+             b[:p.values.size].reshape(p.shape)) for p in params]
+
+
 class SGD:
     def __init__(self, params, lr=0.01, momentum=0.0):
         self.params = list(params)
@@ -24,17 +35,20 @@ class SGD:
         self.momentum = float(momentum)
         self.step_count = 0
         self.velocity = [np.zeros_like(p.values) for p in self.params]
+        self._scratch = _scratch(self.params)
 
     def step(self):
-        _check_finite(self.params)
+        """``v = momentum * v + g; p -= lr * v``, or ``p -= lr * g``
+        without momentum."""
         self.step_count += 1
-        for p, v in zip(self.params, self.velocity):
+        for p, v, (s, _) in zip(self.params, self.velocity, self._scratch):
             if self.momentum != 0.0:
                 v *= self.momentum
                 v += p.grad
-                p.values -= self.lr * v
+                np.multiply(v, self.lr, out=s)
             else:
-                p.values -= self.lr * p.grad
+                np.multiply(p.grad, self.lr, out=s)
+            p.values -= s
             p.zero_grad()
 
 
@@ -46,26 +60,31 @@ class Adam:
         self.step_count = 0
         self.m = [np.zeros_like(p.values) for p in self.params]
         self.v = [np.zeros_like(p.values) for p in self.params]
+        self._scratch = _scratch(self.params)
 
     def step(self):
-        _check_finite(self.params)
+        """``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
+        ``p -= lr (m / bc1) / (sqrt(v / bc2) + eps)``, with the bias
+        corrections ``bc = 1 - b ** t``."""
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
-        for p, m, v in zip(self.params, self.m, self.v):
+        for p, m, v, (s, u) in zip(self.params, self.m, self.v, self._scratch):
+            g = p.grad
             m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
+            m += np.multiply(g, 1.0 - self.beta1, out=s)
             v *= self.beta2
-            v += (1.0 - self.beta2) * p.grad * p.grad
-            p.values -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            np.multiply(g, 1.0 - self.beta2, out=s)
+            v += np.multiply(s, g, out=s)
+            np.divide(m, bc1, out=s)
+            s *= self.lr
+            np.divide(v, bc2, out=u)
+            np.sqrt(u, out=u)
+            u += self.eps
+            s /= u
+            p.values -= s
             p.zero_grad()
-
-
-def _check_finite(params):
-    for p in params:
-        if not np.all(np.isfinite(p.grad)):
-            raise TrainingError(f"non-finite gradient in parameter {p.name!r}")
 
 
 def make_optimizer(params, kind="adam", lr=None, momentum=0.9):

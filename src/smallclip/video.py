@@ -168,11 +168,14 @@ class VideoModel:
 
     # -- batched forward and backward -----------------------------------
 
-    def forward_batch(self, F, AV, keep_cache=True):
+    def forward_batch(self, F, AV, keep_cache=True, spent=None):
         """Logits for a batch of selected clips; returns (logits, cache).
 
         ``keep_cache=False`` is for inference: the LSTM then keeps no BPTT
         caches, so the returned cache cannot be passed to ``backward_batch``.
+        ``spent`` may be an earlier cache that ``backward_batch`` has
+        consumed; the LSTM writes its new BPTT cache into it
+        (``lstm_forward``'s ``cache``). Other heads ignore it.
         """
         if self.kind == "avg-pool":
             logits, lcache = self.classifier.forward(pool_average(F))
@@ -182,7 +185,9 @@ class VideoModel:
             logits, lcache = self.classifier.forward(pooled)
             return logits, (lcache, F, AV, w, pooled)
         if self.kind == "lstm":
-            h, lstm_cache = lstm_forward(self.lstm, F, keep_caches=keep_cache)
+            h, lstm_cache = lstm_forward(
+                self.lstm, F, keep_caches=keep_cache,
+                cache=None if spent is None else spent[1])
             logits, lcache = self.classifier.forward(h)
             return logits, (lcache, lstm_cache, F.shape)
         raise ContractError(f"head {self.kind!r} has no trainable forward")
@@ -296,12 +301,18 @@ def _train_avg_pool_stack(models, rngs, seeds, P, y, val_batch, config):
 
 def _train_alone(model, rng, seed, F, AV, y, val_batch, config):
     """Train one head of any trainable kind as a stack of one, through
-    ``forward_batch``/``backward_batch``; returns its per-epoch log."""
+    ``forward_batch``/``backward_batch``; returns its per-epoch log. Each
+    step hands the cache the previous step's backward consumed to the next
+    forward, to be written over."""
+    spent = None
+
     def step(batch):
+        nonlocal spent
         rows = batch[0]
-        logits, cache = model.forward_batch(F[rows], AV[rows])
+        logits, cache = model.forward_batch(F[rows], AV[rows], spent=spent)
         loss, dlogits, _ = softmax_cross_entropy_batch(logits, y[rows])
         model.backward_batch(cache, dlogits)
+        spent = cache
         return np.array([loss])
 
     val = None

@@ -1,10 +1,18 @@
-"""End-to-end command-line tests, all in-process via cli.main(argv)."""
+"""End-to-end command-line tests, in-process via cli.main(argv) except
+where a test needs a fresh interpreter (the BLAS thread default)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from smallclip.cli import main
+import smallclip
+from smallclip.cli import BLAS_THREAD_VARS, main
+
+SRC = str(Path(smallclip.__file__).resolve().parents[1])
 
 
 SYNTH = ["synth", "--classes", "3", "--clips-per-class", "4",
@@ -466,3 +474,64 @@ def test_out_directory_fails_without_traceback(workdir, capsys):
     assert len(err) == 1 and err[0].startswith("error: cannot write ")
     assert sorted(p.name for p in workdir.iterdir()) == before
     assert list(taken.iterdir()) == []
+
+
+def _fresh(args, cwd=None, **env_vars):
+    """Run ``python <args>`` in a fresh interpreter with the checkout's
+    sources on the path, the BLAS thread variables removed from the
+    environment and then ``env_vars`` set; returns its stdout."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env.update(env_vars)
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+PROBE = """
+import json, os, sys
+import smallclip.cli
+print(json.dumps({
+    "vars": {name: os.environ.get(name) for name in
+             ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+    "threads": (len(os.listdir("/proc/self/task"))
+                if sys.platform.startswith("linux") else None)}))
+"""
+
+
+def test_cli_import_runs_blas_on_one_thread():
+    seen = json.loads(_fresh(["-c", PROBE]))
+    assert seen["vars"] == {"OPENBLAS_NUM_THREADS": "1",
+                            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    if sys.platform.startswith("linux"):
+        assert seen["threads"] == 1
+
+
+def test_explicit_blas_thread_count_wins():
+    seen = json.loads(_fresh(["-c", PROBE], OPENBLAS_NUM_THREADS="2"))
+    assert seen["vars"]["OPENBLAS_NUM_THREADS"] == "2"
+    assert seen["vars"]["OMP_NUM_THREADS"] == "1"
+
+
+def test_lstm_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # The benchmark's roundtrip-hard data; two epochs keep the test short.
+    cli = ["-m", "smallclip.cli"]
+    _fresh(cli + ["synth", "--seed", "1", "--margin", "2", "--noise", "1.0",
+                  "--clips-per-class", "12", "--val-per-class", "10",
+                  "--out", "data.jsonl"], cwd=tmp_path)
+    (tmp_path / "two.cfg").write_text("epochs = 2\n")
+    outputs = {}
+    for threads in ("1", "2"):
+        _fresh(cli + ["train-video", "--manifest", "data.jsonl",
+                      "--config", "two.cfg", "--pooling", "lstm", "--seed",
+                      "0", "--out", f"video{threads}.json"],
+               cwd=tmp_path, OPENBLAS_NUM_THREADS=threads)
+        _fresh(cli + ["predict", "--model", f"video{threads}.json",
+                      "--manifest", "data.jsonl",
+                      "--out", f"video{threads}.csv"],
+               cwd=tmp_path, OPENBLAS_NUM_THREADS=threads)
+        outputs[threads] = [(tmp_path / f"video{threads}.{ext}").read_bytes()
+                            for ext in ("json", "csv")]
+    assert outputs["1"] == outputs["2"]

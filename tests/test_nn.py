@@ -236,6 +236,44 @@ def test_lstm_forward_without_caches_matches(rng):
     assert hs.shape == cs.shape == tcs.shape == (5, 6, 3)
 
 
+def _forward_backward(p, xs, dh, cache=None):
+    """h, the BPTT cache's arrays before backward, and the gradients."""
+    for q in p.params():
+        q.zero_grad()
+    h, cache = lstm_forward(p, xs, cache=cache)
+    kept = [a.copy() for a in cache]
+    dx = lstm_backward(p, cache, dh)
+    return h, cache, kept, [dx] + [q.grad.copy() for q in p.params()]
+
+
+def test_lstm_forward_writes_into_a_consumed_cache(rng):
+    p = LSTMParams(4, 3, rng=rng)
+    xs1, xs2 = rng.standard_normal((2, 6, 5, 4))
+    dh = rng.standard_normal((6, 3))
+    _, spent, _, _ = _forward_backward(p, xs1, dh)
+    h, cache, kept, grads = _forward_backward(p, xs2, dh, cache=spent)
+    assert all(a is b for a, b in zip(cache[1:], spent[1:]))
+    h_ref, _, kept_ref, grads_ref = _forward_backward(p, xs2, dh)
+    assert np.array_equal(h, h_ref)  # bit for bit
+    for a, b in zip(kept + grads, kept_ref + grads_ref):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_lstm_forward_ignores_a_cache_of_another_shape(rng):
+    p = LSTMParams(4, 3, rng=rng)
+    _, spent = lstm_forward(p, rng.standard_normal((6, 5, 4)))
+    before = [a.copy() for a in spent]
+    xs = rng.standard_normal((4, 5, 4))  # a short last batch
+    h, cache = lstm_forward(p, xs, cache=spent)
+    h_ref, cache_ref = lstm_forward(p, xs)
+    assert np.array_equal(h, h_ref)
+    assert not any(a is b for a, b in zip(cache[1:], spent[1:]))
+    for a, b in zip(cache, cache_ref):
+        np.testing.assert_array_equal(a, b)
+    for a, b in zip(spent, before):
+        np.testing.assert_array_equal(a, b)
+
+
 def assert_close_relative(actual, expected, rtol):
     scale = max(np.abs(expected).max(), np.finfo(np.float64).tiny)
     assert np.abs(actual - expected).max() <= rtol * scale
