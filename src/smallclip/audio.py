@@ -15,7 +15,8 @@ from .config import TrainConfig
 from .data import Clip, Dataset
 from .errors import ContractError, TrainingError
 from .forest import Forest, train_forest
-from .nn import EVAL, TRAIN, MLPHead, softmax, softmax_cross_entropy_batch
+from .nn import (EVAL, TRAIN, MLPHead, softmax, softmax_cross_entropy_batch,
+                 stack_members)
 from .optim import train_minibatches
 
 
@@ -84,42 +85,62 @@ def _val_accuracy(model: AudioModel, clips) -> float | None:
     return hits / len(usable)
 
 
-def train_audio_mlp(ds: Dataset, config: TrainConfig, seed: int,
-                    pretrain: Dataset | None = None):
-    """Fit the audio MLP on the train split; returns (model, log).
+def train_audio_models(ds: Dataset, config: TrainConfig, seeds,
+                       pretrain: Dataset | None = None):
+    """Fit ``config.model`` once per seed on the train split; returns
+    [(model, log), ...].
 
-    Clips without audio or labels are skipped. When ``pretrain`` is given,
-    the net first trains on that dataset's labeled audio, then fine-tunes on
-    the target train split at ``lr * finetune_lr_ratio``. Both phases run
-    ``optim.train_minibatches`` as a stack of one; the rng
-    ``default_rng([seed, 0xA0D])`` draws the init, then each epoch's
-    permutation and that epoch's dropout masks. A non-finite loss or
-    gradient raises a TrainingError naming the phase, epoch and seed.
+    Clips without audio or labels are skipped. Forests grow one per seed.
+    The MLP members train in lockstep as one stacked model
+    (``nn.stack_members``) in ``optim.train_minibatches``: first on
+    ``pretrain``'s labeled audio when it is given, then on the target train
+    split, at ``lr * finetune_lr_ratio`` after pretraining. Member m's rng
+    ``default_rng([seeds[m], 0xA0D])`` draws its init, then each epoch's
+    permutation and that epoch's dropout masks, so every member is bit for
+    bit what it is when trained alone. A non-finite loss or gradient raises
+    a TrainingError naming the phase, epoch and first failing member's seed.
     """
+    if config.model == "forest" and pretrain is not None:
+        raise ContractError("the forest model does not support pretraining")
     config.validate()
     if ds.d_audio is None:
         raise TrainingError("dataset has no audio features")
     X, y = _audio_matrix(ds.split("train"), ds.d_audio)
     if X is None:
         raise TrainingError("train split has no labeled clips with audio")
-    rng = np.random.default_rng([seed, 0xA0D])
-    mlp = MLPHead(ds.d_audio, config.hidden, ds.n_classes,
-                  dropout=config.dropout, rng=rng, name="audio")
-    model = AudioModel("mlp", ds.d_audio, ds.n_classes, mlp=mlp)
+    seeds, val = list(seeds), ds.split("val")
+    if config.model == "forest":
+        out = []
+        for seed in seeds:
+            f = train_forest(X, y, ds.n_classes, n_trees=config.n_trees,
+                             seed=seed, max_depth=config.max_depth,
+                             max_features=config.max_features)
+            model = AudioModel("forest", ds.d_audio, ds.n_classes, forest=f)
+            train_acc = float((f.predict(X) == y).mean())
+            out.append((model, {"train_accuracy": train_acc,
+                                "val_accuracy": _val_accuracy(model, val),
+                                "n_trees": len(f.trees)}))
+        return out
+    if not seeds:
+        return []
+    rngs = [np.random.default_rng([seed, 0xA0D]) for seed in seeds]
+    mlps = [MLPHead(ds.d_audio, config.hidden, ds.n_classes,
+                    dropout=config.dropout, rng=rng, name="audio")
+            for rng in rngs]
+    stack = stack_members(mlps)
 
     def train(X, y, epochs, lr, phase):
         def step(batch):
-            rows = batch[0]
-            logits, cache = mlp.forward(X[rows], mode=TRAIN, rng=rng)
-            loss, dlogits, _ = softmax_cross_entropy_batch(logits, y[rows])
-            mlp.backward(cache, dlogits)
-            return np.array([loss])
+            logits, cache = stack.forward(X[batch], mode=TRAIN, rng=rngs)
+            loss, dlogits, _ = softmax_cross_entropy_batch(logits, y[batch])
+            stack.backward(cache, dlogits)
+            return loss
 
-        log, = train_minibatches(mlp.params(), step, [rng], [seed], len(y),
+        logs = train_minibatches(stack.params(), step, rngs, seeds, len(y),
                                  epochs, lr, config, phase=phase)
-        return [e["train_loss"] for e in log]
+        return [[e["train_loss"] for e in log] for log in logs]
 
-    log = {"pretrain_loss": [], "train_loss": [], "lr": config.lr}
+    pretrain_losses = [[] for _ in seeds]
     lr = config.lr
     if pretrain is not None:
         if pretrain.d_audio != ds.d_audio or pretrain.n_classes != ds.n_classes:
@@ -129,37 +150,21 @@ def train_audio_mlp(ds: Dataset, config: TrainConfig, seed: int,
             raise TrainingError("pretraining dataset has no labeled audio")
         p_epochs = (config.epochs if config.pretrain_epochs is None
                     else config.pretrain_epochs)
-        log["pretrain_loss"] = train(Xp, yp, p_epochs, lr, "pretraining")
+        pretrain_losses = train(Xp, yp, p_epochs, lr, "pretraining")
         lr = config.lr * config.finetune_lr_ratio
-        log["lr"] = lr
-    log["train_loss"] = train(X, y, config.epochs, lr, "training")
-    log["val_accuracy"] = _val_accuracy(model, ds.split("val"))
-    return model, log
-
-
-def train_audio_forest(ds: Dataset, config: TrainConfig, seed: int):
-    """Fit the random-forest audio classifier; returns (model, log)."""
-    config.validate()
-    if ds.d_audio is None:
-        raise TrainingError("dataset has no audio features")
-    X, y = _audio_matrix(ds.split("train"), ds.d_audio)
-    if X is None:
-        raise TrainingError("train split has no labeled clips with audio")
-    f = train_forest(X, y, ds.n_classes, n_trees=config.n_trees, seed=seed,
-                     max_depth=config.max_depth,
-                     max_features=config.max_features)
-    model = AudioModel("forest", ds.d_audio, ds.n_classes, forest=f)
-    train_acc = float((f.predict(X) == y).mean())
-    return model, {"train_accuracy": train_acc,
-                   "val_accuracy": _val_accuracy(model, ds.split("val")),
-                   "n_trees": len(f.trees)}
+    train_losses = train(X, y, config.epochs, lr, "training")
+    models = [AudioModel("mlp", ds.d_audio, ds.n_classes, mlp=mlp)
+              for mlp in mlps]
+    return [(model, {"pretrain_loss": pre, "train_loss": losses, "lr": lr,
+                     "val_accuracy": _val_accuracy(model, val)})
+            for model, pre, losses
+            in zip(models, pretrain_losses, train_losses)]
 
 
 def train_audio_model(ds: Dataset, config: TrainConfig, seed: int,
                       pretrain: Dataset | None = None):
-    """Dispatch on ``config.model``; returns (model, log)."""
-    if config.model == "forest":
-        if pretrain is not None:
-            raise ContractError("the forest model does not support pretraining")
-        return train_audio_forest(ds, config, seed)
-    return train_audio_mlp(ds, config, seed, pretrain=pretrain)
+    """Fit ``config.model`` for one seed; returns (model, log).
+
+    The one-seed call of :func:`train_audio_models`.
+    """
+    return train_audio_models(ds, config, [seed], pretrain)[0]

@@ -6,8 +6,8 @@ recipe). Every file output is written atomically and accompanied by a
 ``<out>.manifest.json`` run manifest recording the command, config snapshot,
 seeds, paths, version, and duration, which is enough to reproduce the output
 bit for bit. All randomness flows from ``--seed``. ``--jobs N`` (N >= 1)
-trains independent units (ensemble members or stacks of avg-pool members,
-folds, seeds) in up to N forked worker processes, capped at the core count,
+trains independent units (stacks of ensemble members of one kind, folds,
+seeds) in up to N forked worker processes, capped at the core count,
 and never changes results.
 
 Exit codes: 0 success, 2 usage error, 1 runtime error. ``SMALLCLIP_LOG``

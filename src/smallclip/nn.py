@@ -7,11 +7,16 @@ backward are pure given (parameters, input, rng state); the one deliberate
 exception is batch-norm's running-statistics update in train mode, which is
 itself deterministic and does not affect the train-mode output.
 
+The leading member axis is optional: a layer whose arrays are M models'
+stacked on axis 0 (``stack_members``) runs each model's math on its slice.
+
 Weight init: uniform(+-sqrt(6 / (fan_in + fan_out))), biases zero, LSTM forget
 bias 1.0.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -53,10 +58,11 @@ def _check_mode(mode):
 
 
 class Linear:
-    """y = x W^T + b with W of shape (d_out, d_in).
+    """y = x W^T + b with W of shape (..., d_out, d_in).
 
     ``bias=False`` drops the additive term (used in front of batch-norm,
-    where a bias would be cancelled by the mean subtraction).
+    where a bias would be cancelled by the mean subtraction). A stacked
+    layer takes x of shape (M, B, d_in), or (B, d_in) shared by all members.
     """
 
     def __init__(self, d_in, d_out, rng=None, name="linear", bias=True):
@@ -72,18 +78,18 @@ class Linear:
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.d_in:
             raise ContractError(f"linear expects last dim {self.d_in}, got {x.shape}")
-        y = x @ self.W.values.T
+        y = x @ self.W.values.swapaxes(-1, -2)
         if self.b is not None:
-            y += self.b.values
+            y += self.b.values if x.ndim == 1 else self.b.values[..., None, :]
         return y, x
 
     def backward(self, cache, grad_out):
         x = cache
         g2 = np.atleast_2d(grad_out)
         x2 = np.atleast_2d(x)
-        self.W.grad += g2.T @ x2
+        self.W.grad += g2.swapaxes(-1, -2) @ x2
         if self.b is not None:
-            self.b.grad += g2.sum(axis=0)
+            self.b.grad += g2.sum(axis=-2)
         return grad_out @ self.W.values
 
 
@@ -99,19 +105,21 @@ class ReLU:
 
 
 def sigmoid(x, out=None):
-    """``1 / (1 + exp(-x))``, into ``out`` when given (it may be ``x``)."""
+    """``1 / (1 + exp(-x))``, into ``out`` when given (it may be ``x``); all
+    but the last pass run on a contiguous temporary, cheaper for a slice."""
     # exp(-x) overflows to inf below x = -709.78 and the result is then 0,
     # the correctly rounded value; above that it stays strictly positive,
     # which the positive frame weights of video.pool_weighted rely on.
     x = np.asarray(x, dtype=np.float64)
     with np.errstate(over="ignore"):
-        e = np.exp(np.negative(x, out=out), out=out)
+        e = np.exp(np.negative(x))
     e += 1.0
     return np.divide(1.0, e, out=out)
 
 
 class BatchNorm:
-    """Batch normalization over axis 0; EMA running stats (momentum 0.1, eps 1e-5).
+    """Batch normalization over the batch axis (-2); EMA running stats
+    (momentum 0.1, eps 1e-5).
 
     Eval mode is a fixed affine map using the running statistics, so eval
     output per sample is independent of batch composition.
@@ -132,36 +140,42 @@ class BatchNorm:
     def forward(self, x, mode=TRAIN, rng=None):
         _check_mode(mode)
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.dim:
-            raise ContractError(f"batch-norm expects (B, {self.dim}), got {x.shape}")
+        if x.ndim < 2 or x.shape[-1] != self.dim:
+            raise ContractError(
+                f"batch-norm expects (..., B, {self.dim}), got {x.shape}")
         if mode == TRAIN:
-            mean = x.mean(axis=0)
-            var = x.var(axis=0)
-            invstd = 1.0 / np.sqrt(var + self.eps)
-            xhat = (x - mean) * invstd
-            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
+            mean = x.mean(axis=-2)
+            var = x.var(axis=-2)
+            invstd = 1.0 / np.sqrt(var + self.eps)[..., None, :]
+            xhat = (x - mean[..., None, :]) * invstd
+            # in place: a stacked member's statistics are views of its slice
+            self.running_mean *= 1 - self.momentum
+            self.running_mean += self.momentum * mean
+            self.running_var *= 1 - self.momentum
+            self.running_var += self.momentum * var
             cache = (xhat, invstd)
         else:
-            invstd = 1.0 / np.sqrt(self.running_var + self.eps)
-            xhat = (x - self.running_mean) * invstd
+            invstd = 1.0 / np.sqrt(self.running_var + self.eps)[..., None, :]
+            xhat = (x - self.running_mean[..., None, :]) * invstd
             cache = (None, invstd)
-        return xhat * self.gamma.values + self.beta.values, cache
+        return (xhat * self.gamma.values[..., None, :]
+                + self.beta.values[..., None, :]), cache
 
     def backward(self, cache, grad_out):
         xhat, invstd = cache
         if xhat is None:
             raise ContractError("batch-norm backward requires a train-mode cache")
-        self.gamma.grad += (grad_out * xhat).sum(axis=0)
-        self.beta.grad += grad_out.sum(axis=0)
-        gxhat = grad_out * self.gamma.values
+        self.gamma.grad += (grad_out * xhat).sum(axis=-2)
+        self.beta.grad += grad_out.sum(axis=-2)
+        gxhat = grad_out * self.gamma.values[..., None, :]
         # d/dx of (x - mean) / sqrt(var + eps) with batch statistics.
-        return invstd * (gxhat - gxhat.mean(axis=0)
-                         - xhat * (gxhat * xhat).mean(axis=0))
+        return invstd * (gxhat - gxhat.mean(axis=-2, keepdims=True)
+                         - xhat * (gxhat * xhat).mean(axis=-2, keepdims=True))
 
 
 class Dropout:
-    """Inverted dropout: train scales kept units by 1/(1-rate), eval is identity."""
+    """Inverted dropout: train scales kept units by 1/(1-rate), eval is identity.
+    A stacked input takes one rng per member, drawing its mask as alone."""
 
     def __init__(self, rate):
         if not (0.0 <= rate < 1.0):
@@ -177,7 +191,13 @@ class Dropout:
             return np.asarray(x, dtype=np.float64), None
         if rng is None:
             raise ContractError("dropout in train mode needs an rng")
-        keep = (rng.random(np.shape(x)) >= self.rate) / (1.0 - self.rate)
+        if isinstance(rng, np.random.Generator):
+            u = rng.random(np.shape(x))
+        else:
+            u = np.empty(np.shape(x))
+            for r, u_m in zip(rng, u):
+                r.random(out=u_m)
+        keep = (u >= self.rate) / (1.0 - self.rate)
         return x * keep, keep
 
     def backward(self, cache, grad_out):
@@ -249,14 +269,16 @@ class LSTMParams:
 
 
 def lstm_forward(params: LSTMParams, xs, keep_caches=True, cache=None):
-    """Run a (B, T, D) batch through the cell from zero state.
+    """Run a (..., B, T, D) batch through the cell from zero state.
 
-    Each step computes ``z = (x_t Wx^T + h Wh^T) + b``, one sigmoid over the
-    whole (B, 4H) gate block and a tanh on its cell slice. Returns the final
-    hidden state (B, H) and the BPTT cache: the inputs and per-step gates,
-    hidden and cell states and tanh(c), as (T, B, .) arrays. With
-    ``keep_caches=False`` (inference) nothing is stored and the cache is
-    None, so memory stays flat in T.
+    Each step computes ``z = (x_t Wx^T + h Wh^T) + b``, a sigmoid over the
+    input, forget and output gate slices of the (..., B, 4H) block and a
+    tanh over its cell slice. Returns the final hidden state (..., B, H) and
+    the BPTT cache: the inputs and per-step gates, hidden and cell states
+    and tanh(c), as (..., T, B, .) arrays. With ``keep_caches=False``
+    (inference) nothing is stored and the cache is None, so memory stays
+    flat in T. Stacked parameters take xs of shape (M, B, T, D), or
+    (B, T, D) shared by all members.
 
     ``cache`` may be an earlier cache that ``lstm_backward`` has consumed;
     if its shapes match this batch, the gates and states are written into
@@ -264,75 +286,84 @@ def lstm_forward(params: LSTMParams, xs, keep_caches=True, cache=None):
     training step. Otherwise it is ignored. The results are the same.
     """
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 3 or xs.shape[2] != params.d_in:
+    if xs.ndim < 3 or xs.shape[-1] != params.d_in:
         raise ContractError(
-            f"lstm_forward expects (B, T, {params.d_in}), got {xs.shape}")
-    B, T, _ = xs.shape
+            f"lstm_forward expects (..., B, T, {params.d_in}), got {xs.shape}")
+    B, T = xs.shape[-3:-1]
     H = params.hidden
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
+    lead = np.broadcast_shapes(xs.shape[:-3], params.Wx.values.shape[:-2])
+    WxT = params.Wx.values.swapaxes(-1, -2)
+    WhT = params.Wh.values.swapaxes(-1, -2)
+    h, c = np.zeros((2, *lead, B, H))
     if not keep_caches:
-        gates = np.empty((1, B, 4 * H))  # one block, rewritten every step
-    elif cache is not None and cache[1].shape == (T, B, 4 * H):
+        a = np.empty((*lead, B, 4 * H))  # one block, rewritten every step
+    elif cache is not None and cache[1].shape == (*lead, T, B, 4 * H):
         _, gates, hs, cs, tcs = cache
     else:
-        gates = np.empty((T, B, 4 * H))
-        hs, cs, tcs = (np.empty((T, B, H)) for _ in range(3))
+        gates = np.empty((*lead, T, B, 4 * H))
+        hs, cs, tcs = (np.empty((*lead, T, B, H)) for _ in range(3))
     for t in range(T):
-        a = gates[t if keep_caches else 0]
-        np.matmul(xs[:, t, :], params.Wx.values.T, out=a)
-        a += h @ params.Wh.values.T
-        a += params.b.values
-        g = np.tanh(a[:, 2 * H:3 * H])
-        sigmoid(a, out=a)
-        a[:, 2 * H:3 * H] = g
-        i, f, o = a[:, 0:H], a[:, H:2 * H], a[:, 3 * H:]
         if keep_caches:
-            hs[t], cs[t] = h, c
+            a = gates[..., t, :, :]
+        np.matmul(xs[..., t, :], WxT, out=a)
+        a += h @ WhT
+        a += params.b.values[..., None, :]
+        i, f, g, o = (a[..., :H], a[..., H:2 * H], a[..., 2 * H:3 * H],
+                      a[..., 3 * H:])
+        gate = a[..., :2 * H]
+        sigmoid(gate, out=gate)
+        np.tanh(g, out=g)
+        sigmoid(o, out=o)
+        if keep_caches:
+            hs[..., t, :, :], cs[..., t, :, :] = h, c
         c = f * c + i * g
-        tc = np.tanh(c, out=tcs[t] if keep_caches else None)
+        tc = np.tanh(c, out=tcs[..., t, :, :] if keep_caches else None)
         h = o * tc
     return h, ((xs, gates, hs, cs, tcs) if keep_caches else None)
 
 
 def lstm_backward(params: LSTMParams, cache, dh_last):
-    """BPTT from a gradient on the final hidden state; returns d(inputs) (B, T, D).
+    """BPTT from a gradient on the final hidden state; returns d(inputs)
+    (..., B, T, D).
 
     The time loop carries only ``dh`` and ``dc``: each step writes its
     pre-activation gradient dz over its gate cache (so a cache serves one
     backward pass). The weight gradients and ``dx`` are then one matmul each
-    over all (T * B) rows.
+    (per member) over all (T * B) rows.
     """
     xs, gates, hs, cs, tcs = cache
-    B, T, D = xs.shape
-    H = params.hidden
+    *lead, T, B, _ = gates.shape
+    D, H = xs.shape[-1], params.hidden
     dh = np.asarray(dh_last, dtype=np.float64)
     dc = np.zeros_like(dh)
     for t in reversed(range(T)):
-        a, tc = gates[t], tcs[t]
-        i, f, g, o = a[:, 0:H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
+        a, tc = gates[..., t, :, :], tcs[..., t, :, :]
+        i, f, g, o = (a[..., :H], a[..., H:2 * H], a[..., 2 * H:3 * H],
+                      a[..., 3 * H:])
         do = dh * tc
         dcell = dc + dh * o * (1.0 - tc * tc)
         di = dcell * g
-        df = dcell * cs[t]
+        df = dcell * cs[..., t, :, :]
         dg = dcell * i
         dc = dcell * f
-        a[:, 0:H] = di * i * (1.0 - i)
-        a[:, H:2 * H] = df * f * (1.0 - f)
-        a[:, 2 * H:3 * H] = dg * (1.0 - g * g)
-        a[:, 3 * H:] = do * o * (1.0 - o)
+        a[..., 0:H] = di * i * (1.0 - i)
+        a[..., H:2 * H] = df * f * (1.0 - f)
+        a[..., 2 * H:3 * H] = dg * (1.0 - g * g)
+        a[..., 3 * H:] = do * o * (1.0 - o)
         dh = a @ params.Wh.values
-    dz = gates.reshape(T * B, 4 * H)
-    params.Wx.grad += dz.T @ xs.transpose(1, 0, 2).reshape(T * B, D)
-    params.Wh.grad += dz.T @ hs.reshape(T * B, H)
-    params.b.grad += dz.sum(axis=0)
-    return (dz @ params.Wx.values).reshape(T, B, D).transpose(1, 0, 2)
+    dz = gates.reshape(*lead, T * B, 4 * H)
+    dzT = dz.swapaxes(-1, -2)
+    params.Wx.grad += dzT @ xs.swapaxes(-3, -2).reshape(*lead, T * B, D)
+    params.Wh.grad += dzT @ hs.reshape(*lead, T * B, H)
+    params.b.grad += dz.sum(axis=-2)
+    return (dz @ params.Wx.values).reshape(*lead, T, B, D).swapaxes(-3, -2)
 
 
 # -- MLP head ------------------------------------------------------------------
 
 class MLPHead:
-    """linear -> batch-norm -> ReLU -> dropout -> linear, for per-clip vectors.
+    """linear -> batch-norm -> ReLU -> dropout -> linear, for per-clip vectors
+    (..., B, d_in).
 
     The hidden linear is bias-free: batch-norm's shift parameter plays that
     role, and a bias in front of the mean subtraction would be untrainable.
@@ -366,3 +397,35 @@ class MLPHead:
         g = self.relu.backward(c3, g)
         g = self.bn.backward(c2, g)
         return self.hidden_layer.backward(c1, g)
+
+
+# -- stacked members -----------------------------------------------------------
+
+def _arrays(model):
+    """(object, attribute) of every array a model trains: its parameters'
+    values and gradients, then its batch-norm layers' running statistics."""
+    return ([(p, name) for p in model.params() for name in ("values", "grad")]
+            + [(layer, name) for layer in vars(model).values()
+               if isinstance(layer, BatchNorm)
+               for name in ("running_mean", "running_var")])
+
+
+def stack_members(models):
+    """A copy of ``models[0]`` whose trained arrays (``_arrays``) are all
+    the same-shaped models', stacked on a new leading member axis.
+
+    Every layer runs member m's math on slice m, so the stack trains and
+    scores each member bit for bit as it would alone. Each model's arrays
+    become views of its slice: what the stack learns is the members' own,
+    and memory holds one copy of each.
+    """
+    # shares models[0]'s arrays; a lone model's gain the axis as views
+    first = [getattr(o, n) for o, n in _arrays(models[0])]
+    stack = copy.deepcopy(models[0], {id(a): a for a in first})
+    for (obj, name), *members in zip(_arrays(stack), *map(_arrays, models)):
+        arrays = [getattr(o, n) for o, n in members]
+        setattr(obj, name, arrays[0][None] if len(arrays) == 1
+                else np.stack(arrays))
+        for (o, n), view in zip(members, getattr(obj, name)):
+            setattr(o, n, view)
+    return stack

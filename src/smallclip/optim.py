@@ -100,7 +100,7 @@ def _check_stack_finite(epoch, seeds, loss, params, phase=None):
     """TrainingError naming ``epoch`` (of ``phase``, when given) and the
     seed of the first member whose loss or gradient is not finite; nothing
     if all are finite. Member m's gradient is ``p.grad[m]`` of each
-    parameter, or all of it in a stack of one."""
+    parameter (all of it in a model without the member axis)."""
     bad_loss = ~np.isfinite(loss)
     bad = bad_loss.copy()
     for p in params:
@@ -120,10 +120,10 @@ def train_minibatches(params, step, rngs, seeds, n, epochs, lr, config,
     Each epoch, member m orders the ``n`` train rows by
     ``rngs[m].permutation(n)`` and cuts them into ``config.batch_size``
     slices. ``step(batch)`` gets one slice's (M, b) row indices, adds each
-    member's gradient into ``params`` (stacked, or a stack of one's own)
-    and returns the (M,) mean losses; the loss and gradient of every member
-    are checked (``_check_stack_finite``) before one optimizer of
-    ``config.optimizer`` at ``lr`` steps all ``params``. A log is one dict
+    member's gradient into its slice of ``params`` and returns the (M,)
+    mean losses; the loss and gradient of every member are checked
+    (``_check_stack_finite``) before one optimizer of ``config.optimizer``
+    at ``lr`` steps all ``params``. A log is one dict
     per epoch: the size-weighted mean train loss and, when ``val`` is
     ``(val_logits, labels)``, the accuracy of the argmax of one softmax over
     the (M, N, C) logits ``val_logits()`` returns (else None).

@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .audio import train_audio_model
+from .audio import train_audio_model, train_audio_models
 from .config import AUDIO_MODELS, VIDEO_HEADS, TrainConfig
 from .data import Dataset, build_dataset, read_text
 from .errors import ConfigError
@@ -157,22 +157,20 @@ def train_member(ds: Dataset, cfg: TrainConfig, modality: str, seed: int,
 def _units(members, jobs: int):
     """Lists of member indices, each trained as one unit.
 
-    The avg-pool members train as stacks (one stacked model, see
-    ``video.train_video_models``): they are split into at most ``jobs``
+    The members of one (modality, kind) that trains by gradient train as
+    stacks (one stacked model each, see ``video.train_video_models`` and
+    ``audio.train_audio_models``): they are split into at most ``jobs``
     stacks of contiguous members, as even as can be, so the workers share
-    them. Every other member is a unit of its own. Units are in order of
-    their first member.
+    them. Forest and score-mean members are units of their own. Units are
+    in order of their first member.
     """
-    stack, units = [], []
+    groups = {}  # in order of first member
     for i, member in enumerate(members):
-        if member["kind"] != "avg-pool":
-            units.append([i])
-            continue
-        if not stack:
-            units.append(stack)
-        stack.append(i)
+        alone = member["kind"] in ("forest", "score-mean")
+        key = i if alone else (member["modality"], member["kind"])
+        groups.setdefault(key, []).append(i)
     out = []
-    for unit in units:
+    for unit in groups.values():
         k = min(jobs, len(unit))
         out.extend(unit[j * len(unit) // k:(j + 1) * len(unit) // k]
                    for j in range(k))
@@ -186,7 +184,8 @@ def score_members(train_ds: Dataset, config: TrainConfig, members, clips,
     ``members`` are dicts with ``modality``, ``kind`` and ``seed``. Returns
     one (N, C) probability array per member, in member order. Members are
     independent, so how ``jobs`` splits them into units (``_units``) only
-    changes wall-clock time: a stack scores every clip in one batched pass.
+    changes wall-clock time: a unit trains as one stack, and a video stack
+    scores every clip in one batched pass (``video.predict_stacked``).
     Frames are selected for every clip before the units start, so worker
     processes share one selection per clip. Only the audio mlp takes the
     ``pretrain`` corpus.
@@ -199,16 +198,16 @@ def score_members(train_ds: Dataset, config: TrainConfig, members, clips,
     def run_unit(unit):
         first = members[unit[0]]
         cfg = TrainConfig(**vars(config))
-        setattr(cfg, "head" if first["modality"] == "video" else "model",
-                first["kind"])
+        seeds = [members[i]["seed"] for i in unit]
         if first["modality"] == "video":
-            trained = train_video_models(
-                train_ds, cfg, [members[i]["seed"] for i in unit])
+            cfg.head = first["kind"]
+            trained = train_video_models(train_ds, cfg, seeds)
             return predict_stacked([model for model, _ in trained], clips)
-        model, _ = train_member(
-            train_ds, cfg, first["modality"], first["seed"],
+        cfg.model = first["kind"]
+        trained = train_audio_models(
+            train_ds, cfg, seeds,
             pretrain=pretrain if first["kind"] == "mlp" else None)
-        return model.predict_batch(clips)[None]
+        return [model.predict_batch(clips) for model, _ in trained]
 
     units = _units(members, jobs)
     probs = [None] * len(members)
@@ -229,12 +228,12 @@ def run_recipe(recipe: Recipe, ds: Dataset, config: TrainConfig, seed: int,
     """Train every member, ensemble within modality, fuse across modalities.
 
     Member i (in recipe order, video first) trains with seed ``seed + i``.
-    The avg-pool members train as stacked models, split into at most
-    ``jobs`` stacks; every other member trains alone (``score_members``). Members are independent, so ``jobs`` only changes
-    wall-clock time. The returned table scores every clip in the dataset;
-    the report holds val-split accuracy, or test-split accuracy when
-    training consumed the val split, or None when the relevant split has no
-    labels.
+    The members of each gradient-trained kind train as stacked models,
+    split into at most ``jobs`` stacks (``score_members``). Members are
+    independent, so ``jobs`` only changes wall-clock time. The returned
+    table scores every clip in the dataset; the report holds val-split
+    accuracy, or test-split accuracy when training consumed the val split,
+    or None when the relevant split has no labels.
     """
     recipe.validate()
     config.validate()

@@ -21,8 +21,8 @@ import numpy as np
 from .config import TrainConfig, VIDEO_HEADS
 from .data import Clip, Dataset, argmax_lowest
 from .errors import ContractError, TrainingError
-from .nn import (LSTMParams, Linear, ParamTensor, lstm_backward,
-                 lstm_forward, sigmoid, softmax, softmax_cross_entropy_batch)
+from .nn import (LSTMParams, Linear, lstm_backward, lstm_forward, sigmoid,
+                 softmax, softmax_cross_entropy_batch, stack_members)
 from .optim import train_minibatches
 
 
@@ -99,22 +99,27 @@ def predict_score_mean(clip: Clip, score_mode: str = "probs") -> np.ndarray:
 def pool_average(F) -> np.ndarray:
     """Unweighted mean of each clip's selected frame features.
 
-    ``F`` is (B, n, D), one row of frames per clip; returns (B, D).
+    ``F`` is (..., B, n, D), one row of frames per clip; returns (..., B, D),
+    a view for one-frame clips.
     """
-    return F.mean(axis=1)
+    return F[..., 0, :] if F.shape[-2] == 1 else F.mean(axis=-2)
 
 
 def pool_weighted(F, AV, regressor: Linear):
     """Weighted mean of each clip's frames, weights sigmoid(av @ a + b).
 
-    ``F`` is (B, n, D) and ``AV`` (B, n, 2); returns ``(pooled, w)`` of
-    shapes (B, D) and (B, n). Weights are strictly positive (sigmoid), and
+    ``F`` is (..., B, n, D) and ``AV`` (..., B, n, 2); returns ``(pooled,
+    w)`` of shapes (..., B, D) and (..., B, n). A stacked regressor takes
+    them per member or shared. Weights are strictly positive (sigmoid), and
     each pooled row is the weight-normalized average of its clip's frames,
     so a zero regressor (all weights 0.5) reduces to the plain average.
     """
-    z = AV.reshape(-1, 2) @ regressor.W.values.T + regressor.b.values
-    w = sigmoid(z.reshape(F.shape[0], F.shape[1]))
-    pooled = np.einsum("bn,bnd->bd", w, F) / w.sum(axis=1)[:, None]
+    W, b = regressor.W.values, regressor.b.values
+    z = AV.reshape(*AV.shape[:-3], -1, 2) @ W.swapaxes(-1, -2)
+    z += b[..., None, :]
+    w = sigmoid(z.reshape(*z.shape[:-2], *AV.shape[-3:-1]))
+    pooled = np.einsum("...bn,...bnd->...bd", w, F)
+    pooled /= w.sum(axis=-1)[..., None]
     return pooled, w
 
 
@@ -129,9 +134,11 @@ def _check_feature_dim(clips, d_feature):
 class VideoModel:
     """A trained (or trainable) temporal pooling head.
 
-    Parameters live in ``ParamTensor`` objects reachable via ``params()``.
+    Parameters live in ``ParamTensor`` objects reachable via ``params()``;
+    a model made by ``nn.stack_members`` holds M members' on a leading axis.
     Training and inference share one batched forward pass; ``predict_batch``
-    is the only inference path and ``predict`` is its one-row case.
+    is the one-model case of the only inference path, ``predict_stacked``,
+    and ``predict`` is its one-row case.
     """
 
     def __init__(self, kind: str, n: int, d_feature: int, n_classes: int,
@@ -171,15 +178,17 @@ class VideoModel:
     def forward_batch(self, F, AV, keep_cache=True, spent=None):
         """Logits for a batch of selected clips; returns (logits, cache).
 
-        ``keep_cache=False`` is for inference: the LSTM then keeps no BPTT
-        caches, so the returned cache cannot be passed to ``backward_batch``.
-        ``spent`` may be an earlier cache that ``backward_batch`` has
-        consumed; the LSTM writes its new BPTT cache into it
-        (``lstm_forward``'s ``cache``). Other heads ignore it.
+        ``F`` is (..., B, n, D) and ``AV`` (..., B, n, 2); a stacked model
+        takes them per member (M, B, ...) or shared by all members (B, ...)
+        and returns (M, B, C) logits. ``keep_cache=False`` is for
+        inference: the LSTM then keeps no BPTT caches, so the returned cache
+        cannot be passed to ``backward_batch``. ``spent`` may be an earlier
+        cache that ``backward_batch`` has consumed; the LSTM writes its new
+        BPTT cache into it (``lstm_forward``'s ``cache``).
         """
         if self.kind == "avg-pool":
             logits, lcache = self.classifier.forward(pool_average(F))
-            return logits, (lcache, F.shape[1])
+            return logits, (lcache, F.shape[-2])
         if self.kind == "weighted-avg-pool":
             pooled, w = pool_weighted(F, AV, self.regressor)
             logits, lcache = self.classifier.forward(pooled)
@@ -196,18 +205,22 @@ class VideoModel:
         if self.kind == "avg-pool":
             lcache, n = cache
             dpooled = self.classifier.backward(lcache, dlogits)
-            return np.repeat(dpooled[:, None, :], n, axis=1) / n
+            return np.repeat(dpooled[..., None, :] / n, n, axis=-2)
         if self.kind == "weighted-avg-pool":
             lcache, F, AV, w, pooled = cache
-            s = w.sum(axis=1)
+            s = w.sum(axis=-1)
             dpooled = self.classifier.backward(lcache, dlogits)
             # quotient rule through pooled = sum_i w_i f_i / sum_i w_i
-            dw = np.einsum("bnd,bd->bn", F - pooled[:, None, :], dpooled)
-            dw /= s[:, None]
+            dw = np.einsum("...bnd,...bd->...bn", F - pooled[..., None, :],
+                           dpooled)
+            dw /= s[..., None]
             dz = dw * w * (1.0 - w)
-            self.regressor.W.grad += dz.reshape(1, -1) @ AV.reshape(-1, 2)
-            self.regressor.b.grad += dz.sum()
-            return w[:, :, None] * dpooled[:, None, :] / s[:, None, None]
+            lead = dz.shape[:-2]
+            self.regressor.W.grad += (dz.reshape(*lead, 1, -1)
+                                      @ AV.reshape(*lead, -1, 2))
+            self.regressor.b.grad += dz.reshape(*lead, -1).sum(
+                axis=-1, keepdims=True)
+            return w[..., None] * dpooled[..., None, :] / s[..., None, None]
         if self.kind == "lstm":
             lcache, lstm_cache, shape = cache
             dh = self.classifier.backward(lcache, dlogits)
@@ -217,20 +230,9 @@ class VideoModel:
     # -- inference -------------------------------------------------------
 
     def predict_batch(self, clips) -> np.ndarray:
-        """Class probabilities (N, C), one row per clip, in order.
-
-        Frames are selected once per clip (``selected_frames``); the trained
-        heads then run ``forward_batch`` over the whole batch.
-        """
-        _check_feature_dim(clips, self.d_feature)
-        if not clips:
-            return np.empty((0, self.n_classes))
-        if self.kind == "score-mean":
-            return np.stack([predict_score_mean(c, self.score_mode)
-                             for c in clips])
-        logits, _ = self.forward_batch(*_stack_selected(clips, self.n),
-                                       keep_cache=False)
-        return softmax(logits, axis=1)
+        """Class probabilities (N, C), one row per clip, in order: the
+        one-model case of ``predict_stacked``."""
+        return predict_stacked([self], clips)[0]
 
     def predict(self, clip: Clip) -> np.ndarray:
         return self.predict_batch([clip])[0]
@@ -245,85 +247,6 @@ def _split_accuracy(model: VideoModel, clips) -> float | None:
     return hits / len(labeled)
 
 
-def _stacked_logits(x, W, b):
-    """``x @ W[m].T + b[m]`` for every stacked member m, as (M, B, C).
-
-    ``x`` is (M, B, D), one batch per member, or (B, D), shared by all. Each
-    member's slice is the matmul and add that ``Linear.forward`` runs for
-    that member alone, so it is the same bit for bit.
-    """
-    y = x @ W.transpose(0, 2, 1)
-    y += b[:, None, :]
-    return y
-
-
-def stacked_avg_pool_loss(x, labels, W: ParamTensor, b: ParamTensor):
-    """Per-member mean cross-entropy of M stacked avg-pool classifiers.
-
-    ``x`` is (M, B, D) pooled features, ``labels`` (M, B), ``W`` (M, C, D)
-    and ``b`` (M, C). Accumulates each member's gradient into ``W.grad`` and
-    ``b.grad`` and returns the (M,) losses.
-    """
-    loss, g, _ = softmax_cross_entropy_batch(
-        _stacked_logits(x, W.values, b.values), labels)
-    W.grad += g.transpose(0, 2, 1) @ x
-    b.grad += g.sum(axis=1)
-    return loss
-
-
-def _train_avg_pool_stack(models, rngs, seeds, P, y, val_batch, config):
-    """Train avg-pool members in lockstep, stacked on a leading axis.
-
-    Avg-pool's pooling has no parameters, so ``P``, the train clips' mean
-    frame features computed once, feeds every step. Each member gathers its
-    own batch rows; every matmul, softmax and reduction runs per member
-    slice, and the optimizers are elementwise, so each member's parameters
-    and log are bit for bit those it gets when trained alone. Returns one
-    log per member.
-    """
-    W = ParamTensor("classifier.W",
-                    np.stack([m.classifier.W.values for m in models]))
-    b = ParamTensor("classifier.b",
-                    np.stack([m.classifier.b.values for m in models]))
-    val = None
-    if val_batch is not None:
-        P_val = pool_average(val_batch[0])
-        val = (lambda: _stacked_logits(P_val, W.values, b.values),
-               val_batch[2])
-    logs = train_minibatches(
-        [W, b], lambda batch: stacked_avg_pool_loss(P[batch], y[batch], W, b),
-        rngs, seeds, len(y), config.epochs, config.lr, config, val)
-    for model, W_m, b_m in zip(models, W.values, b.values):
-        model.classifier.W.values = W_m.copy()
-        model.classifier.b.values = b_m.copy()
-    return logs
-
-
-def _train_alone(model, rng, seed, F, AV, y, val_batch, config):
-    """Train one head of any trainable kind as a stack of one, through
-    ``forward_batch``/``backward_batch``; returns its per-epoch log. Each
-    step hands the cache the previous step's backward consumed to the next
-    forward, to be written over."""
-    spent = None
-
-    def step(batch):
-        nonlocal spent
-        rows = batch[0]
-        logits, cache = model.forward_batch(F[rows], AV[rows], spent=spent)
-        loss, dlogits, _ = softmax_cross_entropy_batch(logits, y[rows])
-        model.backward_batch(cache, dlogits)
-        spent = cache
-        return np.array([loss])
-
-    val = None
-    if val_batch is not None:
-        F_val, AV_val, y_val = val_batch
-        val = (lambda: model.forward_batch(F_val, AV_val,
-                                           keep_cache=False)[0][None], y_val)
-    return train_minibatches(model.params(), step, [rng], [seed], len(y),
-                             config.epochs, config.lr, config, val)[0]
-
-
 def train_video_model(ds: Dataset, config: TrainConfig, seed: int):
     """Fit the configured head on the train split; returns (model, log).
 
@@ -336,17 +259,15 @@ def train_video_models(ds: Dataset, config: TrainConfig, seeds):
     """Fit one head per seed on the train split; returns [(model, log), ...].
 
     A log is one dict per epoch with the mean train loss and the val-split
-    accuracy (None when the val split is empty). Each member is
-    deterministic in (dataset, config, seed) and does not depend on the
-    other seeds: its rng ``default_rng([seed, 0x71D])`` draws its init and
-    its epoch permutations. Frames are selected once per clip and shared
-    with every other model trained or scored on the same clips; the train
-    and labeled val clips are stacked once per call, and only head
-    parameters are trained. Every head trains in ``optim.train_minibatches``:
-    avg-pool members in lockstep as one stacked model
-    (``_train_avg_pool_stack``), the other heads one after another as
-    stacks of one. A non-finite loss or gradient raises a TrainingError
-    naming the epoch and the first failing member's seed.
+    accuracy (None when the val split is empty). Member m's rng
+    ``default_rng([seeds[m], 0x71D])`` draws its init and its epoch
+    permutations. Frames are selected once per clip, the train and labeled
+    val clips are stacked once per call, and the members train in lockstep
+    as one stacked model (``nn.stack_members``) in
+    ``optim.train_minibatches``, so each member's parameters and log are
+    bit for bit those it gets when trained alone. A non-finite loss or
+    gradient raises a TrainingError naming the epoch and the first failing
+    member's seed.
     """
     config.validate()
     seeds = list(seeds)
@@ -366,39 +287,50 @@ def train_video_models(ds: Dataset, config: TrainConfig, seeds):
                           "val_accuracy": _split_accuracy(model, val_clips)}])
                 for model in models]
 
-    F, AV = _stack_selected(train_clips, config.n)
-    y = np.array([c.label for c in train_clips], dtype=np.int64)
-    val_labeled = [c for c in val_clips if c.label is not None]
-    val_batch = None
-    if val_labeled:
-        val_batch = (*_stack_selected(val_labeled, config.n),
-                     np.array([c.label for c in val_labeled], dtype=np.int64))
+    def inputs(clips):
+        F, AV = _stack_selected(clips, config.n)
+        if config.head == "avg-pool":  # pool once, not every step
+            return pool_average(F)[:, None, :], AV[:, :1]
+        return F, AV
 
-    if config.head == "avg-pool":
-        logs = _train_avg_pool_stack(models, rngs, seeds, pool_average(F), y,
-                                     val_batch, config)
-    else:
-        logs = [_train_alone(model, rng, seed, F, AV, y, val_batch, config)
-                for model, rng, seed in zip(models, rngs, seeds)]
+    F, AV = inputs(train_clips)
+    y = np.array([c.label for c in train_clips], dtype=np.int64)
+    stack = stack_members(models)
+    spent = {}  # per batch shape, the cache its last backward consumed
+
+    def step(batch):
+        logits, cache = stack.forward_batch(F[batch], AV[batch],
+                                            spent=spent.get(batch.shape))
+        loss, dlogits, _ = softmax_cross_entropy_batch(logits, y[batch])
+        stack.backward_batch(cache, dlogits)
+        spent[batch.shape] = cache
+        return loss
+
+    val = None
+    val_labeled = [c for c in val_clips if c.label is not None]
+    if val_labeled:
+        F_val, AV_val = inputs(val_labeled)
+        val = (lambda: stack.forward_batch(F_val, AV_val, keep_cache=False)[0],
+               np.array([c.label for c in val_labeled], dtype=np.int64))
+    logs = train_minibatches(stack.params(), step, rngs, seeds, len(y),
+                             config.epochs, config.lr, config, val)
     return list(zip(models, logs))
 
 
 def predict_stacked(models, clips) -> np.ndarray:
-    """``np.stack([m.predict_batch(clips) for m in models])``, as (M, N, C).
-
-    The models share kind, ``n`` and feature dim. Avg-pool heads score all
-    clips in one batched pass over the pooled frame features, and member
-    m's rows are bit for bit ``models[m].predict_batch(clips)``; other heads
-    are scored one model at a time.
+    """Class probabilities (M, N, C) of M models sharing kind, ``n`` and
+    feature dim, one row per clip: one forward of the models' stack
+    (``nn.stack_members``) over frames selected once per clip. Member m's
+    rows are bit for bit those it scores alone. The untrained score-mean
+    head reads the stored frame scores instead.
     """
     first = models[0]
-    if first.kind != "avg-pool" or not clips:
-        return np.stack([m.predict_batch(clips) for m in models])
     _check_feature_dim(clips, first.d_feature)
-    P = pool_average(_stack_selected(clips, first.n)[0])
-    W = np.stack([m.classifier.W.values for m in models])
-    b = np.stack([m.classifier.b.values for m in models])
-    probs = _stacked_logits(P, W, b)
-    for m, logits in enumerate(probs):  # per member: temporaries stay (N, C)
-        probs[m] = softmax(logits, axis=-1)
-    return probs
+    if not clips:
+        return np.empty((len(models), 0, first.n_classes))
+    if first.kind == "score-mean":
+        return np.stack([np.stack([predict_score_mean(c, m.score_mode)
+                                   for c in clips]) for m in models])
+    logits, _ = stack_members(models).forward_batch(
+        *_stack_selected(clips, first.n), keep_cache=False)
+    return softmax(logits, axis=-1)

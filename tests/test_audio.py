@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from smallclip import audio as audio_module
-from smallclip.audio import AudioModel, train_audio_model
+from smallclip.audio import AudioModel, train_audio_model, train_audio_models
 from smallclip.config import TrainConfig
 from smallclip.data import argmax_lowest, build_dataset
 from smallclip.errors import ContractError, TrainingError
@@ -226,22 +226,27 @@ def _train_mlp_reference(ds, config, seed, pretrain=None):
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
 def test_mlp_matches_per_phase_reference(optimizer, pretrained):
     # 42 train and 63 pretraining clips at batch size 16 end on short
-    # batches; dropout makes every step draw from the member's rng
+    # batches; dropout makes every step draw from the member's rng. Members
+    # of a stack of 3 equal the same members trained as stacks of one and
+    # trained by the per-phase reference loop.
     ds = audio_dataset(seed=11)
     pre = audio_dataset(seed=12, centroid_seed=3) if pretrained else None
     cfg = TrainConfig(model="mlp", epochs=3, hidden=12, dropout=0.3,
                       optimizer=optimizer, lr=0.05, pretrain_epochs=2)
-    for seed in (0, 5, 9):
-        model, log = train_audio_model(ds, cfg, seed, pretrain=pre)
-        ref, ref_log = _train_mlp_reference(ds, cfg, seed, pretrain=pre)
-        for p, q in zip(model.params(), ref.params(), strict=True):
-            assert p.name == q.name
-            assert np.array_equal(p.values, q.values)
-        assert np.array_equal(model.mlp.bn.running_mean,
-                              ref.mlp.bn.running_mean)
-        assert np.array_equal(model.mlp.bn.running_var,
-                              ref.mlp.bn.running_var)
-        assert log == ref_log
+    seeds = (0, 5, 9)
+    for seed, (model, log) in zip(
+            seeds, train_audio_models(ds, cfg, seeds, pretrain=pre)):
+        for ref, ref_log in (train_audio_model(ds, cfg, seed, pretrain=pre),
+                             _train_mlp_reference(ds, cfg, seed,
+                                                  pretrain=pre)):
+            for p, q in zip(model.params(), ref.params(), strict=True):
+                assert p.name == q.name
+                assert np.array_equal(p.values, q.values)
+            assert np.array_equal(model.mlp.bn.running_mean,
+                                  ref.mlp.bn.running_mean)
+            assert np.array_equal(model.mlp.bn.running_var,
+                                  ref.mlp.bn.running_var)
+            assert log == ref_log
         assert len(log["pretrain_loss"]) == (2 if pretrained else 0)
 
 
@@ -256,3 +261,6 @@ def test_nonfinite_mlp_run_names_phase_epoch_and_seed(pretrained):
                        match=rf"^non-finite loss at {phase} epoch 0 in the "
                              r"member with seed 7; try a lower lr$"):
         train_audio_model(ds, cfg, seed=7, pretrain=ds if pretrained else None)
+    with pytest.raises(TrainingError, match=rf"{phase} epoch 0 .*seed 4;"):
+        train_audio_models(ds, cfg, [4, 7],
+                           pretrain=ds if pretrained else None)

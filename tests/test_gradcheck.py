@@ -3,7 +3,8 @@ import pytest
 
 from smallclip.errors import ContractError
 from smallclip.gradcheck import grad_check
-from smallclip.nn import Linear, MLPHead, ParamTensor
+from smallclip.nn import (Linear, MLPHead, ParamTensor,
+                          softmax_cross_entropy_batch, stack_members)
 
 from conftest import softmax_cross_entropy
 
@@ -55,6 +56,27 @@ def test_mlp_head_with_cross_entropy(rng):
         return total
 
     err = grad_check(loss_fn, mlp.params() + [x_t])
+    assert err < 1e-4
+
+
+def test_stacked_mlp_head_grad_check(rng):
+    M, B, D, C = 3, 5, 4, 3
+    stack = stack_members([MLPHead(D, 6, C, dropout=0.4,
+                                   rng=np.random.default_rng(m))
+                           for m in range(M)])
+    x_t = ParamTensor("x", rng.standard_normal((M, B, D)))
+    labels = rng.integers(0, C, size=(M, B))
+
+    def loss_fn(compute_grad):
+        # one rng per member, reseeded so every call draws the same masks
+        rngs = [np.random.default_rng(10 + m) for m in range(M)]
+        logits, cache = stack.forward(x_t.values, mode="train", rng=rngs)
+        loss, dlogits, _ = softmax_cross_entropy_batch(logits, labels)
+        if compute_grad:
+            x_t.grad += stack.backward(cache, dlogits)
+        return float(loss.sum())
+
+    err = grad_check(loss_fn, stack.params() + [x_t])
     assert err < 1e-4
 
 

@@ -6,15 +6,14 @@ from smallclip.data import Clip
 from smallclip.errors import ContractError, TrainingError
 from smallclip.gradcheck import grad_check
 from smallclip.nn import (Linear, ParamTensor, lstm_forward, sigmoid, softmax,
-                          softmax_cross_entropy_batch)
+                          softmax_cross_entropy_batch, stack_members)
 from smallclip.optim import _check_stack_finite, make_optimizer
 from smallclip.synth import SynthConfig, generate_synthetic
 from smallclip import video as video_module
 from smallclip.video import (VideoModel, pool_average, pool_weighted,
                              predict_score_mean, predict_stacked,
                              select_frames, selected_frames,
-                             stacked_avg_pool_loss, train_video_model,
-                             train_video_models)
+                             train_video_model, train_video_models)
 
 from conftest import lstm_step, make_clip
 
@@ -473,23 +472,50 @@ def _train_alone_per_model(ds, cfg, seed):
     return model, log
 
 
-@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-@pytest.mark.parametrize("head", ["weighted-avg-pool", "lstm"])
-def test_stack_of_one_matches_per_model_reference(head, optimizer):
-    # 35 train clips at batch size 16 end on a 3-row batch
-    ds = generate_synthetic(SynthConfig(
+def short_batch_dataset():
+    """35 train clips, so batch size 16 ends every epoch on a 3-row batch."""
+    return generate_synthetic(SynthConfig(
         train_per_class=5, val_per_class=3, n_classes=7, margin=2.0,
         noise=0.5, frames_min=3, frames_max=9), seed=4)
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("head", ["avg-pool", "weighted-avg-pool", "lstm"])
+def test_stack_of_one_matches_per_model_reference(head, optimizer):
+    # members of a stack of 3 equal the same members trained as stacks of
+    # one and trained by the per-model reference loop
+    ds = short_batch_dataset()
     cfg = TrainConfig(head=head, n=6, epochs=3, optimizer=optimizer,
                       momentum=0.9, lr=0.05, lstm_hidden=8)
     seeds = [0, 5, 9]
     for seed, (model, log) in zip(seeds, train_video_models(ds, cfg, seeds)):
-        ref, ref_log = _train_alone_per_model(ds, cfg, seed)
-        for p, q in zip(model.params(), ref.params(), strict=True):
-            assert p.name == q.name
-            assert np.array_equal(p.values, q.values)
-        assert log == ref_log
+        for ref, ref_log in (train_video_model(ds, cfg, seed),
+                             _train_alone_per_model(ds, cfg, seed)):
+            for p, q in zip(model.params(), ref.params(), strict=True):
+                assert p.name == q.name
+                assert np.array_equal(p.values, q.values)
+            assert log == ref_log
         assert len(log) == cfg.epochs
+
+
+def test_lstm_steps_write_into_the_cache_of_their_batch_shape(monkeypatch):
+    ds = short_batch_dataset()
+    cfg = TrainConfig(head="lstm", n=6, epochs=3, lstm_hidden=8)
+    written_into = []
+    real = video_module.lstm_forward
+
+    def recording(params, xs, keep_caches=True, cache=None):
+        h, new = real(params, xs, keep_caches=keep_caches, cache=cache)
+        if keep_caches:
+            written_into.append(cache is not None and all(
+                a is b for a, b in zip(new[1:], cache[1:])))
+        return h, new
+
+    monkeypatch.setattr(video_module, "lstm_forward", recording)
+    train_video_models(ds, cfg, [0, 1])
+    # epoch 0 allocates one cache per batch shape (16 rows, then 3 rows);
+    # every later step writes into the one its shape last consumed
+    assert written_into == [False, True, False] + [True] * 6
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -505,10 +531,7 @@ def test_nonfinite_lstm_run_names_epoch_and_seed():
 
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
 def test_avg_pool_stack_matches_members_trained_alone(optimizer):
-    # 35 train clips at batch size 16 end on a 3-row batch
-    ds = generate_synthetic(SynthConfig(
-        train_per_class=5, val_per_class=3, n_classes=7, margin=2.0,
-        noise=0.5, frames_min=3, frames_max=9), seed=4)
+    ds = short_batch_dataset()
     cfg = TrainConfig(head="avg-pool", n=6, epochs=3, optimizer=optimizer,
                       momentum=0.9, lr=0.05)
     stack = train_video_models(ds, cfg, range(50))
@@ -531,38 +554,45 @@ def test_avg_pool_stack_matches_members_trained_alone(optimizer):
         assert log == ref_log
 
 
-def test_stacked_avg_pool_loss_gradients():
+@pytest.mark.parametrize("head", ["avg-pool", "weighted-avg-pool", "lstm"])
+def test_stacked_head_gradients(head):
     rng = np.random.default_rng(21)
-    M, B, D, C = 3, 4, 5, 3
-    x = rng.standard_normal((M, B, D))
+    M, B, n, D, C = 3, 4, 3, 5, 3
+    stack = stack_members([VideoModel(head, n, D, C, lstm_hidden=3,
+                                      rng=np.random.default_rng(m))
+                           for m in range(M)])
+    F = ParamTensor("F", rng.standard_normal((M, B, n, D)))
+    AV = rng.uniform(-1, 1, (M, B, n, 2))
     labels = rng.integers(0, C, size=(M, B))
-    W = ParamTensor("W", rng.standard_normal((M, C, D)))
-    b = ParamTensor("b", rng.standard_normal((M, C)))
 
     def loss_fn(compute_grad):
-        # grad_check copies the gradient of the first call; the sum's
-        # gradient in W[m], b[m] is member m's own
-        return float(stacked_avg_pool_loss(x, labels, W, b).sum())
+        logits, cache = stack.forward_batch(F.values, AV)
+        loss, dlogits, _ = softmax_cross_entropy_batch(logits, labels)
+        if compute_grad:
+            F.grad += stack.backward_batch(cache, dlogits)
+        # the sum's gradient in member m's slice is member m's own
+        return float(loss.sum())
 
-    assert grad_check(loss_fn, [W, b]) < 1e-6
+    assert grad_check(loss_fn, stack.params() + [F]) < 1e-5
 
 
 def test_predict_stacked_matches_predict_batch():
     ds = easy_dataset(seed=6)
-    cfg = TrainConfig(head="avg-pool", n=5, epochs=2)
-    models = [m for m, _ in train_video_models(ds, cfg, [3, 1, 4])]
-    probs = predict_stacked(models, ds.clips)
-    assert probs.shape == (3, len(ds.clips), ds.n_classes)
-    for model, rows in zip(models, probs):
-        assert np.array_equal(rows, model.predict_batch(ds.clips))
-    lstm = [m for m, _ in train_video_models(
-        ds, TrainConfig(head="lstm", n=5, epochs=1, lstm_hidden=4), [0, 1])]
-    probs = predict_stacked(lstm, ds.clips)
-    for model, rows in zip(lstm, probs):
-        assert np.array_equal(rows, model.predict_batch(ds.clips))
-    wide = make_clip(np.random.default_rng(0), "wide", d_feature=9)
-    with pytest.raises(ContractError, match="clip wide: feature dim 9"):
-        predict_stacked(models, [wide])
+    for head in VIDEO_HEADS:
+        cfg = TrainConfig(head=head, n=5, epochs=2, lstm_hidden=4)
+        models = [m for m, _ in train_video_models(ds, cfg, [3, 1, 4])]
+        probs = predict_stacked(models, ds.clips)
+        assert probs.shape == (3, len(ds.clips), ds.n_classes)
+        assert predict_stacked(models, []).shape == (3, 0, ds.n_classes)
+        F, AV = video_module._stack_selected(ds.clips, cfg.n)
+        for model, rows in zip(models, probs):
+            assert np.array_equal(rows, model.predict_batch(ds.clips))
+            if head != "score-mean":  # a model without the member axis
+                logits, _ = model.forward_batch(F, AV, keep_cache=False)
+                assert np.array_equal(rows, softmax(logits, axis=-1))
+        wide = make_clip(np.random.default_rng(0), "wide", d_feature=9)
+        with pytest.raises(ContractError, match="clip wide: feature dim 9"):
+            predict_stacked(models, [wide])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
