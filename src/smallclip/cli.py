@@ -6,9 +6,10 @@ recipe). Every file output is written atomically and accompanied by a
 ``<out>.manifest.json`` run manifest recording the command, config snapshot,
 seeds, paths, version, and duration, which is enough to reproduce the output
 bit for bit. All randomness flows from ``--seed``. ``--jobs N`` (N >= 1)
-trains independent units (stacks of ensemble members of one kind, folds,
-seeds) in up to N forked worker processes, capped at the core count,
-and never changes results.
+trains independent units (stacks of members of one kind, whose seeds come
+from ``recipe``, ``ensemble`` or ``repeat``, or cross-validation folds) in
+up to N forked worker processes, capped at the core count, and never
+changes results.
 
 Exit codes: 0 success, 2 usage error, 1 runtime error. ``SMALLCLIP_LOG``
 (error, info, debug) controls logging verbosity.
@@ -33,19 +34,20 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 for _name in BLAS_THREAD_VARS:
     os.environ.setdefault(_name, "1")
 
+import numpy as np
+
 from . import __version__
 from .audio import train_audio_model
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import TrainConfig, load_config
+from .config import AUDIO_MODELS, VIDEO_HEADS, TrainConfig, load_config
 from .data import (atomic_write_text, class_names, load_dataset,
                    load_distribution, packaged_distribution_path,
                    validate_dataset, write_dataset)
 from .errors import ConfigError, ContractError, ParseError, SmallclipError
-from .evaluate import (cross_validate, evaluate, predictions_from_table,
-                       repeated_runs)
+from .evaluate import (RunStatistics, cross_validate, evaluate,
+                       predictions_from_table)
 from .fusion import fuse_tables, grid_divisions, learn_fusion_weights
-from .recipes import (load_recipe, packaged_recipe, run_recipe, score_members,
-                      train_member)
+from .recipes import load_recipe, packaged_recipe, run_recipe, score_members
 from .scores import ScoreTable, load_score_table, write_score_table
 from .synth import SynthConfig, generate_synthetic
 from .video import train_video_model
@@ -155,6 +157,13 @@ def _resolve_dist(run: _Run, path):
         run.inputs.append(str(packaged))
         return load_distribution(packaged)
     raise ParseError(f"distribution file not found: {path}")
+
+
+def _members(args, cfg, seeds) -> list:
+    """One member of the configured ``--modality`` kind per seed."""
+    kind = cfg.head if args.modality == "video" else cfg.model
+    return [{"modality": args.modality, "kind": kind, "seed": seed}
+            for seed in seeds]
 
 
 def _labels_of(ds) -> dict:
@@ -284,13 +293,9 @@ def _cmd_ensemble(args):
     seeds = [args.seed + i for i in range(args.count)]
     run.seeds = seeds
     run.extra["modality"] = args.modality
-
-    kind = cfg.head if args.modality == "video" else cfg.model
-    members = [{"modality": args.modality, "kind": kind, "seed": seed}
-               for seed in seeds]
     ids = [c.id for c in ds.clips]
     fused = fuse_tables([ScoreTable(ids, p) for p in score_members(
-        ds, cfg, members, ds.clips, jobs=args.jobs)])
+        ds, cfg, _members(args, cfg, seeds), ds.clips, jobs=args.jobs)])
     write_score_table(fused, args.out)
     run.emit(args.out)
     _print(f"ensembled {args.count} members to {args.out}")
@@ -321,16 +326,17 @@ def _cmd_cross_validate(args):
     run.seeds = [args.seed]
 
     def fit_predict(fold_ds, fold):
-        model, _ = train_member(fold_ds, cfg, args.modality, args.seed + fold)
-        return model.predict_batch(fold_ds.split("val")).argmax(axis=1)
+        member = _members(args, cfg, [args.seed + fold])
+        return score_members(fold_ds, cfg, member,
+                             fold_ds.split("val"))[0].argmax(axis=1)
 
     report = cross_validate(ds, args.folds, fit_predict, jobs=args.jobs)
     text = report.to_text()
     if args.out:
         lines = ["fold,accuracy,n"]
-        lines += [f"{i},{repr(a)},{n}" for i, (a, n) in
+        lines += [f"{i},{float(a)!r},{n}" for i, (a, n) in
                   enumerate(zip(report.fold_accuracies, report.fold_sizes))]
-        lines.append(f"pooled,{repr(report.pooled)},{int(report.fold_sizes.sum())}")
+        lines.append(f"pooled,{report.pooled!r},{int(report.fold_sizes.sum())}")
         atomic_write_text(args.out, "\n".join(lines) + "\n")
         run.emit(args.out)
     _print(text)
@@ -342,20 +348,20 @@ def _cmd_repeat(args):
     ds = _load_manifest(run, args.manifest)
     cfg = _load_config(run, args)
     run.seeds = list(args.seeds)
-
-    def one(seed):
-        _, history = train_member(ds, cfg, args.modality, seed)
-        acc = (history[-1]["val_accuracy"] if args.modality == "video"
-               else history.get("val_accuracy"))
-        if acc is None:
-            raise ContractError("no labeled val clips to score")
-        return acc
-
-    stats = repeated_runs(one, args.seeds, jobs=args.jobs)
+    # each seed scores the labeled val clips (with audio, for an audio model)
+    val = [c for c in ds.labeled("val")
+           if args.modality == "video" or c.audio is not None]
+    if not val:
+        raise ContractError("no labeled val clips to score")
+    true = np.array([c.label for c in val])
+    probs = score_members(ds, cfg, _members(args, cfg, run.seeds), val,
+                          jobs=args.jobs)
+    stats = RunStatistics(run.seeds, np.array(
+        [int((p.argmax(axis=1) == true).sum()) / len(val) for p in probs]))
     text = stats.to_text()
     if args.out:
         lines = ["seed,accuracy"]
-        lines += [f"{s},{repr(v)}" for s, v in zip(stats.seeds, stats.values)]
+        lines += [f"{s},{float(v)!r}" for s, v in zip(stats.seeds, stats.values)]
         atomic_write_text(args.out, "\n".join(lines) + "\n")
         run.emit(args.out)
     _print(text)
@@ -426,9 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("train-video", help="train a temporal pooling head")
     p.add_argument("--manifest", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--pooling", default=None,
-                   choices=("score-mean", "avg-pool", "weighted-avg-pool",
-                            "lstm"),
+    p.add_argument("--pooling", default=None, choices=VIDEO_HEADS,
                    help="override the config's head")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="checkpoint path")
@@ -436,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("train-audio", help="train an audio classifier")
     p.add_argument("--manifest", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--model", default=None, choices=("mlp", "forest"),
+    p.add_argument("--model", default=None, choices=AUDIO_MODELS,
                    help="override the config's model kind")
     p.add_argument("--pretrain", default=None,
                    help="manifest of a pretraining corpus (mlp only)")
@@ -469,10 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--modality", default="video", choices=("video", "audio"))
-    p.add_argument("--pooling", default=None,
-                   choices=("score-mean", "avg-pool", "weighted-avg-pool",
-                            "lstm"))
-    p.add_argument("--model", default=None, choices=("mlp", "forest"))
+    p.add_argument("--pooling", default=None, choices=VIDEO_HEADS)
+    p.add_argument("--model", default=None, choices=AUDIO_MODELS)
     p.add_argument("--count", type=int, default=4, help="ensemble size")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
@@ -495,10 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--modality", default="video", choices=("video", "audio"))
-    p.add_argument("--pooling", default=None,
-                   choices=("score-mean", "avg-pool", "weighted-avg-pool",
-                            "lstm"))
-    p.add_argument("--model", default=None, choices=("mlp", "forest"))
+    p.add_argument("--pooling", default=None, choices=VIDEO_HEADS)
+    p.add_argument("--model", default=None, choices=AUDIO_MODELS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None, help="per-fold CSV path")
@@ -507,10 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--modality", default="video", choices=("video", "audio"))
-    p.add_argument("--pooling", default=None,
-                   choices=("score-mean", "avg-pool", "weighted-avg-pool",
-                            "lstm"))
-    p.add_argument("--model", default=None, choices=("mlp", "forest"))
+    p.add_argument("--pooling", default=None, choices=VIDEO_HEADS)
+    p.add_argument("--model", default=None, choices=AUDIO_MODELS)
     p.add_argument("--seeds", nargs="+", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None, help="per-seed CSV path")

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .data import ClassDistribution, Dataset, argmax_lowest, build_dataset
-from .errors import ConfigError, ContractError, TrainingError
+from .errors import ConfigError, ContractError
 from .parallel import parallel_map
 
 
@@ -72,7 +72,8 @@ class EvalReport:
         if self.weighted is not None:
             lines.append(f"weighted,{self.weighted!r},{self.n}")
         for k in range(C):
-            lines.append(f"{names[k]},{self.per_class[k]!r},{self.support[k]}")
+            lines.append(f"{names[k]},{float(self.per_class[k])!r},"
+                         f"{self.support[k]}")
         return "\n".join(lines) + "\n"
 
 
@@ -160,30 +161,6 @@ class RunStatistics:
         runs = " ".join(f"{s}:{v:.4f}" for s, v in zip(self.seeds, self.values))
         return (f"runs: {runs}\nmean: {self.mean:.4f}\n"
                 f"std: {self.std:.4f}\n")
-
-
-def repeated_runs(run_fn, seeds, jobs=1) -> RunStatistics:
-    """Run ``run_fn(seed)`` per seed and collect the returned metric.
-
-    Runs are independent; failures are reported in seed order regardless of
-    how many ran in parallel.
-    """
-    seeds = list(seeds)
-    if len(seeds) < 2:
-        raise ContractError("repeated runs need at least two seeds")
-
-    def attempt(s):
-        try:
-            return float(run_fn(s)), None
-        except Exception as exc:
-            return None, exc
-
-    outcomes = parallel_map(attempt, seeds, jobs=jobs)
-    for s, (_, exc) in zip(seeds, outcomes):
-        if exc is not None:
-            raise TrainingError(f"run with seed {s} failed: {exc}") from exc
-    values = [v for v, _ in outcomes]
-    return RunStatistics(seeds, np.asarray(values, dtype=np.float64))
 
 
 # -- cross-validation ----------------------------------------------------------

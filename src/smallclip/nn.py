@@ -105,14 +105,13 @@ class ReLU:
 
 
 def sigmoid(x, out=None):
-    """``1 / (1 + exp(-x))``, into ``out`` when given (it may be ``x``); all
-    but the last pass run on a contiguous temporary, cheaper for a slice."""
+    """``1 / (1 + exp(-x))``, into ``out`` when given (it may be ``x``)."""
     # exp(-x) overflows to inf below x = -709.78 and the result is then 0,
     # the correctly rounded value; above that it stays strictly positive,
     # which the positive frame weights of video.pool_weighted rely on.
     x = np.asarray(x, dtype=np.float64)
     with np.errstate(over="ignore"):
-        e = np.exp(np.negative(x))
+        e = np.exp(np.negative(x, out=out), out=out)
     e += 1.0
     return np.divide(1.0, e, out=out)
 
@@ -310,10 +309,9 @@ def lstm_forward(params: LSTMParams, xs, keep_caches=True, cache=None):
         a += params.b.values[..., None, :]
         i, f, g, o = (a[..., :H], a[..., H:2 * H], a[..., 2 * H:3 * H],
                       a[..., 3 * H:])
-        gate = a[..., :2 * H]
-        sigmoid(gate, out=gate)
-        np.tanh(g, out=g)
-        sigmoid(o, out=o)
+        tg = np.tanh(g)
+        sigmoid(a, out=a)  # one pass over the contiguous block
+        g[...] = tg
         if keep_caches:
             hs[..., t, :, :], cs[..., t, :, :] = h, c
         c = f * c + i * g

@@ -3,6 +3,7 @@ where a test needs a fresh interpreter (the BLAS thread default)."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,12 @@ from pathlib import Path
 import pytest
 
 import smallclip
+from smallclip import cli
+from smallclip.audio import train_audio_model
 from smallclip.cli import BLAS_THREAD_VARS, main
+from smallclip.config import AUDIO_MODELS, VIDEO_HEADS, load_config
+from smallclip.data import load_dataset
+from smallclip.video import train_video_model
 
 SRC = str(Path(smallclip.__file__).resolve().parents[1])
 
@@ -369,6 +375,106 @@ def test_cross_validate_and_repeat(workdir, capsys):
     assert lines[0] == "seed,accuracy"
     assert len(lines) == 4
     assert "mean:" in capsys.readouterr().out
+
+
+KINDS = [("video", kind) for kind in VIDEO_HEADS] + \
+        [("audio", kind) for kind in AUDIO_MODELS]
+
+
+@pytest.mark.parametrize("modality, kind", KINDS,
+                         ids=[kind for _, kind in KINDS])
+def test_repeat_matches_each_seed_trained_alone(tmp_path, capsys, modality,
+                                                kind):
+    m = str(tmp_path / "noisy.jsonl")  # noisy enough that seeds disagree
+    assert main(SYNTH[:-2] + ["--margin", "1", "--noise", "1", "--seed", "3",
+                              "--out", m]) == 0
+    (tmp_path / "fast.cfg").write_text(FAST_CFG)
+    cfg = load_config(str(tmp_path / "fast.cfg"))
+    setattr(cfg, "head" if modality == "video" else "model", kind)
+    train = train_video_model if modality == "video" else train_audio_model
+    ds = load_dataset(m)
+    val = ds.labeled("val")
+    seeds = [3, 1, 4]
+    expected = []
+    for seed in seeds:  # each seed alone, scored with predict_batch
+        model, _ = train(ds, cfg, seed)
+        pred = model.predict_batch(val).argmax(axis=1)
+        expected.append(int((pred == [c.label for c in val]).sum()) / len(val))
+    flag = "--pooling" if modality == "video" else "--model"
+    for jobs in ("1", "2"):
+        out = tmp_path / f"seeds-j{jobs}.csv"
+        assert main(["repeat", "--manifest", m, "--config",
+                     str(tmp_path / "fast.cfg"), "--modality", modality,
+                     flag, kind, "--seeds", *map(str, seeds), "--jobs", jobs,
+                     "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [(int(s), float(v)) for s, v in rows] == list(zip(seeds,
+                                                                 expected))
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("modality, synth_flags", [
+    ("video", ["--val-per-class", "0"]), ("audio", ["--no-audio"])],
+    ids=["video-no-val-clips", "audio-no-audio"])
+def test_repeat_without_labeled_val_clips_fails_before_training(
+        tmp_path, capsys, monkeypatch, modality, synth_flags):
+    m = str(tmp_path / "data.jsonl")
+    assert main(SYNTH + synth_flags + ["--out", m]) == 0
+    capsys.readouterr()
+
+    def never(*args, **kwargs):
+        raise AssertionError("trained although nothing can be scored")
+
+    monkeypatch.setattr(cli, "score_members", never)
+    out = tmp_path / "seeds.csv"
+    assert main(["repeat", "--manifest", m, "--modality", modality,
+                 "--seeds", "1", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == \
+        ["error: no labeled val clips to score"]
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_repeat_nonfinite_run_names_a_seed(workdir, capsys, jobs):
+    cfg = workdir / "huge-lr.cfg"
+    cfg.write_text(FAST_CFG + "epochs = 3\noptimizer = sgd\nlr = 1e100\n")
+    out = workdir / "seeds.csv"
+    assert main(["repeat", "--manifest", str(workdir / "data.jsonl"),
+                 "--config", str(cfg), "--pooling", "avg-pool",
+                 "--seeds", "5", "6", "7", "--jobs", jobs,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.match(r"^error: non-finite .* seed [567]; try a lower lr$",
+                    err[0])
+    assert not out.exists()
+
+
+def test_csv_outputs_hold_plain_numbers(workdir, capsys):
+    """evaluate, cross-validate and repeat CSVs: every value field is a
+    number that ``float`` reads back and ``repr`` writes out unchanged."""
+    m = str(workdir / "data.jsonl")
+    cfg = str(workdir / "fast.cfg")
+    assert main(["recipe", "--preset", "submission1", "--manifest", m,
+                 "--config", cfg, "--out", str(workdir / "s.csv")]) == 0
+    (workdir / "dist.csv").write_text("class,count\na,3\nb,5\nc,2\n")
+    assert main(["evaluate", "--scores", str(workdir / "s.csv"),
+                 "--manifest", m, "--split", "val", "--dist",
+                 str(workdir / "dist.csv"), "--out",
+                 str(workdir / "report.csv")]) == 0
+    assert main(["cross-validate", "--manifest", m, "--config", cfg,
+                 "--folds", "3", "--out", str(workdir / "cv.csv")]) == 0
+    assert main(["repeat", "--manifest", m, "--config", cfg,
+                 "--seeds", "1", "2", "--out", str(workdir / "seeds.csv")]) == 0
+    capsys.readouterr()
+    for name, rows in (("report.csv", 1 + 1 + 3), ("cv.csv", 3 + 1),
+                       ("seeds.csv", 2)):
+        lines = (workdir / name).read_text().splitlines()[1:]
+        assert len(lines) == rows
+        for line in lines:
+            value = line.split(",")[1]
+            assert repr(float(value)) == value
 
 
 def test_recipe_preset_end_to_end(workdir, capsys):

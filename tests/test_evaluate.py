@@ -3,9 +3,9 @@ import pytest
 
 from smallclip.data import (ClassDistribution, build_dataset,
                             packaged_distribution_path, load_distribution)
-from smallclip.errors import ConfigError, ContractError, TrainingError
-from smallclip.evaluate import (CVReport, cross_validate, evaluate,
-                                predictions_from_table, repeated_runs,
+from smallclip.errors import ConfigError, ContractError
+from smallclip.evaluate import (CVReport, RunStatistics, cross_validate,
+                                evaluate, predictions_from_table,
                                 weighted_accuracy)
 from smallclip.scores import ScoreTable
 from smallclip.synth import SynthConfig, generate_synthetic
@@ -121,6 +121,7 @@ def test_report_text_and_csv():
     assert lines[1].startswith("overall,")
     assert any(line.startswith("weighted,") for line in lines)
     assert float(lines[1].split(",")[1]) == rep.overall
+    assert lines[-2:] == ["neg,0.5,2", "pos,1.0,1"]  # plain numbers
 
 
 def table_for(clips, probs_by_id):
@@ -167,31 +168,12 @@ def test_predictions_from_table_no_overlap(rng):
 
 
 def test_repeated_runs_statistics():
-    stats = repeated_runs(lambda s: 0.5, [1, 2, 3])
+    stats = RunStatistics([1, 2, 3], np.full(3, 0.5))
     assert stats.mean == 0.5 and stats.std == 0.0
-    stats = repeated_runs(lambda s: 0.4 if s == 1 else 0.6, [1, 2])
+    stats = RunStatistics([1, 2], np.array([0.4, 0.6]))
     assert stats.mean == pytest.approx(0.5)
     assert stats.std == pytest.approx(0.1)  # population std
-    assert "mean: 0.5000" in stats.to_text()
-
-
-def test_repeated_runs_failure_names_seed():
-    def flaky(s):
-        if s == 9:
-            raise ValueError("boom")
-        return 1.0
-
-    with pytest.raises(TrainingError, match="seed 9"):
-        repeated_runs(flaky, [3, 9, 12])
-    with pytest.raises(ContractError):
-        repeated_runs(lambda s: 1.0, [5])
-
-
-def test_repeated_runs_jobs_do_not_change_results():
-    fn = lambda s: (s * 37 % 11) / 11
-    a = repeated_runs(fn, range(8), jobs=1)
-    b = repeated_runs(fn, range(8), jobs=4)
-    assert np.array_equal(a.values, b.values)
+    assert stats.to_text() == "runs: 1:0.4000 2:0.6000\nmean: 0.5000\nstd: 0.1000\n"
 
 
 def cv_dataset(per_class=10, n_classes=3, seed=0):

@@ -10,7 +10,6 @@ import pytest
 
 from smallclip import parallel
 from smallclip.errors import ContractError, TrainingError
-from smallclip.evaluate import repeated_runs
 from smallclip.parallel import parallel_map
 
 CORES = os.cpu_count() or 1
@@ -80,14 +79,14 @@ def test_unpicklable_result_becomes_training_error():
 
 
 @needs_two_cores
-def test_repeated_runs_reports_first_failing_seed_at_two_jobs():
-    def run(seed):
-        if seed == 4:
-            raise ValueError("late seed, fast failure")
-        if seed == 2:
-            time.sleep(0.2)  # fails after seed 4 has already failed
-            raise ValueError("early seed, slow failure")
-        return 1.0
+def test_first_failing_item_in_submission_order_is_raised_at_two_jobs():
+    def run(x):
+        if x == 4:
+            raise ValueError("late item, fast failure")
+        if x == 2:
+            time.sleep(0.2)  # fails after item 4 has already failed
+            raise ValueError("early item, slow failure")
+        return x
 
-    with pytest.raises(TrainingError, match="seed 2 failed: early seed"):
-        repeated_runs(run, [1, 2, 3, 4], jobs=2)
+    with pytest.raises(ValueError, match="^early item, slow failure$"):
+        parallel_map(run, [1, 2, 3, 4], jobs=2)

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from smallclip import video
+from smallclip.audio import train_audio_model
 from smallclip.config import TrainConfig
 from smallclip.errors import ConfigError
 from smallclip.fusion import fuse_tables
 from smallclip.recipes import (PRESET_NAMES, Recipe, _units, load_recipe,
-                               packaged_recipe, parse_recipe, run_recipe,
-                               train_member)
+                               packaged_recipe, parse_recipe, run_recipe)
 from smallclip.scores import ScoreTable, score_table_to_text
 from smallclip.synth import SynthConfig, generate_synthetic
+from smallclip.video import train_video_model
 
 
 def test_parse_members_and_weights():
@@ -111,15 +112,6 @@ def recipe_dataset(seed=0, test_labels=True):
 
 def fast_config():
     return TrainConfig(epochs=2, n=3, hidden=8, n_trees=3, lstm_hidden=8)
-
-
-def test_train_member_dispatches_on_modality():
-    ds = recipe_dataset()
-    cfg = fast_config()
-    model, history = train_member(ds, cfg, "video", 0)
-    assert model.kind == cfg.head and len(history) == cfg.epochs
-    model, history = train_member(ds, cfg, "audio", 0, pretrain=ds)
-    assert model.kind == "mlp" and "val_accuracy" in history
 
 
 def test_run_recipe_members_and_seeds():
@@ -233,7 +225,10 @@ def test_run_recipe_stacks_are_jobs_invariant_and_match_members_alone():
         member_cfg = TrainConfig(**vars(cfg))
         setattr(member_cfg, "head" if m["modality"] == "video" else "model",
                 m["kind"])
-        model, _ = train_member(ds, member_cfg, m["modality"], m["seed"])
+        if m["modality"] == "video":
+            model, _ = train_video_model(ds, member_cfg, m["seed"])
+        else:
+            model, _ = train_audio_model(ds, member_cfg, m["seed"])
         tables[m["modality"]].append(
             ScoreTable(ids, model.predict_batch(ds.clips)))
     fused = fuse_tables([fuse_tables(tables["video"]),
