@@ -61,13 +61,13 @@ class AudioModel:
         return self.predict_batch([clip])[0]
 
 
-def _audio_matrix(clips, d_audio=None, require_label=True):
+def _audio_matrix(clips, d_audio=None):
     rows, labels = [], []
     for c in clips:
-        if c.audio is None or (require_label and c.label is None):
+        if c.audio is None or c.label is None:
             continue
         rows.append(c.audio)
-        labels.append(-1 if c.label is None else c.label)
+        labels.append(c.label)
     if not rows:
         return None, None
     X = np.stack(rows)

@@ -23,7 +23,6 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 
 # One BLAS thread per process, set before the first numpy import: the
 # products here are tiny ((16, 128) @ (128, 512) per LSTM step), so a second
@@ -46,7 +45,8 @@ from .data import (atomic_write_text, class_names, load_dataset,
 from .errors import ConfigError, ContractError, ParseError, SmallclipError
 from .evaluate import (RunStatistics, cross_validate, evaluate,
                        predictions_from_table)
-from .fusion import fuse_tables, grid_divisions, learn_fusion_weights
+from .fusion import (check_weights, fuse_tables, grid_divisions,
+                     learn_fusion_weights)
 from .recipes import load_recipe, packaged_recipe, run_recipe, score_members
 from .scores import ScoreTable, load_score_table, write_score_table
 from .synth import SynthConfig, generate_synthetic
@@ -68,26 +68,6 @@ def _setup_logging():
 
 # -- run manifests -------------------------------------------------------------
 
-@dataclass
-class RunManifest:
-    command: str
-    argv: list
-    version: str
-    seeds: list
-    config: dict | None
-    inputs: list
-    outputs: list
-    duration_s: float
-    extra: dict = field(default_factory=dict)
-
-
-def write_run_manifest(out_path, manifest: RunManifest):
-    path = str(out_path) + ".manifest.json"
-    atomic_write_text(path, json.dumps(asdict(manifest), indent=2,
-                                       sort_keys=True) + "\n")
-    log.info("wrote %s", path)
-
-
 class _Run:
     """Collects manifest ingredients while a subcommand executes."""
 
@@ -102,19 +82,24 @@ class _Run:
         self.extra: dict = {}
 
     def emit(self, out_path):
+        """Write ``<out_path>.manifest.json`` (sorted keys) for this run."""
         self.outputs.append(str(out_path))
-        write_run_manifest(out_path, RunManifest(
-            self.command, self.argv, __version__, self.seeds, self.config,
-            self.inputs, list(self.outputs),
-            time.monotonic() - self.started, self.extra))
+        manifest = {"command": self.command, "argv": self.argv,
+                    "version": __version__, "seeds": self.seeds,
+                    "config": self.config, "inputs": self.inputs,
+                    "outputs": self.outputs,
+                    "duration_s": time.monotonic() - self.started,
+                    "extra": self.extra}
+        path = str(out_path) + ".manifest.json"
+        atomic_write_text(path, json.dumps(manifest, indent=2,
+                                           sort_keys=True) + "\n")
+        log.info("wrote %s", path)
 
 
 # -- shared helpers ------------------------------------------------------------
 
 def _load_manifest(run: _Run, path):
     run.inputs.append(str(path))
-    if not os.path.exists(path):
-        raise ParseError(f"manifest not found: {path}")
     return load_dataset(path)
 
 
@@ -122,14 +107,10 @@ def _load_config(run: _Run, args) -> TrainConfig:
     cfg = TrainConfig()
     if getattr(args, "config", None):
         run.inputs.append(args.config)
-        if not os.path.exists(args.config):
-            raise ParseError(f"config not found: {args.config}")
         cfg = load_config(args.config)
     if getattr(args, "pooling", None):
         cfg.head = args.pooling
-    if getattr(args, "model", None) and args.command in ("train-audio",
-                                                         "cross-validate",
-                                                         "repeat", "ensemble"):
+    if getattr(args, "model", None):
         cfg.model = args.model
     cfg.validate()
     run.config = dict(vars(cfg))
@@ -137,13 +118,8 @@ def _load_config(run: _Run, args) -> TrainConfig:
 
 
 def _load_scores(run: _Run, paths) -> list:
-    tables = []
-    for p in paths:
-        run.inputs.append(p)
-        if not os.path.exists(p):
-            raise ParseError(f"score table not found: {p}")
-        tables.append(load_score_table(p))
-    return tables
+    run.inputs.extend(paths)
+    return [load_score_table(p) for p in paths]
 
 
 def _resolve_dist(run: _Run, path):
@@ -244,8 +220,6 @@ def _cmd_train_audio(args):
 def _cmd_predict(args):
     run = _Run(args)
     run.inputs.append(args.model)
-    if not os.path.exists(args.model):
-        raise ParseError(f"checkpoint not found: {args.model}")
     model = load_checkpoint(args.model)
     ds = _load_manifest(run, args.manifest)
     clips = ds.clips if args.split == "all" else ds.split(args.split)
@@ -554,6 +528,8 @@ def _check_flags(args):
                           f"{len(args.seeds)}")
     if args.command == "learn-fusion" and args.grid_step is not None:
         grid_divisions(args.grid_step, "--grid-step", ConfigError)
+    if args.command == "fuse" and args.weights is not None:
+        check_weights(args.weights, len(args.scores), ConfigError)
 
 
 def main(argv=None) -> int:

@@ -2,7 +2,8 @@
 
 One flat dataclass covers both the video heads and the audio models; each
 trainer reads the fields it cares about. Config files are plain text, one
-``key = value`` pair per line, ``#`` comments and blank lines ignored.
+``key = value`` pair per line, ``#`` comments and blank lines ignored;
+``key_values`` reads that format for config and recipe files alike.
 """
 
 from __future__ import annotations
@@ -73,9 +74,14 @@ _INT_FIELDS = {"n", "lstm_hidden", "epochs", "batch_size", "hidden",
 _FLOAT_FIELDS = {"lr", "momentum", "dropout", "finetune_lr_ratio"}
 
 
-def parse_config(text: str, base: TrainConfig | None = None) -> TrainConfig:
-    """Parse key=value lines into a TrainConfig (over ``base`` or defaults)."""
-    cfg = TrainConfig(**vars(base)) if base is not None else TrainConfig()
+def key_values(text: str):
+    """``(line number, key, value)`` for each ``key = value`` line of ``text``.
+
+    ``#`` starts a comment; blank and comment-only lines are skipped. Keys
+    and values are stripped, and a value may itself contain ``=``. A line
+    without ``=`` raises a ConfigError naming its number. Config and recipe
+    files are both read with it.
+    """
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -83,8 +89,13 @@ def parse_config(text: str, base: TrainConfig | None = None) -> TrainConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        yield lineno, key.strip(), value.strip()
+
+
+def parse_config(text: str) -> TrainConfig:
+    """Parse key=value lines into a TrainConfig over the defaults."""
+    cfg = TrainConfig()
+    for lineno, key, value in key_values(text):
         if key not in _FIELDS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         try:
@@ -103,13 +114,5 @@ def parse_config(text: str, base: TrainConfig | None = None) -> TrainConfig:
     return cfg.validate()
 
 
-def load_config(path, base: TrainConfig | None = None) -> TrainConfig:
-    return parse_config(read_text(path, "config", ConfigError), base=base)
-
-
-def config_to_text(cfg: TrainConfig) -> str:
-    lines = []
-    for f in fields(TrainConfig):
-        value = getattr(cfg, f.name)
-        lines.append(f"{f.name} = {'none' if value is None else value}")
-    return "\n".join(lines) + "\n"
+def load_config(path) -> TrainConfig:
+    return parse_config(read_text(path, "config", ConfigError))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DataValidationError, ParseError
+from .errors import DataValidationError, ParseError
 
 SPLITS = ("train", "val", "test")
 
@@ -133,7 +133,7 @@ class Dataset:
         return ClassDistribution.from_labels(labels, self.n_classes)
 
 
-def _check_clip(clip: Clip, dims, line_no=None, check_finite=True):
+def _check_clip(clip: Clip, dims):
     d_feature, n_classes, d_audio = dims
     where = f"clip {clip.id!r}"
     if clip.n_frames < 1:
@@ -157,11 +157,10 @@ def _check_clip(clip: Clip, dims, line_no=None, check_finite=True):
             )
     if clip.label is not None and not (0 <= clip.label < n_classes):
         raise DataValidationError(f"{where}: label {clip.label} out of range [0, {n_classes})")
-    if check_finite:
-        for name, arr in (("features", clip.features), ("scores", clip.scores),
-                          ("av", clip.av), ("audio", clip.audio)):
-            if arr is not None and not np.all(np.isfinite(arr)):
-                raise DataValidationError(f"{where}: non-finite value in {name}")
+    for name, arr in (("features", clip.features), ("scores", clip.scores),
+                      ("av", clip.av), ("audio", clip.audio)):
+        if arr is not None and not np.all(np.isfinite(arr)):
+            raise DataValidationError(f"{where}: non-finite value in {name}")
 
 
 def build_dataset(clips, meta=None) -> Dataset:
@@ -307,16 +306,6 @@ def atomic_write_text(path, text):
 
 # -- class distribution CSV ---------------------------------------------------
 
-def write_distribution(dist: ClassDistribution, path, names=None):
-    names = names or class_names(len(dist.counts))
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["class", "count"])
-    for name, count in zip(names, dist.counts):
-        w.writerow([name, int(count)])
-    atomic_write_text(path, buf.getvalue())
-
-
 def load_distribution(path) -> ClassDistribution:
     """Read a ``class,count`` CSV; the counts must not all be 0."""
     rows = list(csv.reader(io.StringIO(read_text(path, "distribution"),
@@ -393,11 +382,3 @@ def validate_dataset(ds: Dataset) -> ValidationReport:
         n_missing_audio=missing_audio,
         length_histogram=hist,
     )
-
-
-def argmax_lowest(v) -> int:
-    """Argmax with ties broken by the lowest index (np.argmax already does)."""
-    v = np.asarray(v)
-    if v.size == 0:
-        raise ContractError("argmax of empty vector")
-    return int(np.argmax(v))

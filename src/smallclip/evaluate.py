@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .data import ClassDistribution, Dataset, argmax_lowest, build_dataset
+from .data import ClassDistribution, Dataset, build_dataset
 from .errors import ConfigError, ContractError
 from .parallel import parallel_map
 
@@ -135,8 +135,7 @@ def predictions_from_table(table, ds: Dataset, split: str | None = None):
         clips = [c for c in clips if c.id in pos]
     if not clips:
         raise ContractError("score table covers no labeled clips")
-    pred = np.array([argmax_lowest(table.probs[pos[c.id]]) for c in clips],
-                    dtype=np.int64)
+    pred = table.probs[[pos[c.id] for c in clips]].argmax(axis=1)
     true = np.array([c.label for c in clips], dtype=np.int64)
     return pred, true
 

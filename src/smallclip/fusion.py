@@ -30,14 +30,16 @@ def _check_sources(probs) -> None:
         raise ContractError("score vectors must have positive sum")
 
 
-def _check_weights(weights, n) -> np.ndarray:
+def check_weights(weights, n, error=ContractError) -> np.ndarray:
+    """``weights`` as an (n,) array of finite, nonnegative values that are
+    not all zero; otherwise ``error``."""
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (n,):
-        raise ContractError(f"expected {n} weights, got shape {w.shape}")
+        raise error(f"expected {n} weights, got shape {w.shape}")
     if not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise ContractError("fusion weights must be finite and nonnegative")
+        raise error("fusion weights must be finite and nonnegative")
     if w.sum() <= 0:
-        raise ContractError("fusion weights must not all be zero")
+        raise error("fusion weights must not all be zero")
     return w
 
 
@@ -65,7 +67,7 @@ def fuse_tables(tables, weights=None) -> ScoreTable:
     stack = _aligned(tables)
     for probs in stack:
         _check_sources(probs)
-    w = None if weights is None else _check_weights(weights, stack.shape[0])
+    w = None if weights is None else check_weights(weights, stack.shape[0])
     if w is None or np.all(w == w[0]):
         fused = stack.sum(axis=0)
     else:

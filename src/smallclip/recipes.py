@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .audio import train_audio_models
-from .config import AUDIO_MODELS, VIDEO_HEADS, TrainConfig
+from .config import AUDIO_MODELS, VIDEO_HEADS, TrainConfig, key_values
 from .data import Dataset, build_dataset, read_text
 from .errors import ConfigError
 from .evaluate import EvalReport, evaluate, predictions_from_table
-from .fusion import fuse_tables
+from .fusion import check_weights, fuse_tables
 from .parallel import parallel_map
 from .scores import ScoreTable
 # train_video_model is unused here, but perfbench's tracer test checks that
@@ -65,15 +65,11 @@ class Recipe:
             if len(self.weights) != n_modalities:
                 raise ConfigError(f"{len(self.weights)} weights for "
                                   f"{n_modalities} modalities")
+            check_weights(self.weights, n_modalities, ConfigError)
         if self.train_on not in ("train", "train+val"):
             raise ConfigError(f"train_on must be 'train' or 'train+val', "
                               f"got {self.train_on!r}")
         return self
-
-    @property
-    def n_members(self) -> int:
-        return (sum(m for _, m in self.video)
-                + sum(m for _, m in self.audio))
 
 
 def _parse_members(value, lineno):
@@ -90,14 +86,7 @@ def _parse_members(value, lineno):
 
 def parse_recipe(text: str, name: str = "recipe") -> Recipe:
     recipe = Recipe(name=name, video=[], audio=[])
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
+    for lineno, key, value in key_values(text):
         if key == "name":
             recipe.name = value
         elif key == "video":

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TrainConfig, VIDEO_HEADS
-from .data import Clip, Dataset, argmax_lowest
+from .data import Clip, Dataset
 from .errors import ContractError, TrainingError
 from .nn import (LSTMParams, Linear, lstm_backward, lstm_forward, sigmoid,
                  softmax, softmax_cross_entropy_batch, stack_members)
@@ -52,7 +52,7 @@ def select_frames(clip: Clip, n: int = 16) -> SelectedClip:
         lo = (i * L) // n
         hi = ((i + 1) * L) // n
         if lo < hi:
-            indices[i] = lo + argmax_lowest(per_frame[lo:hi])
+            indices[i] = lo + np.argmax(per_frame[lo:hi])
         else:
             indices[i] = min(lo, L - 1)
     return SelectedClip(clip.features[indices], clip.av[indices], indices)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import smallclip
-from smallclip import cli
+from smallclip import cli, recipes
 from smallclip.audio import train_audio_model
 from smallclip.cli import BLAS_THREAD_VARS, main
 from smallclip.config import AUDIO_MODELS, VIDEO_HEADS, load_config
@@ -71,16 +71,16 @@ def test_validate_prints_statistics(workdir, capsys):
 
 def test_missing_files_exit_one(workdir, capsys):
     m = str(workdir / "data.jsonl")
-    assert main(["validate", "--manifest", str(workdir / "gone.jsonl")]) == 1
-    assert main(["train-video", "--manifest", m, "--config",
-                 str(workdir / "gone.cfg"), "--out",
-                 str(workdir / "m.json")]) == 1
-    assert main(["predict", "--model", str(workdir / "gone.json"),
-                 "--manifest", m, "--out", str(workdir / "s.csv")]) == 1
-    assert main(["evaluate", "--scores", str(workdir / "gone.csv"),
-                 "--manifest", m]) == 1
-    err = capsys.readouterr().err
-    assert "error:" in err
+    for argv in (
+            ["validate", "--manifest", str(workdir / "gone.jsonl")],
+            ["predict", "--model", str(workdir / "gone.json"),
+             "--manifest", m, "--out", str(workdir / "s.csv")],
+            ["evaluate", "--scores", str(workdir / "gone.csv"),
+             "--manifest", m]):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read ") and err.count("\n") == 1
+        assert "gone." in err
     # files that exist but cannot be read as UTF-8 text, and a directory
     # where a file is expected
     garbage = workdir / "garbage"
@@ -180,6 +180,10 @@ def test_unreadable_config_or_recipe_exits_two(workdir, capsys):
     garbage.write_bytes(b"\xff\xfe")
     out = str(workdir / "out")
     for argv in (
+            ["train-video", "--manifest", m, "--config",
+             str(workdir / "gone.cfg"), "--out", out],
+            ["recipe", "--recipe", str(workdir / "gone.preset"),
+             "--manifest", m, "--out", out],
             ["train-video", "--manifest", m, "--config", str(garbage),
              "--out", out],
             ["train-video", "--manifest", m, "--config", str(workdir),
@@ -504,6 +508,46 @@ def test_recipe_source_selection_errors(workdir, capsys):
     assert main(["recipe", "--preset", "submission9", "--manifest", m,
                  "--out", out]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("weights, message", [
+    (["-1", "2"], "fusion weights must be finite and nonnegative"),
+    (["nan", "1"], "fusion weights must be finite and nonnegative"),
+    (["0", "0"], "fusion weights must not all be zero"),
+    (["1"], None),
+], ids=["negative", "nan", "all-zero", "wrong-count"])
+@pytest.mark.parametrize("command", ["fuse", "recipe"])
+def test_bad_fusion_weights_exit_two_before_any_work(
+        workdir, capsys, monkeypatch, command, weights, message):
+    m = str(workdir / "data.jsonl")
+    ids = [json.loads(line)["id"]
+           for line in (workdir / "data.jsonl").read_text().splitlines()]
+    tables = []
+    for i in range(2):
+        tables.append(str(workdir / f"t{i}.csv"))
+        Path(tables[-1]).write_text("clip_id,p0,p1,p2\n" + "".join(
+            f"{cid},1,{i},0\n" for cid in ids))
+    rcp = workdir / "weighted.preset"
+    rcp.write_text("video = avg-pool\naudio = mlp\nfusion = weighted\n"
+                   f"weights = {' '.join(weights)}\n")
+
+    def never(*args, **kwargs):
+        raise AssertionError("trained although the weights are bad")
+
+    monkeypatch.setattr(recipes, "train_video_models", never)
+    monkeypatch.setattr(recipes, "train_audio_models", never)
+    out = workdir / "fused.csv"
+    argv = (["fuse", "--scores", *tables, "--weights", *weights]
+            if command == "fuse" else
+            ["recipe", "--recipe", str(rcp), "--manifest", m,
+             "--config", str(workdir / "fast.cfg")])
+    assert main(argv + ["--out", str(out)]) == 2
+    if message is None:
+        message = ("expected 2 weights, got shape (1,)" if command == "fuse"
+                   else "1 weights for 2 modalities")
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+    assert not Path(str(out) + ".manifest.json").exists()
 
 
 def test_recipe_file_and_member_manifest(workdir, capsys):

@@ -1,8 +1,10 @@
 import pytest
 
-from smallclip.config import (TrainConfig, config_to_text, load_config,
-                              parse_config)
+from dataclasses import fields
+
+from smallclip.config import TrainConfig, load_config, parse_config
 from smallclip.errors import ConfigError
+from smallclip.recipes import parse_recipe
 
 
 def test_defaults_validate():
@@ -16,10 +18,32 @@ def test_defaults_validate():
 
 
 def test_parse_round_trip():
-    cfg = TrainConfig(head="lstm", n=8, lr=0.003, pretrain_epochs=42,
-                      max_depth=5)
-    back = parse_config(config_to_text(cfg))
-    assert back == cfg
+    text = """\
+head = lstm
+n = 8
+score_mode = logits
+lstm_hidden = 32
+epochs = 12
+batch_size = 4
+optimizer = sgd
+lr = 0.003
+momentum = 0.5
+model = forest
+hidden = 16
+dropout = 0.1
+pretrain_epochs = none
+finetune_lr_ratio = 0.25
+n_trees = 7
+max_depth = none
+max_features = none
+"""
+    keys = [line.split(" = ")[0] for line in text.splitlines()]
+    assert keys == [f.name for f in fields(TrainConfig)]
+    assert parse_config(text) == TrainConfig(
+        head="lstm", n=8, score_mode="logits", lstm_hidden=32, epochs=12,
+        batch_size=4, optimizer="sgd", lr=0.003, momentum=0.5, model="forest",
+        hidden=16, dropout=0.1, pretrain_epochs=None, finetune_lr_ratio=0.25,
+        n_trees=7, max_depth=None, max_features=None)
 
 
 def test_comments_and_blank_lines_ignored():
@@ -32,14 +56,6 @@ def test_comments_and_blank_lines_ignored():
     cfg = parse_config(text)
     assert cfg.head == "weighted-avg-pool"
     assert cfg.n == 4
-
-
-def test_base_config_is_overlaid_not_mutated():
-    base = TrainConfig(epochs=50, lr=0.5)
-    cfg = parse_config("lr = 0.25\n", base=base)
-    assert cfg.lr == 0.25
-    assert cfg.epochs == 50
-    assert base.lr == 0.5
 
 
 def test_unknown_key_names_line():
@@ -112,8 +128,37 @@ def test_load_config(tmp_path):
         load_config(tmp_path / "missing.cfg")
 
 
-def test_config_text_lists_every_field():
-    text = config_to_text(TrainConfig())
-    for key in ("head", "n", "epochs", "lr", "model", "n_trees", "max_depth"):
-        assert any(line.startswith(f"{key} = ") for line in text.splitlines())
-    assert "max_depth = none" in text
+# each parser with a line it accepts, a check of what it read from that
+# line, and a line whose value it rejects
+KEY_VALUE_PARSERS = [
+    (parse_config, "n = 4", lambda cfg: cfg.n == 4, "n = {}"),
+    (parse_recipe, "video = lstm", lambda r: r.video == [("lstm", 1)],
+     "weights = {}"),
+]
+
+
+@pytest.mark.parametrize("template, error", [
+    ("{good}  # a note = 3\n", None),
+    ("\n# heading\n   \n{good}\n  # indented\n\n{bad}\n", "line 7: bad "),
+    ("{good}\n\n# note\nno equals here\n",
+     "line 4: expected key=value, got 'no equals here'"),
+    ("{good}\n{bad}\n", "line 2: bad "),
+], ids=["comment-after-value", "blank-and-comment-lines",
+        "line-without-equals", "value-with-equals"])
+def test_config_and_recipe_share_key_value_rules(template, error):
+    """One key=value reader: both file kinds skip the same lines, count
+    lines the same way, keep a value's own "=" and give the same message
+    for a line without one."""
+    messages = []
+    for parse, good, check, bad in KEY_VALUE_PARSERS:
+        text = template.format(good=good, bad=bad.format("x=y"))
+        if error is None:
+            assert check(parse(text))
+            continue
+        with pytest.raises(ConfigError) as err:
+            parse(text)
+        messages.append(str(err.value))
+    if "{bad}" in template:  # the whole value, "=" included, is rejected
+        assert all(m.startswith(error) and "'x=y'" in m for m in messages)
+    elif error is not None:
+        assert messages == [error, error]

@@ -23,7 +23,7 @@ def test_parse_members_and_weights():
     assert r.video == [("avg-pool", 2), ("lstm", 1)]
     assert r.audio == [("mlp", 3)]
     assert r.weights == [0.7, 0.3]
-    assert r.n_members == 6
+    assert sum(m for _, m in r.video + r.audio) == 6
 
 
 def test_parse_name_comments_and_train_on():
@@ -93,10 +93,11 @@ def test_packaged_preset_structure():
     r3 = packaged_recipe("submission3")
     assert r3.video == [("avg-pool", 2), ("weighted-avg-pool", 2)]
     assert r3.audio == [("forest", 1), ("mlp", 1)]
-    assert r3.fusion == "mean" and r3.n_members == 6
+    assert r3.fusion == "mean"
+    assert sum(m for _, m in r3.video + r3.audio) == 6
 
     r6 = packaged_recipe("submission6")
-    assert r6.n_members == 52
+    assert sum(m for _, m in r6.video + r6.audio) == 52
 
     r7 = packaged_recipe("submission7")
     assert r7.train_on == "train+val"
