@@ -61,7 +61,7 @@ class AudioModel:
         return self.predict_batch([clip])[0]
 
 
-def _audio_matrix(clips, d_audio=None):
+def _audio_matrix(clips):
     rows, labels = [], []
     for c in clips:
         if c.audio is None or c.label is None:
@@ -70,10 +70,7 @@ def _audio_matrix(clips, d_audio=None):
         labels.append(c.label)
     if not rows:
         return None, None
-    X = np.stack(rows)
-    if d_audio is not None and X.shape[1] != d_audio:
-        raise ContractError(f"audio dim {X.shape[1]} does not match {d_audio}")
-    return X, np.asarray(labels, dtype=np.int64)
+    return np.stack(rows), np.asarray(labels, dtype=np.int64)
 
 
 def _val_accuracy(model: AudioModel, clips) -> float | None:
@@ -105,7 +102,7 @@ def train_audio_models(ds: Dataset, config: TrainConfig, seeds,
     config.validate()
     if ds.d_audio is None:
         raise TrainingError("dataset has no audio features")
-    X, y = _audio_matrix(ds.split("train"), ds.d_audio)
+    X, y = _audio_matrix(ds.split("train"))
     if X is None:
         raise TrainingError("train split has no labeled clips with audio")
     seeds, val = list(seeds), ds.split("val")
@@ -145,7 +142,7 @@ def train_audio_models(ds: Dataset, config: TrainConfig, seeds,
     if pretrain is not None:
         if pretrain.d_audio != ds.d_audio or pretrain.n_classes != ds.n_classes:
             raise ContractError("pretraining dataset dims do not match target")
-        Xp, yp = _audio_matrix(pretrain.labeled(), ds.d_audio)
+        Xp, yp = _audio_matrix(pretrain.labeled())
         if Xp is None:
             raise TrainingError("pretraining dataset has no labeled audio")
         p_epochs = (config.epochs if config.pretrain_epochs is None

@@ -97,6 +97,33 @@ def save_checkpoint(model, path):
     atomic_write_text(path, json.dumps(checkpoint_dict(model)) + "\n")
 
 
+def _check_tree(i, tree: Tree, d_audio, n_classes):
+    """ParseError naming tree ``i`` unless ``kernels.tree_apply`` walks it
+    to a leaf with a usable histogram: children come after their parent (as
+    ``grow_tree`` numbers them), so every walk moves forward and ends."""
+    n = tree.feature.shape[0] if tree.feature.ndim == 1 else 0
+    leaf, node = tree.feature == -1, np.arange(n)
+    if n < 1 or any(a.shape != (n,) for a in
+                    (tree.threshold, tree.left, tree.right)):
+        problem = "its node arrays must share one length of at least 1"
+    elif tree.hist.shape != (n, n_classes):
+        problem = (f"hist has shape {tree.hist.shape}, expected "
+                   f"{(n, n_classes)}")
+    elif np.any(~leaf & ((tree.feature < 0) | (tree.feature >= d_audio))):
+        problem = f"a feature index is not -1 or in [0, {d_audio})"
+    elif np.any(np.where(
+            leaf, (tree.left != -1) | (tree.right != -1),
+            (tree.left <= node) | (tree.left >= n)
+            | (tree.right <= node) | (tree.right >= n))):
+        problem = ("a child index is not after its parent and inside the "
+                   "tree, or a leaf has children")
+    elif np.any(tree.hist < 0) or np.any(leaf & (tree.hist.sum(axis=1) <= 0)):
+        problem = "hist must be nonnegative with a positive sum at every leaf"
+    else:
+        return
+    raise ParseError(f"malformed checkpoint: tree {i}: {problem}")
+
+
 def model_from_dict(obj) -> VideoModel | AudioModel:
     if not isinstance(obj, dict) or obj.get("format") != FORMAT:
         raise ParseError("not a model checkpoint")
@@ -126,6 +153,10 @@ def model_from_dict(obj) -> VideoModel | AudioModel:
                           _unarr(t["right"], np.int64),
                           _unarr(t["hist"], np.int64))
                      for t in obj["extra"]["trees"]]
+            if not trees:
+                raise ParseError("malformed checkpoint: forest has no trees")
+            for i, tree in enumerate(trees):
+                _check_tree(i, tree, meta["d_audio"], meta["n_classes"])
             f = Forest(trees, meta["n_classes"], meta["d_audio"],
                        meta.get("seed", 0))
             return AudioModel("forest", meta["d_audio"], meta["n_classes"],

@@ -23,6 +23,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import fields
 
 # One BLAS thread per process, set before the first numpy import: the
 # products here are tiny ((16, 128) @ (128, 512) per LSTM step), so a second
@@ -69,13 +70,18 @@ def _setup_logging():
 # -- run manifests -------------------------------------------------------------
 
 class _Run:
-    """Collects manifest ingredients while a subcommand executes."""
+    """Collects manifest ingredients while a subcommand executes.
+
+    The seeds start as the run's ``--seed`` or ``--seeds``, if it has one.
+    """
 
     def __init__(self, args):
         self.command = args.command
         self.argv = list(sys.argv[1:]) if sys.argv[0] else []
         self.started = time.monotonic()
-        self.seeds: list = []
+        given = vars(args)
+        self.seeds: list = ([given["seed"]] if "seed" in given
+                            else list(given.get("seeds", [])))
         self.config: dict | None = None
         self.inputs: list = []
         self.outputs: list = []
@@ -94,6 +100,12 @@ class _Run:
         atomic_write_text(path, json.dumps(manifest, indent=2,
                                            sort_keys=True) + "\n")
         log.info("wrote %s", path)
+
+    def write(self, path, text):
+        """Write ``text`` to ``path`` and its manifest; no path, no write."""
+        if path:
+            atomic_write_text(path, text)
+            self.emit(path)
 
 
 # -- shared helpers ------------------------------------------------------------
@@ -142,53 +154,32 @@ def _members(args, cfg, seeds) -> list:
             for seed in seeds]
 
 
-def _labels_of(ds) -> dict:
-    return {c.id: c.label for c in ds.clips if c.label is not None}
-
-
 def _print(text):
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
 # -- subcommand handlers -------------------------------------------------------
+# Each takes the parsed flags and the run that ``main`` started.
 
-def _cmd_synth(args):
-    run = _Run(args)
-    cfg = SynthConfig(n_classes=args.classes,
-                      train_per_class=args.clips_per_class,
-                      val_per_class=args.val_per_class,
-                      test_per_class=args.test_per_class,
-                      frames_min=args.frames_min, frames_max=args.frames_max,
-                      d_feature=args.d_feature, d_audio=args.d_audio,
-                      with_audio=not args.no_audio, margin=args.margin,
-                      noise=args.noise, av_noise=args.av_noise,
-                      centroid_seed=args.centroid_seed)
-    run.seeds = [args.seed]
+def _cmd_synth(args, run):
+    names = {f.name for f in fields(SynthConfig)}
+    cfg = SynthConfig(**{k: v for k, v in vars(args).items() if k in names})
     run.config = dict(vars(cfg))
     ds = generate_synthetic(cfg, seed=args.seed)
     write_dataset(ds, args.out)
     run.emit(args.out)
     _print(f"wrote {len(ds.clips)} clips to {args.out}")
-    return 0
 
 
-def _cmd_validate(args):
-    run = _Run(args)
-    ds = _load_manifest(run, args.manifest)
-    report = validate_dataset(ds)
-    text = report.to_text()
-    if args.out:
-        atomic_write_text(args.out, text)
-        run.emit(args.out)
+def _cmd_validate(args, run):
+    text = validate_dataset(_load_manifest(run, args.manifest)).to_text()
+    run.write(args.out, text)
     _print(text)
-    return 0
 
 
-def _cmd_train_video(args):
-    run = _Run(args)
+def _cmd_train_video(args, run):
     ds = _load_manifest(run, args.manifest)
     cfg = _load_config(run, args)
-    run.seeds = [args.seed]
     model, history = train_video_model(ds, cfg, seed=args.seed)
     save_checkpoint(model, args.out)
     run.extra["final_epoch"] = history[-1]
@@ -196,15 +187,12 @@ def _cmd_train_video(args):
     val = history[-1]["val_accuracy"]
     _print(f"trained {cfg.head} head; "
            f"val accuracy: {'n/a' if val is None else f'{val:.4f}'}")
-    return 0
 
 
-def _cmd_train_audio(args):
-    run = _Run(args)
+def _cmd_train_audio(args, run):
     ds = _load_manifest(run, args.manifest)
     cfg = _load_config(run, args)
     pretrain = _load_manifest(run, args.pretrain) if args.pretrain else None
-    run.seeds = [args.seed]
     model, history = train_audio_model(ds, cfg, seed=args.seed,
                                        pretrain=pretrain)
     save_checkpoint(model, args.out)
@@ -214,11 +202,9 @@ def _cmd_train_audio(args):
     val = history.get("val_accuracy")
     _print(f"trained audio {cfg.model}; "
            f"val accuracy: {'n/a' if val is None else f'{val:.4f}'}")
-    return 0
 
 
-def _cmd_predict(args):
-    run = _Run(args)
+def _cmd_predict(args, run):
     run.inputs.append(args.model)
     model = load_checkpoint(args.model)
     ds = _load_manifest(run, args.manifest)
@@ -229,75 +215,59 @@ def _cmd_predict(args):
     write_score_table(table, args.out)
     run.emit(args.out)
     _print(f"scored {len(clips)} clips to {args.out}")
-    return 0
 
 
-def _cmd_fuse(args):
-    run = _Run(args)
+def _cmd_fuse(args, run):
     tables = _load_scores(run, args.scores)
     table = fuse_tables(tables, weights=args.weights)
     run.extra["weights"] = args.weights
     write_score_table(table, args.out)
     run.emit(args.out)
     _print(f"fused {len(tables)} tables over {len(table)} clips to {args.out}")
-    return 0
 
 
-def _cmd_learn_fusion(args):
-    run = _Run(args)
+def _cmd_learn_fusion(args, run):
     tables = _load_scores(run, args.scores)
     ds = _load_manifest(run, args.manifest)
-    weights, acc = learn_fusion_weights(tables, _labels_of(ds),
+    labels = {c.id: c.label for c in ds.labeled()}
+    weights, acc = learn_fusion_weights(tables, labels,
                                         grid_step=args.grid_step)
     payload = {"weights": [float(w) for w in weights], "accuracy": acc,
                "grid_step": args.grid_step, "sources": list(args.scores)}
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        atomic_write_text(args.out, text)
-        run.emit(args.out)
+    run.write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     _print("weights: " + " ".join(f"{w:g}" for w in weights)
            + f"\naccuracy: {acc:.4f}")
-    return 0
 
 
-def _cmd_ensemble(args):
-    run = _Run(args)
+def _cmd_ensemble(args, run):
     ds = _load_manifest(run, args.manifest)
     cfg = _load_config(run, args)
-    seeds = [args.seed + i for i in range(args.count)]
-    run.seeds = seeds
+    run.seeds = [args.seed + i for i in range(args.count)]
     run.extra["modality"] = args.modality
     ids = [c.id for c in ds.clips]
     fused = fuse_tables([ScoreTable(ids, p) for p in score_members(
-        ds, cfg, _members(args, cfg, seeds), ds.clips, jobs=args.jobs)])
+        ds, cfg, _members(args, cfg, run.seeds), ds.clips, jobs=args.jobs)])
     write_score_table(fused, args.out)
     run.emit(args.out)
     _print(f"ensembled {args.count} members to {args.out}")
-    return 0
 
 
-def _cmd_evaluate(args):
-    run = _Run(args)
+def _cmd_evaluate(args, run):
     tables = _load_scores(run, [args.scores])
     ds = _load_manifest(run, args.manifest)
     dist = _resolve_dist(run, args.dist)
     pred, true = predictions_from_table(tables[0], ds, args.split)
     report = evaluate(pred, true, ds.n_classes, dist=dist)
     names = class_names(ds.n_classes)
-    if args.out:
-        text = (report.to_csv(names) if args.out.endswith(".csv")
-                else report.to_text(names))
-        atomic_write_text(args.out, text)
-        run.emit(args.out)
-    _print(report.to_text(names))
-    return 0
+    text = report.to_text(names)
+    as_csv = (args.out or "").endswith(".csv")
+    run.write(args.out, report.to_csv(names) if as_csv else text)
+    _print(text)
 
 
-def _cmd_cross_validate(args):
-    run = _Run(args)
+def _cmd_cross_validate(args, run):
     ds = _load_manifest(run, args.manifest)
     cfg = _load_config(run, args)
-    run.seeds = [args.seed]
 
     def fit_predict(fold_ds, fold):
         member = _members(args, cfg, [args.seed + fold])
@@ -305,45 +275,28 @@ def _cmd_cross_validate(args):
                              fold_ds.split("val"))[0].argmax(axis=1)
 
     report = cross_validate(ds, args.folds, fit_predict, jobs=args.jobs)
-    text = report.to_text()
-    if args.out:
-        lines = ["fold,accuracy,n"]
-        lines += [f"{i},{float(a)!r},{n}" for i, (a, n) in
-                  enumerate(zip(report.fold_accuracies, report.fold_sizes))]
-        lines.append(f"pooled,{report.pooled!r},{int(report.fold_sizes.sum())}")
-        atomic_write_text(args.out, "\n".join(lines) + "\n")
-        run.emit(args.out)
-    _print(text)
-    return 0
+    run.write(args.out, report.to_csv())
+    _print(report.to_text())
 
 
-def _cmd_repeat(args):
-    run = _Run(args)
+def _cmd_repeat(args, run):
     ds = _load_manifest(run, args.manifest)
     cfg = _load_config(run, args)
-    run.seeds = list(args.seeds)
     # each seed scores the labeled val clips (with audio, for an audio model)
     val = [c for c in ds.labeled("val")
            if args.modality == "video" or c.audio is not None]
     if not val:
         raise ContractError("no labeled val clips to score")
     true = np.array([c.label for c in val])
-    probs = score_members(ds, cfg, _members(args, cfg, run.seeds), val,
+    probs = score_members(ds, cfg, _members(args, cfg, args.seeds), val,
                           jobs=args.jobs)
-    stats = RunStatistics(run.seeds, np.array(
+    stats = RunStatistics(args.seeds, np.array(
         [int((p.argmax(axis=1) == true).sum()) / len(val) for p in probs]))
-    text = stats.to_text()
-    if args.out:
-        lines = ["seed,accuracy"]
-        lines += [f"{s},{float(v)!r}" for s, v in zip(stats.seeds, stats.values)]
-        atomic_write_text(args.out, "\n".join(lines) + "\n")
-        run.emit(args.out)
-    _print(text)
-    return 0
+    run.write(args.out, stats.to_csv())
+    _print(stats.to_text())
 
 
-def _cmd_recipe(args):
-    run = _Run(args)
+def _cmd_recipe(args, run):
     if bool(args.preset) == bool(args.recipe):
         raise ConfigError("give exactly one of --preset or --recipe")
     recipe = (packaged_recipe(args.preset) if args.preset
@@ -353,7 +306,6 @@ def _cmd_recipe(args):
     ds = _load_manifest(run, args.manifest)
     cfg = _load_config(run, args)
     pretrain = _load_manifest(run, args.pretrain) if args.pretrain else None
-    run.seeds = [args.seed]
     result = run_recipe(recipe, ds, cfg, seed=args.seed, pretrain=pretrain,
                         jobs=args.jobs)
     run.extra = {"recipe": recipe.name, "members": result.members,
@@ -365,10 +317,16 @@ def _cmd_recipe(args):
     if result.report is not None:
         lines.append(f"held-out accuracy: {result.report.overall:.4f}")
     _print("\n".join(lines))
-    return 0
 
 
 # -- argument parsing ----------------------------------------------------------
+
+def _shared(flag, **kwargs) -> argparse.ArgumentParser:
+    """A flag declared once, for the subcommands that list it in parents=."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(flag, **kwargs)
+    return parent
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -378,143 +336,115 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"smallclip {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    add = sub.add_parser
 
-    p = add("synth", help="generate a synthetic labeled manifest")
-    p.add_argument("--classes", type=int, default=7)
-    p.add_argument("--clips-per-class", type=int, default=20,
+    def add(name, handler, **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(handler=handler)
+        return p
+
+    manifest = _shared("--manifest", required=True)
+    config = _shared("--config")
+    seed = _shared("--seed", type=int, default=0)
+    jobs = _shared("--jobs", type=int, default=1,
+                   help="worker processes; never changes results")
+    pretrain = _shared("--pretrain",
+                       help="manifest of a pretraining corpus (mlp only)")
+    pooling = _shared("--pooling", choices=VIDEO_HEADS,
+                      help="override the config's head")
+    model = _shared("--model", choices=AUDIO_MODELS,
+                    help="override the config's model kind")
+    member_flags = [manifest, config, pooling, model,
+               _shared("--modality", default="video",
+                       choices=("video", "audio"))]
+
+    # synth's defaults are SynthConfig's: an absent flag sets nothing
+    p = add("synth", _cmd_synth, argument_default=argparse.SUPPRESS,
+            help="generate a synthetic labeled manifest")
+    p.add_argument("--classes", dest="n_classes", type=int)
+    p.add_argument("--clips-per-class", dest="train_per_class", type=int,
                    help="train clips per class")
-    p.add_argument("--val-per-class", type=int, default=10)
-    p.add_argument("--test-per-class", type=int, default=0)
-    p.add_argument("--frames-min", type=int, default=6)
-    p.add_argument("--frames-max", type=int, default=18)
-    p.add_argument("--d-feature", type=int, default=32)
-    p.add_argument("--d-audio", type=int, default=64)
-    p.add_argument("--no-audio", action="store_true")
-    p.add_argument("--margin", type=float, default=5.0)
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--av-noise", type=float, default=0.1)
-    p.add_argument("--centroid-seed", type=int, default=None,
+    for flag in ("--val-per-class", "--test-per-class", "--frames-min",
+                 "--frames-max", "--d-feature", "--d-audio"):
+        p.add_argument(flag, type=int)
+    p.add_argument("--no-audio", dest="with_audio", action="store_false")
+    for flag in ("--margin", "--noise", "--av-noise"):
+        p.add_argument(flag, type=float)
+    p.add_argument("--centroid-seed", type=int,
                    help="separate seed for class geometry (shared across sets)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
 
-    p = add("validate", help="check a manifest and print split statistics")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", default=None)
+    p = add("validate", _cmd_validate, parents=[manifest],
+            help="check a manifest and print split statistics")
+    p.add_argument("--out")
 
-    p = add("train-video", help="train a temporal pooling head")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--pooling", default=None, choices=VIDEO_HEADS,
-                   help="override the config's head")
-    p.add_argument("--seed", type=int, default=0)
+    p = add("train-video", _cmd_train_video,
+            parents=[manifest, config, pooling, seed],
+            help="train a temporal pooling head")
     p.add_argument("--out", required=True, help="checkpoint path")
 
-    p = add("train-audio", help="train an audio classifier")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--model", default=None, choices=AUDIO_MODELS,
-                   help="override the config's model kind")
-    p.add_argument("--pretrain", default=None,
-                   help="manifest of a pretraining corpus (mlp only)")
-    p.add_argument("--seed", type=int, default=0)
+    p = add("train-audio", _cmd_train_audio,
+            parents=[manifest, config, model, pretrain, seed],
+            help="train an audio classifier")
     p.add_argument("--out", required=True, help="checkpoint path")
 
-    p = add("predict", help="score clips with a trained checkpoint")
+    p = add("predict", _cmd_predict, parents=[manifest, jobs],
+            help="score clips with a trained checkpoint",
+            description="Scoring is one batched call; --jobs is accepted "
+                        "for compatibility.")
     p.add_argument("--model", required=True, help="checkpoint path")
-    p.add_argument("--manifest", required=True)
     p.add_argument("--split", default="all",
                    choices=("all", "train", "val", "test"))
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; scoring is one batched "
-                        "call")
     p.add_argument("--out", required=True, help="score CSV path")
 
-    p = add("fuse", help="combine score tables (mean or fixed weights)")
+    p = add("fuse", _cmd_fuse,
+            help="combine score tables (mean or fixed weights)")
     p.add_argument("--scores", nargs="+", required=True)
-    p.add_argument("--weights", nargs="+", type=float, default=None)
+    p.add_argument("--weights", nargs="+", type=float)
     p.add_argument("--out", required=True)
 
-    p = add("learn-fusion", help="grid-search fusion weights on labeled clips")
+    p = add("learn-fusion", _cmd_learn_fusion, parents=[manifest],
+            help="grid-search fusion weights on labeled clips")
     p.add_argument("--scores", nargs="+", required=True)
-    p.add_argument("--manifest", required=True, help="labels source")
-    p.add_argument("--grid-step", type=float, default=None,
+    p.add_argument("--grid-step", type=float,
                    help="default 0.05 for two sources, 0.1 beyond")
-    p.add_argument("--out", default=None, help="weights JSON path")
+    p.add_argument("--out", help="weights JSON path")
 
-    p = add("ensemble", help="train seed-ensemble members and fuse their scores")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--modality", default="video", choices=("video", "audio"))
-    p.add_argument("--pooling", default=None, choices=VIDEO_HEADS)
-    p.add_argument("--model", default=None, choices=AUDIO_MODELS)
+    p = add("ensemble", _cmd_ensemble, parents=member_flags + [seed, jobs],
+            help="train seed-ensemble members and fuse their scores")
     p.add_argument("--count", type=int, default=4, help="ensemble size")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
 
-    p = add("evaluate", help="score a table against manifest labels")
+    p = add("evaluate", _cmd_evaluate, parents=[manifest],
+            help="score a table against manifest labels")
     p.add_argument("--scores", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--split", default=None,
-                   choices=("train", "val", "test"),
+    p.add_argument("--split", choices=("train", "val", "test"),
                    help="default: all labeled clips the table covers")
-    p.add_argument("--dist", default=None,
+    p.add_argument("--dist",
                    help="class distribution CSV for weighted accuracy "
                         "(falls back to the packaged file by name)")
-    p.add_argument("--out", default=None,
+    p.add_argument("--out",
                    help="report path; .csv extension selects CSV form")
 
-    p = add("cross-validate", help="stratified k-fold CV over train+val")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--config", default=None)
+    p = add("cross-validate", _cmd_cross_validate,
+            parents=member_flags + [seed, jobs],
+            help="stratified k-fold CV over train+val")
     p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--modality", default="video", choices=("video", "audio"))
-    p.add_argument("--pooling", default=None, choices=VIDEO_HEADS)
-    p.add_argument("--model", default=None, choices=AUDIO_MODELS)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", default=None, help="per-fold CSV path")
+    p.add_argument("--out", help="per-fold CSV path")
 
-    p = add("repeat", help="train with several seeds and report mean/std")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--modality", default="video", choices=("video", "audio"))
-    p.add_argument("--pooling", default=None, choices=VIDEO_HEADS)
-    p.add_argument("--model", default=None, choices=AUDIO_MODELS)
+    p = add("repeat", _cmd_repeat, parents=member_flags + [jobs],
+            help="train with several seeds and report mean/std")
     p.add_argument("--seeds", nargs="+", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", default=None, help="per-seed CSV path")
+    p.add_argument("--out", help="per-seed CSV path")
 
-    p = add("recipe", help="run a named multi-member training and fusion recipe")
-    p.add_argument("--preset", default=None,
-                   help="one of submission1..submission7")
-    p.add_argument("--recipe", default=None, help="recipe file path")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--pretrain", default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p = add("recipe", _cmd_recipe,
+            parents=[manifest, config, pretrain, seed, jobs],
+            help="run a named multi-member training and fusion recipe")
+    p.add_argument("--preset", help="one of submission1..submission7")
+    p.add_argument("--recipe", help="recipe file path")
     p.add_argument("--out", required=True, help="fused score CSV path")
 
     return parser
-
-
-_HANDLERS = {
-    "synth": _cmd_synth,
-    "validate": _cmd_validate,
-    "train-video": _cmd_train_video,
-    "train-audio": _cmd_train_audio,
-    "predict": _cmd_predict,
-    "fuse": _cmd_fuse,
-    "learn-fusion": _cmd_learn_fusion,
-    "ensemble": _cmd_ensemble,
-    "evaluate": _cmd_evaluate,
-    "cross-validate": _cmd_cross_validate,
-    "repeat": _cmd_repeat,
-    "recipe": _cmd_recipe,
-}
 
 
 def _check_flags(args):
@@ -534,14 +464,14 @@ def _check_flags(args):
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse handles --help and usage errors
         return int(exc.code or 0)
     try:
         _check_flags(args)
-        return _HANDLERS[args.command](args)
+        args.handler(args, _Run(args))
+        return 0
     except ConfigError as exc:
         log.debug("usage error", exc_info=True)
         sys.stderr.write(f"error: {exc}\n")

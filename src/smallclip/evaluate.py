@@ -161,6 +161,11 @@ class RunStatistics:
         return (f"runs: {runs}\nmean: {self.mean:.4f}\n"
                 f"std: {self.std:.4f}\n")
 
+    def to_csv(self) -> str:
+        lines = ["seed,accuracy"]
+        lines += [f"{s},{float(v)!r}" for s, v in zip(self.seeds, self.values)]
+        return "\n".join(lines) + "\n"
+
 
 # -- cross-validation ----------------------------------------------------------
 
@@ -184,6 +189,13 @@ class CVReport:
         return (f"{self.k}-fold accuracies: {folds}\n"
                 f"mean: {self.mean:.4f}\nstd: {self.std:.4f}\n"
                 f"pooled: {self.pooled:.4f}\n")
+
+    def to_csv(self) -> str:
+        lines = ["fold,accuracy,n"]
+        lines += [f"{i},{float(a)!r},{n}" for i, (a, n) in
+                  enumerate(zip(self.fold_accuracies, self.fold_sizes))]
+        lines.append(f"pooled,{self.pooled!r},{int(self.fold_sizes.sum())}")
+        return "\n".join(lines) + "\n"
 
 
 def cross_validate(ds: Dataset, k: int, fit_predict, jobs=1) -> CVReport:

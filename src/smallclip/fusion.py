@@ -16,20 +16,6 @@ from .errors import ContractError
 from .scores import ScoreTable
 
 
-def _check_sources(probs) -> None:
-    """ContractError unless ``probs`` (N, C) holds N >= 1 finite,
-    nonnegative score vectors with positive sums."""
-    if probs.ndim != 2 or probs.shape[0] < 1:
-        raise ContractError(f"expected a nonempty list of score vectors, "
-                            f"got shape {probs.shape}")
-    if not np.all(np.isfinite(probs)):
-        raise ContractError("score vectors must be finite")
-    if np.any(probs < 0):
-        raise ContractError("fusion expects probabilities, got negative scores")
-    if np.any(probs.sum(axis=1) <= 0):
-        raise ContractError("score vectors must have positive sum")
-
-
 def check_weights(weights, n, error=ContractError) -> np.ndarray:
     """``weights`` as an (n,) array of finite, nonnegative values that are
     not all zero; otherwise ``error``."""
@@ -65,8 +51,6 @@ def fuse_tables(tables, weights=None) -> ScoreTable:
     out bit for bit as it would if fused alone.
     """
     stack = _aligned(tables)
-    for probs in stack:
-        _check_sources(probs)
     w = None if weights is None else check_weights(weights, stack.shape[0])
     if w is None or np.all(w == w[0]):
         fused = stack.sum(axis=0)

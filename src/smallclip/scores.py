@@ -1,7 +1,9 @@
 """Score tables: per-clip class probability vectors, stored as CSV.
 
 The format is one header row ``clip_id,p0,...,p{C-1}`` followed by one row
-per clip. Floats are written with ``repr`` so a read back is bit-exact.
+per clip. Floats are written with ``repr`` so a read back is bit-exact. Every table,
+built or loaded, holds at least one row, and every row is finite and
+nonnegative with a positive sum.
 Tables keep their row order; ``reordered`` aligns one table to another's.
 """
 
@@ -22,12 +24,26 @@ class ScoreTable:
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=np.float64)
+        if not self.ids:
+            raise ContractError("score table has no rows")
         if self.probs.ndim != 2 or self.probs.shape[0] != len(self.ids):
             raise ContractError(
                 f"probs shape {self.probs.shape} does not match "
                 f"{len(self.ids)} ids")
         if len(set(self.ids)) != len(self.ids):
             raise ContractError("duplicate clip ids in score table")
+        p = self.probs
+        finite = np.isfinite(p).all(axis=1)
+        nonnegative = (p >= 0).all(axis=1)
+        # for finite nonnegative rows, any positive entry is a positive sum
+        ok = finite & nonnegative & (p > 0).any(axis=1)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            fault = ("non-finite" if not finite[i] else
+                     "negative" if not nonnegative[i] else "all-zero")
+            raise ContractError(
+                f"clip {self.ids[i]!r}: {fault} scores (rows must be finite "
+                f"and nonnegative with a positive sum)")
 
     @property
     def n_classes(self) -> int:
@@ -80,8 +96,6 @@ def load_score_table(path) -> ScoreTable:
             rows.append([float(v) for v in parts[1:]])
         except ValueError:
             raise ParseError(f"{path}: line {lineno}: non-numeric score") from None
-    if not ids:
-        raise ParseError(f"{path}: score table has no rows")
     try:
         return ScoreTable(ids, np.asarray(rows, dtype=np.float64))
     except ContractError as exc:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from smallclip.data import Clip, build_dataset
-from smallclip.nn import sigmoid, softmax
+from smallclip.errors import ContractError
+from smallclip.nn import ParamTensor, sigmoid, softmax
 
 
 def make_clip(rng, clip_id, split="train", L=3, d_feature=4, n_classes=7,
@@ -97,3 +98,41 @@ def dataset_from_counts(counts_by_split, d_feature=4, n_classes=7, seed=0):
                                        d_feature=d_feature, n_classes=n_classes,
                                        label=k))
     return build_dataset(clips)
+
+
+def grad_check(loss_fn, tensors, eps=1e-5):
+    """Max relative error between analytic and central-difference gradients,
+    at 64-bit precision.
+
+    ``loss_fn(compute_grad)`` must return the scalar loss; when
+    ``compute_grad`` is true it must also populate ``t.grad`` for every tensor
+    in ``tensors``. It must be deterministic (fix any rng inside the closure).
+    Inputs can be checked too: wrap them in a ParamTensor and have the closure
+    route the backward pass's input gradient into its ``.grad``. Relative
+    error per coordinate is |a - n| / max(|a|, |n|, 1e-8).
+    """
+    if eps <= 0:
+        raise ContractError("eps must be > 0")
+    tensors = list(tensors)
+    for t in tensors:
+        if not isinstance(t, ParamTensor):
+            raise ContractError(f"grad_check needs ParamTensors, got {type(t)!r}")
+        t.zero_grad()
+    loss_fn(True)
+    analytic = [t.grad.copy() for t in tensors]
+
+    max_rel = 0.0
+    for t, ana in zip(tensors, analytic):
+        flat = t.values.reshape(-1)
+        ana_flat = ana.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            lp = loss_fn(False)
+            flat[i] = orig - eps
+            lm = loss_fn(False)
+            flat[i] = orig
+            numeric = (lp - lm) / (2.0 * eps)
+            rel = abs(ana_flat[i] - numeric) / max(abs(ana_flat[i]), abs(numeric), 1e-8)
+            max_rel = max(max_rel, rel)
+    return max_rel

@@ -17,7 +17,6 @@ from smallclip.config import TrainConfig
 from smallclip.data import ClassDistribution, Clip
 from smallclip.evaluate import evaluate
 from smallclip.fusion import fuse_tables
-from smallclip.gradcheck import grad_check
 from smallclip.nn import (Linear, LSTMParams, MLPHead, ParamTensor,
                           lstm_forward, lstm_backward,
                           softmax_cross_entropy_batch)
@@ -26,6 +25,8 @@ from smallclip.scores import ScoreTable
 from smallclip.synth import SynthConfig, generate_synthetic
 from smallclip.video import (VideoModel, pool_average, pool_weighted,
                              select_frames, train_video_model)
+
+from conftest import grad_check
 
 
 def criterion(num, ok, detail):

@@ -110,6 +110,36 @@ def test_missing_and_misshapen_params_rejected(tmp_path):
         model_from_dict(broken)
 
 
+def _drop_last_threshold(tree):
+    tree["threshold"]["data"].pop()
+    tree["threshold"]["shape"] = [len(tree["threshold"]["data"])]
+
+
+def _widen_hist(tree):
+    n, c = tree["hist"]["shape"]
+    tree["hist"]["shape"] = [n, c + 1]
+    tree["hist"]["data"] = [1] * (n * (c + 1))
+
+
+@pytest.mark.parametrize("break_tree, message", [
+    (_drop_last_threshold, "one length"),
+    (_widen_hist, "hist has shape"),
+    (lambda tree: tree["feature"]["data"].__setitem__(0, -2), "feature"),
+    (lambda tree: tree["hist"]["data"].__setitem__(0, -1), "nonnegative"),
+], ids=["short-threshold", "wide-hist", "feature-below-leaf", "negative-hist"])
+def test_malformed_forest_trees_rejected(break_tree, message):
+    ds = small_dataset(seed=5)
+    model, _ = train_audio_model(ds, TrainConfig(model="forest", n_trees=3),
+                                 seed=0)
+    obj = json.loads(json.dumps(checkpoint_dict(model)))
+    break_tree(obj["extra"]["trees"][2])
+    with pytest.raises(ParseError, match=f"tree 2: .*{message}"):
+        model_from_dict(obj)
+    obj["extra"]["trees"] = []
+    with pytest.raises(ParseError, match="no trees"):
+        model_from_dict(obj)
+
+
 def test_unknown_object_not_checkpointable():
     with pytest.raises(ContractError):
         checkpoint_dict(object())

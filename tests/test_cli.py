@@ -685,3 +685,286 @@ def test_lstm_outputs_do_not_depend_on_blas_threads(tmp_path):
         outputs[threads] = [(tmp_path / f"video{threads}.{ext}").read_bytes()
                             for ext in ("json", "csv")]
     assert outputs["1"] == outputs["2"]
+
+
+# -- the command-line surface --------------------------------------------------
+
+# Each subcommand's argv with its required flags only and with every optional
+# flag, and the namespace the parser gave for it before the shared flags were
+# declared once (parents=) and the handlers bound with set_defaults.
+NAMESPACES = {
+    "validate": [
+        (["--manifest", "m"],
+         {"command": "validate", "manifest": "m", "out": None}),
+        (["--manifest", "m", "--out", "o"],
+         {"command": "validate", "manifest": "m", "out": "o"})],
+    "train-video": [
+        (["--manifest", "m", "--out", "o"],
+         {"command": "train-video", "manifest": "m", "config": None,
+          "pooling": None, "seed": 0, "out": "o"}),
+        (["--manifest", "m", "--config", "c", "--pooling", "lstm",
+          "--seed", "3", "--out", "o"],
+         {"command": "train-video", "manifest": "m", "config": "c",
+          "pooling": "lstm", "seed": 3, "out": "o"})],
+    "train-audio": [
+        (["--manifest", "m", "--out", "o"],
+         {"command": "train-audio", "manifest": "m", "config": None,
+          "model": None, "pretrain": None, "seed": 0, "out": "o"}),
+        (["--manifest", "m", "--config", "c", "--model", "forest",
+          "--pretrain", "p", "--seed", "3", "--out", "o"],
+         {"command": "train-audio", "manifest": "m", "config": "c",
+          "model": "forest", "pretrain": "p", "seed": 3, "out": "o"})],
+    "predict": [
+        (["--model", "k", "--manifest", "m", "--out", "o"],
+         {"command": "predict", "model": "k", "manifest": "m",
+          "split": "all", "jobs": 1, "out": "o"}),
+        (["--model", "k", "--manifest", "m", "--split", "val", "--jobs", "2",
+          "--out", "o"],
+         {"command": "predict", "model": "k", "manifest": "m",
+          "split": "val", "jobs": 2, "out": "o"})],
+    "fuse": [
+        (["--scores", "a", "b", "--out", "o"],
+         {"command": "fuse", "scores": ["a", "b"], "weights": None,
+          "out": "o"}),
+        (["--scores", "a", "b", "--weights", "0.3", "0.7", "--out", "o"],
+         {"command": "fuse", "scores": ["a", "b"], "weights": [0.3, 0.7],
+          "out": "o"})],
+    "learn-fusion": [
+        (["--scores", "a", "b", "--manifest", "m"],
+         {"command": "learn-fusion", "scores": ["a", "b"], "manifest": "m",
+          "grid_step": None, "out": None}),
+        (["--scores", "a", "b", "--manifest", "m", "--grid-step", "0.1",
+          "--out", "o"],
+         {"command": "learn-fusion", "scores": ["a", "b"], "manifest": "m",
+          "grid_step": 0.1, "out": "o"})],
+    "ensemble": [
+        (["--manifest", "m", "--out", "o"],
+         {"command": "ensemble", "manifest": "m", "config": None,
+          "modality": "video", "pooling": None, "model": None, "count": 4,
+          "seed": 0, "jobs": 1, "out": "o"}),
+        (["--manifest", "m", "--config", "c", "--modality", "audio",
+          "--pooling", "lstm", "--model", "mlp", "--count", "3", "--seed",
+          "2", "--jobs", "2", "--out", "o"],
+         {"command": "ensemble", "manifest": "m", "config": "c",
+          "modality": "audio", "pooling": "lstm", "model": "mlp",
+          "count": 3, "seed": 2, "jobs": 2, "out": "o"})],
+    "evaluate": [
+        (["--scores", "s", "--manifest", "m"],
+         {"command": "evaluate", "scores": "s", "manifest": "m",
+          "split": None, "dist": None, "out": None}),
+        (["--scores", "s", "--manifest", "m", "--split", "val", "--dist",
+          "d", "--out", "o"],
+         {"command": "evaluate", "scores": "s", "manifest": "m",
+          "split": "val", "dist": "d", "out": "o"})],
+    "cross-validate": [
+        (["--manifest", "m"],
+         {"command": "cross-validate", "manifest": "m", "config": None,
+          "folds": 5, "modality": "video", "pooling": None, "model": None,
+          "seed": 0, "jobs": 1, "out": None}),
+        (["--manifest", "m", "--config", "c", "--folds", "3", "--modality",
+          "audio", "--pooling", "avg-pool", "--model", "forest", "--seed",
+          "2", "--jobs", "2", "--out", "o"],
+         {"command": "cross-validate", "manifest": "m", "config": "c",
+          "folds": 3, "modality": "audio", "pooling": "avg-pool",
+          "model": "forest", "seed": 2, "jobs": 2, "out": "o"})],
+    "repeat": [
+        (["--manifest", "m", "--seeds", "1", "2"],
+         {"command": "repeat", "manifest": "m", "config": None,
+          "modality": "video", "pooling": None, "model": None,
+          "seeds": [1, 2], "jobs": 1, "out": None}),
+        (["--manifest", "m", "--config", "c", "--modality", "audio",
+          "--pooling", "score-mean", "--model", "mlp", "--seeds", "4", "5",
+          "6", "--jobs", "2", "--out", "o"],
+         {"command": "repeat", "manifest": "m", "config": "c",
+          "modality": "audio", "pooling": "score-mean", "model": "mlp",
+          "seeds": [4, 5, 6], "jobs": 2, "out": "o"})],
+    "recipe": [
+        (["--manifest", "m", "--out", "o"],
+         {"command": "recipe", "preset": None, "recipe": None,
+          "manifest": "m", "config": None, "pretrain": None, "seed": 0,
+          "jobs": 1, "out": "o"}),
+        (["--preset", "submission1", "--recipe", "r", "--manifest", "m",
+          "--config", "c", "--pretrain", "p", "--seed", "2", "--jobs", "2",
+          "--out", "o"],
+         {"command": "recipe", "preset": "submission1", "recipe": "r",
+          "manifest": "m", "config": "c", "pretrain": "p", "seed": 2,
+          "jobs": 2, "out": "o"})],
+}
+
+
+@pytest.mark.parametrize("command, flags, expected", [
+    (command, flags, expected)
+    for command, cases in NAMESPACES.items() for flags, expected in cases],
+    ids=[f"{command}-{kind}" for command in NAMESPACES
+         for kind in ("required", "every-flag")])
+def test_argv_parses_to_the_same_namespace(command, flags, expected):
+    parsed = vars(cli.build_parser().parse_args([command, *flags]))
+    handler = parsed.pop("handler")
+    assert parsed == expected
+    assert handler is getattr(cli, "_cmd_" + command.replace("-", "_"))
+
+
+# synth's flags name SynthConfig fields, so its namespace changed; the
+# config it builds did not
+@pytest.mark.parametrize("flags, expected", [
+    ([], {"av_noise": 0.1, "centroid_seed": None, "d_audio": 64,
+          "d_feature": 32, "frames_max": 18, "frames_min": 6, "margin": 5.0,
+          "n_classes": 7, "noise": 0.1, "test_per_class": 0,
+          "train_per_class": 20, "val_per_class": 10, "with_audio": True}),
+    (["--classes", "3", "--clips-per-class", "4", "--val-per-class", "2",
+      "--test-per-class", "1", "--frames-min", "2", "--frames-max", "5",
+      "--d-feature", "6", "--d-audio", "7", "--no-audio", "--margin", "2",
+      "--noise", "0.3", "--av-noise", "0.2", "--centroid-seed", "4"],
+     {"av_noise": 0.2, "centroid_seed": 4, "d_audio": 7, "d_feature": 6,
+      "frames_max": 5, "frames_min": 2, "margin": 2.0, "n_classes": 3,
+      "noise": 0.3, "test_per_class": 1, "train_per_class": 4,
+      "val_per_class": 2, "with_audio": False}),
+], ids=["defaults", "every-flag"])
+def test_synth_flags_build_the_same_config(tmp_path, capsys, flags,
+                                           expected):
+    out = tmp_path / "s.jsonl"
+    assert main(["synth", *flags, "--seed", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "s.jsonl.manifest.json").read_text())
+    assert manifest["config"] == expected
+    assert manifest["seeds"] == [1]
+
+
+HELP_OPTIONS = {
+    "synth": ["--av-noise", "--centroid-seed", "--classes",
+              "--clips-per-class", "--d-audio", "--d-feature", "--frames-max",
+              "--frames-min", "--margin", "--no-audio", "--noise", "--out",
+              "--seed", "--test-per-class", "--val-per-class"],
+    "validate": ["--manifest", "--out"],
+    "train-video": ["--config", "--manifest", "--out", "--pooling", "--seed"],
+    "train-audio": ["--config", "--manifest", "--model", "--out",
+                    "--pretrain", "--seed"],
+    "predict": ["--jobs", "--manifest", "--model", "--out", "--split"],
+    "fuse": ["--out", "--scores", "--weights"],
+    "learn-fusion": ["--grid-step", "--manifest", "--out", "--scores"],
+    "ensemble": ["--config", "--count", "--jobs", "--manifest", "--modality",
+                 "--model", "--out", "--pooling", "--seed"],
+    "evaluate": ["--dist", "--manifest", "--out", "--scores", "--split"],
+    "cross-validate": ["--config", "--folds", "--jobs", "--manifest",
+                       "--modality", "--model", "--out", "--pooling",
+                       "--seed"],
+    "repeat": ["--config", "--jobs", "--manifest", "--modality", "--model",
+               "--out", "--pooling", "--seeds"],
+    "recipe": ["--config", "--jobs", "--manifest", "--out", "--preset",
+               "--pretrain", "--recipe", "--seed"],
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_OPTIONS))
+def test_subcommand_help_lists_its_options(capsys, command):
+    assert main([command, "--help"]) == 0
+    text = capsys.readouterr().out
+    listed = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", text))
+    assert listed == {"-h", "--help", *HELP_OPTIONS[command]}
+
+
+# -- one rule for every score table --------------------------------------------
+
+ROW_RULE = "rows must be finite and nonnegative with a positive sum"
+
+
+def _table_with_row(workdir, name, row, at=2):
+    """A score table over every clip of the workdir manifest, one-hot except
+    for row ``at``, which holds ``row``; returns (path, that row's id)."""
+    ids = [json.loads(line)["id"]
+           for line in (workdir / "data.jsonl").read_text().splitlines()]
+    path = workdir / name
+    path.write_text("clip_id,p0,p1,p2\n" + "".join(
+        f"{cid},{row if i == at else '1,0,0'}\n" for i, cid in enumerate(ids)))
+    return path, ids[at]
+
+
+@pytest.mark.parametrize("row, fault", [("nan,0.5,0.5", "non-finite"),
+                                        ("-5,1,1", "negative"),
+                                        ("0,0,0", "all-zero")],
+                         ids=["nan", "negative", "zero-sum"])
+def test_evaluate_rejects_a_bad_score_row(workdir, capsys, row, fault):
+    bad, cid = _table_with_row(workdir, "bad.csv", row)
+    out = workdir / "report.csv"
+    assert main(["evaluate", "--scores", str(bad), "--manifest",
+                 str(workdir / "data.jsonl"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == \
+        [f"error: {bad}: clip {cid!r}: {fault} scores ({ROW_RULE})"]
+    assert not out.exists()
+
+
+def test_learn_fusion_rejects_a_nan_table(workdir, capsys):
+    bad, cid = _table_with_row(workdir, "nan.csv", "nan,0,1")
+    good, _ = _table_with_row(workdir, "good.csv", "0,1,0")
+    out = workdir / "fusion.json"
+    assert main(["learn-fusion", "--scores", str(good), str(bad),
+                 "--manifest", str(workdir / "data.jsonl"),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == \
+        [f"error: {bad}: clip {cid!r}: non-finite scores ({ROW_RULE})"]
+    assert not out.exists()
+
+
+def test_predict_with_a_nan_weight_writes_nothing(workdir, capsys):
+    m = str(workdir / "data.jsonl")
+    ckpt = workdir / "video.json"
+    assert main(["train-video", "--manifest", m, "--config",
+                 str(workdir / "fast.cfg"), "--pooling", "avg-pool",
+                 "--out", str(ckpt)]) == 0
+    obj = json.loads(ckpt.read_text())
+    next(iter(obj["params"].values()))["data"][0] = float("nan")
+    ckpt.write_text(json.dumps(obj))
+    capsys.readouterr()
+    out = workdir / "scores.csv"
+    assert main(["predict", "--model", str(ckpt), "--manifest", m,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: clip ")
+    assert err[0].endswith(f": non-finite scores ({ROW_RULE})")
+    assert not out.exists()
+
+
+# -- forest checkpoints are checked before use ---------------------------------
+
+def _break_tree(tree, meta, edit):
+    """Break one node of a forest checkpoint's tree, one way per ``edit``."""
+    if edit == "backward-child":      # back to the root: the walk never ends
+        tree["left"]["data"][0] = 0
+    elif edit == "child-out-of-range":
+        tree["left"]["data"][0] = 10 ** 6
+    elif edit == "feature-out-of-range":
+        tree["feature"]["data"][0] = meta["d_audio"]
+    else:                             # a leaf that counts no clip
+        c, leaf = meta["n_classes"], tree["feature"]["data"].index(-1)
+        tree["hist"]["data"][leaf * c:(leaf + 1) * c] = [0] * c
+
+
+@pytest.mark.parametrize("edit", ["backward-child", "child-out-of-range",
+                                  "feature-out-of-range", "zero-leaf"])
+def test_malformed_forest_checkpoint_exits_one(workdir, capsys, edit):
+    m = str(workdir / "data.jsonl")
+    ckpt = workdir / "audio.json"
+    assert main(["train-audio", "--manifest", m, "--config",
+                 str(workdir / "fast.cfg"), "--model", "forest",
+                 "--out", str(ckpt)]) == 0
+    capsys.readouterr()
+    obj = json.loads(ckpt.read_text())
+    tree = obj["extra"]["trees"][0]
+    assert tree["feature"]["data"][0] != -1   # the root splits
+    _break_tree(tree, obj["meta"], edit)
+    ckpt.write_text(json.dumps(obj))
+    out = workdir / "scores.csv"
+    # a fresh process with a time limit, so a walk that never ends fails the
+    # test instead of stalling the suite
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + ([os.environ["PYTHONPATH"]]
+                 if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "smallclip.cli", "predict", "--model",
+         str(ckpt), "--manifest", m, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60)
+    err = proc.stderr.splitlines()
+    assert proc.returncode == 1, proc.stderr
+    assert len(err) == 1
+    assert err[0].startswith("error: malformed checkpoint: tree 0: ")
+    assert not out.exists()

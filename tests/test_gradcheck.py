@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from smallclip.errors import ContractError
-from smallclip.gradcheck import grad_check
 from smallclip.nn import (Linear, MLPHead, ParamTensor,
                           softmax_cross_entropy_batch, stack_members)
 
-from conftest import softmax_cross_entropy
+from conftest import grad_check, softmax_cross_entropy
 
 
 def projection_loss(module, x_t, proj, mode="train"):

@@ -91,6 +91,22 @@ def test_shape_mismatch_rejected():
         ScoreTable(["a"], np.ones(3))
 
 
+@pytest.mark.parametrize("row, fault", [
+    ([np.nan, 1.0], "non-finite"), ([np.inf, 1.0], "non-finite"),
+    ([-0.5, 1.5], "negative"), ([0.0, 0.0], "all-zero")])
+def test_every_row_is_finite_nonnegative_with_a_positive_sum(
+        tmp_path, row, fault):
+    with pytest.raises(ContractError, match=f"^clip 'b': {fault} scores"):
+        ScoreTable(["a", "b", "c"], [[0.5, 0.5], row, [-1.0, 2.0]])
+    p = tmp_path / "bad.csv"
+    p.write_text("clip_id,p0,p1\na,0.5,0.5\nb,"
+                 + ",".join(repr(float(v)) for v in row) + "\n")
+    with pytest.raises(ParseError, match=f"bad.csv: clip 'b': {fault}"):
+        load_score_table(p)
+    with pytest.raises(ContractError, match="no rows"):
+        ScoreTable([], np.ones((0, 2)))
+
+
 def test_reordered_permutes_rows(rng):
     table = random_table(rng, n=5)
     new_order = list(reversed(table.ids))

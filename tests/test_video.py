@@ -4,7 +4,6 @@ import pytest
 from smallclip.config import VIDEO_HEADS, TrainConfig
 from smallclip.data import Clip
 from smallclip.errors import ContractError, TrainingError
-from smallclip.gradcheck import grad_check
 from smallclip.nn import (Linear, ParamTensor, lstm_forward, sigmoid, softmax,
                           softmax_cross_entropy_batch, stack_members)
 from smallclip.optim import _check_stack_finite, make_optimizer
@@ -15,7 +14,7 @@ from smallclip.video import (VideoModel, pool_average, pool_weighted,
                              select_frames, selected_frames,
                              train_video_model, train_video_models)
 
-from conftest import lstm_step, make_clip
+from conftest import grad_check, lstm_step, make_clip
 
 
 def clip_with_scores(per_frame_scores, n_classes=7, d_feature=4):
