@@ -17,6 +17,7 @@ eval path reads.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -29,21 +30,42 @@ from .video import VideoModel
 
 FORMAT = "smallclip-checkpoint"
 VERSION = 1
+# a forest tree's arrays, in file order, with their dtypes
+_TREE_ARRAYS = {"feature": np.int64, "threshold": np.float64,
+               "left": np.int64, "right": np.int64, "hist": np.int64}
 
 
-def _arr(a, as_int=False):
+def _arr(a):
     a = np.asarray(a)
-    data = a.ravel().tolist()
-    if as_int:
-        data = [int(v) for v in data]
-    return {"shape": list(a.shape), "data": data}
+    return {"shape": list(a.shape), "data": a.ravel().tolist()}
 
 
-def _unarr(obj, dtype=np.float64):
-    try:
-        return np.asarray(obj["data"], dtype=dtype).reshape(obj["shape"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad array record in checkpoint: {exc}") from exc
+def _unarr(obj, what, dtype=np.float64):
+    """The array of a ``{"shape": [...], "data": [...]}`` record.
+
+    ``shape`` must list nonnegative JSON integers and ``data`` be a flat
+    list of as many JSON numbers (JSON integers for an integer ``dtype``),
+    each finite; otherwise a ParseError names ``what``.
+    """
+    integer = dtype == np.int64
+    shape, data = ((obj.get("shape"), obj.get("data"))
+                   if isinstance(obj, dict) else (None, None))
+    if not (isinstance(shape, list) and set(map(type, shape)) <= {int}
+            and min(shape, default=0) >= 0):
+        problem = "shape must be a list of nonnegative integers"
+    elif not isinstance(data, list) or len(data) != math.prod(shape):
+        problem = f"data must be a list of {math.prod(shape)} values"
+    elif not set(map(type, data)) <= ({int} if integer else {int, float}):
+        problem = f"data must hold JSON {'integers' if integer else 'numbers'}"
+    else:
+        try:
+            a = np.array(data, dtype=dtype).reshape(shape)
+            if integer or np.isfinite(a).all():
+                return a
+        except OverflowError:  # an integer beyond the dtype's range
+            pass
+        problem = "data must be finite and in range"
+    raise ParseError(f"malformed checkpoint: {what}: {problem}")
 
 
 def _params_dict(params):
@@ -54,11 +76,20 @@ def _restore_params(params, blob):
     for p in params:
         if p.name not in blob:
             raise ParseError(f"checkpoint is missing parameter {p.name!r}")
-        values = _unarr(blob[p.name])
+        values = _unarr(blob[p.name], f"parameter {p.name!r}")
         if values.shape != p.values.shape:
             raise ParseError(f"parameter {p.name!r} has shape "
                              f"{values.shape}, expected {p.values.shape}")
         p.values = values
+
+
+def _counts(meta, *keys):
+    """``meta``'s values at ``keys``, each of which must be an int >= 1."""
+    for key in keys:
+        if type(meta[key]) is not int or meta[key] < 1:
+            raise ParseError(f"malformed checkpoint: meta {key} must be an "
+                             f"integer >= 1, got {json.dumps(meta[key])}")
+    return [meta[key] for key in keys]
 
 
 def checkpoint_dict(model) -> dict:
@@ -81,11 +112,8 @@ def checkpoint_dict(model) -> dict:
                 "extra": extra}
     if isinstance(model, AudioModel) and model.kind == "forest":
         f = model.forest
-        trees = [{"feature": _arr(t.feature, as_int=True),
-                  "threshold": _arr(t.threshold),
-                  "left": _arr(t.left, as_int=True),
-                  "right": _arr(t.right, as_int=True),
-                  "hist": _arr(t.hist, as_int=True)} for t in f.trees]
+        trees = [{key: _arr(getattr(t, key)) for key in _TREE_ARRAYS}
+                 for t in f.trees]
         meta = {"d_audio": model.d_audio, "n_classes": model.n_classes,
                 "n_trees": len(f.trees), "seed": f.seed}
         return {"format": FORMAT, "version": VERSION, "kind": "audio-forest",
@@ -133,34 +161,41 @@ def model_from_dict(obj) -> VideoModel | AudioModel:
     meta = obj.get("meta", {})
     try:
         if kind == "video":
-            model = VideoModel(meta["head"], meta["n"], meta["d_feature"],
-                               meta["n_classes"], score_mode=meta["score_mode"],
-                               lstm_hidden=meta["lstm_hidden"])
+            n, d_feature, n_classes, lstm_hidden = _counts(
+                meta, "n", "d_feature", "n_classes", "lstm_hidden")
+            model = VideoModel(meta["head"], n, d_feature, n_classes,
+                               score_mode=meta["score_mode"],
+                               lstm_hidden=lstm_hidden)
             _restore_params(model.params(), obj["params"])
             return model
         if kind == "audio-mlp":
-            mlp = MLPHead(meta["d_audio"], meta["hidden"], meta["n_classes"],
+            d_audio, hidden, n_classes = _counts(
+                meta, "d_audio", "hidden", "n_classes")
+            mlp = MLPHead(d_audio, hidden, n_classes,
                           dropout=meta["dropout"], name="audio")
             _restore_params(mlp.params(), obj["params"])
-            mlp.bn.running_mean = _unarr(obj["extra"]["running_mean"])
-            mlp.bn.running_var = _unarr(obj["extra"]["running_var"])
-            return AudioModel("mlp", meta["d_audio"], meta["n_classes"],
-                              mlp=mlp)
+            for name in ("running_mean", "running_var"):
+                stat = _unarr(obj["extra"][name], name)
+                if stat.shape != (hidden,):
+                    raise ParseError(f"malformed checkpoint: {name} has "
+                                     f"shape {stat.shape}, expected "
+                                     f"{(hidden,)}")
+                setattr(mlp.bn, name, stat)
+            if np.any(mlp.bn.running_var < 0):
+                raise ParseError("malformed checkpoint: running_var must "
+                                 "be nonnegative")
+            return AudioModel("mlp", d_audio, n_classes, mlp=mlp)
         if kind == "audio-forest":
-            trees = [Tree(_unarr(t["feature"], np.int64),
-                          _unarr(t["threshold"]),
-                          _unarr(t["left"], np.int64),
-                          _unarr(t["right"], np.int64),
-                          _unarr(t["hist"], np.int64))
-                     for t in obj["extra"]["trees"]]
+            d_audio, n_classes = _counts(meta, "d_audio", "n_classes")
+            trees = [Tree(**{key: _unarr(t[key], f"tree {i}: {key}", dtype)
+                             for key, dtype in _TREE_ARRAYS.items()})
+                     for i, t in enumerate(obj["extra"]["trees"])]
             if not trees:
                 raise ParseError("malformed checkpoint: forest has no trees")
             for i, tree in enumerate(trees):
-                _check_tree(i, tree, meta["d_audio"], meta["n_classes"])
-            f = Forest(trees, meta["n_classes"], meta["d_audio"],
-                       meta.get("seed", 0))
-            return AudioModel("forest", meta["d_audio"], meta["n_classes"],
-                              forest=f)
+                _check_tree(i, tree, d_audio, n_classes)
+            f = Forest(trees, n_classes, d_audio, meta.get("seed", 0))
+            return AudioModel("forest", d_audio, n_classes, forest=f)
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed checkpoint: {exc}") from exc
     raise ParseError(f"unknown checkpoint kind {kind!r}")

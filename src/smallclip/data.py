@@ -45,15 +45,9 @@ class Clip:
     Frames are stored stacked: ``features`` is (L, d_feature), ``scores`` is
     (L, n_classes), ``av`` is (L, 2). ``audio`` is a (d_audio,) vector or None;
     ``label`` is a class index or None.
-
-    ``selected`` memoizes key-frame selections by frame count ``n`` (filled
-    by :func:`smallclip.video.selected_frames`), so a clip's frames are
-    selected once however many models and epochs score it. Treat the frame
-    arrays as read-only once the clip has been scored.
     """
 
-    __slots__ = ("id", "split", "label", "features", "scores", "av", "audio",
-                 "selected")
+    __slots__ = ("id", "split", "label", "features", "scores", "av", "audio")
 
     def __init__(self, id, split, features, scores, av, audio=None, label=None):
         self.id = str(id)
@@ -63,14 +57,11 @@ class Clip:
         self.av = np.asarray(av, dtype=np.float64)
         self.audio = None if audio is None else np.asarray(audio, dtype=np.float64)
         self.label = None if label is None else int(label)
-        self.selected = {}
 
     def with_split(self, split) -> "Clip":
-        """This clip under another split, sharing its arrays and selections."""
-        clip = Clip(self.id, split, self.features, self.scores, self.av,
+        """This clip under another split, sharing its arrays."""
+        return Clip(self.id, split, self.features, self.scores, self.av,
                     audio=self.audio, label=self.label)
-        clip.selected = self.selected
-        return clip
 
     @property
     def n_frames(self) -> int:
@@ -188,7 +179,10 @@ def build_dataset(clips, meta=None) -> Dataset:
 
 def _clip_from_json(obj, line_no):
     try:
-        frames = obj["frames"]
+        frames, clip_id = obj["frames"], obj["id"]
+        if type(clip_id) is not str:
+            raise ParseError(f"line {line_no}: id must be a string, got "
+                             f"{json.dumps(clip_id)}")
         label = obj.get("label")
         if label is not None and type(label) is not int:  # bool is an int
             raise ParseError(f"line {line_no}: label must be an integer or "
@@ -200,7 +194,7 @@ def _clip_from_json(obj, line_no):
         features = np.array([fr["f"] for fr in frames], dtype=np.float64)
         scores = np.array([fr["s"] for fr in frames], dtype=np.float64)
         av = np.array([fr["av"] for fr in frames], dtype=np.float64)
-        return Clip(obj["id"], obj["split"], features, scores, av,
+        return Clip(clip_id, obj["split"], features, scores, av,
                     audio=obj.get("audio"), label=label)
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"line {line_no}: malformed clip record ({e})") from e

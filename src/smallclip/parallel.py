@@ -14,15 +14,14 @@ With ``jobs > 1`` the units run in worker processes started with the
 ``fork`` start method, at most ``min(jobs, len(items), os.cpu_count())`` of
 them, so members' numpy steps do not contend for one interpreter lock.
 Workers inherit the function, the items and everything the caller has
-loaded (datasets, memoized frame selections) through fork: only an item's
-index goes out and its pickled result comes back. What a unit changes in
-memory (a memo it fills, a counter it bumps) stays in its worker, so a
-caller that wants such state shared fills it before the map. The CLI
-runs BLAS on one thread per process (``cli.BLAS_THREAD_VARS``), and
-forked workers inherit that one-thread pool, so ``jobs`` workers keep
-``jobs`` cores busy rather than each starting a pool of its own. Every
-worker is joined before the map returns. Where no ``fork`` start method exists
-(Windows), the units run one after another in the caller.
+loaded (datasets) through fork: only an item's index goes out and its
+pickled result comes back. What a unit changes in memory (a counter it
+bumps) stays in its worker. The CLI runs BLAS on one thread per process
+(``cli.BLAS_THREAD_VARS``), and forked workers inherit that one-thread
+pool, so ``jobs`` workers keep ``jobs`` cores busy rather than each
+starting a pool of its own. Every worker is joined before the map
+returns. Where no ``fork`` start method exists (Windows), the units run
+one after another in the caller.
 """
 
 from __future__ import annotations

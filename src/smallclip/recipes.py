@@ -27,8 +27,8 @@ from .parallel import parallel_map
 from .scores import ScoreTable
 # train_video_model is unused here, but perfbench's tracer test checks that
 # the tracer rewraps this module's binding of it
-from .video import (predict_stacked, selected_frames,  # noqa: F401
-                    train_video_model, train_video_models)
+from .video import (predict_stacked, train_video_model,  # noqa: F401
+                    train_video_models)
 
 PRESET_NAMES = tuple(f"submission{i}" for i in range(1, 8))
 
@@ -163,16 +163,9 @@ def score_members(train_ds: Dataset, config: TrainConfig, members, clips,
     one (N, C) probability array per member, in member order. Members are
     independent, so how ``jobs`` splits them into units (``_units``) only
     changes wall-clock time: a unit trains as one stack, and a video stack
-    scores every clip in one batched pass (``video.predict_stacked``).
-    Frames are selected for every clip before the units start, so worker
-    processes share one selection per clip. Only the audio mlp takes the
-    ``pretrain`` corpus.
+    scores every clip in one batched pass (``video.predict_stacked``). Only
+    the audio mlp takes the ``pretrain`` corpus.
     """
-    if any(m["modality"] == "video" and m["kind"] != "score-mean"
-           for m in members):
-        for clip in [*train_ds.clips, *clips]:  # forked workers inherit it
-            selected_frames(clip, config.n)
-
     def run_unit(unit):
         first = members[unit[0]]
         cfg = TrainConfig(**vars(config))

@@ -14,8 +14,6 @@ selected frame features into class scores:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import TrainConfig, VIDEO_HEADS
@@ -26,54 +24,37 @@ from .nn import (LSTMParams, Linear, lstm_backward, lstm_forward, sigmoid,
 from .optim import train_minibatches
 
 
-@dataclass
-class SelectedClip:
-    """Fixed-length view of a clip: features, arousal-valence, source rows."""
+def select_frames(clips, n: int = 16):
+    """Keep the highest-scoring frame of each of ``n`` equal chunks, per clip.
 
-    features: np.ndarray   # (n, D)
-    av: np.ndarray         # (n, 2)
-    indices: np.ndarray    # (n,) rows of the original clip, ascending
-
-
-def select_frames(clip: Clip, n: int = 16) -> SelectedClip:
-    """Keep the highest-scoring frame of each of ``n`` equal chunks.
-
-    Chunk i covers frame indices [floor(i*L/n), floor((i+1)*L/n)). Score ties
-    go to the earliest frame. When L < n some chunks are empty; those reuse
-    the frame at min(floor(i*L/n), L-1), so short clips repeat frames rather
-    than fail.
+    Returns ``(F, AV, indices)`` of shapes (N, n, D), (N, n, 2) and (N, n)
+    for a nonempty list of N clips of one feature dim: the chosen frames'
+    features and arousal-valence, and their rows within each clip. A
+    frame's score is its max class score. Chunk i of an L-frame clip covers
+    rows [floor(i*L/n), floor((i+1)*L/n)), and score ties go to the earliest
+    row. When L < n some chunks are empty; those keep row floor(i*L/n), so
+    short clips repeat frames rather than fail. One call selects for the
+    whole batch, in memory linear in its total frame count.
     """
     if n < 1:
         raise ContractError(f"frame count n must be >= 1, got {n}")
-    L = clip.n_frames
-    per_frame = clip.scores.max(axis=1)
-    indices = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        lo = (i * L) // n
-        hi = ((i + 1) * L) // n
-        if lo < hi:
-            indices[i] = lo + np.argmax(per_frame[lo:hi])
-        else:
-            indices[i] = min(lo, L - 1)
-    return SelectedClip(clip.features[indices], clip.av[indices], indices)
-
-
-def selected_frames(clip: Clip, n: int) -> SelectedClip:
-    """``select_frames(clip, n)``, computed once per clip and ``n``.
-
-    The selection is memoized on the clip, so every member, epoch and batch
-    that scores the clip shares it; the result is deterministic.
-    """
-    sel = clip.selected.get(n)
-    if sel is None:
-        sel = clip.selected[n] = select_frames(clip, n)
-    return sel
-
-
-def _stack_selected(clips, n: int):
-    """(F, AV) of shapes (N, n, D) and (N, n, 2) for a list of clips."""
-    sel = [selected_frames(c, n) for c in clips]
-    return np.stack([s.features for s in sel]), np.stack([s.av for s in sel])
+    lengths = np.array([c.n_frames for c in clips], dtype=np.int64)
+    offsets = (np.cumsum(lengths) - lengths)[:, None]
+    bounds = np.arange(n + 1) * lengths[:, None] // n
+    nonempty = bounds[:, :-1] < bounds[:, 1:]
+    # rows of the clips' concatenated frames; the nonempty chunks tile them,
+    # so a reduceat over their starts reduces each chunk on its own
+    rows = bounds[:, :-1] + offsets
+    starts = rows[nonempty]
+    per_frame = np.concatenate([c.scores.max(axis=1) for c in clips])
+    total = len(per_frame)
+    best = np.repeat(np.maximum.reduceat(per_frame, starts),
+                     np.diff(starts, append=total))
+    rows[nonempty] = np.minimum.reduceat(
+        np.where(per_frame == best, np.arange(total), total), starts)
+    indices = rows - offsets
+    return (np.stack([c.features[i] for c, i in zip(clips, indices)]),
+            np.stack([c.av[i] for c, i in zip(clips, indices)]), indices)
 
 
 def predict_score_mean(clip: Clip, score_mode: str = "probs") -> np.ndarray:
@@ -261,8 +242,8 @@ def train_video_models(ds: Dataset, config: TrainConfig, seeds):
     A log is one dict per epoch with the mean train loss and the val-split
     accuracy (None when the val split is empty). Member m's rng
     ``default_rng([seeds[m], 0x71D])`` draws its init and its epoch
-    permutations. Frames are selected once per clip, the train and labeled
-    val clips are stacked once per call, and the members train in lockstep
+    permutations. The train and labeled val clips are each one
+    ``select_frames`` batch per call, and the members train in lockstep
     as one stacked model (``nn.stack_members``) in
     ``optim.train_minibatches``, so each member's parameters and log are
     bit for bit those it gets when trained alone. A non-finite loss or
@@ -288,7 +269,7 @@ def train_video_models(ds: Dataset, config: TrainConfig, seeds):
                 for model in models]
 
     def inputs(clips):
-        F, AV = _stack_selected(clips, config.n)
+        F, AV, _ = select_frames(clips, config.n)
         if config.head == "avg-pool":  # pool once, not every step
             return pool_average(F)[:, None, :], AV[:, :1]
         return F, AV
@@ -320,7 +301,7 @@ def train_video_models(ds: Dataset, config: TrainConfig, seeds):
 def predict_stacked(models, clips) -> np.ndarray:
     """Class probabilities (M, N, C) of M models sharing kind, ``n`` and
     feature dim, one row per clip: one forward of the models' stack
-    (``nn.stack_members``) over frames selected once per clip. Member m's
+    (``nn.stack_members``) over one ``select_frames`` batch. Member m's
     rows are bit for bit those it scores alone. The untrained score-mean
     head reads the stored frame scores instead.
     """
@@ -331,6 +312,6 @@ def predict_stacked(models, clips) -> np.ndarray:
     if first.kind == "score-mean":
         return np.stack([np.stack([predict_score_mean(c, m.score_mode)
                                    for c in clips]) for m in models])
-    logits, _ = stack_members(models).forward_batch(
-        *_stack_selected(clips, first.n), keep_cache=False)
+    F, AV, _ = select_frames(clips, first.n)
+    logits, _ = stack_members(models).forward_batch(F, AV, keep_cache=False)
     return softmax(logits, axis=-1)

@@ -134,7 +134,7 @@ def test_criterion_2_selection_matches_oracle():
             scores[:, 0] = np.round(scores[:, 0], 1)
         clip = Clip(f"a{case}", "train", rng.standard_normal((L, 2)), scores,
                     rng.uniform(-1, 1, (L, 2)))
-        got = select_frames(clip, n).indices.tolist()
+        got = select_frames([clip], n)[2][0].tolist()
         if got != oracle_select(scores[:, 0], L, n):
             mismatches += 1
     criterion(2, mismatches == 0,

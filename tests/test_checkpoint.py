@@ -109,6 +109,16 @@ def test_missing_and_misshapen_params_rejected(tmp_path):
     with pytest.raises(ParseError, match="shape"):
         model_from_dict(broken)
 
+    # a record must hold as many values as its own shape asks for
+    for shape, pop, message in (([-1], 0, "nonnegative integers"),
+                                (obj["params"][name]["shape"], 1,
+                                 "data must be a list of")):
+        broken = json.loads(json.dumps(obj))
+        broken["params"][name]["shape"] = shape
+        del broken["params"][name]["data"][:pop]
+        with pytest.raises(ParseError, match=f"{name!r}: .*{message}"):
+            model_from_dict(broken)
+
 
 def _drop_last_threshold(tree):
     tree["threshold"]["data"].pop()

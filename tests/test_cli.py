@@ -912,15 +912,17 @@ def test_predict_with_a_nan_weight_writes_nothing(workdir, capsys):
                  str(workdir / "fast.cfg"), "--pooling", "avg-pool",
                  "--out", str(ckpt)]) == 0
     obj = json.loads(ckpt.read_text())
-    next(iter(obj["params"].values()))["data"][0] = float("nan")
+    name, param = next(iter(obj["params"].items()))
+    param["data"][0] = float("nan")
     ckpt.write_text(json.dumps(obj))
     capsys.readouterr()
     out = workdir / "scores.csv"
     assert main(["predict", "--model", str(ckpt), "--manifest", m,
                  "--out", str(out)]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: clip ")
-    assert err[0].endswith(f": non-finite scores ({ROW_RULE})")
+    # caught on load, naming the parameter rather than a clip's scores
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: malformed checkpoint: parameter {name!r}: data must be "
+        f"finite and in range"]
     assert not out.exists()
 
 
@@ -967,4 +969,67 @@ def test_malformed_forest_checkpoint_exits_one(workdir, capsys, edit):
     assert proc.returncode == 1, proc.stderr
     assert len(err) == 1
     assert err[0].startswith("error: malformed checkpoint: tree 0: ")
+    assert not out.exists()
+
+
+# -- video and audio-mlp checkpoints and manifest ids are validated on load ---
+
+def _first_param(obj):
+    return next(iter(obj["params"].values()))["data"]
+
+
+def _nudge_root_feature(obj):
+    obj["extra"]["trees"][0]["feature"]["data"][0] += 0.9
+
+
+@pytest.mark.parametrize("model, edit, message", [
+    ("video", lambda obj: obj["meta"].update(n="16"),
+     'meta n must be an integer >= 1, got "16"'),
+    ("video", lambda obj: obj["meta"].update(n=2.5),
+     "meta n must be an integer >= 1, got 2.5"),
+    ("mlp", lambda obj: obj["extra"].update(
+        running_mean={"shape": [1], "data": [0.0]}),
+     "running_mean has shape (1,), expected (8,)"),
+    ("mlp", lambda obj: obj["extra"]["running_var"]["data"].__setitem__(
+        0, -1.0), "running_var must be nonnegative"),
+    ("video", lambda obj: _first_param(obj).__setitem__(0, "nan"),
+     "parameter 'classifier.W': data must hold JSON numbers"),
+    ("video", lambda obj: _first_param(obj).__setitem__(0, True),
+     "parameter 'classifier.W': data must hold JSON numbers"),
+    ("forest", _nudge_root_feature,
+     "tree 0: feature: data must hold JSON integers"),
+], ids=["n-string", "n-float", "short-running-mean", "negative-running-var",
+        "nan-string", "bool-weight", "fractional-feature"])
+def test_malformed_checkpoint_exits_one_naming_the_field(
+        workdir, capsys, model, edit, message):
+    m = str(workdir / "data.jsonl")
+    ckpt = workdir / "model.json"
+    train = (["train-video"] if model == "video"
+             else ["train-audio", "--model", model])
+    assert main(train + ["--manifest", m, "--config",
+                         str(workdir / "fast.cfg"), "--out", str(ckpt)]) == 0
+    obj = json.loads(ckpt.read_text())
+    edit(obj)
+    ckpt.write_text(json.dumps(obj))
+    capsys.readouterr()
+    out = workdir / "scores.csv"
+    assert main(["predict", "--model", str(ckpt), "--manifest", m,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: malformed checkpoint: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("clip_id", [None, 17], ids=["null", "integer"])
+def test_manifest_id_must_be_a_string(workdir, capsys, clip_id):
+    records = [json.loads(line) for line in
+               (workdir / "data.jsonl").read_text().splitlines()]
+    records[2]["id"] = clip_id
+    bad = workdir / "bad.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+    capsys.readouterr()
+    out = workdir / "report.txt"
+    assert main(["validate", "--manifest", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: line 3: id must be a string, got {json.dumps(clip_id)}"]
     assert not out.exists()

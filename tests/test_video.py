@@ -11,8 +11,8 @@ from smallclip.synth import SynthConfig, generate_synthetic
 from smallclip import video as video_module
 from smallclip.video import (VideoModel, pool_average, pool_weighted,
                              predict_score_mean, predict_stacked,
-                             select_frames, selected_frames,
-                             train_video_model, train_video_models)
+                             select_frames, train_video_model,
+                             train_video_models)
 
 from conftest import grad_check, lstm_step, make_clip
 
@@ -26,6 +26,11 @@ def clip_with_scores(per_frame_scores, n_classes=7, d_feature=4):
     rng = np.random.default_rng(0)
     return Clip("c", "train", rng.standard_normal((L, d_feature)), scores,
                 rng.uniform(-1, 1, (L, 2)), label=0)
+
+
+def selected_rows(clip, n):
+    """The rows ``select_frames`` keeps of one clip, as a list."""
+    return select_frames([clip], n)[2][0].tolist()
 
 
 def oracle_select(per_frame, L, n):
@@ -64,30 +69,29 @@ def test_frame_score_is_max():
     clip.scores[2] = np.full(7, 1 / 7)                # 1/7 beats 0.1
     clip.scores[4] = [-2, -1, -3, -4, -5, -6, -7]     # -1 beats -1.5
     clip.scores[5] = [-1.5, -3, -4, -5, -6, -7, -8]
-    assert select_frames(clip, 3).indices.tolist() == [1, 2, 4]
+    assert selected_rows(clip, 3) == [1, 2, 4]
 
 
 def test_select_frames_documented_cases():
-    sel = select_frames(clip_with_scores([0.2, 0.9, 0.3, 0.5]), 2)
-    assert sel.indices.tolist() == [1, 3]
+    assert selected_rows(clip_with_scores([0.2, 0.9, 0.3, 0.5]), 2) == [1, 3]
     # L == n keeps every frame whatever the scores say
-    sel = select_frames(clip_with_scores([0.9, 0.1, 0.5]), 3)
-    assert sel.indices.tolist() == [0, 1, 2]
+    assert selected_rows(clip_with_scores([0.9, 0.1, 0.5]), 3) == [0, 1, 2]
     # short clip duplicates via the empty-chunk rule
-    sel = select_frames(clip_with_scores([0.3, 0.2, 0.1]), 6)
-    assert sel.indices.tolist() == [0, 0, 1, 1, 2, 2]
+    assert selected_rows(clip_with_scores([0.3, 0.2, 0.1]), 6) == \
+        [0, 0, 1, 1, 2, 2]
 
 
 def test_select_frames_rows_carry_chosen_frames():
     clip = clip_with_scores([0.2, 0.9, 0.3, 0.5])
-    sel = select_frames(clip, 2)
-    assert np.array_equal(sel.features, clip.features[[1, 3]])
-    assert np.array_equal(sel.av, clip.av[[1, 3]])
+    F, AV, indices = select_frames([clip], 2)
+    assert F.shape == (1, 2, 4) and AV.shape == (1, 2, 2)
+    assert indices.tolist() == [[1, 3]]
+    assert np.array_equal(F[0], clip.features[[1, 3]])
+    assert np.array_equal(AV[0], clip.av[[1, 3]])
 
 
 def test_select_frames_ties_take_lowest_index():
-    sel = select_frames(clip_with_scores([0.5, 0.5, 0.5, 0.5]), 2)
-    assert sel.indices.tolist() == [0, 2]
+    assert selected_rows(clip_with_scores([0.5, 0.5, 0.5, 0.5]), 2) == [0, 2]
 
 
 def test_select_frames_oracle_sweep():
@@ -96,28 +100,54 @@ def test_select_frames_oracle_sweep():
         L = int(rng.integers(1, 41))
         n = int(rng.integers(1, 21))
         per_frame = rng.random(L)
-        clip = clip_with_scores(per_frame)
-        sel = select_frames(clip, n)
-        assert sel.indices.tolist() == oracle_select(per_frame, L, n)
-        assert sel.indices.shape == (n,)
-        assert np.all(np.diff(sel.indices) >= 0)
+        rows = selected_rows(clip_with_scores(per_frame), n)
+        assert rows == oracle_select(per_frame, L, n)
+        assert len(rows) == n and rows == sorted(rows)
+
+
+def test_select_frames_batch_of_mixed_lengths_matches_oracle():
+    # lengths 1 to 1,000 in one batch, with ties, all-zero and -0.0 rows:
+    # every clip's rows are its own oracle selection, whatever its neighbours
+    rng = np.random.default_rng(17)
+    lengths = [1, 2, 3, 5, 15, 16, 17, 64, 333, 1000,
+               *rng.integers(1, 1001, 10)]
+    clips = []
+    for k, L in enumerate(lengths):
+        scores = rng.random((L, 3))
+        if k % 3 == 0:
+            scores = np.round(scores, 1)          # ties inside chunks
+        scores[rng.random(L) < 0.2] = 0.0
+        scores[rng.random(L) < 0.2] = -0.0
+        if k % 4 == 1:
+            scores[:] = -0.0 if k % 8 == 1 else 0.0
+        clips.append(Clip(f"c{k}", "train", rng.standard_normal((L, 4)),
+                          scores, rng.uniform(-1, 1, (L, 2))))
+    for n in (1, 2, 7, 16, 100, 1000, 1500):
+        F, AV, indices = select_frames(clips, n)
+        assert F.shape == (len(clips), n, 4)
+        assert indices.shape == (len(clips), n)
+        for clip, f, av, rows in zip(clips, F, AV, indices):
+            assert rows.tolist() == oracle_select(
+                clip.scores.max(axis=1), clip.n_frames, n)
+            assert np.array_equal(f, clip.features[rows])
+            assert np.array_equal(av, clip.av[rows])
 
 
 def test_select_frames_chunk_permutation_keeps_scores():
     rng = np.random.default_rng(3)
     per_frame = rng.random(12)
     n = 4
-    base = select_frames(clip_with_scores(per_frame), n)
+    base = selected_rows(clip_with_scores(per_frame), n)
     # permute within the first chunk [0, 3)
     perm = per_frame.copy()
     perm[[0, 1, 2]] = perm[[2, 0, 1]]
-    other = select_frames(clip_with_scores(perm), n)
-    assert np.allclose(per_frame[base.indices], perm[other.indices])
+    other = selected_rows(clip_with_scores(perm), n)
+    assert np.allclose(per_frame[base], perm[other])
 
 
 def test_select_frames_rejects_bad_n():
     with pytest.raises(ContractError):
-        select_frames(clip_with_scores([0.5]), 0)
+        select_frames([clip_with_scores([0.5])], 0)
 
 
 def test_predict_score_mean_probs():
@@ -183,10 +213,10 @@ def test_pool_weighted_zero_regressor_is_average():
 def test_pool_weighted_saturated_picks_one_frame():
     clip = clip_with_scores([0.1, 0.2, 0.3], d_feature=4)
     clip.av[:] = [[-1, 0], [-1, 0], [1, 0]]
-    sel = select_frames(clip, 3)
+    F, AV, _ = select_frames([clip], 3)
     reg = Linear(2, 1)
     reg.W.values[:] = [[30.0, 0.0]]  # w ~ 1 for av=(1,0), ~ 0 otherwise
-    pooled, w = pool_weighted(sel.features[None], sel.av[None], reg)
+    pooled, w = pool_weighted(F, AV, reg)
     assert np.allclose(pooled[0], clip.features[2], atol=1e-6)
     assert w[0, 2] > 0.999 and max(w[0, 0], w[0, 1]) < 1e-9
 
@@ -315,14 +345,13 @@ def one_clip_reference(model, clip):
     """Class probabilities from the single-clip head math."""
     if model.kind == "score-mean":
         return predict_score_mean(clip, model.score_mode)
-    sel = select_frames(clip, model.n)
+    F, AV, _ = select_frames([clip], model.n)
     if model.kind == "avg-pool":
-        pooled = single_clip_pool_average(sel.features)
+        pooled = single_clip_pool_average(F[0])
     elif model.kind == "weighted-avg-pool":
-        pooled, _ = single_clip_pool_weighted(sel.features, sel.av,
-                                              model.regressor)
+        pooled, _ = single_clip_pool_weighted(F[0], AV[0], model.regressor)
     else:
-        pooled = lstm_forward(model.lstm, sel.features[None])[0][0]
+        pooled = lstm_forward(model.lstm, F)[0][0]
     return softmax(model.classifier.forward(pooled)[0])
 
 
@@ -365,24 +394,6 @@ def test_predict_batch_names_the_mismatched_clip():
         model.predict_batch(clips)
 
 
-def test_selected_frames_computed_once_and_shared(monkeypatch):
-    calls = []
-    real = video_module.select_frames
-
-    def counting(clip, n=16):
-        calls.append((clip.id, n))
-        return real(clip, n)
-
-    monkeypatch.setattr(video_module, "select_frames", counting)
-    clip = clip_with_scores([0.2, 0.9, 0.3, 0.5])
-    first = selected_frames(clip, 2)
-    assert selected_frames(clip, 2) is first
-    assert selected_frames(clip.with_split("val"), 2) is first
-    selected_frames(clip, 3)
-    assert calls == [("c", 2), ("c", 3)]
-    assert first.indices.tolist() == [1, 3]
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_loss_names_epoch():
     ds = easy_dataset()
@@ -400,15 +411,15 @@ def test_logged_val_accuracy_matches_predict_batch(head, monkeypatch):
     val = ds.split("val")
     cfg = TrainConfig(head=head, n=4, epochs=3, lstm_hidden=6)
     stacks = []
-    real = video_module._stack_selected
+    real = video_module.select_frames
 
     def counting(clips, n):
         stacks.append(len(clips))
         return real(clips, n)
 
-    monkeypatch.setattr(video_module, "_stack_selected", counting)
+    monkeypatch.setattr(video_module, "select_frames", counting)
     _, log = train_video_model(ds, cfg, seed=2)
-    # train and val are each stacked once, however many epochs run
+    # train and val are each one selection call, however many epochs run
     assert stacks == [len(ds.split("train")), len(val)]
     monkeypatch.undo()
     for epochs in (1, 2, 3):
@@ -460,8 +471,8 @@ def _train_alone_per_model(ds, cfg, seed):
     ``forward_batch``/``backward_batch`` path."""
     train = [c for c in ds.split("train") if c.label is not None]
     val = [c for c in ds.split("val") if c.label is not None]
-    F, AV = video_module._stack_selected(train, cfg.n)
-    val_batch = (*video_module._stack_selected(val, cfg.n),
+    F, AV, _ = select_frames(train, cfg.n)
+    val_batch = (*select_frames(val, cfg.n)[:2],
                  np.array([c.label for c in val]))
     rng = np.random.default_rng([seed, 0x71D])
     model = VideoModel(cfg.head, cfg.n, ds.d_feature, ds.n_classes,
@@ -583,7 +594,7 @@ def test_predict_stacked_matches_predict_batch():
         probs = predict_stacked(models, ds.clips)
         assert probs.shape == (3, len(ds.clips), ds.n_classes)
         assert predict_stacked(models, []).shape == (3, 0, ds.n_classes)
-        F, AV = video_module._stack_selected(ds.clips, cfg.n)
+        F, AV, _ = select_frames(ds.clips, cfg.n)
         for model, rows in zip(models, probs):
             assert np.array_equal(rows, model.predict_batch(ds.clips))
             if head != "score-mean":  # a model without the member axis
