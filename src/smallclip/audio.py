@@ -62,24 +62,12 @@ class AudioModel:
 
 
 def _audio_matrix(clips):
-    rows, labels = [], []
-    for c in clips:
-        if c.audio is None or c.label is None:
-            continue
-        rows.append(c.audio)
-        labels.append(c.label)
-    if not rows:
-        return None, None
-    return np.stack(rows), np.asarray(labels, dtype=np.int64)
-
-
-def _val_accuracy(model: AudioModel, clips) -> float | None:
+    """(X, y) of the ``clips`` with audio and a label; (None, None) if none."""
     usable = [c for c in clips if c.audio is not None and c.label is not None]
     if not usable:
-        return None
-    pred = model.predict_batch(usable).argmax(axis=1)
-    hits = int(np.sum(pred == [c.label for c in usable]))
-    return hits / len(usable)
+        return None, None
+    return (np.stack([c.audio for c in usable]),
+            np.array([c.label for c in usable], dtype=np.int64))
 
 
 def train_audio_models(ds: Dataset, config: TrainConfig, seeds,
@@ -96,6 +84,8 @@ def train_audio_models(ds: Dataset, config: TrainConfig, seeds,
     permutation and that epoch's dropout masks, so every member is bit for
     bit what it is when trained alone. A non-finite loss or gradient raises
     a TrainingError naming the phase, epoch and first failing member's seed.
+    A log's ``val_accuracy`` is over the val clips with audio and labels
+    (None when there are none); the MLP's is its last training epoch's.
     """
     if config.model == "forest" and pretrain is not None:
         raise ContractError("the forest model does not support pretraining")
@@ -105,7 +95,8 @@ def train_audio_models(ds: Dataset, config: TrainConfig, seeds,
     X, y = _audio_matrix(ds.split("train"))
     if X is None:
         raise TrainingError("train split has no labeled clips with audio")
-    seeds, val = list(seeds), ds.split("val")
+    Xv, yv = _audio_matrix(ds.split("val"))
+    seeds = list(seeds)
     if config.model == "forest":
         out = []
         for seed in seeds:
@@ -113,10 +104,11 @@ def train_audio_models(ds: Dataset, config: TrainConfig, seeds,
                              seed=seed, max_depth=config.max_depth,
                              max_features=config.max_features)
             model = AudioModel("forest", ds.d_audio, ds.n_classes, forest=f)
-            train_acc = float((f.predict(X) == y).mean())
-            out.append((model, {"train_accuracy": train_acc,
-                                "val_accuracy": _val_accuracy(model, val),
-                                "n_trees": len(f.trees)}))
+            out.append((model, {
+                "train_accuracy": float((f.predict(X) == y).mean()),
+                "val_accuracy": (None if Xv is None
+                                 else float((f.predict(Xv) == yv).mean())),
+                "n_trees": len(f.trees)}))
         return out
     if not seeds:
         return []
@@ -126,18 +118,17 @@ def train_audio_models(ds: Dataset, config: TrainConfig, seeds,
             for rng in rngs]
     stack = stack_members(mlps)
 
-    def train(X, y, epochs, lr, phase):
+    def train(X, y, epochs, lr, phase, val=None):
         def step(batch):
             logits, cache = stack.forward(X[batch], mode=TRAIN, rng=rngs)
             loss, dlogits, _ = softmax_cross_entropy_batch(logits, y[batch])
             stack.backward(cache, dlogits)
             return loss
 
-        logs = train_minibatches(stack.params(), step, rngs, seeds, len(y),
-                                 epochs, lr, config, phase=phase)
-        return [[e["train_loss"] for e in log] for log in logs]
+        return train_minibatches(stack.params(), step, rngs, seeds, len(y),
+                                 epochs, lr, config, val, phase)
 
-    pretrain_losses = [[] for _ in seeds]
+    pretrain_logs = [[] for _ in seeds]
     lr = config.lr
     if pretrain is not None:
         if pretrain.d_audio != ds.d_audio or pretrain.n_classes != ds.n_classes:
@@ -147,15 +138,16 @@ def train_audio_models(ds: Dataset, config: TrainConfig, seeds,
             raise TrainingError("pretraining dataset has no labeled audio")
         p_epochs = (config.epochs if config.pretrain_epochs is None
                     else config.pretrain_epochs)
-        pretrain_losses = train(Xp, yp, p_epochs, lr, "pretraining")
+        pretrain_logs = train(Xp, yp, p_epochs, lr, "pretraining")
         lr = config.lr * config.finetune_lr_ratio
-    train_losses = train(X, y, config.epochs, lr, "training")
-    models = [AudioModel("mlp", ds.d_audio, ds.n_classes, mlp=mlp)
-              for mlp in mlps]
-    return [(model, {"pretrain_loss": pre, "train_loss": losses, "lr": lr,
-                     "val_accuracy": _val_accuracy(model, val)})
-            for model, pre, losses
-            in zip(models, pretrain_losses, train_losses)]
+    val = None if Xv is None else (
+        lambda: stack.forward(Xv, mode=EVAL)[0], yv)
+    train_logs = train(X, y, config.epochs, lr, "training", val)
+    return [(AudioModel("mlp", ds.d_audio, ds.n_classes, mlp=mlp),
+             {"pretrain_loss": [e["train_loss"] for e in pre],
+              "train_loss": [e["train_loss"] for e in log], "lr": lr,
+              "val_accuracy": log[-1]["val_accuracy"]})
+            for mlp, pre, log in zip(mlps, pretrain_logs, train_logs)]
 
 
 def train_audio_model(ds: Dataset, config: TrainConfig, seed: int,

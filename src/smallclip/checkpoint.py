@@ -22,6 +22,7 @@ import math
 import numpy as np
 
 from .audio import AudioModel
+from .config import SCORE_MODES, VIDEO_HEADS
 from .data import atomic_write_text, read_text
 from .errors import ContractError, ParseError
 from .forest import Forest, Tree
@@ -83,13 +84,18 @@ def _restore_params(params, blob):
         p.values = values
 
 
+def _meta(meta, key, ok, expected):
+    """``meta[key]``, which ``ok`` must accept (else a ParseError)."""
+    if not ok(meta[key]):
+        raise ParseError(f"malformed checkpoint: meta {key} must be "
+                         f"{expected}, got {json.dumps(meta[key])}")
+    return meta[key]
+
+
 def _counts(meta, *keys):
     """``meta``'s values at ``keys``, each of which must be an int >= 1."""
-    for key in keys:
-        if type(meta[key]) is not int or meta[key] < 1:
-            raise ParseError(f"malformed checkpoint: meta {key} must be an "
-                             f"integer >= 1, got {json.dumps(meta[key])}")
-    return [meta[key] for key in keys]
+    return [_meta(meta, key, lambda v: type(v) is int and v >= 1,
+                  "an integer >= 1") for key in keys]
 
 
 def checkpoint_dict(model) -> dict:
@@ -163,6 +169,10 @@ def model_from_dict(obj) -> VideoModel | AudioModel:
         if kind == "video":
             n, d_feature, n_classes, lstm_hidden = _counts(
                 meta, "n", "d_feature", "n_classes", "lstm_hidden")
+            for key, allowed in (("head", VIDEO_HEADS),
+                                 ("score_mode", SCORE_MODES)):
+                _meta(meta, key, lambda v: v in allowed,
+                      f"one of {', '.join(allowed)}")
             model = VideoModel(meta["head"], n, d_feature, n_classes,
                                score_mode=meta["score_mode"],
                                lstm_hidden=lstm_hidden)
@@ -171,8 +181,10 @@ def model_from_dict(obj) -> VideoModel | AudioModel:
         if kind == "audio-mlp":
             d_audio, hidden, n_classes = _counts(
                 meta, "d_audio", "hidden", "n_classes")
-            mlp = MLPHead(d_audio, hidden, n_classes,
-                          dropout=meta["dropout"], name="audio")
+            dropout = _meta(meta, "dropout", lambda v: type(v) in (int, float)
+                            and 0 <= v < 1, "a number in [0, 1)")
+            mlp = MLPHead(d_audio, hidden, n_classes, dropout=dropout,
+                          name="audio")
             _restore_params(mlp.params(), obj["params"])
             for name in ("running_mean", "running_var"):
                 stat = _unarr(obj["extra"][name], name)

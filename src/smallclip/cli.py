@@ -40,7 +40,7 @@ from . import __version__
 from .audio import train_audio_model
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import AUDIO_MODELS, VIDEO_HEADS, TrainConfig, load_config
-from .data import (atomic_write_text, class_names, load_dataset,
+from .data import (Dataset, atomic_write_text, class_names, load_dataset,
                    load_distribution, packaged_distribution_path,
                    validate_dataset, write_dataset)
 from .errors import ConfigError, ContractError, ParseError, SmallclipError
@@ -152,6 +152,12 @@ def _members(args, cfg, seeds) -> list:
     kind = cfg.head if args.modality == "video" else cfg.model
     return [{"modality": args.modality, "kind": kind, "seed": seed}
             for seed in seeds]
+
+
+def _scoreable(args, clips) -> list:
+    """The labeled ``clips``, with audio for the audio ``--modality``."""
+    return [c for c in clips if c.label is not None
+            and (args.modality == "video" or c.audio is not None)]
 
 
 def _print(text):
@@ -274,7 +280,8 @@ def _cmd_cross_validate(args, run):
         return score_members(fold_ds, cfg, member,
                              fold_ds.split("val"))[0].argmax(axis=1)
 
-    report = cross_validate(ds, args.folds, fit_predict, jobs=args.jobs)
+    pool = Dataset(_scoreable(args, ds.clips), ds.dims, ds.meta)
+    report = cross_validate(pool, args.folds, fit_predict, jobs=args.jobs)
     run.write(args.out, report.to_csv())
     _print(report.to_text())
 
@@ -282,9 +289,7 @@ def _cmd_cross_validate(args, run):
 def _cmd_repeat(args, run):
     ds = _load_manifest(run, args.manifest)
     cfg = _load_config(run, args)
-    # each seed scores the labeled val clips (with audio, for an audio model)
-    val = [c for c in ds.labeled("val")
-           if args.modality == "video" or c.audio is not None]
+    val = _scoreable(args, ds.split("val"))
     if not val:
         raise ContractError("no labeled val clips to score")
     true = np.array([c.label for c in val])

@@ -16,6 +16,7 @@ from .errors import ConfigError
 VIDEO_HEADS = ("score-mean", "avg-pool", "weighted-avg-pool", "lstm")
 AUDIO_MODELS = ("mlp", "forest")
 OPTIMIZERS = ("adam", "sgd")
+SCORE_MODES = ("probs", "logits")
 # optional int fields: `none` leaves them unset, else they must be >= 1
 _OPTIONAL_FIELDS = ("pretrain_epochs", "max_depth", "max_features")
 
@@ -47,7 +48,7 @@ class TrainConfig:
     def validate(self):
         for name, allowed in (("head", VIDEO_HEADS), ("model", AUDIO_MODELS),
                               ("optimizer", OPTIMIZERS),
-                              ("score_mode", ("probs", "logits"))):
+                              ("score_mode", SCORE_MODES)):
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}, "
                                   f"expected one of {', '.join(allowed)}")

@@ -1,14 +1,12 @@
 """Order-preserving parallel map over independent work units.
 
 Used for the units of ``recipes.score_members`` (the members of
-``recipe``, ``ensemble`` and ``repeat``) and for cross-validation folds. A
-member unit is a stack of members of one kind that train as one stacked
-model, or one forest or score-mean member (``recipes._units`` splits each
-kind's members into at most ``jobs`` stacks, so the workers share them); a
-fold trains its one member in the worker. Each unit's result depends only
-on its own inputs, and results come back in submission order, so outputs
-are identical no matter how many workers run. When an item raises, the
-first failing item in submission order is what the caller gets.
+``recipe``, ``ensemble`` and ``repeat``, each kind's split into at most
+``jobs`` units by ``recipes._units``) and for cross-validation folds, each
+of which trains its one member in the worker. Each unit's result depends
+only on its own inputs, and results come back in submission order, so
+outputs are identical no matter how many workers run. When an item raises,
+the first failing item in submission order is what the caller gets.
 
 With ``jobs > 1`` the units run in worker processes started with the
 ``fork`` start method, at most ``min(jobs, len(items), os.cpu_count())`` of

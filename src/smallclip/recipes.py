@@ -45,16 +45,13 @@ class Recipe:
     def validate(self):
         if not self.video and not self.audio:
             raise ConfigError("recipe has no members")
-        for kind, mult in self.video:
-            if kind not in VIDEO_HEADS:
-                raise ConfigError(f"unknown video head {kind!r}")
-            if mult < 1:
-                raise ConfigError(f"multiplicity must be >= 1, got {mult}")
-        for kind, mult in self.audio:
-            if kind not in AUDIO_MODELS:
-                raise ConfigError(f"unknown audio model {kind!r}")
-            if mult < 1:
-                raise ConfigError(f"multiplicity must be >= 1, got {mult}")
+        for members, kinds, what in ((self.video, VIDEO_HEADS, "video head"),
+                                     (self.audio, AUDIO_MODELS, "audio model")):
+            for kind, mult in members:
+                if kind not in kinds:
+                    raise ConfigError(f"unknown {what} {kind!r}")
+                if mult < 1:
+                    raise ConfigError(f"multiplicity must be >= 1, got {mult}")
         if self.fusion not in ("mean", "weighted"):
             raise ConfigError(f"fusion must be 'mean' or 'weighted', "
                               f"got {self.fusion!r}")
@@ -135,18 +132,15 @@ class RecipeResult:
 def _units(members, jobs: int):
     """Lists of member indices, each trained as one unit.
 
-    The members of one (modality, kind) that trains by gradient train as
-    stacks (one stacked model each, see ``video.train_video_models`` and
-    ``audio.train_audio_models``): they are split into at most ``jobs``
-    stacks of contiguous members, as even as can be, so the workers share
-    them. Forest and score-mean members are units of their own. Units are
-    in order of their first member.
+    The members of one (modality, kind) are split into at most ``jobs``
+    units of contiguous members, as even as can be, so the workers share
+    them. A unit is one ``video.train_video_models`` or
+    ``audio.train_audio_models`` call. Units are in order of their first
+    member.
     """
     groups = {}  # in order of first member
     for i, member in enumerate(members):
-        alone = member["kind"] in ("forest", "score-mean")
-        key = i if alone else (member["modality"], member["kind"])
-        groups.setdefault(key, []).append(i)
+        groups.setdefault((member["modality"], member["kind"]), []).append(i)
     out = []
     for unit in groups.values():
         k = min(jobs, len(unit))
@@ -162,7 +156,7 @@ def score_members(train_ds: Dataset, config: TrainConfig, members, clips,
     ``members`` are dicts with ``modality``, ``kind`` and ``seed``. Returns
     one (N, C) probability array per member, in member order. Members are
     independent, so how ``jobs`` splits them into units (``_units``) only
-    changes wall-clock time: a unit trains as one stack, and a video stack
+    changes wall-clock time: a unit trains in one call, and a video unit
     scores every clip in one batched pass (``video.predict_stacked``). Only
     the audio mlp takes the ``pretrain`` corpus.
     """
@@ -199,12 +193,11 @@ def run_recipe(recipe: Recipe, ds: Dataset, config: TrainConfig, seed: int,
     """Train every member, ensemble within modality, fuse across modalities.
 
     Member i (in recipe order, video first) trains with seed ``seed + i``.
-    The members of each gradient-trained kind train as stacked models,
-    split into at most ``jobs`` stacks (``score_members``). Members are
-    independent, so ``jobs`` only changes wall-clock time. The returned
-    table scores every clip in the dataset; the report holds val-split
-    accuracy, or test-split accuracy when training consumed the val split,
-    or None when the relevant split has no labels.
+    The members of each kind are split into at most ``jobs`` units
+    (``score_members``). Members are independent, so ``jobs`` only changes
+    wall-clock time. The returned table scores every clip in the dataset;
+    the report holds val-split accuracy, or test-split accuracy when
+    training consumed the val split, or None when that split has no labels.
     """
     recipe.validate()
     config.validate()

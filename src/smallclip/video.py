@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import TrainConfig, VIDEO_HEADS
+from .config import SCORE_MODES, TrainConfig, VIDEO_HEADS
 from .data import Clip, Dataset
 from .errors import ContractError, TrainingError
 from .nn import (LSTMParams, Linear, lstm_backward, lstm_forward, sigmoid,
@@ -57,24 +57,25 @@ def select_frames(clips, n: int = 16):
             np.stack([c.av[i] for c, i in zip(clips, indices)]), indices)
 
 
-def predict_score_mean(clip: Clip, score_mode: str = "probs") -> np.ndarray:
-    """Classify from the stored frame scores alone (no trained parameters).
-
-    ``probs`` mode averages the per-frame vectors and renormalizes, which
-    requires them to be nonnegative with positive sum; ``logits`` mode
-    averages then applies softmax.
+def score_mean(clips, score_mode: str = "probs") -> np.ndarray:
+    """Class probabilities (N, C) from the stored frame scores alone, one
+    row per clip of a nonempty list: each clip's mean per-frame score,
+    renormalized (``probs``: a ContractError names the first clip whose
+    mean has a negative entry or a sum <= 0) or softmaxed (``logits``).
     """
-    mean = clip.scores.mean(axis=0)
-    if score_mode == "logits":
-        return softmax(mean)
-    if score_mode != "probs":
+    if score_mode not in SCORE_MODES:
         raise ContractError(f"score_mode must be 'probs' or 'logits', "
                             f"got {score_mode!r}")
-    if np.any(mean < 0) or mean.sum() <= 0:
+    mean = np.stack([c.scores.mean(axis=0) for c in clips])
+    if score_mode == "logits":
+        return softmax(mean, axis=-1)
+    total = mean.sum(axis=-1, keepdims=True)
+    bad = np.any(mean < 0, axis=-1) | (total[:, 0] <= 0)
+    if bad.any():
         raise ContractError(
-            f"clip {clip.id}: stored scores are not probability-like; "
-            f"use score_mode='logits'")
-    return mean / mean.sum()
+            f"clip {clips[int(np.argmax(bad))].id}: stored scores are not "
+            f"probability-like; use score_mode='logits'")
+    return mean / total
 
 
 def pool_average(F) -> np.ndarray:
@@ -219,15 +220,6 @@ class VideoModel:
         return self.predict_batch([clip])[0]
 
 
-def _split_accuracy(model: VideoModel, clips) -> float | None:
-    labeled = [c for c in clips if c.label is not None]
-    if not labeled:
-        return None
-    pred = model.predict_batch(labeled).argmax(axis=1)
-    hits = int(np.sum(pred == [c.label for c in labeled]))
-    return hits / len(labeled)
-
-
 def train_video_model(ds: Dataset, config: TrainConfig, seed: int):
     """Fit the configured head on the train split; returns (model, log).
 
@@ -240,7 +232,8 @@ def train_video_models(ds: Dataset, config: TrainConfig, seeds):
     """Fit one head per seed on the train split; returns [(model, log), ...].
 
     A log is one dict per epoch with the mean train loss and the val-split
-    accuracy (None when the val split is empty). Member m's rng
+    accuracy (None when the val split has no labels); score-mean members
+    log epoch 0 alone, from one ``score_mean`` pass. Member m's rng
     ``default_rng([seeds[m], 0x71D])`` draws its init and its epoch
     permutations. The train and labeled val clips are each one
     ``select_frames`` batch per call, and the members train in lockstep
@@ -254,19 +247,23 @@ def train_video_models(ds: Dataset, config: TrainConfig, seeds):
     seeds = list(seeds)
     if not seeds:
         return []
-    train_clips = [c for c in ds.split("train") if c.label is not None]
+    train_clips = ds.labeled("train")
     if not train_clips:
         raise TrainingError("train split has no labeled clips")
-    val_clips = ds.split("val")
+    val_clips = ds.labeled("val")
+    y_val = np.array([c.label for c in val_clips], dtype=np.int64)
     rngs = [np.random.default_rng([seed, 0x71D]) for seed in seeds]
     models = [VideoModel(config.head, config.n, ds.d_feature, ds.n_classes,
                          score_mode=config.score_mode,
                          lstm_hidden=config.lstm_hidden, rng=rng)
               for rng in rngs]
     if config.head == "score-mean":
+        acc = None
+        if val_clips:
+            pred = score_mean(val_clips, config.score_mode).argmax(axis=1)
+            acc = float((pred == y_val).mean())
         return [(model, [{"epoch": 0, "train_loss": None,
-                          "val_accuracy": _split_accuracy(model, val_clips)}])
-                for model in models]
+                          "val_accuracy": acc}]) for model in models]
 
     def inputs(clips):
         F, AV, _ = select_frames(clips, config.n)
@@ -288,30 +285,29 @@ def train_video_models(ds: Dataset, config: TrainConfig, seeds):
         return loss
 
     val = None
-    val_labeled = [c for c in val_clips if c.label is not None]
-    if val_labeled:
-        F_val, AV_val = inputs(val_labeled)
+    if val_clips:
+        F_val, AV_val = inputs(val_clips)
         val = (lambda: stack.forward_batch(F_val, AV_val, keep_cache=False)[0],
-               np.array([c.label for c in val_labeled], dtype=np.int64))
+               y_val)
     logs = train_minibatches(stack.params(), step, rngs, seeds, len(y),
                              config.epochs, config.lr, config, val)
     return list(zip(models, logs))
 
 
 def predict_stacked(models, clips) -> np.ndarray:
-    """Class probabilities (M, N, C) of M models sharing kind, ``n`` and
-    feature dim, one row per clip: one forward of the models' stack
-    (``nn.stack_members``) over one ``select_frames`` batch. Member m's
-    rows are bit for bit those it scores alone. The untrained score-mean
-    head reads the stored frame scores instead.
+    """Class probabilities (M, N, C) of M models of one config (so one
+    kind, ``n``, ``score_mode`` and feature dim), one row per clip: one
+    forward of the models' stack (``nn.stack_members``) over one
+    ``select_frames`` batch, or one ``score_mean`` pass for score-mean
+    members. Member m's rows are bit for bit those it scores alone.
     """
     first = models[0]
     _check_feature_dim(clips, first.d_feature)
     if not clips:
         return np.empty((len(models), 0, first.n_classes))
     if first.kind == "score-mean":
-        return np.stack([np.stack([predict_score_mean(c, m.score_mode)
-                                   for c in clips]) for m in models])
+        return np.repeat(score_mean(clips, first.score_mode)[None],
+                         len(models), axis=0)
     F, AV, _ = select_frames(clips, first.n)
     logits, _ = stack_members(models).forward_batch(F, AV, keep_cache=False)
     return softmax(logits, axis=-1)

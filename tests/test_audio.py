@@ -21,9 +21,13 @@ def audio_dataset(seed=0, margin=6.0, noise=0.3, centroid_seed=None):
 
 
 def val_accuracy(model, ds):
-    val = [c for c in ds.clips if c.split == "val"]
-    hits = [np.argmax(model.predict(c)) == c.label for c in val]
-    return np.mean(hits)
+    """Accuracy of ``predict_batch`` on the labeled val clips with audio;
+    None when there are none."""
+    val = [c for c in ds.labeled("val") if c.audio is not None]
+    if not val:
+        return None
+    pred = model.predict_batch(val).argmax(axis=1)
+    return int(np.sum(pred == [c.label for c in val])) / len(val)
 
 
 def test_mlp_learns_separable_audio():
@@ -51,6 +55,23 @@ def test_forest_learns_separable_audio():
     assert model.kind == "forest"
     assert log["n_trees"] == 30
     assert log["train_accuracy"] >= 0.99
+
+
+@pytest.mark.parametrize("kind", ["mlp", "forest"])
+def test_logged_val_accuracy_matches_predict_batch(kind):
+    # noisy, so some val clips are misclassified; the val clips without
+    # audio or a label are left out
+    ds = audio_dataset(seed=4, margin=1.0, noise=1.0)
+    val = ds.split("val")
+    val[0].audio = None
+    val[1].label = None
+    cfg = TrainConfig(model=kind, epochs=3, hidden=8, n_trees=5)
+    model, log = train_audio_model(ds, cfg, seed=0)
+    assert 0 < log["val_accuracy"] < 1
+    assert log["val_accuracy"] == val_accuracy(model, ds)
+    for c in val:
+        c.audio = None
+    assert train_audio_model(ds, cfg, seed=0)[1]["val_accuracy"] is None
 
 
 def test_training_determinism():
@@ -218,7 +239,7 @@ def _train_mlp_reference(ds, config, seed, pretrain=None):
     log["train_loss"] = _run_epochs(mlp, X, y, config.epochs, lr, config,
                                     rng, "training")
     model = AudioModel("mlp", ds.d_audio, ds.n_classes, mlp=mlp)
-    log["val_accuracy"] = audio_module._val_accuracy(model, ds.split("val"))
+    log["val_accuracy"] = val_accuracy(model, ds)
     return model, log
 
 

@@ -381,6 +381,27 @@ def test_cross_validate_and_repeat(workdir, capsys):
     assert "mean:" in capsys.readouterr().out
 
 
+def test_audio_cross_validate_and_repeat_skip_clips_without_audio(
+        workdir, capsys):
+    records = [json.loads(line) for line in
+               (workdir / "data.jsonl").read_text().splitlines()]
+    for split in ("train", "val"):
+        next(r for r in records if r["split"] == split)["audio"] = None
+    m = workdir / "partial.jsonl"
+    m.write_text("".join(json.dumps(r) + "\n" for r in records))
+    with_audio = sum(r["split"] in ("train", "val") and r["label"] is not None
+                     and r["audio"] is not None for r in records)
+    assert with_audio == 16
+    flags = ["--manifest", str(m), "--config", str(workdir / "fast.cfg"),
+             "--modality", "audio", "--model", "forest"]
+    out = workdir / "cv.csv"
+    assert main(["cross-validate", *flags, "--folds", "3",
+                 "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[-1].endswith(f",{with_audio}")
+    assert main(["repeat", *flags, "--seeds", "1", "2"]) == 0
+    capsys.readouterr()
+
+
 KINDS = [("video", kind) for kind in VIDEO_HEADS] + \
         [("audio", kind) for kind in AUDIO_MODELS]
 
@@ -998,8 +1019,18 @@ def _nudge_root_feature(obj):
      "parameter 'classifier.W': data must hold JSON numbers"),
     ("forest", _nudge_root_feature,
      "tree 0: feature: data must hold JSON integers"),
+    ("video", lambda obj: obj["meta"].update(head="bogus"),
+     "meta head must be one of score-mean, avg-pool, weighted-avg-pool, "
+     'lstm, got "bogus"'),
+    ("video", lambda obj: obj["meta"].update(score_mode="bogus"),
+     'meta score_mode must be one of probs, logits, got "bogus"'),
+    ("mlp", lambda obj: obj["meta"].update(dropout="0.2"),
+     'meta dropout must be a number in [0, 1), got "0.2"'),
+    ("mlp", lambda obj: obj["meta"].update(dropout=1),
+     "meta dropout must be a number in [0, 1), got 1"),
 ], ids=["n-string", "n-float", "short-running-mean", "negative-running-var",
-        "nan-string", "bool-weight", "fractional-feature"])
+        "nan-string", "bool-weight", "fractional-feature", "unknown-head",
+        "unknown-score-mode", "dropout-string", "dropout-one"])
 def test_malformed_checkpoint_exits_one_naming_the_field(
         workdir, capsys, model, edit, message):
     m = str(workdir / "data.jsonl")

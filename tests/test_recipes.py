@@ -175,9 +175,9 @@ def test_units_split_trainable_groups_into_contiguous_stacks():
                                         ("audio", recipe.audio))
                for kind, mult in groups for _ in range(mult)]
     # avg-pool 0-4 and 11-12, weighted-avg-pool 5, lstm 6-8, score-mean
-    # 9-10, forest 13-14, mlp 15-17
+    # 9-10, forest 13-14, mlp 15-17; every kind follows the same rule
     assert _units(members, 1) == [[0, 1, 2, 3, 4, 11, 12], [5], [6, 7, 8],
-                                  [9], [10], [13], [14], [15, 16, 17]]
+                                  [9, 10], [13, 14], [15, 16, 17]]
     assert _units(members, 2) == [[0, 1, 2], [3, 4, 11, 12], [5], [6],
                                   [7, 8], [9], [10], [13], [14], [15],
                                   [16, 17]]
@@ -191,7 +191,8 @@ def test_run_recipe_stacks_are_jobs_invariant_and_match_members_alone():
     ds = recipe_dataset(seed=6)
     cfg = fast_config()
     recipe = parse_recipe("video = avg-pool*5 weighted-avg-pool*2 lstm*2 "
-                          "avg-pool*2\naudio = forest mlp*3\n")
+                          "score-mean*2 avg-pool*2\n"
+                          "audio = forest*2 mlp*3\n")
     results = [run_recipe(recipe, ds, cfg, seed=20, jobs=jobs)
                for jobs in (1, 2, 3)]
     for r in results[1:]:

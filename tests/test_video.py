@@ -10,9 +10,8 @@ from smallclip.optim import _check_stack_finite, make_optimizer
 from smallclip.synth import SynthConfig, generate_synthetic
 from smallclip import video as video_module
 from smallclip.video import (VideoModel, pool_average, pool_weighted,
-                             predict_score_mean, predict_stacked,
-                             select_frames, train_video_model,
-                             train_video_models)
+                             predict_stacked, score_mean, select_frames,
+                             train_video_model, train_video_models)
 
 from conftest import grad_check, lstm_step, make_clip
 
@@ -47,6 +46,21 @@ def oracle_select(per_frame, L, n):
         else:
             out.append(min(lo, L - 1))
     return out
+
+
+def one_clip_score_mean(clip, score_mode="probs"):
+    """Reference: the per-clip score-mean rule that ``score_mean`` batches."""
+    mean = clip.scores.mean(axis=0)
+    if score_mode == "logits":
+        return softmax(mean)
+    if score_mode != "probs":
+        raise ContractError(f"score_mode must be 'probs' or 'logits', "
+                            f"got {score_mode!r}")
+    if np.any(mean < 0) or mean.sum() <= 0:
+        raise ContractError(
+            f"clip {clip.id}: stored scores are not probability-like; "
+            f"use score_mode='logits'")
+    return mean / mean.sum()
 
 
 def single_clip_pool_average(features):
@@ -154,7 +168,7 @@ def test_predict_score_mean_probs():
     clip = clip_with_scores([0.0, 0.0])
     clip.scores[0] = [1, 0, 0, 0, 0, 0, 0]
     clip.scores[1] = [0, 1, 0, 0, 0, 0, 0]
-    p = predict_score_mean(clip)
+    p = score_mean([clip])[0]
     assert np.allclose(p, [0.5, 0.5, 0, 0, 0, 0, 0])
     assert int(np.argmax(p)) == 0  # tie goes to the lower class
 
@@ -162,7 +176,7 @@ def test_predict_score_mean_probs():
 def test_predict_score_mean_single_frame_normalizes():
     clip = clip_with_scores([0.0])
     clip.scores[0] = [0.2, 0.2, 0.1, 0.1, 0.1, 0.2, 0.1]
-    p = predict_score_mean(clip)
+    p = score_mean([clip])[0]
     assert np.allclose(p, clip.scores[0] / clip.scores[0].sum())
     assert np.isclose(p.sum(), 1.0)
 
@@ -172,17 +186,64 @@ def test_predict_score_mean_identical_frames_idempotent():
     clip.scores[:] = [0.1, 0.3, 0.2, 0.1, 0.1, 0.1, 0.1]
     one = clip_with_scores([0.0])
     one.scores[0] = clip.scores[0]
-    assert np.allclose(predict_score_mean(clip), predict_score_mean(one),
-                       atol=1e-12)
+    assert np.allclose(score_mean([clip]), score_mean([one]), atol=1e-12)
 
 
 def test_predict_score_mean_logits_mode():
     clip = clip_with_scores([0.0])
     clip.scores[0] = [-2, -1, -3, -4, -5, -6, -7]
-    p = predict_score_mean(clip, score_mode="logits")
+    p = score_mean([clip], score_mode="logits")[0]
     assert np.allclose(p, softmax(clip.scores[0]))
     with pytest.raises(ContractError):
-        predict_score_mean(clip)  # negative entries need logits mode
+        score_mean([clip])  # negative entries need logits mode
+
+
+@pytest.mark.parametrize("n_classes", [2, 7, 9])
+@pytest.mark.parametrize("score_mode", ["probs", "logits"])
+def test_score_mean_rows_equal_per_clip_reference(n_classes, score_mode):
+    rng = np.random.default_rng(n_classes)
+    clips = [make_clip(rng, f"c{i}", L=L, n_classes=n_classes)
+             for i, L in enumerate([1, 2, 5, 16, 37, 3, 100])]
+    if score_mode == "logits":
+        for c in clips:
+            c.scores = rng.standard_normal(c.scores.shape) * 5
+    batch = score_mean(clips, score_mode)
+    assert batch.shape == (len(clips), n_classes)
+    for row, clip in zip(batch, clips):
+        assert np.array_equal(row, one_clip_score_mean(clip, score_mode))
+
+
+def test_score_mean_names_the_first_bad_clip():
+    rng = np.random.default_rng(3)
+    clips = [make_clip(rng, f"c{i}", L=4) for i in range(5)]
+    clips[2].scores[:, 1] = -1.0  # a negative mean
+    clips[4].scores[:] = 0.0      # a zero sum
+    with pytest.raises(ContractError, match=r"^clip c2: stored scores are "
+                       r"not probability-like; use score_mode='logits'$"):
+        score_mean(clips)
+    with pytest.raises(ContractError, match="^clip c4: "):
+        score_mean(clips[3:])
+    with pytest.raises(ContractError, match="score_mode must be"):
+        score_mean(clips[:1], "bogus")
+
+
+def test_predict_stacked_scores_score_mean_members_in_one_pass(monkeypatch):
+    rng = np.random.default_rng(4)
+    clips = [make_clip(rng, f"c{i}", L=L) for i, L in enumerate([1, 6, 3])]
+    models = [VideoModel("score-mean", 4, 4, 7) for _ in range(3)]
+    calls = []
+    real = video_module.score_mean
+
+    def counting(clips, score_mode):
+        calls.append(len(clips))
+        return real(clips, score_mode)
+
+    monkeypatch.setattr(video_module, "score_mean", counting)
+    probs = predict_stacked(models, clips)
+    assert calls == [len(clips)]
+    assert probs.shape == (3, len(clips), 7)
+    for member in probs:
+        assert np.array_equal(member, real(clips, "probs"))
 
 
 def test_pool_average_cases():
@@ -279,6 +340,7 @@ def test_score_mean_head_has_no_params():
     model, log = train_video_model(ds, cfg, seed=0)
     assert model.params() == []
     assert log[-1]["val_accuracy"] >= 0.9  # synth scores are informative
+    assert log[-1]["val_accuracy"] == split_accuracy(model, ds.split("val"))
 
 
 def test_empty_train_split_raises():
@@ -344,7 +406,7 @@ def test_predict_video_dimension_mismatch():
 def one_clip_reference(model, clip):
     """Class probabilities from the single-clip head math."""
     if model.kind == "score-mean":
-        return predict_score_mean(clip, model.score_mode)
+        return one_clip_score_mean(clip, model.score_mode)
     F, AV, _ = select_frames([clip], model.n)
     if model.kind == "avg-pool":
         pooled = single_clip_pool_average(F[0])
@@ -425,13 +487,19 @@ def test_logged_val_accuracy_matches_predict_batch(head, monkeypatch):
     for epochs in (1, 2, 3):
         cfg.epochs = epochs
         model, _ = train_video_model(ds, cfg, seed=2)
-        assert log[epochs - 1]["val_accuracy"] == \
-            video_module._split_accuracy(model, val)
+        assert log[epochs - 1]["val_accuracy"] == split_accuracy(model, val)
+
+
+def split_accuracy(model: VideoModel, clips) -> float:
+    """Accuracy of ``predict_batch`` on the labeled ``clips``."""
+    labeled = [c for c in clips if c.label is not None]
+    pred = model.predict_batch(labeled).argmax(axis=1)
+    return int(np.sum(pred == [c.label for c in labeled])) / len(labeled)
 
 
 def _batch_accuracy(model: VideoModel, batch) -> float | None:
     """Accuracy on a pre-stacked ``(F, AV, labels)`` batch, as
-    ``_split_accuracy`` computes it (softmax, then argmax); None if empty."""
+    ``split_accuracy`` computes it (softmax, then argmax); None if empty."""
     if batch is None:
         return None
     F, AV, labels = batch
