@@ -235,9 +235,7 @@ def _cmd_fuse(args, run):
 def _cmd_learn_fusion(args, run):
     tables = _load_scores(run, args.scores)
     ds = _load_manifest(run, args.manifest)
-    labels = {c.id: c.label for c in ds.labeled()}
-    weights, acc = learn_fusion_weights(tables, labels,
-                                        grid_step=args.grid_step)
+    weights, acc = learn_fusion_weights(tables, ds, grid_step=args.grid_step)
     payload = {"weights": [float(w) for w in weights], "accuracy": acc,
                "grid_step": args.grid_step, "sources": list(args.scores)}
     run.write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -314,11 +312,11 @@ def _cmd_recipe(args, run):
     result = run_recipe(recipe, ds, cfg, seed=args.seed, pretrain=pretrain,
                         jobs=args.jobs)
     run.extra = {"recipe": recipe.name, "members": result.members,
-                 "fusion": result.fusion, "weights": result.weights}
+                 "fusion": recipe.fusion, "weights": recipe.weights}
     write_score_table(result.table, args.out)
     run.emit(args.out)
     lines = [f"recipe {recipe.name}: {len(result.members)} members fused "
-             f"({result.fusion})"]
+             f"({recipe.fusion})"]
     if result.report is not None:
         lines.append(f"held-out accuracy: {result.report.overall:.4f}")
     _print("\n".join(lines))

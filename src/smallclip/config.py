@@ -17,8 +17,6 @@ VIDEO_HEADS = ("score-mean", "avg-pool", "weighted-avg-pool", "lstm")
 AUDIO_MODELS = ("mlp", "forest")
 OPTIMIZERS = ("adam", "sgd")
 SCORE_MODES = ("probs", "logits")
-# optional int fields: `none` leaves them unset, else they must be >= 1
-_OPTIONAL_FIELDS = ("pretrain_epochs", "max_depth", "max_features")
 
 
 @dataclass
@@ -52,8 +50,7 @@ class TrainConfig:
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}, "
                                   f"expected one of {', '.join(allowed)}")
-        for name in ("n", "epochs", "batch_size", "lstm_hidden", "hidden",
-                     "n_trees", *_OPTIONAL_FIELDS):
+        for name in _INT_FIELDS:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
@@ -69,10 +66,10 @@ class TrainConfig:
         return self
 
 
-_FIELDS = {f.name: f for f in fields(TrainConfig)}
-_INT_FIELDS = {"n", "lstm_hidden", "epochs", "batch_size", "hidden",
-               "pretrain_epochs", "n_trees", "max_depth", "max_features"}
-_FLOAT_FIELDS = {"lr", "momentum", "dropout", "finetune_lr_ratio"}
+# annotation by field name; int fields, in declaration order, must be >= 1,
+# and an optional one (`int | None`) reads `none` as unset
+_FIELDS = {f.name: f.type for f in fields(TrainConfig)}
+_INT_FIELDS = [k for k, t in _FIELDS.items() if t in ("int", "int | None")]
 
 
 def key_values(text: str):
@@ -100,11 +97,11 @@ def parse_config(text: str) -> TrainConfig:
         if key not in _FIELDS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         try:
-            if value.lower() == "none" and key in _OPTIONAL_FIELDS:
+            if value.lower() == "none" and _FIELDS[key] == "int | None":
                 parsed = None
             elif key in _INT_FIELDS:
                 parsed = int(value)
-            elif key in _FLOAT_FIELDS:
+            elif _FIELDS[key] == "float":
                 parsed = float(value)
             else:
                 parsed = value

@@ -117,8 +117,9 @@ def evaluate(pred_labels, true_labels, n_classes,
                       weighted)
 
 
-def predictions_from_table(table, ds: Dataset, split: str | None = None):
-    """(pred, true) label arrays for labeled clips scored in the table.
+def labeled_rows(table, ds: Dataset, split: str | None = None):
+    """(rows, true): the table rows of the labeled clips it scores, in
+    dataset order, and their labels.
 
     With an explicit split, every labeled clip of that split must have a row
     (a missing prediction is a contract error naming the clip); without one,
@@ -135,9 +136,15 @@ def predictions_from_table(table, ds: Dataset, split: str | None = None):
         clips = [c for c in clips if c.id in pos]
     if not clips:
         raise ContractError("score table covers no labeled clips")
-    pred = table.probs[[pos[c.id] for c in clips]].argmax(axis=1)
+    rows = np.array([pos[c.id] for c in clips], dtype=np.int64)
     true = np.array([c.label for c in clips], dtype=np.int64)
-    return pred, true
+    return rows, true
+
+
+def predictions_from_table(table, ds: Dataset, split: str | None = None):
+    """(pred, true) label arrays over ``labeled_rows``."""
+    rows, true = labeled_rows(table, ds, split)
+    return table.probs[rows].argmax(axis=1), true
 
 
 # -- repeated seeds ------------------------------------------------------------

@@ -4,8 +4,8 @@ Fusion operates on probability vectors (post-softmax) that different sources
 (video head, audio model, ensemble members) produced for the same clips, and
 always renormalizes its output, so results are valid probability vectors even
 when inputs carry small drift. ``learn_fusion_weights`` brute-forces an
-accuracy-maximizing weight vector over a simplex grid, which is honest at
-validation-set scale and fully reproducible.
+accuracy-maximizing weight vector over a simplex grid, fusing and scoring
+each grid point as ``fuse_tables`` and ``evaluate`` would.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError
+from .evaluate import labeled_rows
 from .scores import ScoreTable
 
 
@@ -42,22 +43,27 @@ def _aligned(tables) -> np.ndarray:
     return np.stack(out)
 
 
-def fuse_tables(tables, weights=None) -> ScoreTable:
-    """Fuse whole tables over the same clips: mean, or weighted mean.
+def _fuse(stack, w=None) -> np.ndarray:
+    """The (N, C) weighted mean of an (M, N, C) stack, rows summing to 1.
 
-    With no weights, or equal ones, the tables are summed, so fusing copies
-    of one table gives it back up to renormalization; other weights take
-    one matrix product. Every row is then renormalized to sum 1, and comes
-    out bit for bit as it would if fused alone.
+    With no weights, or equal ones, the sources are summed, so fusing copies
+    of one source gives it back up to renormalization; other weights take
+    one matrix product. Every row comes out bit for bit as it would if
+    fused alone.
     """
-    stack = _aligned(tables)
-    w = None if weights is None else check_weights(weights, stack.shape[0])
     if w is None or np.all(w == w[0]):
         fused = stack.sum(axis=0)
     else:
         fused = w @ stack.transpose(1, 0, 2)
-    return ScoreTable(list(tables[0].ids),
-                      fused / fused.sum(axis=1, keepdims=True))
+    return fused / fused.sum(axis=1, keepdims=True)
+
+
+def fuse_tables(tables, weights=None) -> ScoreTable:
+    """Fuse whole tables over the same clips: mean, or weighted mean
+    (``_fuse``), in the first table's id order."""
+    stack = _aligned(tables)
+    w = None if weights is None else check_weights(weights, stack.shape[0])
+    return ScoreTable(list(tables[0].ids), _fuse(stack, w))
 
 
 def _compositions(total, parts):
@@ -87,35 +93,31 @@ def grid_divisions(grid_step, name="grid_step", error=ContractError) -> int:
     return k
 
 
-def learn_fusion_weights(tables, labels, grid_step=None):
+def learn_fusion_weights(tables, ds, grid_step=None):
     """Exhaustive simplex-grid search for fusion weights.
 
-    ``labels`` maps clip id to class index and must cover every clip of the
-    aligned tables. Candidate weights are multiples of ``grid_step`` summing
-    to one (K = 1/grid_step steps, see ``grid_divisions``); accuracy ties
-    prefer the vector closest to uniform (exact integer distance), then the
-    lexicographically smallest. Returns ``(weights, accuracy)``. Unit
-    vectors are on the grid, so the winner is never worse than any single
-    source.
+    Candidate weights are multiples of ``grid_step`` summing to one (K =
+    1/grid_step steps, see ``grid_divisions``), fused as ``fuse_tables``
+    fuses and scored over ``evaluate.labeled_rows``, the labeled clips of
+    ``ds`` the tables cover. Accuracy ties prefer the vector closest to
+    uniform (exact integer distance), then the lexicographically smallest.
+    Returns ``(weights, accuracy)``. Unit vectors are on the grid, so the
+    winner is never worse than any single source.
     """
     stack = _aligned(tables)
-    m, n_clips, _ = stack.shape
+    m = stack.shape[0]
     if grid_step is None:
         grid_step = default_grid_step(m)
     k = grid_divisions(grid_step)
-    ids = tables[0].ids
-    missing = [cid for cid in ids if cid not in labels]
-    if missing:
-        raise ContractError(f"no label for clip {missing[0]!r}")
-    y = np.array([labels[cid] for cid in ids], dtype=np.int64)
+    rows, y = labeled_rows(tables[0], ds)
+    stack = stack[:, rows]
 
     best = None  # (hits, distance-to-uniform, composition)
     for comp in _compositions(k, m):
         w = np.asarray(comp, dtype=np.float64) / k
-        fused = np.einsum("m,mnc->nc", w, stack)
-        hits = int(np.sum(np.argmax(fused, axis=1) == y))
+        hits = int(np.sum(_fuse(stack, w).argmax(axis=1) == y))
         dist = sum((ki * m - k) ** 2 for ki in comp)
         if best is None or hits > best[0] or (hits == best[0] and dist < best[1]):
             best = (hits, dist, comp)
     weights = np.asarray(best[2], dtype=np.float64) / k
-    return weights, best[0] / n_clips
+    return weights, best[0] / len(y)

@@ -55,14 +55,13 @@ class Recipe:
         if self.fusion not in ("mean", "weighted"):
             raise ConfigError(f"fusion must be 'mean' or 'weighted', "
                               f"got {self.fusion!r}")
-        n_modalities = int(bool(self.video)) + int(bool(self.audio))
         if self.fusion == "weighted":
             if self.weights is None:
                 raise ConfigError("weighted fusion needs a weights line")
-            if len(self.weights) != n_modalities:
-                raise ConfigError(f"{len(self.weights)} weights for "
-                                  f"{n_modalities} modalities")
-            check_weights(self.weights, n_modalities, ConfigError)
+            check_weights(self.weights, bool(self.video) + bool(self.audio),
+                          ConfigError)
+        elif self.weights is not None:
+            raise ConfigError("a weights line needs fusion = weighted")
         if self.train_on not in ("train", "train+val"):
             raise ConfigError(f"train_on must be 'train' or 'train+val', "
                               f"got {self.train_on!r}")
@@ -125,8 +124,6 @@ class RecipeResult:
     table: ScoreTable
     report: EvalReport | None
     members: list = field(default_factory=list)  # dicts: modality, kind, seed
-    fusion: str = "mean"
-    weights: list | None = None
 
 
 def _units(members, jobs: int):
@@ -220,13 +217,11 @@ def run_recipe(recipe: Recipe, ds: Dataset, config: TrainConfig, seed: int,
         if group:
             modality_tables.append(fuse_tables(group))
 
-    weights = recipe.weights if recipe.fusion == "weighted" else None
-    fused = fuse_tables(modality_tables, weights=weights)
+    fused = fuse_tables(modality_tables, weights=recipe.weights)
 
     report = None
     eval_split = "test" if recipe.train_on == "train+val" else "val"
     if any(c.label is not None for c in ds.split(eval_split)):
         pred, true = predictions_from_table(fused, ds, eval_split)
         report = evaluate(pred, true, ds.n_classes)
-    return RecipeResult(fused, report, members, recipe.fusion,
-                        list(weights) if weights is not None else None)
+    return RecipeResult(fused, report, members)

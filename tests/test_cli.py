@@ -339,6 +339,40 @@ def test_fuse_and_learn_fusion(workdir, capsys):
                  "--grid-step", "0.7"]) == 2
 
 
+def test_learn_fusion_skips_unlabeled_clips(workdir, capsys):
+    # the AFEW setting: test clips come without labels, and predict scores
+    # every clip; learn-fusion scores the labeled rows, as evaluate does
+    lines = (workdir / "data.jsonl").read_text().splitlines()
+    rows = [json.loads(line) for line in lines]
+    test_ids = {r["id"] for r in rows if r["split"] == "test"}
+    for r in rows:
+        if r["id"] in test_ids:
+            r["label"] = None
+    m = workdir / "unlabeled.jsonl"
+    m.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    cfg = str(workdir / "fast.cfg")
+    full, labeled = [], []
+    for i, cmd in enumerate(("train-video", "train-audio")):
+        ckpt = str(workdir / f"m{i}.json")
+        assert main([cmd, "--manifest", str(m), "--config", cfg,
+                     "--seed", str(i), "--out", ckpt]) == 0
+        full.append(workdir / f"all{i}.csv")
+        assert main(["predict", "--model", ckpt, "--manifest", str(m),
+                     "--out", str(full[-1])]) == 0
+        labeled.append(workdir / f"labeled{i}.csv")
+        labeled[-1].write_text("".join(
+            line + "\n" for line in full[-1].read_text().splitlines()
+            if line.split(",")[0] not in test_ids))
+    capsys.readouterr()
+    printed = []
+    for tables in (full, labeled):
+        assert main(["learn-fusion", "--scores", *map(str, tables),
+                     "--manifest", str(m)]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    assert "accuracy:" in printed[0]
+
+
 def test_ensemble_jobs_do_not_change_output(workdir, capsys):
     m = str(workdir / "data.jsonl")
     cfg = str(workdir / "fast.cfg")
@@ -535,7 +569,7 @@ def test_recipe_source_selection_errors(workdir, capsys):
     (["-1", "2"], "fusion weights must be finite and nonnegative"),
     (["nan", "1"], "fusion weights must be finite and nonnegative"),
     (["0", "0"], "fusion weights must not all be zero"),
-    (["1"], None),
+    (["1"], "expected 2 weights, got shape (1,)"),
 ], ids=["negative", "nan", "all-zero", "wrong-count"])
 @pytest.mark.parametrize("command", ["fuse", "recipe"])
 def test_bad_fusion_weights_exit_two_before_any_work(
@@ -563,12 +597,24 @@ def test_bad_fusion_weights_exit_two_before_any_work(
             ["recipe", "--recipe", str(rcp), "--manifest", m,
              "--config", str(workdir / "fast.cfg")])
     assert main(argv + ["--out", str(out)]) == 2
-    if message is None:
-        message = ("expected 2 weights, got shape (1,)" if command == "fuse"
-                   else "1 weights for 2 modalities")
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not out.exists()
     assert not Path(str(out) + ".manifest.json").exists()
+
+
+def test_recipe_weights_without_weighted_fusion_exit_two(
+        workdir, capsys, monkeypatch):
+    rcp = workdir / "mean.preset"
+    rcp.write_text("video = avg-pool\naudio = mlp\nfusion = mean\n"
+                   "weights = 0.9 0.1\n")
+    monkeypatch.setattr(recipes, "train_video_models", None)
+    monkeypatch.setattr(recipes, "train_audio_models", None)
+    out = workdir / "mean.csv"
+    assert main(["recipe", "--recipe", str(rcp), "--manifest",
+                 str(workdir / "data.jsonl"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == \
+        ["error: a weights line needs fusion = weighted"]
+    assert not out.exists()
 
 
 def test_recipe_file_and_member_manifest(workdir, capsys):

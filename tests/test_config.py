@@ -118,6 +118,21 @@ def test_validate_rejects_bad_fields():
             TrainConfig(**kw).validate()
 
 
+def test_every_int_field_is_parsed_and_checked_in_declaration_order():
+    names = ("n", "lstm_hidden", "epochs", "batch_size", "hidden",
+             "pretrain_epochs", "n_trees", "max_depth", "max_features")
+    for name in names:
+        assert getattr(parse_config(f"{name} = 3\n"), name) == 3
+        with pytest.raises(ConfigError, match=f"bad value '2.5' for key "
+                                              f"'{name}'"):
+            parse_config(f"{name} = 2.5\n")
+        with pytest.raises(ConfigError, match=f"^{name} must be >= 1"):
+            TrainConfig(**{name: 0}).validate()
+    # with several bad, the first declared one is named
+    with pytest.raises(ConfigError, match="^lstm_hidden must be >= 1"):
+        TrainConfig(**dict.fromkeys(names[1:], 0)).validate()
+
+
 def test_load_config(tmp_path):
     p = tmp_path / "train.cfg"
     p.write_text("head = score-mean\nepochs = 3\n")

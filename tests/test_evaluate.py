@@ -5,8 +5,8 @@ from smallclip.data import (ClassDistribution, build_dataset,
                             packaged_distribution_path, load_distribution)
 from smallclip.errors import ConfigError, ContractError
 from smallclip.evaluate import (CVReport, RunStatistics, cross_validate,
-                                evaluate, predictions_from_table,
-                                weighted_accuracy)
+                                evaluate, labeled_rows,
+                                predictions_from_table, weighted_accuracy)
 from smallclip.scores import ScoreTable
 from smallclip.synth import SynthConfig, generate_synthetic
 
@@ -157,6 +157,19 @@ def test_predictions_from_table_ignores_row_order(rng):
         pred_s, true_s = predictions_from_table(shuffled, ds, split)
         assert np.array_equal(pred_s, pred) and np.array_equal(true_s, true)
         assert np.array_equal(pred, [np.argmax(probs[c.id]) for c in clips])
+
+
+def test_labeled_rows_skip_unlabeled_and_stray_rows(rng):
+    clips = [make_clip(rng, f"c{i}", split="val", label=i % 2, n_classes=2)
+             for i in range(3)]
+    clips.append(make_clip(rng, "u", split="test", label=None, n_classes=2))
+    ds = build_dataset(clips)
+    table = ScoreTable(["stray", "u", "c2", "c0", "c1"], np.full((5, 2), 0.5))
+    rows, true = labeled_rows(table, ds)
+    assert rows.tolist() == [3, 4, 2]  # dataset order
+    assert true.tolist() == [0, 1, 0]
+    rows, true = labeled_rows(table, ds, "val")
+    assert rows.tolist() == [3, 4, 2]
 
 
 def test_predictions_from_table_no_overlap(rng):

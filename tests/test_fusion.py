@@ -1,10 +1,23 @@
 import numpy as np
 import pytest
 
+from smallclip.data import build_dataset
 from smallclip.errors import ContractError
+from smallclip.evaluate import evaluate, predictions_from_table
 from smallclip.fusion import (default_grid_step, fuse_tables, grid_divisions,
                               learn_fusion_weights)
 from smallclip.scores import ScoreTable
+
+from conftest import make_clip
+
+
+def labeled(labels, n_classes=2):
+    """A val-split dataset whose clips carry the labels of ``labels``, a
+    clip id to class map."""
+    rng = np.random.default_rng(0)
+    return build_dataset([make_clip(rng, cid, split="val", label=y,
+                                    n_classes=n_classes)
+                          for cid, y in labels.items()])
 
 
 def fuse_rows(sources, weights=None):
@@ -174,12 +187,12 @@ def test_default_grid_step():
 
 def test_grid_step_bounds(rng):
     a, b = table_pair(rng, shuffle=False)
-    labels = {cid: 0 for cid in a.ids}
+    ds = labeled({cid: 0 for cid in a.ids}, n_classes=4)
     # 0.3 and 0.4 would search thirds and halves, not the step asked for
     for bad in (0.0, -0.1, 0.6, 1.0, 0.3, 0.4):
         with pytest.raises(ContractError):
-            learn_fusion_weights([a, b], labels, grid_step=bad)
-    learn_fusion_weights([a, b], labels, grid_step=0.5)  # boundary is legal
+            learn_fusion_weights([a, b], ds, grid_step=bad)
+    learn_fusion_weights([a, b], ds, grid_step=0.5)  # boundary is legal
     for step, k in ((0.05, 20), (0.1, 10), (0.25, 4), (0.5, 2), (1 / 3, 3)):
         assert grid_divisions(step) == k
 
@@ -188,8 +201,7 @@ def test_learned_weights_isolate_reliable_source():
     # source B is so wrong that any B mass above one grid step flips clip x
     a = ScoreTable(["x", "y"], np.array([[0.505, 0.495], [0.1, 0.9]]))
     b = ScoreTable(["x", "y"], np.array([[0.0, 1.0], [0.0, 1.0]]))
-    labels = {"x": 0, "y": 1}
-    w, acc = learn_fusion_weights([a, b], labels)
+    w, acc = learn_fusion_weights([a, b], labeled({"x": 0, "y": 1}))
     assert np.array_equal(w, [1.0, 0.0])
     assert acc == 1.0
 
@@ -199,8 +211,9 @@ def test_identical_sources_pick_uniform_weights(rng):
     ids = [f"c{i}" for i in range(5)]
     a = ScoreTable(list(ids), probs)
     b = ScoreTable(list(ids), probs.copy())
-    labels = {cid: int(np.argmax(probs[i])) for i, cid in enumerate(ids)}
-    w, acc = learn_fusion_weights([a, b], labels)
+    ds = labeled({cid: int(np.argmax(probs[i])) for i, cid in enumerate(ids)},
+                 n_classes=3)
+    w, acc = learn_fusion_weights([a, b], ds)
     assert np.array_equal(w, [0.5, 0.5])
     assert acc == 1.0
 
@@ -212,8 +225,8 @@ def test_three_clip_fixture_selects_sixty_forty():
                    np.array([[0.70, 0.30], [0.64, 0.36], [0.9, 0.1]]))
     b = ScoreTable(["c0", "c1", "c2"],
                    np.array([[0.28, 0.72], [0.20, 0.80], [0.6, 0.4]]))
-    labels = {"c0": 0, "c1": 1, "c2": 0}
-    w, acc = learn_fusion_weights([a, b], labels, grid_step=0.1)
+    ds = labeled({"c0": 0, "c1": 1, "c2": 0})
+    w, acc = learn_fusion_weights([a, b], ds, grid_step=0.1)
     assert np.allclose(w, [0.6, 0.4], atol=1e-12)
     assert acc == 1.0
 
@@ -223,7 +236,8 @@ def test_learned_weights_never_worse_than_single_source(rng):
         a, b = table_pair(rng, n=10, c=3, shuffle=False)
         labels = {cid: int(rng.integers(0, 3)) for cid in a.ids}
         y = np.array([labels[cid] for cid in a.ids])
-        w, acc = learn_fusion_weights([a, b], labels, grid_step=0.25)
+        w, acc = learn_fusion_weights([a, b], labeled(labels, n_classes=3),
+                                      grid_step=0.25)
         assert abs(w.sum() - 1.0) < 1e-12
         assert np.all(w >= 0)
         for t in (a, b):
@@ -231,8 +245,13 @@ def test_learned_weights_never_worse_than_single_source(rng):
             assert acc >= solo
 
 
-def test_missing_label_names_clip(rng):
-    a, b = table_pair(rng, n=3, shuffle=False)
-    labels = {"clip0": 0, "clip2": 1}
-    with pytest.raises(ContractError, match="clip1"):
-        learn_fusion_weights([a, b], labels)
+def test_learned_accuracy_is_what_fuse_and_evaluate_report():
+    # ten-tree forest votes: at weights 0.4 0.2 0.4 classes 1 and 2 tie
+    # exactly, so rounding in the fused row picks the winner, and the search
+    # must round as `fuse` does
+    probs = ([0.1, 0.5, 0.4], [0.4, 0.4, 0.2], [0.4, 0.2, 0.4])
+    tables = [ScoreTable(["c0"], np.array([p])) for p in probs]
+    ds = labeled({"c0": 2}, n_classes=3)
+    w, acc = learn_fusion_weights(tables, ds)
+    pred, true = predictions_from_table(fuse_tables(tables, weights=w), ds)
+    assert acc == evaluate(pred, true, 3).overall
