@@ -6,9 +6,10 @@ recipe). Every file output is written atomically and accompanied by a
 ``<out>.manifest.json`` run manifest recording the command, config snapshot,
 seeds, paths, version, and duration, which is enough to reproduce the output
 bit for bit. All randomness flows from ``--seed``. ``--jobs N`` (N >= 1)
-trains independent units (stacks of members of one kind, whose seeds come
+trains independent units (one stack per kind of member, whose seeds come
 from ``recipe``, ``ensemble`` or ``repeat``, or cross-validation folds) in
-up to N forked worker processes, capped at the core count, and never
+up to N forked worker processes, capped at the CPUs this process may run
+on, each with a fixed share of the units and its own pipe back; it never
 changes results.
 
 Exit codes: 0 success, 2 usage error, 1 runtime error. ``SMALLCLIP_LOG``

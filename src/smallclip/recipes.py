@@ -129,21 +129,25 @@ class RecipeResult:
 def _units(members, jobs: int):
     """Lists of member indices, each trained as one unit.
 
-    The members of one (modality, kind) are split into at most ``jobs``
-    units of contiguous members, as even as can be, so the workers share
-    them. A unit is one ``video.train_video_models`` or
-    ``audio.train_audio_models`` call. Units are in order of their first
-    member.
+    A unit is one ``video.train_video_models`` or
+    ``audio.train_audio_models`` call. Each (modality, kind) is one unit of
+    its members, in order of its first member. Only while there are fewer
+    units than ``jobs`` is the largest unit (the first of equals) split into
+    two contiguous halves, in place, so that every worker gets a unit;
+    splitting a stack repeats its per-step work in each half.
     """
     groups = {}  # in order of first member
     for i, member in enumerate(members):
         groups.setdefault((member["modality"], member["kind"]), []).append(i)
-    out = []
-    for unit in groups.values():
-        k = min(jobs, len(unit))
-        out.extend(unit[j * len(unit) // k:(j + 1) * len(unit) // k]
-                   for j in range(k))
-    return out
+    units = list(groups.values())
+    while 0 < len(units) < jobs:
+        largest = max(range(len(units)), key=lambda u: len(units[u]))
+        unit = units[largest]
+        if len(unit) < 2:
+            break
+        half = (len(unit) + 1) // 2
+        units[largest:largest + 1] = [unit[:half], unit[half:]]
+    return units
 
 
 def score_members(train_ds: Dataset, config: TrainConfig, members, clips,
@@ -190,11 +194,12 @@ def run_recipe(recipe: Recipe, ds: Dataset, config: TrainConfig, seed: int,
     """Train every member, ensemble within modality, fuse across modalities.
 
     Member i (in recipe order, video first) trains with seed ``seed + i``.
-    The members of each kind are split into at most ``jobs`` units
-    (``score_members``). Members are independent, so ``jobs`` only changes
-    wall-clock time. The returned table scores every clip in the dataset;
-    the report holds val-split accuracy, or test-split accuracy when
-    training consumed the val split, or None when that split has no labels.
+    The members of each kind train as one unit (``score_members``), split
+    only when there are fewer kinds than ``jobs``. Members are independent,
+    so ``jobs`` only changes wall-clock time. The returned table scores
+    every clip in the dataset; the report holds val-split accuracy, or
+    test-split accuracy when training consumed the val split, or None when
+    that split has no labels.
     """
     recipe.validate()
     config.validate()

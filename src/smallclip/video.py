@@ -186,8 +186,13 @@ class VideoModel:
     def backward_batch(self, cache, dlogits):
         if self.kind == "avg-pool":
             lcache, n = cache
+            # one (M, B, D) temporary: a stack of every avg-pool member
+            # (one unit per kind) makes it large, and freeing several per
+            # step made the allocator return and re-fault heap pages
             dpooled = self.classifier.backward(lcache, dlogits)
-            return np.repeat(dpooled[..., None, :] / n, n, axis=-2)
+            dpooled /= n
+            dF = dpooled[..., None, :]
+            return np.repeat(dF, n, axis=-2) if n > 1 else dF
         if self.kind == "weighted-avg-pool":
             lcache, F, AV, w, pooled = cache
             s = w.sum(axis=-1)

@@ -4,8 +4,11 @@ No test starts more than ``os.cpu_count()`` worker processes.
 """
 
 import os
+import pickle
+import signal
 import time
 
+import numpy as np
 import pytest
 
 from smallclip import parallel
@@ -90,3 +93,91 @@ def test_first_failing_item_in_submission_order_is_raised_at_two_jobs():
 
     with pytest.raises(ValueError, match="^early item, slow failure$"):
         parallel_map(run, [1, 2, 3, 4], jobs=2)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_cap_follows_cpu_affinity(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    out = parallel_map(pid_and_square, range(4), jobs=2)
+    assert out == [(os.getpid(), x * x) for x in range(4)]
+
+
+@needs_two_cores
+def test_result_larger_than_the_pipe_buffer_comes_back_intact():
+    def big(seed):
+        return np.random.default_rng(seed).standard_normal(1 << 17)  # 1 MB
+
+    out = parallel_map(big, [1, 2, 3], jobs=2)
+    for seed, arr in zip([1, 2, 3], out):
+        assert np.array_equal(arr, big(seed))
+    assert_no_child_left()
+
+
+@needs_two_cores
+def test_killed_worker_becomes_training_error_and_is_reaped():
+    def die(x):
+        if x == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return x
+
+    with pytest.raises(TrainingError, match="worker process died"):
+        parallel_map(die, range(4), jobs=2)
+    assert_no_child_left()
+
+
+@needs_two_cores
+def test_no_child_left_after_success_or_an_item_error():
+    assert parallel_map(pid_and_square, range(4), jobs=2)
+    assert_no_child_left()
+
+    def check(x):
+        if x == 0:
+            raise ContractError("item 0 fails at once")
+        time.sleep(0.05)
+        return x
+
+    with pytest.raises(ContractError, match="^item 0 fails at once$"):
+        parallel_map(check, range(6), jobs=2)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_results_at_more_jobs_equal_those_at_one(jobs):
+    def work(x):
+        return {"x": x, "row": np.arange(x, dtype=np.float64) / 7}
+
+    expect = parallel_map(work, range(7), jobs=1)
+    out = parallel_map(work, range(7), jobs=jobs)
+    assert [r["x"] for r in out] == [r["x"] for r in expect]
+    for a, b in zip(out, expect):
+        assert np.array_equal(a["row"], b["row"])
+
+
+@needs_two_cores
+def test_children_are_killed_and_reaped_when_the_caller_fails(monkeypatch):
+    class Interrupted(Exception):
+        pass
+
+    class BrokenLoads:  # the parent fails to read child 0's result
+        dumps = staticmethod(pickle.dumps)
+        HIGHEST_PROTOCOL = pickle.HIGHEST_PROTOCOL
+
+        @staticmethod
+        def loads(blob):
+            raise Interrupted
+
+    def slow(x):
+        time.sleep(5 if x else 0)
+        return x
+
+    monkeypatch.setattr(parallel, "pickle", BrokenLoads)
+    started = time.monotonic()
+    with pytest.raises(Interrupted):
+        parallel_map(slow, range(2), jobs=2)
+    assert time.monotonic() - started < 4  # child 1 was killed, not awaited
+    assert_no_child_left()

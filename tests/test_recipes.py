@@ -167,25 +167,41 @@ def test_run_recipe_train_plus_val_beats_more_data_signal():
     assert set(result.table.ids) == {c.id for c in ds.clips}
 
 
+def _members(text):
+    recipe = parse_recipe(text)
+    return [{"modality": modality, "kind": kind}
+            for modality, groups in (("video", recipe.video),
+                                     ("audio", recipe.audio))
+            for kind, mult in groups for _ in range(mult)]
+
+
 def test_units_split_trainable_groups_into_contiguous_stacks():
-    recipe = parse_recipe("video = avg-pool*5 weighted-avg-pool lstm*3 "
-                          "score-mean*2 avg-pool*2\n"
-                          "audio = forest*2 mlp*3\n")
-    members = [{"modality": modality, "kind": kind}
-               for modality, groups in (("video", recipe.video),
-                                        ("audio", recipe.audio))
-               for kind, mult in groups for _ in range(mult)]
+    members = _members("video = avg-pool*5 weighted-avg-pool lstm*3 "
+                       "score-mean*2 avg-pool*2\n"
+                       "audio = forest*2 mlp*3\n")
     # avg-pool 0-4 and 11-12, weighted-avg-pool 5, lstm 6-8, score-mean
-    # 9-10, forest 13-14, mlp 15-17; every kind follows the same rule
-    assert _units(members, 1) == [[0, 1, 2, 3, 4, 11, 12], [5], [6, 7, 8],
-                                  [9, 10], [13, 14], [15, 16, 17]]
-    assert _units(members, 2) == [[0, 1, 2], [3, 4, 11, 12], [5], [6],
-                                  [7, 8], [9], [10], [13], [14], [15],
-                                  [16, 17]]
-    assert _units(members, 3) == [[0, 1], [2, 3], [4, 11, 12], [5], [6],
-                                  [7], [8], [9], [10], [13], [14], [15],
-                                  [16], [17]]
+    # 9-10, forest 13-14, mlp 15-17: six groups, each one unit while there
+    # are at least as many groups as jobs; every kind follows the same rule
+    whole = [[0, 1, 2, 3, 4, 11, 12], [5], [6, 7, 8], [9, 10], [13, 14],
+             [15, 16, 17]]
+    for jobs in (1, 2, 3):
+        assert _units(members, jobs) == whole
+    # a lone group splits into contiguous halves, the first the larger
+    assert _units(_members("video = lstm*3\n"), 2) == [[0, 1], [2]]
     assert _units(members[:2], 8) == [[0], [1]]
+
+
+def test_units_split_the_largest_group_while_fewer_than_jobs():
+    members = _members("video = avg-pool*4\naudio = mlp*2\n")
+    assert _units(members, 2) == [[0, 1, 2, 3], [4, 5]]
+    assert _units(members, 3) == [[0, 1], [2, 3], [4, 5]]
+    # of equal units the first splits, in place
+    assert _units(members, 4) == [[0], [1], [2, 3], [4, 5]]
+    # submission6: 50 avg-pool members and 2 mlp members, two units at 2
+    s6 = _members("video = avg-pool*50\naudio = mlp*2\n")
+    assert _units(s6, 2) == [list(range(50)), [50, 51]]
+    # no unit splits below one member
+    assert _units(members, 8) == [[0], [1], [2], [3], [4], [5]]
 
 
 def test_run_recipe_stacks_are_jobs_invariant_and_match_members_alone():

@@ -654,6 +654,27 @@ def test_stacked_head_gradients(head):
     assert grad_check(loss_fn, stack.params() + [F]) < 1e-5
 
 
+def test_pooled_once_avg_pool_stack_gradient():
+    # training pools avg-pool inputs once, so each clip has one frame, and
+    # each member draws its own batch rows: F is (M, B, 1, D)
+    rng = np.random.default_rng(22)
+    M, B, D, C = 3, 4, 5, 3
+    stack = stack_members([VideoModel("avg-pool", 1, D, C,
+                                      rng=np.random.default_rng(m))
+                           for m in range(M)])
+    F = ParamTensor("F", rng.standard_normal((M, B, 1, D)))
+    labels = rng.integers(0, C, size=(M, B))
+
+    def loss_fn(compute_grad):
+        logits, cache = stack.forward_batch(F.values, None)
+        loss, dlogits, _ = softmax_cross_entropy_batch(logits, labels)
+        if compute_grad:
+            F.grad += stack.backward_batch(cache, dlogits)
+        return float(loss.sum())
+
+    assert grad_check(loss_fn, stack.params() + [F]) < 1e-5
+
+
 def test_predict_stacked_matches_predict_batch():
     ds = easy_dataset(seed=6)
     for head in VIDEO_HEADS:
