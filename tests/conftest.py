@@ -1,3 +1,5 @@
+import base64
+
 import numpy as np
 import pytest
 
@@ -136,3 +138,49 @@ def grad_check(loss_fn, tensors, eps=1e-5):
             rel = abs(ana_flat[i] - numeric) / max(abs(ana_flat[i]), abs(numeric), 1e-8)
             max_rel = max(max_rel, rel)
     return max_rel
+
+
+# -- checkpoint versions ---------------------------------------------------------
+
+# the integer arrays of a checkpoint (a forest tree's); every other is float64
+CHECKPOINT_INT_ARRAYS = ("feature", "left", "right", "hist")
+
+
+def version1_record(a):
+    """The version-1 checkpoint record of array ``a``: its shape and a flat
+    list of JSON numbers. The reference writer of version 1."""
+    a = np.asarray(a)
+    return {"shape": list(a.shape), "data": a.ravel().tolist()}
+
+
+def version2_record(a, dtype):
+    """The version-2 checkpoint record of array ``a``: its shape and the
+    base64 of its values as little-endian ``dtype`` bytes."""
+    a = np.asarray(a, dtype=np.dtype(dtype).newbyteorder("<"))
+    return {"shape": list(a.shape),
+            "data": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def checkpoint_as_version(obj, version):
+    """Checkpoint dict ``obj``, of either version, rewritten in ``version``.
+
+    Each record keeps its shape and its values in order, so an edit made to
+    a version-1 record (one that keeps ``data`` as long as ``shape`` asks)
+    survives the trip to version 2.
+    """
+    def convert(node, key=None):
+        if isinstance(node, dict) and set(node) == {"shape", "data"}:
+            dtype = np.int64 if key in CHECKPOINT_INT_ARRAYS else np.float64
+            data = node["data"]
+            values = (np.array(data, dtype=dtype) if isinstance(data, list)
+                      else np.frombuffer(base64.b64decode(data),
+                                         np.dtype(dtype).newbyteorder("<")))
+            values = values.reshape(node["shape"])
+            return (version1_record(values) if version == 1
+                    else version2_record(values, dtype))
+        if isinstance(node, dict):
+            return {k: convert(v, k) for k, v in node.items()}
+        if isinstance(node, list):
+            return [convert(v, key) for v in node]
+        return node
+    return dict(convert(obj), version=version)

@@ -2,7 +2,8 @@
 
 The real benchmark never runs here: each stub's ``perfbench/run.py`` logs
 its side to a file outside the trees and prints the next of its canned
-results.
+results, and each stub's ``src/smallclip/cli.py`` sets its own BLAS thread
+default.
 """
 
 import importlib.util
@@ -44,6 +45,18 @@ print(json.dumps({{"correct": True, "attempted": 3, "failed": 0,
 '''
 
 
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# a stub cli module: it sets its BLAS variables on import, as the real one
+# does, with a thread count that tells the sides apart
+CLI_STUB = """\
+import os
+BLAS_THREAD_VARS = {names!r}
+for _name in BLAS_THREAD_VARS:
+    os.environ.setdefault(_name, {threads!r})
+"""
+
+
 def parent_run(i):
     return {"wall_s": 0.7, "setup_s": 0.3 + i / 100, "cpu_s": 1.0 + i / 10,
             "peak_rss_mb": 35.0, "held_out_acc": 1.0}
@@ -63,6 +76,11 @@ def make_tree(root, name, runs):
     tree = root / name
     (tree / "perfbench").mkdir(parents=True)
     (tree / "perfbench" / "run.py").write_text(STUB.format(runs=runs))
+    package = tree / "src" / "smallclip"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(CLI_STUB.format(
+        names=BLAS_VARS, threads="1" if name == "parent" else "3"))
     (tree / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
     return tree
 
@@ -82,6 +100,10 @@ def bench(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("BENCH_PAIRS_LOG", str(root / "log"))
         mp.setenv("PYTHONDONTWRITEBYTECODE", "1")
+        for name in BLAS_VARS:
+            mp.delenv(name, raising=False)
+        # a caller's value is what a child cli keeps
+        mp.setenv("MKL_NUM_THREADS", "2")
         environ = dict(os.environ)
         assert bench_pairs.main([str(parent), str(change), "--workload",
                                  "s6-small-j2", "--seconds", "3",
@@ -110,6 +132,14 @@ def test_runs_are_kept_verbatim_with_each_side_environment(bench):
             [make(i)["cpu_s"] for i in range(10)]
         assert out[side]["runs"][0].startswith('{"correct": true')
     assert result["parent_commit"] is None
+
+
+def test_blas_threads_are_what_each_side_cli_leaves_set(bench):
+    result, _ = bench
+    assert result["blas_threads"] == {
+        side: {"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": "2"}
+        for side, threads in (("parent", "1"), ("change", "3"))}
 
 
 def test_medians_and_inclusive_quartiles(bench):

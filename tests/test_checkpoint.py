@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from conftest import checkpoint_as_version
 from smallclip.audio import train_audio_model
 from smallclip.checkpoint import (checkpoint_dict, load_checkpoint,
                                   model_from_dict, save_checkpoint)
-from smallclip.config import TrainConfig
+from smallclip.config import VIDEO_HEADS, TrainConfig
 from smallclip.errors import ContractError, ParseError
 from smallclip.synth import SynthConfig, generate_synthetic
 from smallclip.video import train_video_model
@@ -69,10 +70,52 @@ def test_checkpoint_file_is_versioned_json(tmp_path):
     save_checkpoint(model, path)
     obj = json.loads(path.read_text())
     assert obj["format"] == "smallclip-checkpoint"
-    assert obj["version"] == 1
+    assert obj["version"] == 2
     assert obj["kind"] == "audio-forest"
     # re-serializing the in-memory dict reproduces the file exactly
     assert json.dumps(checkpoint_dict(model)) + "\n" == path.read_text()
+
+
+def _trained(kind):
+    """A small trained model of ``kind``: a video head, ``mlp``,
+    ``mlp-pretrained`` or ``forest``; and its test clips."""
+    ds = small_dataset(seed=6)
+    if kind in VIDEO_HEADS:
+        cfg = TrainConfig(head=kind, epochs=2, n=4, lstm_hidden=8)
+        return train_video_model(ds, cfg, seed=0)[0], ds.split("test")
+    pretrain = small_dataset(seed=7) if kind == "mlp-pretrained" else None
+    cfg = (TrainConfig(model="forest", n_trees=4) if kind == "forest" else
+           TrainConfig(model="mlp", epochs=2, hidden=8, pretrain_epochs=2))
+    model, _ = train_audio_model(ds, cfg, seed=0, pretrain=pretrain)
+    return model, ds.split("test")
+
+
+@pytest.mark.parametrize("kind", [*VIDEO_HEADS, "mlp", "mlp-pretrained",
+                                  "forest"])
+def test_version1_file_predicts_as_version2(tmp_path, kind):
+    model, clips = _trained(kind)
+    paths = {}
+    for version in (1, 2):
+        paths[version] = tmp_path / f"v{version}.json"
+        obj = checkpoint_as_version(checkpoint_dict(model), version)
+        paths[version].write_text(json.dumps(obj) + "\n")
+    assert json.loads(paths[2].read_text()) == checkpoint_dict(model)
+    v1, v2 = (load_checkpoint(paths[version]) for version in (1, 2))
+    expected = model.predict_batch(clips)
+    assert np.array_equal(v1.predict_batch(clips), expected)
+    assert np.array_equal(v2.predict_batch(clips), expected)
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "2", None, 0, 3])
+def test_checkpoint_version_must_be_a_known_integer(version):
+    ds = small_dataset(seed=3)
+    model, _ = train_audio_model(ds, TrainConfig(model="forest", n_trees=2),
+                                 seed=0)
+    obj = dict(checkpoint_dict(model), version=version)
+    message = ("unsupported checkpoint version" if type(version) is int
+               else "malformed checkpoint: version must be an integer")
+    with pytest.raises(ParseError, match=message):
+        model_from_dict(obj)
 
 
 def test_malformed_checkpoints_rejected(tmp_path):
@@ -95,7 +138,7 @@ def test_missing_and_misshapen_params_rejected(tmp_path):
     ds = small_dataset(seed=4)
     model, _ = train_video_model(ds, TrainConfig(head="avg-pool", epochs=1,
                                                  n=3), seed=0)
-    obj = checkpoint_dict(model)
+    obj = checkpoint_as_version(checkpoint_dict(model), 1)
     name = next(iter(obj["params"]))
 
     broken = json.loads(json.dumps(obj))
@@ -131,23 +174,39 @@ def _widen_hist(tree):
     tree["hist"]["data"] = [1] * (n * (c + 1))
 
 
-@pytest.mark.parametrize("break_tree, message", [
+TREE_FAULTS = pytest.mark.parametrize("break_tree, message", [
     (_drop_last_threshold, "one length"),
     (_widen_hist, "hist has shape"),
     (lambda tree: tree["feature"]["data"].__setitem__(0, -2), "feature"),
     (lambda tree: tree["hist"]["data"].__setitem__(0, -1), "nonnegative"),
 ], ids=["short-threshold", "wide-hist", "feature-below-leaf", "negative-hist"])
-def test_malformed_forest_trees_rejected(break_tree, message):
+
+
+def _broken_forest(break_tree, version):
+    """A three-tree forest checkpoint in ``version`` whose tree 2 is edited
+    by ``break_tree`` in its version-1 form."""
     ds = small_dataset(seed=5)
     model, _ = train_audio_model(ds, TrainConfig(model="forest", n_trees=3),
                                  seed=0)
-    obj = json.loads(json.dumps(checkpoint_dict(model)))
+    obj = checkpoint_as_version(checkpoint_dict(model), 1)
     break_tree(obj["extra"]["trees"][2])
+    return checkpoint_as_version(obj, version)
+
+
+@TREE_FAULTS
+def test_malformed_forest_trees_rejected(break_tree, message):
+    obj = _broken_forest(break_tree, 1)
     with pytest.raises(ParseError, match=f"tree 2: .*{message}"):
         model_from_dict(obj)
     obj["extra"]["trees"] = []
     with pytest.raises(ParseError, match="no trees"):
         model_from_dict(obj)
+
+
+@TREE_FAULTS
+def test_malformed_version2_forest_trees_rejected(break_tree, message):
+    with pytest.raises(ParseError, match=f"tree 2: .*{message}"):
+        model_from_dict(_broken_forest(break_tree, 2))
 
 
 def test_unknown_object_not_checkpointable():

@@ -1,6 +1,7 @@
 """End-to-end command-line tests, in-process via cli.main(argv) except
 where a test needs a fresh interpreter (the BLAS thread default)."""
 
+import base64
 import json
 import os
 import re
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import smallclip
+from conftest import checkpoint_as_version
 from smallclip import cli, recipes
 from smallclip.audio import train_audio_model
 from smallclip.cli import BLAS_THREAD_VARS, main
@@ -978,7 +980,7 @@ def test_predict_with_a_nan_weight_writes_nothing(workdir, capsys):
     assert main(["train-video", "--manifest", m, "--config",
                  str(workdir / "fast.cfg"), "--pooling", "avg-pool",
                  "--out", str(ckpt)]) == 0
-    obj = json.loads(ckpt.read_text())
+    obj = checkpoint_as_version(json.loads(ckpt.read_text()), 1)
     name, param = next(iter(obj["params"].items()))
     param["data"][0] = float("nan")
     ckpt.write_text(json.dumps(obj))
@@ -1008,23 +1010,27 @@ def _break_tree(tree, meta, edit):
         tree["hist"]["data"][leaf * c:(leaf + 1) * c] = [0] * c
 
 
-@pytest.mark.parametrize("edit", ["backward-child", "child-out-of-range",
-                                  "feature-out-of-range", "zero-leaf"])
-def test_malformed_forest_checkpoint_exits_one(workdir, capsys, edit):
+TREE_EDITS = pytest.mark.parametrize("edit", [
+    "backward-child", "child-out-of-range", "feature-out-of-range",
+    "zero-leaf"])
+
+
+def _predict_broken_forest(workdir, edit, version):
+    """Train a forest, break its tree 0 by ``edit`` in the version-1 form,
+    save it as ``version`` and run ``predict`` from it in a fresh process
+    with a time limit, so a walk that never ends fails the test instead of
+    stalling the suite."""
     m = str(workdir / "data.jsonl")
     ckpt = workdir / "audio.json"
     assert main(["train-audio", "--manifest", m, "--config",
                  str(workdir / "fast.cfg"), "--model", "forest",
                  "--out", str(ckpt)]) == 0
-    capsys.readouterr()
-    obj = json.loads(ckpt.read_text())
+    obj = checkpoint_as_version(json.loads(ckpt.read_text()), 1)
     tree = obj["extra"]["trees"][0]
     assert tree["feature"]["data"][0] != -1   # the root splits
     _break_tree(tree, obj["meta"], edit)
-    ckpt.write_text(json.dumps(obj))
+    ckpt.write_text(json.dumps(checkpoint_as_version(obj, version)))
     out = workdir / "scores.csv"
-    # a fresh process with a time limit, so a walk that never ends fails the
-    # test instead of stalling the suite
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [SRC] + ([os.environ["PYTHONPATH"]]
                  if os.environ.get("PYTHONPATH") else [])))
@@ -1039,6 +1045,17 @@ def test_malformed_forest_checkpoint_exits_one(workdir, capsys, edit):
     assert not out.exists()
 
 
+@TREE_EDITS
+def test_malformed_forest_checkpoint_exits_one(workdir, capsys, edit):
+    _predict_broken_forest(workdir, edit, 1)
+
+
+@TREE_EDITS
+def test_malformed_version2_forest_checkpoint_exits_one(workdir, capsys,
+                                                        edit):
+    _predict_broken_forest(workdir, edit, 2)
+
+
 # -- video and audio-mlp checkpoints and manifest ids are validated on load ---
 
 def _first_param(obj):
@@ -1049,45 +1066,79 @@ def _nudge_root_feature(obj):
     obj["extra"]["trees"][0]["feature"]["data"][0] += 0.9
 
 
-@pytest.mark.parametrize("model, edit, message", [
-    ("video", lambda obj: obj["meta"].update(n="16"),
+def _drop_seed(obj):
+    del obj["meta"]["seed"]
+
+
+# each case edits a checkpoint in the version given, which holds list
+# records in version 1 and base64 strings in version 2
+@pytest.mark.parametrize("model, version, edit, message", [
+    ("video", 2, lambda obj: obj["meta"].update(n="16"),
      'meta n must be an integer >= 1, got "16"'),
-    ("video", lambda obj: obj["meta"].update(n=2.5),
+    ("video", 2, lambda obj: obj["meta"].update(n=2.5),
      "meta n must be an integer >= 1, got 2.5"),
-    ("mlp", lambda obj: obj["extra"].update(
+    ("mlp", 1, lambda obj: obj["extra"].update(
         running_mean={"shape": [1], "data": [0.0]}),
      "running_mean has shape (1,), expected (8,)"),
-    ("mlp", lambda obj: obj["extra"]["running_var"]["data"].__setitem__(
+    ("mlp", 1, lambda obj: obj["extra"]["running_var"]["data"].__setitem__(
         0, -1.0), "running_var must be nonnegative"),
-    ("video", lambda obj: _first_param(obj).__setitem__(0, "nan"),
+    ("video", 1, lambda obj: _first_param(obj).__setitem__(0, "nan"),
      "parameter 'classifier.W': data must hold JSON numbers"),
-    ("video", lambda obj: _first_param(obj).__setitem__(0, True),
+    ("video", 1, lambda obj: _first_param(obj).__setitem__(0, True),
      "parameter 'classifier.W': data must hold JSON numbers"),
-    ("forest", _nudge_root_feature,
+    ("forest", 1, _nudge_root_feature,
      "tree 0: feature: data must hold JSON integers"),
-    ("video", lambda obj: obj["meta"].update(head="bogus"),
+    ("video", 2, lambda obj: obj["meta"].update(head="bogus"),
      "meta head must be one of score-mean, avg-pool, weighted-avg-pool, "
      'lstm, got "bogus"'),
-    ("video", lambda obj: obj["meta"].update(score_mode="bogus"),
+    ("video", 2, lambda obj: obj["meta"].update(score_mode="bogus"),
      'meta score_mode must be one of probs, logits, got "bogus"'),
-    ("mlp", lambda obj: obj["meta"].update(dropout="0.2"),
+    ("mlp", 2, lambda obj: obj["meta"].update(dropout="0.2"),
      'meta dropout must be a number in [0, 1), got "0.2"'),
-    ("mlp", lambda obj: obj["meta"].update(dropout=1),
+    ("mlp", 2, lambda obj: obj["meta"].update(dropout=1),
      "meta dropout must be a number in [0, 1), got 1"),
+    ("video", 1, lambda obj: obj.update(version=True),
+     "version must be an integer, got true"),
+    ("forest", 1, lambda obj: obj.update(version=1.0),
+     "version must be an integer, got 1.0"),
+    ("forest", 2, lambda obj: obj["meta"].update(n_trees=7),
+     "meta n_trees must be the number of trees, 5, got 7"),
+    ("forest", 2, lambda obj: obj["meta"].update(seed="x"),
+     'meta seed must be an integer >= 0, got "x"'),
+    ("forest", 2, lambda obj: obj["meta"].update(seed=None),
+     "meta seed must be an integer >= 0, got null"),
+    ("forest", 2, lambda obj: obj["meta"].update(seed=1.5),
+     "meta seed must be an integer >= 0, got 1.5"),
+    ("forest", 1, lambda obj: obj["meta"].update(seed=[1]),
+     "meta seed must be an integer >= 0, got [1]"),
+    ("forest", 2, lambda obj: obj["meta"].update(seed=-1),
+     "meta seed must be an integer >= 0, got -1"),
+    ("forest", 2, _drop_seed, "'seed'"),
 ], ids=["n-string", "n-float", "short-running-mean", "negative-running-var",
         "nan-string", "bool-weight", "fractional-feature", "unknown-head",
-        "unknown-score-mode", "dropout-string", "dropout-one"])
+        "unknown-score-mode", "dropout-string", "dropout-one", "version-true",
+        "version-float", "n-trees-mismatch", "seed-string", "seed-null",
+        "seed-float", "seed-list", "seed-negative", "seed-missing"])
 def test_malformed_checkpoint_exits_one_naming_the_field(
-        workdir, capsys, model, edit, message):
+        workdir, capsys, model, version, edit, message):
+    def rewrite(obj):
+        obj = checkpoint_as_version(obj, version)
+        edit(obj)
+        return obj
+    _predict_from_rewritten(workdir, capsys, model, rewrite, message)
+
+
+def _predict_from_rewritten(workdir, capsys, model, rewrite, message):
+    """Train ``model``, save ``rewrite`` of its checkpoint's JSON object,
+    and check that ``predict`` from it exits 1 with the one error line
+    ``malformed checkpoint: <message>`` and writes nothing."""
     m = str(workdir / "data.jsonl")
     ckpt = workdir / "model.json"
     train = (["train-video"] if model == "video"
              else ["train-audio", "--model", model])
     assert main(train + ["--manifest", m, "--config",
                          str(workdir / "fast.cfg"), "--out", str(ckpt)]) == 0
-    obj = json.loads(ckpt.read_text())
-    edit(obj)
-    ckpt.write_text(json.dumps(obj))
+    ckpt.write_text(json.dumps(rewrite(json.loads(ckpt.read_text()))))
     capsys.readouterr()
     out = workdir / "scores.csv"
     assert main(["predict", "--model", str(ckpt), "--manifest", m,
@@ -1095,6 +1146,72 @@ def test_malformed_checkpoint_exits_one_naming_the_field(
     assert capsys.readouterr().err.splitlines() == [
         f"error: malformed checkpoint: {message}"]
     assert not out.exists()
+
+
+def _reencoded(edit):
+    """An edit that makes ``edit`` on a checkpoint's version-1 form and
+    encodes the result as version 2 again."""
+    def apply(obj):
+        obj = checkpoint_as_version(obj, 1)
+        edit(obj)
+        return checkpoint_as_version(obj, 2)
+    return apply
+
+
+def _first_record(obj, data):
+    """``obj`` with its first parameter's ``data`` set to ``data(old)``."""
+    record = next(iter(obj["params"].values()))
+    record["data"] = data(record["data"])
+    return obj
+
+
+def _base64_in_version1(obj):
+    encoded = next(iter(obj["params"].values()))["data"]
+    return _first_record(checkpoint_as_version(obj, 1), lambda _: encoded)
+
+
+# classifier.W of the avg-pool head is 3 x 5: 15 float64 values, 120 bytes
+@pytest.mark.parametrize("model, edit, message", [
+    ("video", _reencoded(lambda obj: _first_param(obj).__setitem__(
+        0, float("nan"))), "parameter 'classifier.W': data must be finite"),
+    ("video", _reencoded(lambda obj: _first_param(obj).__setitem__(
+        3, float("-inf"))), "parameter 'classifier.W': data must be finite"),
+    ("mlp", _reencoded(lambda obj: obj["extra"]["running_mean"]["data"]
+                       .__setitem__(0, float("inf"))),
+     "running_mean: data must be finite"),
+    ("mlp", _reencoded(lambda obj: obj["extra"]["running_var"]["data"]
+                       .__setitem__(0, -1.0)),
+     "running_var must be nonnegative"),
+    ("video", lambda obj: _first_record(obj, lambda d: d[:8] + "*" + d[8:]),
+     "parameter 'classifier.W': data must be valid base64"),
+    ("video", lambda obj: _first_record(obj, lambda d: base64.b64encode(
+        base64.b64decode(d)[:-8]).decode()),
+     "parameter 'classifier.W': data must hold 120 bytes, got 112"),
+    ("video", lambda obj: _first_record(obj, lambda d: [0.0] * 15),
+     "parameter 'classifier.W': data must be a base64 string"),
+    ("video", _base64_in_version1,
+     "parameter 'classifier.W': data must be a list of 15 values"),
+], ids=["nan-weight", "inf-weight", "inf-running-mean",
+        "negative-running-var", "not-base64", "short-bytes",
+        "list-in-version-2", "string-in-version-1"])
+def test_malformed_version2_array_exits_one_naming_it(
+        workdir, capsys, model, edit, message):
+    _predict_from_rewritten(workdir, capsys, model, edit, message)
+
+
+@pytest.mark.parametrize("train", [
+    ["train-video", "--pooling", "lstm"],
+    ["train-audio", "--model", "forest"],
+    ["train-audio", "--model", "mlp"]], ids=["lstm", "forest", "mlp"])
+def test_train_reruns_write_identical_checkpoints(workdir, capsys, train):
+    m = str(workdir / "data.jsonl")
+    paths = [workdir / f"run{i}.json" for i in range(2)]
+    for path in paths:
+        assert main(train + ["--manifest", m, "--config",
+                             str(workdir / "fast.cfg"), "--seed", "3",
+                             "--out", str(path)]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert json.loads(paths[0].read_text())["version"] == 2
 
 
 @pytest.mark.parametrize("clip_id", [None, 17], ids=["null", "integer"])

@@ -22,13 +22,17 @@ change won (ties count for neither side) and gives the verdict for a gain:
 the change won at least nine tenths of the pairs, and its median is better
 than the parent's by more than the parent's interquartile range. It also
 says whether the change's median is within the metric's bound from the
-change's ``BENCHMARK.json``.
+change's ``BENCHMARK.json``. Per side it also records, under
+``blas_threads``, the value of each of ``smallclip.cli.BLAS_THREAD_VARS``
+that one ``import smallclip.cli`` from the tree's ``src/`` leaves in the
+environment, which is what the measured commands run with.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -52,6 +56,25 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
                 if line.startswith("environment ")), None)
     return {"line": lines[-1], "result": json.loads(lines[-1]),
             "environment": env}
+
+
+# run in a child with the tree's src/ first on the path
+BLAS_PROBE = ("import json, os, smallclip.cli as cli; print(json.dumps({"
+              "name: os.environ.get(name) for name in cli.BLAS_THREAD_VARS}))")
+
+
+def blas_threads(tree: Path) -> dict:
+    """The BLAS thread variables that ``import smallclip.cli`` from
+    ``tree``'s ``src/`` leaves set, with this process's environment."""
+    path = os.pathsep.join([str(tree / "src")] + (
+        [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", BLAS_PROBE], cwd=tree,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    if done.returncode != 0:
+        raise SystemExit(f"import smallclip.cli in {tree} exited "
+                         f"{done.returncode}: {done.stderr[-500:]}")
+    return json.loads(done.stdout)
 
 
 def side_summary(runs, metrics) -> dict:
@@ -151,9 +174,12 @@ def main(argv=None) -> int:
                  "own tree. 'runs' holds each run's last stdout line "
                  "verbatim, in pair order; 'environment' is the environment "
                  "line of each side's first run; 'metrics' holds the pair "
-                 "wins and the verdicts."),
+                 "wins and the verdicts; 'blas_threads' holds the BLAS "
+                 "thread variables that importing each side's smallclip.cli "
+                 "leaves set."),
         "parent_commit": git_commit(trees["parent"]),
         "change_commit": git_commit(trees["change"]),
+        "blas_threads": {side: blas_threads(trees[side]) for side in SIDES},
         "workloads": {w: bench_workload(trees, w, args.pairs, args.seconds,
                                         args.seed, specs, log)
                       for w in args.workload},
