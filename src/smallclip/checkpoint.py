@@ -15,8 +15,8 @@ for tree features, children and histograms. Version 1 files still load; in
 them ``data`` is a flat list of JSON numbers, whose shortest-roundtrip
 repr is bit-exact too. The file's ``version`` picks the reader, and each
 reader accepts only its own records. Parameter tensors are keyed by their
-full name; loading restores values, batch-norm running statistics, and
-forest structure, which is everything the eval path reads.
+full name; loading restores values, batch-norm running statistics and the
+trees' ``forest.TREE_ARRAYS``, which ``Forest`` checks, not this module.
 """
 
 from __future__ import annotations
@@ -30,15 +30,12 @@ from .audio import AudioModel
 from .config import SCORE_MODES, VIDEO_HEADS
 from .data import atomic_write_text, read_text
 from .errors import ContractError, ParseError
-from .forest import Forest, Tree
+from .forest import TREE_ARRAYS, Forest, Tree
 from .nn import MLPHead
 from .video import VideoModel
 
 FORMAT = "smallclip-checkpoint"
 VERSION = 2
-# a forest tree's arrays, in file order, with their dtypes
-_TREE_ARRAYS = {"feature": np.int64, "threshold": np.float64,
-               "left": np.int64, "right": np.int64, "hist": np.int64}
 
 
 # `base64` is imported where it is used, so that commands which never save
@@ -161,7 +158,7 @@ def checkpoint_dict(model) -> dict:
     if isinstance(model, AudioModel) and model.kind == "forest":
         f = model.forest
         trees = [{key: _arr(getattr(t, key), dtype)
-                  for key, dtype in _TREE_ARRAYS.items()} for t in f.trees]
+                  for key, dtype in TREE_ARRAYS.items()} for t in f.trees]
         meta = {"d_audio": model.d_audio, "n_classes": model.n_classes,
                 "n_trees": len(f.trees), "seed": f.seed}
         return {"format": FORMAT, "version": VERSION, "kind": "audio-forest",
@@ -171,33 +168,6 @@ def checkpoint_dict(model) -> dict:
 
 def save_checkpoint(model, path):
     atomic_write_text(path, json.dumps(checkpoint_dict(model)) + "\n")
-
-
-def _check_tree(i, tree: Tree, d_audio, n_classes):
-    """ParseError naming tree ``i`` unless ``kernels.tree_apply`` walks it
-    to a leaf with a usable histogram: children come after their parent (as
-    ``grow_tree`` numbers them), so every walk moves forward and ends."""
-    n = tree.feature.shape[0] if tree.feature.ndim == 1 else 0
-    leaf, node = tree.feature == -1, np.arange(n)
-    if n < 1 or any(a.shape != (n,) for a in
-                    (tree.threshold, tree.left, tree.right)):
-        problem = "its node arrays must share one length of at least 1"
-    elif tree.hist.shape != (n, n_classes):
-        problem = (f"hist has shape {tree.hist.shape}, expected "
-                   f"{(n, n_classes)}")
-    elif np.any(~leaf & ((tree.feature < 0) | (tree.feature >= d_audio))):
-        problem = f"a feature index is not -1 or in [0, {d_audio})"
-    elif np.any(np.where(
-            leaf, (tree.left != -1) | (tree.right != -1),
-            (tree.left <= node) | (tree.left >= n)
-            | (tree.right <= node) | (tree.right >= n))):
-        problem = ("a child index is not after its parent and inside the "
-                   "tree, or a leaf has children")
-    elif np.any(tree.hist < 0) or np.any(leaf & (tree.hist.sum(axis=1) <= 0)):
-        problem = "hist must be nonnegative with a positive sum at every leaf"
-    else:
-        return
-    raise ParseError(f"malformed checkpoint: tree {i}: {problem}")
 
 
 def model_from_dict(obj) -> VideoModel | AudioModel:
@@ -249,17 +219,13 @@ def model_from_dict(obj) -> VideoModel | AudioModel:
                          "an integer >= 0")
             trees = [Tree(**{key: _unarr(t[key], f"tree {i}: {key}", version,
                                          dtype)
-                             for key, dtype in _TREE_ARRAYS.items()})
+                             for key, dtype in TREE_ARRAYS.items()})
                      for i, t in enumerate(obj["extra"]["trees"])]
-            if not trees:
-                raise ParseError("malformed checkpoint: forest has no trees")
+            f = Forest(trees, n_classes, d_audio, seed)  # checks the trees
             _meta(meta, "n_trees", lambda v: type(v) is int
                   and v == len(trees), f"the number of trees, {len(trees)}")
-            for i, tree in enumerate(trees):
-                _check_tree(i, tree, d_audio, n_classes)
-            f = Forest(trees, n_classes, d_audio, seed)
             return AudioModel("forest", d_audio, n_classes, forest=f)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ContractError) as exc:
         raise ParseError(f"malformed checkpoint: {exc}") from exc
     raise ParseError(f"unknown checkpoint kind {kind!r}")
 

@@ -218,7 +218,10 @@ def _cmd_predict(args, run):
     clips = ds.clips if args.split == "all" else ds.split(args.split)
     if not clips:
         raise ContractError(f"no clips in split {args.split!r}")
-    table = ScoreTable([c.id for c in clips], model.predict_batch(clips))
+    # scores that overflow fail ScoreTable's row check, not numpy warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        scores = model.predict_batch(clips)
+    table = ScoreTable([c.id for c in clips], scores)
     write_score_table(table, args.out)
     run.emit(args.out)
     _print(f"scored {len(clips)} clips to {args.out}")
@@ -455,6 +458,11 @@ def _check_flags(args):
     """ConfigError naming the first flag whose value is out of range."""
     if getattr(args, "jobs", 1) < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    for key in ("seed", "centroid_seed", "seeds"):
+        low = min(np.ravel(getattr(args, key, None) or 0))
+        if low < 0:
+            raise ConfigError(f"--{key.replace('_', '-')} must be >= 0, "
+                              f"got {low}")
     if args.command == "ensemble" and args.count < 1:
         raise ConfigError(f"--count must be >= 1, got {args.count}")
     if args.command == "repeat" and len(args.seeds) < 2:

@@ -5,8 +5,11 @@ sample of the training set, choosing the best Gini split among
 floor(sqrt(D)) randomly drawn features per node. The ensemble prediction is
 the mean of the per-tree leaf class distributions.
 
-Trees are stored as parallel arrays (feature, threshold, left, right, leaf
-histogram) so traversal stays in the compiled kernel.
+This module owns the tree format, the parallel node arrays of
+``TREE_ARRAYS`` that ``kernels.tree_apply`` walks, so traversal stays in the
+compiled kernel. Every node holds the class counts of the rows that reached
+it. ``Forest`` checks every tree it is given, trained, loaded or built by
+hand, so that every walk ends at a leaf with a usable histogram.
 """
 
 from __future__ import annotations
@@ -20,78 +23,89 @@ from . import kernels
 from .errors import ContractError, TrainingError
 
 
+# a tree's node arrays, in checkpoint order, with their dtypes
+TREE_ARRAYS = {"feature": np.int64, "threshold": np.float64,
+               "left": np.int64, "right": np.int64, "hist": np.int64}
+
+
 @dataclass
 class Tree:
     feature: np.ndarray    # (n_nodes,) int64, -1 at leaves
     threshold: np.ndarray  # (n_nodes,) float64
-    left: np.ndarray       # (n_nodes,) int64
-    right: np.ndarray      # (n_nodes,) int64
-    hist: np.ndarray       # (n_nodes, C) int64 label counts, zeros off-leaf
+    left: np.ndarray       # (n_nodes,) int64, -1 at leaves
+    right: np.ndarray      # (n_nodes,) int64, -1 at leaves
+    hist: np.ndarray       # (n_nodes, C) int64 class counts of every node
 
     @property
     def n_nodes(self) -> int:
         return self.feature.shape[0]
 
-    def apply(self, X) -> np.ndarray:
-        return kernels.tree_apply(self.feature, self.threshold, self.left,
-                                  self.right, X)
 
-    def predict_proba(self, X) -> np.ndarray:
-        leaves = self.apply(X)
-        h = self.hist[leaves].astype(np.float64)
-        return h / h.sum(axis=1, keepdims=True)
+def _check_tree(i, tree: Tree, d_feature, n_classes):
+    """ContractError naming tree ``i`` unless ``kernels.tree_apply`` walks it
+    to a leaf with a usable histogram: children come after their parent (as
+    ``grow_tree`` numbers them), so every walk moves forward and ends."""
+    n = tree.feature.shape[0] if tree.feature.ndim == 1 else 0
+    leaf, node = tree.feature == -1, np.arange(n)
+    if n < 1 or any(a.shape != (n,) for a in
+                    (tree.threshold, tree.left, tree.right)) or any(
+            getattr(tree, key).dtype != t for key, t in TREE_ARRAYS.items()):
+        problem = ("its node arrays must share one length of at least 1 "
+                   "and have the dtypes of forest.TREE_ARRAYS")
+    elif tree.hist.shape != (n, n_classes):
+        problem = (f"hist has shape {tree.hist.shape}, expected "
+                   f"{(n, n_classes)}")
+    elif np.any(~leaf & ((tree.feature < 0) | (tree.feature >= d_feature))):
+        problem = f"a feature index is not -1 or in [0, {d_feature})"
+    elif np.any(np.where(
+            leaf, (tree.left != -1) | (tree.right != -1),
+            (tree.left <= node) | (tree.left >= n)
+            | (tree.right <= node) | (tree.right >= n))):
+        problem = ("a child index is not after its parent and inside the "
+                   "tree, or a leaf has children")
+    elif np.any(tree.hist < 0) or np.any(leaf & (tree.hist.sum(axis=1) <= 0)):
+        problem = "hist must be nonnegative with a positive sum at every leaf"
+    else:
+        return
+    raise ContractError(f"tree {i}: {problem}")
 
 
 def grow_tree(X, y, n_classes, rng, max_depth=None, max_features=None,
               sample_idx=None):
     """Grow one CART tree on ``X[sample_idx]`` (all rows when None)."""
-    n_total = X.shape[0]
-    d = X.shape[1]
+    n_total, d = X.shape
     if sample_idx is None:
         sample_idx = np.arange(n_total, dtype=np.int64)
-    m = max_features if max_features is not None else max(1, math.isqrt(d))
-    m = min(m, d)
+    m = min(d, max_features if max_features is not None
+            else max(1, math.isqrt(d)))
 
-    feature, threshold, left, right, hists = [], [], [], [], []
-
-    def new_node():
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        hists.append(np.zeros(n_classes, dtype=np.int64))
-        return len(feature) - 1
-
-    root = new_node()
-    stack = [(root, sample_idx, 0)]
+    nodes = [[-1, 0.0, -1, -1, None]]  # feature, threshold, left, right, hist
+    stack = [(0, sample_idx, 0)]
     while stack:
         node, idx, depth = stack.pop()
         counts = np.bincount(y[idx], minlength=n_classes).astype(np.int64)
-        hists[node] = counts
+        nodes[node][4] = counts
         pure = counts.max() == idx.shape[0]
         capped = max_depth is not None and depth >= max_depth
-        if pure or capped or idx.shape[0] < 2:
+        if pure or capped:
             continue
         feats = np.sort(rng.choice(d, size=m, replace=False))
         f, thr, _ = kernels.best_split(X, y, idx, feats, n_classes)
         if f < 0:
             continue
         mask = X[idx, f] <= thr
-        feature[node] = f
-        threshold[node] = thr
-        lid = new_node()
-        rid = new_node()
-        left[node] = lid
-        right[node] = rid
+        lid = len(nodes)
+        nodes[node][:4] = f, thr, lid, lid + 1
+        nodes += [[-1, 0.0, -1, -1, None], [-1, 0.0, -1, -1, None]]
         # push right first so the left child is grown (and numbered) first
-        stack.append((rid, idx[~mask], depth + 1))
+        stack.append((lid + 1, idx[~mask], depth + 1))
         stack.append((lid, idx[mask], depth + 1))
 
-    return Tree(np.asarray(feature, dtype=np.int64),
-                np.asarray(threshold, dtype=np.float64),
-                np.asarray(left, dtype=np.int64),
-                np.asarray(right, dtype=np.int64),
-                np.stack(hists))
+    feature, threshold, left, right, hists = zip(*nodes)
+    return Tree(np.array(feature, dtype=np.int64),
+                np.array(threshold, dtype=np.float64),
+                np.array(left, dtype=np.int64),
+                np.array(right, dtype=np.int64), np.stack(hists))
 
 
 @dataclass
@@ -101,13 +115,22 @@ class Forest:
     d_feature: int
     seed: int
 
+    def __post_init__(self):
+        if not self.trees:
+            raise ContractError("forest has no trees")
+        for i, tree in enumerate(self.trees):
+            _check_tree(i, tree, self.d_feature, self.n_classes)
+
     def predict_proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.d_feature:
             raise ContractError(
                 f"expected (n, {self.d_feature}) features, got {X.shape}")
-        per_tree = np.stack([t.predict_proba(X) for t in self.trees])
-        return per_tree.mean(axis=0)
+        # (T, N, C): each tree's leaf histogram for each row
+        h = np.stack([t.hist[kernels.tree_apply(t.feature, t.threshold,
+                                                t.left, t.right, X)]
+                      for t in self.trees], dtype=np.float64)
+        return (h / h.sum(axis=2, keepdims=True)).mean(axis=0)
 
     def predict(self, X) -> np.ndarray:
         return np.argmax(self.predict_proba(X), axis=1)

@@ -1,4 +1,5 @@
-"""Hot numeric kernels: CART best-split search and tree traversal.
+"""Hot numeric kernels: CART best-split search, and traversal of a tree in
+``forest.py``'s node-array format.
 
 Both kernels are numpy. ``tests/test_forest.py`` keeps plain-Python loop
 versions of them as references and checks that these return the same results
@@ -72,7 +73,8 @@ def best_split(X, y, idx, feats, n_classes):
 
 
 def tree_apply(feature, threshold, left, right, X):
-    """Leaf node id reached by each row of X (array-encoded tree)."""
+    """Leaf node id reached by each row of X. Every child must come after
+    its parent (``forest.Forest`` checks this), so every walk ends."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     node = np.zeros(X.shape[0], dtype=np.int64)
     active = np.nonzero(feature[node] >= 0)[0]

@@ -36,10 +36,12 @@ log = Path(os.environ["BENCH_PAIRS_LOG"])
 seen = log.read_text().split() if log.exists() else []
 with open(log, "a") as fh:
     fh.write(side + " " + " ".join(sys.argv[1:]).replace(" ", ",") + "\\n")
-values = runs[sum(1 for word in seen if word == side)]
+values = dict(runs[sum(1 for word in seen if word == side)])
+attempted, failed = values.pop("attempted", 3), values.pop("failed", 0)
 print("s6-small-j2 (seed 1): a canned line")
 print("environment " + json.dumps({{"side": side, "nproc": 2}}))
-print(json.dumps({{"correct": True, "attempted": 3, "failed": 0,
+print(json.dumps({{"correct": not failed, "attempted": attempted,
+                  "failed": failed,
                   "metrics": {{k: {{"value": v, "unit": "s"}}
                               for k, v in values.items()}}}}))
 '''
@@ -174,6 +176,37 @@ def test_verdicts_follow_wins_and_the_parent_spread(bench):
     # 10% more memory is beyond a 5% bound
     assert metrics["peak_rss_mb"]["parent_wins"] == 10
     assert metrics["peak_rss_mb"]["within_bound"] is False
+
+
+def test_a_metric_beyond_its_bound_is_a_regression(bench):
+    out = bench[0]["workloads"]["s6-small-j2"]
+    assert [(out[side]["attempted"], out[side]["failed"])
+            for side in ("parent", "change")] == [(30, 0), (30, 0)]
+    assert out["no_regression"] is False  # peak_rss_mb, 10% over
+
+
+@pytest.mark.parametrize("change_failures, verdict", [
+    ([0, 0], True), ([1, 0], True), ([1, 1], False)])
+def test_a_larger_failed_share_is_a_regression(tmp_path, monkeypatch, capsys,
+                                               change_failures, verdict):
+    # the parent fails one of its six operations; the change's metrics are
+    # the parent's, cpu_s 10% worse, within its 25% bound
+    monkeypatch.setenv("BENCH_PAIRS_LOG", str(tmp_path / "log"))
+    parent_runs = [dict(parent_run(0), failed=f) for f in (1, 0)]
+    change_runs = [dict(parent_run(0), cpu_s=1.1, failed=f)
+                   for f in change_failures]
+    parent = make_tree(tmp_path, "parent", parent_runs)
+    change = make_tree(tmp_path, "change", change_runs)
+    out_path = tmp_path / "b.json"
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w",
+                             "--pairs", "2", "--out", str(out_path)]) == 0
+    out = json.loads(out_path.read_text())["workloads"]["w"]
+    assert (out["parent"]["failed"], out["parent"]["attempted"]) == (1, 6)
+    assert out["change"]["failed"] == sum(change_failures)
+    assert all(m["within_bound"] for m in out["metrics"].values())
+    assert out["no_regression"] is verdict
+    assert (f"w: no_regression {verdict}, failed parent 1/6, change "
+            f"{sum(change_failures)}/6") in capsys.readouterr().err.splitlines()
 
 
 def test_a_failed_run_stops_the_driver(tmp_path, monkeypatch):

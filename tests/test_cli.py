@@ -673,14 +673,32 @@ def test_jobs_below_one_is_a_usage_error(workdir, capsys, command, jobs):
     (["repeat", "--manifest", "data.jsonl", "--seeds", "4",
       "--out", "x.csv"],
      "--seeds needs at least two seeds, got 1"),
+    (SYNTH[:-1] + ["-1", "--out", "x.jsonl"], "--seed must be >= 0, got -1"),
+    (SYNTH + ["--centroid-seed", "-1", "--out", "x.jsonl"],
+     "--centroid-seed must be >= 0, got -1"),
+    (["train-video", "--manifest", "data.jsonl", "--seed", "-1",
+      "--out", "x.json"], "--seed must be >= 0, got -1"),
+    (["train-audio", "--manifest", "data.jsonl", "--seed", "-1",
+      "--out", "x.json"], "--seed must be >= 0, got -1"),
+    (["ensemble", "--manifest", "data.jsonl", "--seed", "-1",
+      "--out", "x.csv"], "--seed must be >= 0, got -1"),
+    (["cross-validate", "--manifest", "data.jsonl", "--seed", "-1",
+      "--out", "x.csv"], "--seed must be >= 0, got -1"),
+    (["recipe", "--preset", "submission1", "--manifest", "data.jsonl",
+      "--seed", "-1", "--out", "x.csv"], "--seed must be >= 0, got -1"),
+    (["repeat", "--manifest", "data.jsonl", "--seeds", "-1", "2",
+      "--out", "x.csv"], "--seeds must be >= 0, got -1"),
 ], ids=["grid-step-above", "grid-step-zero", "grid-step-thirds",
-        "count-zero", "one-seed"])
+        "count-zero", "one-seed", "synth-seed", "synth-centroid-seed",
+        "train-video-seed", "train-audio-seed", "ensemble-seed",
+        "cross-validate-seed", "recipe-seed", "repeat-seeds"])
 def test_bad_flag_value_is_a_usage_error(workdir, capsys, command, message):
-    argv = [str(workdir / a) if a.endswith((".jsonl", ".csv"))
+    argv = [str(workdir / a) if a.endswith((".json", ".jsonl", ".csv"))
             else a for a in command]
+    before = sorted(p.name for p in workdir.iterdir())
     assert main(argv) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
-    assert not (workdir / "x.csv").exists()
+    assert sorted(p.name for p in workdir.iterdir()) == before
 
 
 def test_out_directory_fails_without_traceback(workdir, capsys):
@@ -995,6 +1013,44 @@ def test_predict_with_a_nan_weight_writes_nothing(workdir, capsys):
     assert not out.exists()
 
 
+def _set_params(value, prefix=""):
+    """An edit that sets every value of the parameters named ``prefix...``
+    in a checkpoint's version-1 form to ``value``."""
+    def edit(obj):
+        obj = checkpoint_as_version(obj, 1)
+        names = [name for name in obj["params"] if name.startswith(prefix)]
+        assert names
+        for name in names:
+            param = obj["params"][name]
+            param["data"] = [value] * len(param["data"])
+        return obj
+    return edit
+
+
+@pytest.mark.parametrize("train, edit", [
+    (["train-audio", "--model", "mlp"], _set_params(1e300)),
+    (["train-video", "--pooling", "weighted-avg-pool"],
+     _set_params(-1e300, "regressor.")),
+], ids=["mlp-1e300", "weighted-avg-pool-regressor--1e300"])
+def test_predict_with_extreme_weights_prints_one_error_line(
+        workdir, capsys, train, edit):
+    # finite weights whose scores overflow: no numpy warning comes before
+    # the score table's error line
+    m = str(workdir / "data.jsonl")
+    ckpt = workdir / "model.json"
+    assert main(train + ["--manifest", m, "--config",
+                         str(workdir / "fast.cfg"), "--out", str(ckpt)]) == 0
+    ckpt.write_text(json.dumps(edit(json.loads(ckpt.read_text()))))
+    capsys.readouterr()
+    out = workdir / "scores.csv"
+    assert main(["predict", "--model", str(ckpt), "--manifest", m,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "non-finite scores" in err[0]
+    assert not out.exists()
+
+
 # -- forest checkpoints are checked before use ---------------------------------
 
 def _break_tree(tree, meta, edit):
@@ -1054,6 +1110,31 @@ def test_malformed_forest_checkpoint_exits_one(workdir, capsys, edit):
 def test_malformed_version2_forest_checkpoint_exits_one(workdir, capsys,
                                                         edit):
     _predict_broken_forest(workdir, edit, 2)
+
+
+# a forest checkpoint and its ``predict`` table over PARENT_SYNTH's clips,
+# both written by the code before ``Forest`` checked its own trees (trained
+# with n_trees = 7, max_depth = 2 and --seed 3)
+DATA = Path(__file__).resolve().parent / "data"
+PARENT_SYNTH = ["synth", "--classes", "3", "--clips-per-class", "6",
+                "--val-per-class", "2", "--test-per-class", "2",
+                "--frames-min", "2", "--frames-max", "4",
+                "--d-feature", "5", "--d-audio", "6",
+                "--margin", "0.3", "--noise", "1.0", "--seed", "4"]
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_predict_from_a_stored_forest_checkpoint_is_byte_identical(
+        tmp_path, capsys, version):
+    m = tmp_path / "data.jsonl"
+    assert main(PARENT_SYNTH + ["--out", str(m)]) == 0
+    ckpt = tmp_path / "forest.json"
+    ckpt.write_text(json.dumps(checkpoint_as_version(
+        json.loads((DATA / "forest-v2.json").read_text()), version)))
+    out = tmp_path / "scores.csv"
+    assert main(["predict", "--model", str(ckpt), "--manifest", str(m),
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "forest-v2-scores.csv").read_bytes()
 
 
 # -- video and audio-mlp checkpoints and manifest ids are validated on load ---

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from smallclip import kernels
-from smallclip.errors import TrainingError
+from smallclip.errors import ContractError, TrainingError
 from smallclip.forest import Forest, Tree, grow_tree, train_forest
 
 
@@ -261,6 +261,47 @@ def test_two_tree_hand_average():
     # row 0: mean of (3/4, 1/4) and (1/4, 3/4); row 1: mean of (0,1), (1/4, 3/4)
     assert np.allclose(p[0], [0.5, 0.5])
     assert np.allclose(p[1], [0.125, 0.875])
+
+
+def _stump(**changes):
+    """A one-split tree over one feature, with ``changes`` to its arrays."""
+    arrays = dict(feature=np.array([0, -1, -1]),
+                  threshold=np.array([0.5, 0.0, 0.0]),
+                  left=np.array([1, -1, -1]), right=np.array([2, -1, -1]),
+                  hist=np.array([[3, 3], [3, 1], [0, 2]]))
+    return Tree(**{**arrays, **changes})
+
+
+@pytest.mark.parametrize("trees, message", [
+    ([], "forest has no trees"),
+    ([_stump(), _stump(left=np.array([0, -1, -1]))],
+     "tree 1: a child index is not after its parent"),
+    ([_stump(feature=np.array([3, -1, -1]))],
+     r"tree 0: a feature index is not -1 or in \[0, 1\)"),
+    ([_stump(hist=np.array([[3, 3], [0, 0], [0, 2]]))],
+     "tree 0: hist must be nonnegative with a positive sum at every leaf"),
+    ([_stump(feature=np.array([0.0, -1.0, -1.0]))],
+     "tree 0: .* the dtypes of forest.TREE_ARRAYS"),
+], ids=["no-trees", "looping", "feature-out-of-range", "empty-leaf",
+        "float-feature"])
+def test_forest_rejects_a_tree_it_cannot_walk(trees, message):
+    # only constructed: a looping tree would hang a prediction
+    with pytest.raises(ContractError, match=message):
+        Forest(trees, 2, 1, 0)
+
+
+def test_every_internal_hist_is_the_sum_of_its_children():
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(80, 5))
+    y = rng.integers(0, 4, size=80).astype(np.int64)
+    for seed in range(5):
+        forest = train_forest(X, y, 4, n_trees=4, seed=seed)
+        for tree in forest.trees:
+            inner = np.nonzero(tree.feature >= 0)[0]
+            assert inner.size
+            assert np.array_equal(
+                tree.hist[inner],
+                tree.hist[tree.left[inner]] + tree.hist[tree.right[inner]])
 
 
 def test_forest_overfits_noisy_data():

@@ -15,14 +15,18 @@ its own scratch directory, ``.perfbench/`` (and bytecode, unless
 ``PYTHONDONTWRITEBYTECODE`` is set).
 
 The output keeps each run's last stdout line verbatim, in pair order, and
-per side the environment line of its first run and each end-to-end
-metric's median and quartiles (``statistics.quantiles(n=4,
-method="inclusive")``) over the runs. Per metric it counts the pairs the
+per side the environment line of its first run, the ``attempted`` and
+``failed`` operations summed over its runs, and each end-to-end metric's
+median and quartiles (``statistics.quantiles(n=4, method="inclusive")``)
+over the runs. Per metric it counts the pairs the
 change won (ties count for neither side) and gives the verdict for a gain:
 the change won at least nine tenths of the pairs, and its median is better
 than the parent's by more than the parent's interquartile range. It also
 says whether the change's median is within the metric's bound from the
-change's ``BENCHMARK.json``. Per side it also records, under
+change's ``BENCHMARK.json``. Per workload, ``no_regression`` is the verdict
+for a change that claims no gain: every end-to-end metric is within its
+bound, and the change failed no larger share of its operations than the
+parent. Per side it also records, under
 ``blas_threads``, the value of each of ``smallclip.cli.BLAS_THREAD_VARS``
 that one ``import smallclip.cli`` from the tree's ``src/`` leaves in the
 environment, which is what the measured commands run with.
@@ -80,6 +84,8 @@ def blas_threads(tree: Path) -> dict:
 def side_summary(runs, metrics) -> dict:
     out = {"environment": runs[0]["environment"], "median": {},
            "quartiles": {}}
+    for count in ("attempted", "failed"):
+        out[count] = sum(run["result"][count] for run in runs)
     for name in metrics:
         values = [run["result"]["metrics"][name]["value"] for run in runs]
         q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
@@ -127,6 +133,11 @@ def bench_workload(trees, workload, pairs, seconds, seed, specs, log):
                 f"{time.monotonic() - t0:.0f} s")
     out = {side: side_summary(runs[side], specs) for side in SIDES}
     out["metrics"] = verdicts(runs, out, specs)
+    parent, change = out["parent"], out["change"]
+    out["no_regression"] = (
+        all(m["within_bound"] for m in out["metrics"].values())
+        and change["failed"] * parent["attempted"]
+        <= parent["failed"] * change["attempted"])
     return out
 
 
@@ -173,8 +184,11 @@ def main(argv=None) -> int:
                  f"{args.seed} --seconds {args.seconds} --trace 0` in its "
                  "own tree. 'runs' holds each run's last stdout line "
                  "verbatim, in pair order; 'environment' is the environment "
-                 "line of each side's first run; 'metrics' holds the pair "
-                 "wins and the verdicts; 'blas_threads' holds the BLAS "
+                 "line of each side's first run; 'attempted' and 'failed' "
+                 "sum each side's operations; 'metrics' holds the pair "
+                 "wins and the verdicts; 'no_regression' says whether every "
+                 "metric is within its bound and the change failed no "
+                 "larger share of operations; 'blas_threads' holds the BLAS "
                  "thread variables that importing each side's smallclip.cli "
                  "leaves set."),
         "parent_commit": git_commit(trees["parent"]),
@@ -192,6 +206,9 @@ def main(argv=None) -> int:
                 f"{medians[1]:.4g}, change won "
                 f"{m['change_wins']}/{m['pairs']}, gain {m['gain']}, "
                 f"within bound {m['within_bound']}")
+        log(f"{workload}: no_regression {out['no_regression']}, failed "
+            + ", ".join(f"{side} {out[side]['failed']}/"
+                        f"{out[side]['attempted']}" for side in SIDES))
     return 0
 
 
