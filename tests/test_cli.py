@@ -1112,11 +1112,11 @@ def test_malformed_version2_forest_checkpoint_exits_one(workdir, capsys,
     _predict_broken_forest(workdir, edit, 2)
 
 
-# a forest checkpoint and its ``predict`` table over PARENT_SYNTH's clips,
+# a forest checkpoint and its ``predict`` table over FIXTURE_SYNTH's clips,
 # both written by the code before ``Forest`` checked its own trees (trained
 # with n_trees = 7, max_depth = 2 and --seed 3)
 DATA = Path(__file__).resolve().parent / "data"
-PARENT_SYNTH = ["synth", "--classes", "3", "--clips-per-class", "6",
+FIXTURE_SYNTH = ["synth", "--classes", "3", "--clips-per-class", "6",
                 "--val-per-class", "2", "--test-per-class", "2",
                 "--frames-min", "2", "--frames-max", "4",
                 "--d-feature", "5", "--d-audio", "6",
@@ -1127,7 +1127,7 @@ PARENT_SYNTH = ["synth", "--classes", "3", "--clips-per-class", "6",
 def test_predict_from_a_stored_forest_checkpoint_is_byte_identical(
         tmp_path, capsys, version):
     m = tmp_path / "data.jsonl"
-    assert main(PARENT_SYNTH + ["--out", str(m)]) == 0
+    assert main(FIXTURE_SYNTH + ["--out", str(m)]) == 0
     ckpt = tmp_path / "forest.json"
     ckpt.write_text(json.dumps(checkpoint_as_version(
         json.loads((DATA / "forest-v2.json").read_text()), version)))
