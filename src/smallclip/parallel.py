@@ -20,12 +20,15 @@ trains nothing itself: it reads every pipe to the end, then reaps every
 child before the map returns, also when it fails. The CLI runs BLAS on one
 thread per process (``cli.BLAS_THREAD_VARS``), and children inherit that
 one-thread pool, so ``W`` children keep ``W`` cores busy rather than each
-starting a pool of its own. Where ``os.fork`` does not exist (Windows),
-the units run one after another in the caller.
+starting a pool of its own. Each child freezes what it inherited out of its
+garbage collector (``gc.freeze``) as it starts; the caller's collector is
+left as it was. Where ``os.fork`` does not exist (Windows), the units run
+one after another in the caller.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 
@@ -91,6 +94,10 @@ def parallel_map(fn, items, jobs=1):
                 os.close(write_fd)
                 raise
             if pid == 0:  # the child: never returns
+                # what it inherited is the caller's; its collections then
+                # scan only what its units make, and never write to (so
+                # copy) the inherited pages
+                gc.freeze()
                 code = 1
                 try:
                     for fd in (read_fd, *fds.values()):

@@ -165,8 +165,9 @@ class VideoModel:
         and returns (M, B, C) logits. ``keep_cache=False`` is for
         inference: the LSTM then keeps no BPTT caches, so the returned cache
         cannot be passed to ``backward_batch``. ``spent`` may be an earlier
-        cache that ``backward_batch`` has consumed; the LSTM writes its new
-        BPTT cache into it (``lstm_forward``'s ``cache``).
+        cache that ``backward_batch`` has consumed, of any batch shape; the
+        LSTM writes its new BPTT cache into its buffers when they are large
+        enough (``lstm_forward``'s ``cache``).
         """
         if self.kind == "avg-pool":
             logits, lcache = self.classifier.forward(pool_average(F))
@@ -197,9 +198,10 @@ class VideoModel:
             lcache, F, AV, w, pooled = cache
             s = w.sum(axis=-1)
             dpooled = self.classifier.backward(lcache, dlogits)
-            # quotient rule through pooled = sum_i w_i f_i / sum_i w_i
-            dw = np.einsum("...bnd,...bd->...bn", F - pooled[..., None, :],
-                           dpooled)
+            # quotient rule through pooled = sum_i w_i f_i / sum_i w_i. One
+            # (M, B, n, D) temporary, as in avg-pool, which then holds dF
+            dF = F - pooled[..., None, :]
+            dw = np.einsum("...bnd,...bd->...bn", dF, dpooled)
             dw /= s[..., None]
             dz = dw * w * (1.0 - w)
             lead = dz.shape[:-2]
@@ -207,7 +209,9 @@ class VideoModel:
                                       @ AV.reshape(*lead, -1, 2))
             self.regressor.b.grad += dz.reshape(*lead, -1).sum(
                 axis=-1, keepdims=True)
-            return w[..., None] * dpooled[..., None, :] / s[..., None, None]
+            np.multiply(w[..., None], dpooled[..., None, :], out=dF)
+            dF /= s[..., None, None]
+            return dF
         if self.kind == "lstm":
             lcache, lstm_cache, shape = cache
             dh = self.classifier.backward(lcache, dlogits)
@@ -279,14 +283,14 @@ def train_video_models(ds: Dataset, config: TrainConfig, seeds):
     F, AV = inputs(train_clips)
     y = np.array([c.label for c in train_clips], dtype=np.int64)
     stack = stack_members(models)
-    spent = {}  # per batch shape, the cache its last backward consumed
+    spent = None  # the cache the last backward consumed, for every shape
 
     def step(batch):
-        logits, cache = stack.forward_batch(F[batch], AV[batch],
-                                            spent=spent.get(batch.shape))
+        nonlocal spent
+        logits, cache = stack.forward_batch(F[batch], AV[batch], spent=spent)
         loss, dlogits, _ = softmax_cross_entropy_batch(logits, y[batch])
         stack.backward_batch(cache, dlogits)
-        spent[batch.shape] = cache
+        spent = cache
         return loss
 
     val = None

@@ -3,12 +3,17 @@
 The real benchmark never runs here: each stub's ``perfbench/run.py`` logs
 its side to a file outside the trees and prints the next of its canned
 results, and each stub's ``src/smallclip/cli.py`` sets its own BLAS thread
-default.
+default. A hanging stub instead starts a sleeping child, as a run starts
+its CLI processes, and sleeps.
 """
 
 import importlib.util
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -217,3 +222,90 @@ def test_a_failed_run_stops_the_driver(tmp_path, monkeypatch):
         bench_pairs.main([str(parent), str(change), "--workload", "w",
                           "--pairs", "2", "--out", str(tmp_path / "b.json")])
     assert not (tmp_path / "b.json").exists()
+
+
+# a run that hangs: it starts a sleeping child, records both pids, sleeps
+HANGING = """\
+import os, subprocess, sys, time
+child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(600)"])
+path = os.environ["BENCH_PAIRS_PIDS"]
+with open(path + ".tmp", "w") as fh:
+    fh.write(f"{os.getpid()} {child.pid}")
+os.replace(path + ".tmp", path)
+time.sleep(600)
+"""
+
+
+def hanging_tree(root, name):
+    tree = make_tree(root, name, [])
+    (tree / "perfbench" / "run.py").write_text(HANGING)
+    return tree
+
+
+def alive(pid):
+    """Whether ``pid`` runs; a zombie waiting for its reaper does not."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return not Path("/proc/self").exists()
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def hanging_run_pids(path, timeout=60):
+    deadline = time.monotonic() + timeout
+    while not path.exists():
+        assert time.monotonic() < deadline, "the hanging run never started"
+        time.sleep(0.05)
+    return [int(pid) for pid in path.read_text().split()]
+
+
+def assert_gone(pids, timeout=10):
+    deadline = time.monotonic() + timeout
+    try:
+        while any(alive(pid) for pid in pids):
+            assert time.monotonic() < deadline, f"still running: {pids}"
+            time.sleep(0.05)
+    finally:
+        for pid in pids:  # leave nothing behind if the test fails
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+
+
+def test_sigterm_kills_the_run_and_its_child(tmp_path):
+    parent = hanging_tree(tmp_path, "parent")
+    change = hanging_tree(tmp_path, "change")
+    pids_path, out = tmp_path / "pids", tmp_path / "b.json"
+    driver = subprocess.Popen(
+        [sys.executable, str(TOOL), str(parent), str(change), "--workload",
+         "w", "--pairs", "2", "--out", str(out)],
+        env=dict(os.environ, BENCH_PAIRS_PIDS=str(pids_path)),
+        stderr=subprocess.PIPE, text=True)
+    try:
+        pids = hanging_run_pids(pids_path)
+        driver.send_signal(signal.SIGTERM)
+        _, err = driver.communicate(timeout=60)
+    finally:
+        if driver.poll() is None:
+            driver.kill()
+            driver.wait()
+    assert_gone(pids)
+    assert driver.returncode == 1
+    assert err.splitlines()[-1] == f"stopped by signal {int(signal.SIGTERM)}"
+    assert not out.exists()
+
+
+def test_a_run_past_its_timeout_is_killed_with_its_child(tmp_path,
+                                                          monkeypatch):
+    tree = hanging_tree(tmp_path, "change")
+    pids_path = tmp_path / "pids"
+    monkeypatch.setenv("BENCH_PAIRS_PIDS", str(pids_path))
+    monkeypatch.setattr(bench_pairs, "SLACK_S", 3)
+    with pytest.raises(subprocess.TimeoutExpired):
+        bench_pairs.run_once(tree, "w", 1, 0)
+    assert_gone(hanging_run_pids(pids_path, timeout=0))

@@ -2,6 +2,7 @@
 where a test needs a fresh interpreter (the BLAS thread default)."""
 
 import base64
+import gc
 import json
 import os
 import re
@@ -744,6 +745,26 @@ def test_cli_import_runs_blas_on_one_thread():
                             "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     if sys.platform.startswith("linux"):
         assert seen["threads"] == 1
+
+
+def test_cli_import_loads_no_module_it_never_uses():
+    # weighted accuracy and distribution files import these where used
+    loaded = _fresh(["-c", "import sys, smallclip.cli; print(*sorted("
+                     "{'fractions', 'decimal', 'csv'} & set(sys.modules)))"])
+    assert loaded.split() == []
+
+
+def test_run_freezes_the_collector_and_main_leaves_it_alone(workdir):
+    m = str(workdir / "data.jsonl")
+    before = gc.get_freeze_count()
+    assert main(["validate", "--manifest", m]) == 0
+    assert gc.get_freeze_count() == before
+    # run() returns main's exit code, with start-up's objects frozen
+    out = _fresh(["-c", "import gc, sys, smallclip.cli as cli; "
+                  "code = cli.run(); print(code, gc.get_freeze_count())",
+                  "validate", "--manifest", m])
+    code, frozen = out.split()[-2:]
+    assert code == "0" and int(frozen) > 0
 
 
 def test_explicit_blas_thread_count_wins():

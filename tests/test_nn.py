@@ -259,15 +259,34 @@ def test_lstm_forward_writes_into_a_consumed_cache(rng):
         np.testing.assert_array_equal(a, b)
 
 
-def test_lstm_forward_ignores_a_cache_of_another_shape(rng):
+def test_lstm_forward_writes_a_short_batch_into_a_larger_cache(rng):
     p = LSTMParams(4, 3, rng=rng)
-    _, spent = lstm_forward(p, rng.standard_normal((6, 5, 4)))
-    before = [a.copy() for a in spent]
+    dh = rng.standard_normal((4, 3))
+    _, spent, _, _ = _forward_backward(p, rng.standard_normal((6, 5, 4)),
+                                       rng.standard_normal((6, 3)))
+    buffers = [a.base for a in spent]
     xs = rng.standard_normal((4, 5, 4))  # a short last batch
+    h, cache, kept, grads = _forward_backward(p, xs, dh, cache=spent)
+    # the fronts of the same buffers, shaped for this batch
+    assert all(a.base is b for a, b in zip(cache, buffers))
+    assert all(np.shares_memory(a, b) for a, b in zip(cache, spent))
+    h_ref, cache_ref, kept_ref, grads_ref = _forward_backward(p, xs, dh)
+    assert np.array_equal(h, h_ref)  # bit for bit
+    for a, b in zip(cache, cache_ref):
+        assert a.shape == b.shape
+    for a, b in zip(kept + grads, kept_ref + grads_ref):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_lstm_forward_leaves_a_cache_too_small_untouched(rng):
+    p = LSTMParams(4, 3, rng=rng)
+    _, spent = lstm_forward(p, rng.standard_normal((4, 5, 4)))
+    before = [a.copy() for a in spent]
+    xs = rng.standard_normal((6, 5, 4))  # a larger batch
     h, cache = lstm_forward(p, xs, cache=spent)
     h_ref, cache_ref = lstm_forward(p, xs)
     assert np.array_equal(h, h_ref)
-    assert not any(a is b for a, b in zip(cache[1:], spent[1:]))
+    assert not any(np.shares_memory(a, b) for a, b in zip(cache, spent))
     for a, b in zip(cache, cache_ref):
         np.testing.assert_array_equal(a, b)
     for a, b in zip(spent, before):

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -85,6 +86,36 @@ def test_in_place_steps_match_reference_expressions(kind, momentum):
         for p, r in zip(params, ref):
             p.grad[...] = r.grad[...] = rng.normal(size=p.shape) * 10.0 ** t
         opt.step()
+        _reference_step(kind, ref, state, t, 0.01, momentum)
+        for p, r in zip(params, ref):
+            np.testing.assert_array_equal(p.values, r.values)
+            np.testing.assert_array_equal(p.grad, 0.0)
+
+
+@pytest.mark.parametrize("kind,momentum", [("adam", 0.0), ("sgd", 0.9),
+                                           ("sgd", 0.0)])
+def test_an_optimizer_holds_one_scratch_buffer(kind, momentum):
+    rng = np.random.default_rng(5)
+    shapes = [(4, 3), (64, 32), (3,), (1,)]
+    params = [ParamTensor(f"p{i}", rng.normal(size=s))
+              for i, s in enumerate(shapes)]
+    ref = [ParamTensor(p.name, p.values.copy()) for p in params]
+    opt = (Adam(params, lr=0.01) if kind == "adam"
+           else SGD(params, lr=0.01, momentum=momentum))
+    # one view per parameter into one buffer the size of the largest
+    assert [s.shape for s in opt._scratch] == shapes
+    assert len({id(s.base) for s in opt._scratch}) == 1
+    assert opt._scratch[0].base.size == 64 * 32
+    state = [(np.zeros(s), np.zeros(s)) if kind == "adam" else np.zeros(s)
+             for s in shapes]
+    for t in range(1, 4):
+        for p, r in zip(params, ref):
+            p.grad[...] = r.grad[...] = rng.normal(size=p.shape)
+        tracemalloc.start()
+        opt.step()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 8 * 64 * 32  # no array the size of the largest
         _reference_step(kind, ref, state, t, 0.01, momentum)
         for p, r in zip(params, ref):
             np.testing.assert_array_equal(p.values, r.values)

@@ -3,6 +3,7 @@
 No test starts more than ``os.cpu_count()`` worker processes.
 """
 
+import gc
 import os
 import pickle
 import signal
@@ -144,6 +145,15 @@ def test_no_child_left_after_success_or_an_item_error():
     with pytest.raises(ContractError, match="^item 0 fails at once$"):
         parallel_map(check, range(6), jobs=2)
     assert_no_child_left()
+
+
+@needs_two_cores
+def test_children_freeze_their_collector_and_the_caller_keeps_its_own():
+    before = gc.get_freeze_count()
+    counts = parallel_map(lambda x: gc.get_freeze_count(), range(4), jobs=2)
+    # each child froze what it inherited, the caller's objects included
+    assert all(count > before for count in counts)
+    assert gc.get_freeze_count() == before
 
 
 @pytest.mark.parametrize("jobs", [2, 3])

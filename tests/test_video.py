@@ -579,21 +579,23 @@ def test_stack_of_one_matches_per_model_reference(head, optimizer):
 def test_lstm_steps_write_into_the_cache_of_their_batch_shape(monkeypatch):
     ds = short_batch_dataset()
     cfg = TrainConfig(head="lstm", n=6, epochs=3, lstm_hidden=8)
-    written_into = []
+    written_into, buffers = [], set()
     real = video_module.lstm_forward
 
     def recording(params, xs, keep_caches=True, cache=None):
         h, new = real(params, xs, keep_caches=keep_caches, cache=cache)
         if keep_caches:
             written_into.append(cache is not None and all(
-                a is b for a, b in zip(new[1:], cache[1:])))
+                a.base is b.base for a, b in zip(new, cache)))
+            buffers.update(id(a.base) for a in new)
         return h, new
 
     monkeypatch.setattr(video_module, "lstm_forward", recording)
     train_video_models(ds, cfg, [0, 1])
-    # epoch 0 allocates one cache per batch shape (16 rows, then 3 rows);
-    # every later step writes into the one its shape last consumed
-    assert written_into == [False, True, False] + [True] * 6
+    # the first step allocates the one cache; every later step, of 16 rows
+    # or of the 3-row last batch, writes into the fronts of its buffers
+    assert written_into == [False] + [True] * 8
+    assert len(buffers) == 5
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

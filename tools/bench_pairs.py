@@ -10,9 +10,11 @@ For each workload, pair ``p`` (from 1) runs each tree's own
 ``python3 perfbench/run.py --workload W --seed S --seconds N --trace 0``
 with the tree as working directory, the parent first in odd pairs and the
 change first in even ones. Every run gets this process's environment as it
-is. This script writes only ``--out``; what ``run.py`` leaves in a tree is
-its own scratch directory, ``.perfbench/`` (and bytecode, unless
-``PYTHONDONTWRITEBYTECODE`` is set).
+is, in a session of its own: on a timeout, on SIGTERM or on any other
+exception, its whole process group (the run and the CLI process it is
+measuring) is killed. This script writes only ``--out``; what ``run.py``
+leaves in a tree is its own scratch directory, ``.perfbench/`` (and
+bytecode, unless ``PYTHONDONTWRITEBYTECODE`` is set).
 
 The output keeps each run's last stdout line verbatim, in pair order, and
 per side the environment line of its first run, the ``attempted`` and
@@ -37,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -46,16 +49,33 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
+# how long a run may outlast its --seconds before it is killed
+SLACK_S = 600
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One ``perfbench/run.py`` run in ``tree``: its result and environment."""
+    """One ``perfbench/run.py`` run in ``tree``: its result and environment.
+
+    The run starts a session of its own, so its process group holds it and
+    the CLI processes it starts. The whole group is killed if the run
+    outlasts ``seconds + SLACK_S`` or anything interrupts the wait, such as
+    the SIGTERM that ``main`` turns into an exception.
+    """
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True,
-                          timeout=seconds + 600)
-    lines = done.stdout.splitlines()
-    if done.returncode != 0 or not lines:
+    proc = subprocess.Popen(argv, cwd=tree, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate(timeout=seconds + SLACK_S)
+    except BaseException:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise
+    lines = stdout.splitlines()
+    if proc.returncode != 0 or not lines:
         raise SystemExit(f"{' '.join(argv[1:])} in {tree} exited "
-                         f"{done.returncode}: {done.stderr[-500:]}")
+                         f"{proc.returncode}: {stderr[-500:]}")
     env = next((json.loads(line.split(" ", 1)[1]) for line in lines
                 if line.startswith("environment ")), None)
     return {"line": lines[-1], "result": json.loads(lines[-1]),
@@ -141,6 +161,10 @@ def bench_workload(trees, workload, pairs, seconds, seed, specs, log):
     return out
 
 
+def _stop(signum, frame):
+    raise SystemExit(f"stopped by signal {signum}")
+
+
 def git_commit(tree: Path):
     """The commit checked out in ``tree``, or None if it is no checkout."""
     if not (tree / ".git").exists():
@@ -176,6 +200,16 @@ def main(argv=None) -> int:
     def log(text):
         print(text, file=sys.stderr, flush=True)
 
+    # SIGTERM unwinds like an exception, so run_once kills the running
+    # run's process group; the caller's handler is back once all have run
+    previous = signal.signal(signal.SIGTERM, _stop)
+    try:
+        blas = {side: blas_threads(trees[side]) for side in SIDES}
+        workloads = {w: bench_workload(trees, w, args.pairs, args.seconds,
+                                       args.seed, specs, log)
+                     for w in args.workload}
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     result = {
         "what": ("End-to-end results of perfbench/run.py for the parent and "
                  f"the change, {args.pairs} alternating pairs per workload "
@@ -193,10 +227,8 @@ def main(argv=None) -> int:
                  "leaves set."),
         "parent_commit": git_commit(trees["parent"]),
         "change_commit": git_commit(trees["change"]),
-        "blas_threads": {side: blas_threads(trees[side]) for side in SIDES},
-        "workloads": {w: bench_workload(trees, w, args.pairs, args.seconds,
-                                        args.seed, specs, log)
-                      for w in args.workload},
+        "blas_threads": blas,
+        "workloads": workloads,
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     for workload, out in result["workloads"].items():
