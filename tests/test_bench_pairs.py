@@ -281,21 +281,21 @@ def test_sigterm_kills_the_run_and_its_child(tmp_path):
     parent = hanging_tree(tmp_path, "parent")
     change = hanging_tree(tmp_path, "change")
     pids_path, out = tmp_path / "pids", tmp_path / "b.json"
-    driver = subprocess.Popen(
+    proc = subprocess.Popen(
         [sys.executable, str(TOOL), str(parent), str(change), "--workload",
          "w", "--pairs", "2", "--out", str(out)],
         env=dict(os.environ, BENCH_PAIRS_PIDS=str(pids_path)),
         stderr=subprocess.PIPE, text=True)
     try:
         pids = hanging_run_pids(pids_path)
-        driver.send_signal(signal.SIGTERM)
-        _, err = driver.communicate(timeout=60)
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=60)
     finally:
-        if driver.poll() is None:
-            driver.kill()
-            driver.wait()
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
     assert_gone(pids)
-    assert driver.returncode == 1
+    assert proc.returncode == 1
     assert err.splitlines()[-1] == f"stopped by signal {int(signal.SIGTERM)}"
     assert not out.exists()
 
