@@ -77,9 +77,9 @@ class _Run:
     The seeds start as the run's ``--seed`` or ``--seeds``, if it has one.
     """
 
-    def __init__(self, args):
+    def __init__(self, args, argv):
         self.command = args.command
-        self.argv = list(sys.argv[1:]) if sys.argv[0] else []
+        self.argv = list(argv)
         self.started = time.monotonic()
         given = vars(args)
         self.seeds: list = ([given["seed"]] if "seed" in given
@@ -483,7 +483,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _check_flags(args)
-        args.handler(args, _Run(args))
+        args.handler(args, _Run(args, sys.argv[1:] if argv is None else argv))
         return 0
     except ConfigError as exc:
         log.debug("usage error", exc_info=True)

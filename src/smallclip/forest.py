@@ -5,11 +5,11 @@ sample of the training set, choosing the best Gini split among
 floor(sqrt(D)) randomly drawn features per node. The ensemble prediction is
 the mean of the per-tree leaf class distributions.
 
-This module owns the tree format, the parallel node arrays of
-``TREE_ARRAYS`` that ``kernels.tree_apply`` walks, so traversal stays in the
-compiled kernel. Every node holds the class counts of the rows that reached
-it. ``Forest`` checks every tree it is given, trained, loaded or built by
-hand, so that every walk ends at a leaf with a usable histogram.
+This module owns the tree format: the parallel node arrays of
+``TREE_ARRAYS``, which ``kernels.tree_apply`` walks for every traversal.
+Every node holds the class counts of the rows that reached it.
+``Forest`` checks every tree it is given, trained, loaded or built by hand,
+so that every walk ends at a leaf with a usable histogram.
 """
 
 from __future__ import annotations

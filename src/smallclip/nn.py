@@ -1,8 +1,10 @@
 """Minimal differentiable building blocks with explicit forward/backward passes.
 
 All math is float64. Layers hold :class:`ParamTensor` parameters; ``forward``
-returns ``(output, cache)`` and ``backward(cache, grad_out)`` returns the input
-gradient while accumulating parameter gradients into ``.grad``. Forward and
+returns ``(output, cache)`` and ``backward(cache, grad_out)`` accumulates
+parameter gradients into ``.grad`` and returns the input gradient, which the
+layer in front consumes. ``lstm_backward`` returns nothing: the LSTM reads
+frame features from a pretrained network, which stay frozen. Forward and
 backward are pure given (parameters, input, rng state); the one deliberate
 exception is batch-norm's running-statistics update in train mode, which is
 itself deterministic and does not affect the train-mode output.
@@ -340,13 +342,14 @@ def lstm_forward(params: LSTMParams, xs, keep_caches=True, cache=None):
 
 
 def lstm_backward(params: LSTMParams, cache, dh_last):
-    """BPTT from a gradient on the final hidden state; returns d(inputs)
-    (..., B, T, D).
+    """BPTT from a gradient on the final hidden state; accumulates the
+    ``Wx``, ``Wh`` and ``b`` gradients and returns nothing (the inputs are
+    frozen features, so no input gradient is formed).
 
     The time loop carries only ``dh`` and ``dc``: each step writes its
     pre-activation gradient dz over its gate cache (so a cache serves one
-    backward pass). The weight gradients and ``dx`` are then one matmul each
-    (per member) over all (T * B) rows.
+    backward pass). Each weight gradient is then one matmul (per member)
+    over all (T * B) rows.
     """
     xs, gates, hs, cs, tcs = cache
     *lead, T, B, _ = gates.shape
@@ -373,7 +376,6 @@ def lstm_backward(params: LSTMParams, cache, dh_last):
     params.Wx.grad += dzT @ xs.reshape(*lead, T * B, D)
     params.Wh.grad += dzT @ hs.reshape(*lead, T * B, H)
     params.b.grad += dz.sum(axis=-2)
-    return (dz @ params.Wx.values).reshape(*lead, T, B, D).swapaxes(-3, -2)
 
 
 # -- MLP head ------------------------------------------------------------------

@@ -57,8 +57,11 @@ class SynthConfig:
             raise ConfigError("need 1 <= frames_min <= frames_max")
         if self.d_feature < 1 or (self.with_audio and self.d_audio < 1):
             raise ConfigError("dimensions must be positive")
-        if self.margin < 0 or self.noise < 0:
-            raise ConfigError("margin and noise must be >= 0")
+        for name in ("margin", "noise", "av_noise"):
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:  # false for nan too
+                raise ConfigError(f"{name} must be finite and >= 0, "
+                                  f"got {value}")
 
 
 def _spread_centroids(rng, n_classes, dim, margin):

@@ -162,7 +162,8 @@ class VideoModel:
 
         ``F`` is (..., B, n, D) and ``AV`` (..., B, n, 2); a stacked model
         takes them per member (M, B, ...) or shared by all members (B, ...)
-        and returns (M, B, C) logits. ``keep_cache=False`` is for
+        and returns (M, B, C) logits. The cache serves the parameters'
+        gradients only: ``F`` is frozen. ``keep_cache=False`` is for
         inference: the LSTM then keeps no BPTT caches, so the returned cache
         cannot be passed to ``backward_batch``. ``spent`` may be an earlier
         cache that ``backward_batch`` has consumed, of any batch shape; the
@@ -170,8 +171,7 @@ class VideoModel:
         enough (``lstm_forward``'s ``cache``).
         """
         if self.kind == "avg-pool":
-            logits, lcache = self.classifier.forward(pool_average(F))
-            return logits, (lcache, F.shape[-2])
+            return self.classifier.forward(pool_average(F))
         if self.kind == "weighted-avg-pool":
             pooled, w = pool_weighted(F, AV, self.regressor)
             logits, lcache = self.classifier.forward(pooled)
@@ -181,42 +181,33 @@ class VideoModel:
                 self.lstm, F, keep_caches=keep_cache,
                 cache=None if spent is None else spent[1])
             logits, lcache = self.classifier.forward(h)
-            return logits, (lcache, lstm_cache, F.shape)
+            return logits, (lcache, lstm_cache)
         raise ContractError(f"head {self.kind!r} has no trainable forward")
 
     def backward_batch(self, cache, dlogits):
+        """Accumulate the head's parameter gradients from ``dlogits``;
+        returns nothing. The frame features come from a pretrained network
+        and stay frozen, so no gradient on ``F`` is formed."""
         if self.kind == "avg-pool":
-            lcache, n = cache
-            # one (M, B, D) temporary: a stack of every avg-pool member
-            # (one unit per kind) makes it large, and freeing several per
-            # step made the allocator return and re-fault heap pages
-            dpooled = self.classifier.backward(lcache, dlogits)
-            dpooled /= n
-            dF = dpooled[..., None, :]
-            return np.repeat(dF, n, axis=-2) if n > 1 else dF
-        if self.kind == "weighted-avg-pool":
+            self.classifier.backward(cache, dlogits)
+        elif self.kind == "weighted-avg-pool":
             lcache, F, AV, w, pooled = cache
-            s = w.sum(axis=-1)
             dpooled = self.classifier.backward(lcache, dlogits)
-            # quotient rule through pooled = sum_i w_i f_i / sum_i w_i. One
-            # (M, B, n, D) temporary, as in avg-pool, which then holds dF
-            dF = F - pooled[..., None, :]
-            dw = np.einsum("...bnd,...bd->...bn", dF, dpooled)
-            dw /= s[..., None]
+            # quotient rule through pooled = sum_i w_i f_i / sum_i w_i; one
+            # (M, B, n, D) temporary per step
+            dw = np.einsum("...bnd,...bd->...bn", F - pooled[..., None, :],
+                           dpooled)
+            dw /= w.sum(axis=-1)[..., None]
             dz = dw * w * (1.0 - w)
             lead = dz.shape[:-2]
             self.regressor.W.grad += (dz.reshape(*lead, 1, -1)
                                       @ AV.reshape(*lead, -1, 2))
             self.regressor.b.grad += dz.reshape(*lead, -1).sum(
                 axis=-1, keepdims=True)
-            np.multiply(w[..., None], dpooled[..., None, :], out=dF)
-            dF /= s[..., None, None]
-            return dF
-        if self.kind == "lstm":
-            lcache, lstm_cache, shape = cache
-            dh = self.classifier.backward(lcache, dlogits)
-            return lstm_backward(self.lstm, lstm_cache, dh)
-        raise ContractError(f"head {self.kind!r} has no trainable backward")
+        elif self.kind == "lstm":
+            lcache, lstm_cache = cache
+            lstm_backward(self.lstm, lstm_cache,
+                          self.classifier.backward(lcache, dlogits))
 
     # -- inference -------------------------------------------------------
 

@@ -58,7 +58,7 @@ def lstm_step(params, state, x):
 def lstm_step_backward(params, cache, dh, dc):
     """Per-step reference for ``nn.lstm_backward``: backward through one
     cell step, accumulating that step's parameter gradients; returns
-    (dx, dh_prev, dc_prev)."""
+    (dh_prev, dc_prev)."""
     x2, h2, c2, i, f, g, o, tc = cache
     dh2 = np.atleast_2d(dh)
     dc2 = np.atleast_2d(dc)
@@ -77,11 +77,10 @@ def lstm_step_backward(params, cache, dh, dc):
     params.Wx.grad += dz.T @ x2
     params.Wh.grad += dz.T @ h2
     params.b.grad += dz.sum(axis=0)
-    dx = dz @ params.Wx.values
     dh_prev = dz @ params.Wh.values
     if np.ndim(dh) == 1:
-        return dx[0], dh_prev[0], dc_prev[0]
-    return dx, dh_prev, dc_prev
+        return dh_prev[0], dc_prev[0]
+    return dh_prev, dc_prev
 
 
 @pytest.fixture

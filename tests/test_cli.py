@@ -689,10 +689,20 @@ def test_jobs_below_one_is_a_usage_error(workdir, capsys, command, jobs):
       "--seed", "-1", "--out", "x.csv"], "--seed must be >= 0, got -1"),
     (["repeat", "--manifest", "data.jsonl", "--seeds", "-1", "2",
       "--out", "x.csv"], "--seeds must be >= 0, got -1"),
+    (SYNTH + ["--margin", "inf", "--out", "x.jsonl"],
+     "margin must be finite and >= 0, got inf"),
+    (SYNTH + ["--margin", "nan", "--out", "x.jsonl"],
+     "margin must be finite and >= 0, got nan"),
+    (SYNTH + ["--noise", "inf", "--out", "x.jsonl"],
+     "noise must be finite and >= 0, got inf"),
+    (SYNTH + ["--av-noise", "-1", "--out", "x.jsonl"],
+     "av_noise must be finite and >= 0, got -1.0"),
 ], ids=["grid-step-above", "grid-step-zero", "grid-step-thirds",
         "count-zero", "one-seed", "synth-seed", "synth-centroid-seed",
         "train-video-seed", "train-audio-seed", "ensemble-seed",
-        "cross-validate-seed", "recipe-seed", "repeat-seeds"])
+        "cross-validate-seed", "recipe-seed", "repeat-seeds",
+        "synth-margin-inf", "synth-margin-nan", "synth-noise-inf",
+        "synth-av-noise-negative"])
 def test_bad_flag_value_is_a_usage_error(workdir, capsys, command, message):
     argv = [str(workdir / a) if a.endswith((".json", ".jsonl", ".csv"))
             else a for a in command]
@@ -936,6 +946,17 @@ def test_synth_flags_build_the_same_config(tmp_path, capsys, flags,
     manifest = json.loads((tmp_path / "s.jsonl.manifest.json").read_text())
     assert manifest["config"] == expected
     assert manifest["seeds"] == [1]
+
+
+def test_manifest_records_the_argv_main_was_given(tmp_path, capsys,
+                                                  monkeypatch):
+    # an in-process call under a host whose own command line differs
+    monkeypatch.setattr(sys, "argv", ["-", "extra", "args", "here"])
+    argv = SYNTH + ["--out", str(tmp_path / "s.jsonl")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "s.jsonl.manifest.json").read_text())
+    assert manifest["argv"] == argv
 
 
 HELP_OPTIONS = {

@@ -440,8 +440,8 @@ def test_lstm_inference_forward_keeps_no_caches():
     rng = np.random.default_rng(13)
     model = VideoModel("lstm", 4, 5, 7, lstm_hidden=8, rng=rng)
     F, AV = rng.standard_normal((3, 4, 5)), rng.standard_normal((3, 4, 2))
-    logits, (_, cache, _) = model.forward_batch(F, AV)
-    free, (_, no_cache, _) = model.forward_batch(F, AV, keep_cache=False)
+    logits, (_, cache) = model.forward_batch(F, AV)
+    free, (_, no_cache) = model.forward_batch(F, AV, keep_cache=False)
     np.testing.assert_array_equal(free, logits)
     assert cache[1].shape == (4, 3, 32) and no_cache is None
 
@@ -641,19 +641,19 @@ def test_stacked_head_gradients(head):
     stack = stack_members([VideoModel(head, n, D, C, lstm_hidden=3,
                                       rng=np.random.default_rng(m))
                            for m in range(M)])
-    F = ParamTensor("F", rng.standard_normal((M, B, n, D)))
+    F = rng.standard_normal((M, B, n, D))  # frozen frame features
     AV = rng.uniform(-1, 1, (M, B, n, 2))
     labels = rng.integers(0, C, size=(M, B))
 
     def loss_fn(compute_grad):
-        logits, cache = stack.forward_batch(F.values, AV)
+        logits, cache = stack.forward_batch(F, AV)
         loss, dlogits, _ = softmax_cross_entropy_batch(logits, labels)
         if compute_grad:
-            F.grad += stack.backward_batch(cache, dlogits)
+            assert stack.backward_batch(cache, dlogits) is None
         # the sum's gradient in member m's slice is member m's own
         return float(loss.sum())
 
-    assert grad_check(loss_fn, stack.params() + [F]) < 1e-5
+    assert grad_check(loss_fn, stack.params()) < 1e-5
 
 
 def test_pooled_once_avg_pool_stack_gradient():
@@ -664,17 +664,17 @@ def test_pooled_once_avg_pool_stack_gradient():
     stack = stack_members([VideoModel("avg-pool", 1, D, C,
                                       rng=np.random.default_rng(m))
                            for m in range(M)])
-    F = ParamTensor("F", rng.standard_normal((M, B, 1, D)))
+    F = rng.standard_normal((M, B, 1, D))  # frozen frame features
     labels = rng.integers(0, C, size=(M, B))
 
     def loss_fn(compute_grad):
-        logits, cache = stack.forward_batch(F.values, None)
+        logits, cache = stack.forward_batch(F, None)
         loss, dlogits, _ = softmax_cross_entropy_batch(logits, labels)
         if compute_grad:
-            F.grad += stack.backward_batch(cache, dlogits)
+            assert stack.backward_batch(cache, dlogits) is None
         return float(loss.sum())
 
-    assert grad_check(loss_fn, stack.params() + [F]) < 1e-5
+    assert grad_check(loss_fn, stack.params()) < 1e-5
 
 
 def test_predict_stacked_matches_predict_batch():
