@@ -45,7 +45,7 @@ from .config import AUDIO_MODELS, VIDEO_HEADS, TrainConfig, load_config
 from .data import (Dataset, atomic_write_text, class_names, load_dataset,
                    load_distribution, packaged_distribution_path,
                    validate_dataset, write_dataset)
-from .errors import ConfigError, ContractError, ParseError, SmallclipError
+from .errors import ConfigError, ContractError, SmallclipError
 from .evaluate import (RunStatistics, cross_validate, evaluate,
                        predictions_from_table)
 from .fusion import (check_weights, fuse_tables, grid_divisions,
@@ -137,16 +137,17 @@ def _load_scores(run: _Run, paths) -> list:
 
 
 def _resolve_dist(run: _Run, path):
+    """The ``--dist`` distribution. A bare file name that does not exist
+    falls back to the packaged file of that name; any other path is read
+    as given."""
     if path is None:
         return None
-    if os.path.exists(path):
-        run.inputs.append(str(path))
-        return load_distribution(path)
-    packaged = packaged_distribution_path(os.path.basename(path))
-    if os.path.exists(packaged):
-        run.inputs.append(str(packaged))
-        return load_distribution(packaged)
-    raise ParseError(f"distribution file not found: {path}")
+    if not os.path.dirname(path) and not os.path.exists(path):
+        packaged = packaged_distribution_path(path)
+        if os.path.isfile(packaged):
+            path = packaged
+    run.inputs.append(str(path))
+    return load_distribution(path)
 
 
 def _members(args, cfg, seeds) -> list:
@@ -469,6 +470,9 @@ def _check_flags(args):
     if args.command == "repeat" and len(args.seeds) < 2:
         raise ConfigError(f"--seeds needs at least two seeds, got "
                           f"{len(args.seeds)}")
+    if args.command == "repeat" and len(set(args.seeds)) < len(args.seeds):
+        raise ConfigError(f"--seeds must be distinct, got "
+                          f"{' '.join(map(str, args.seeds))}")
     if args.command == "learn-fusion" and args.grid_step is not None:
         grid_divisions(args.grid_step, "--grid-step", ConfigError)
     if args.command == "fuse" and args.weights is not None:
@@ -496,16 +500,26 @@ def main(argv=None) -> int:
 
 
 def run() -> int:
-    """``main()`` as the ``smallclip`` command runs it: what is loaded
-    before and what is left after is frozen out of the garbage collector.
+    """``main()`` as the ``smallclip`` command runs it: OpenSSL is never
+    loaded, and what is loaded before and what is left after is frozen out
+    of the garbage collector.
+
+    ``numpy.random`` imports ``secrets``, whose ``hmac`` imports
+    ``_hashlib`` and so maps OpenSSL's libcrypto (about 3.3 MB resident)
+    for an OS-entropy helper that no seeded generator calls. A ``None``
+    entry for ``_hashlib`` is how the standard library runs when built
+    without OpenSSL: ``hashlib`` and ``hmac`` fall back to their builtin
+    digests, which give the same bytes. Forked ``--jobs`` workers inherit
+    the entry.
 
     The freeze moves every object alive at start-up (numpy and smallclip
     included) into a generation no collection scans, so the collections
     that training and tables trigger scan only what the command makes; the
     second spares the exit's work from rescanning the command's objects.
-    ``main()`` does not freeze, so callers in process keep their
-    collector as it was.
+    ``main()`` neither blocks nor freezes, so callers in process keep
+    their ``hashlib`` and their collector as they were.
     """
+    sys.modules.setdefault("_hashlib", None)
     gc.freeze()
     code = main()
     gc.freeze()

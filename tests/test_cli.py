@@ -306,6 +306,12 @@ def test_evaluate_packaged_distribution_fallback(tmp_path, capsys):
     assert main(["evaluate", "--scores", scores, "--manifest", str(manifest),
                  "--split", "val", "--dist", "nonexistent_dist.csv"]) == 1
     capsys.readouterr()
+    # only a bare file name falls back: a missing path is an error
+    missing = str(tmp_path / "no-such-dir" / "afew_test_dist.csv")
+    assert main(["evaluate", "--scores", scores, "--manifest", str(manifest),
+                 "--split", "val", "--dist", missing]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot read distribution {missing}: ")
 
 
 def test_fuse_and_learn_fusion(workdir, capsys):
@@ -674,6 +680,9 @@ def test_jobs_below_one_is_a_usage_error(workdir, capsys, command, jobs):
     (["repeat", "--manifest", "data.jsonl", "--seeds", "4",
       "--out", "x.csv"],
      "--seeds needs at least two seeds, got 1"),
+    (["repeat", "--manifest", "data.jsonl", "--seeds", "1", "1",
+      "--out", "x.csv"],
+     "--seeds must be distinct, got 1 1"),
     (SYNTH[:-1] + ["-1", "--out", "x.jsonl"], "--seed must be >= 0, got -1"),
     (SYNTH + ["--centroid-seed", "-1", "--out", "x.jsonl"],
      "--centroid-seed must be >= 0, got -1"),
@@ -698,7 +707,7 @@ def test_jobs_below_one_is_a_usage_error(workdir, capsys, command, jobs):
     (SYNTH + ["--av-noise", "-1", "--out", "x.jsonl"],
      "av_noise must be finite and >= 0, got -1.0"),
 ], ids=["grid-step-above", "grid-step-zero", "grid-step-thirds",
-        "count-zero", "one-seed", "synth-seed", "synth-centroid-seed",
+        "count-zero", "one-seed", "repeated-seeds", "synth-seed", "synth-centroid-seed",
         "train-video-seed", "train-audio-seed", "ensemble-seed",
         "cross-validate-seed", "recipe-seed", "repeat-seeds",
         "synth-margin-inf", "synth-margin-nan", "synth-noise-inf",
@@ -775,6 +784,29 @@ def test_run_freezes_the_collector_and_main_leaves_it_alone(workdir):
                   "validate", "--manifest", m])
     code, frozen = out.split()[-2:]
     assert code == "0" and int(frozen) > 0
+
+
+def test_run_blocks_openssl_and_main_leaves_hashlib_alone(workdir):
+    m, cfg = str(workdir / "data.jsonl"), str(workdir / "fast.cfg")
+    train = ["train-video", "--manifest", m, "--config", cfg, "--pooling",
+             "lstm", "--out", str(workdir / "v.json")]
+    before = ("_hashlib" in sys.modules, sys.modules.get("_hashlib"))
+    assert main(train) == 0
+    assert ("_hashlib" in sys.modules, sys.modules.get("_hashlib")) == before
+    # run() trains with numpy.random loaded, yet hashlib runs on its
+    # builtin digests and OpenSSL's libcrypto is never mapped
+    out = _fresh(["-c", "import sys, smallclip.cli as cli; "
+                  "code = cli.run(); import hashlib; "
+                  "maps = (open('/proc/self/maps').read() "
+                  "if sys.platform.startswith('linux') else ''); "
+                  "print(code, 'numpy.random' in sys.modules, "
+                  "sys.modules['_hashlib'] is None, "
+                  "hashlib.sha256(b'abc').hexdigest(), 'libcrypto' in maps)",
+                  *train])
+    assert out.split()[-5:] == [
+        "0", "True", "True",
+        "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+        "False"]
 
 
 def test_explicit_blas_thread_count_wins():
