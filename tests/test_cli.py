@@ -707,9 +707,9 @@ def test_jobs_below_one_is_a_usage_error(workdir, capsys, command, jobs):
     (SYNTH + ["--av-noise", "-1", "--out", "x.jsonl"],
      "av_noise must be finite and >= 0, got -1.0"),
 ], ids=["grid-step-above", "grid-step-zero", "grid-step-thirds",
-        "count-zero", "one-seed", "repeated-seeds", "synth-seed", "synth-centroid-seed",
-        "train-video-seed", "train-audio-seed", "ensemble-seed",
-        "cross-validate-seed", "recipe-seed", "repeat-seeds",
+        "count-zero", "one-seed", "repeated-seeds", "synth-seed",
+        "synth-centroid-seed", "train-video-seed", "train-audio-seed",
+        "ensemble-seed", "cross-validate-seed", "recipe-seed", "repeat-seeds",
         "synth-margin-inf", "synth-margin-nan", "synth-noise-inf",
         "synth-av-noise-negative"])
 def test_bad_flag_value_is_a_usage_error(workdir, capsys, command, message):
