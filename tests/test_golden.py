@@ -7,6 +7,10 @@ against the files in ``tests/data/golden/``.
   ``evaluate`` against the packaged AFEW distribution.
 * ``s6-small-j2``: ``recipe --preset submission1`` to ``submission7`` at
   ``--jobs`` 1 and 2 on small, well-separated synth data (seed 1).
+* ``sgd-small``: ``train-video`` and ``predict`` of an LSTM and an avg-pool
+  head trained by SGD with momentum (``SGD_CONFIG``), on tiny noisy synth
+  data whose 28 train clips end every epoch on a short batch. No preset
+  trains with SGD, so this pins its step end to end.
 
 ``golden.json`` holds the SHA-256 of every output file and of every
 command's stdout (run manifests are left out: they record the duration),
@@ -86,7 +90,37 @@ PRESETS = [
       for k in range(1, 8) for jobs in (1, 2)),
 ]
 
-SEQUENCES = {"roundtrip-hard": ROUNDTRIP, "s6-small-j2": PRESETS}
+SGD_CONFIG = """\
+optimizer = sgd
+momentum = 0.9
+lr = 0.05
+epochs = 4
+n = 8
+lstm_hidden = 16
+"""
+
+
+def _train_video_sgd(pooling):
+    def step():
+        Path("sgd.cfg").write_text(SGD_CONFIG)
+        return ["train-video", "--manifest", "data.jsonl", "--config",
+                "sgd.cfg", "--pooling", pooling, "--seed", "0",
+                "--out", f"{pooling}.json"]
+    return step
+
+
+SGD = [
+    ["synth", "--seed", "1", "--margin", "2", "--noise", "1.0",
+     "--clips-per-class", "4", "--val-per-class", "3",
+     "--out", "data.jsonl"],
+    *(step for pooling in ("lstm", "avg-pool") for step in (
+        _train_video_sgd(pooling),
+        ["predict", "--model", f"{pooling}.json", "--manifest", "data.jsonl",
+         "--out", f"{pooling}.csv"])),
+]
+
+SEQUENCES = {"roundtrip-hard": ROUNDTRIP, "s6-small-j2": PRESETS,
+             "sgd-small": SGD}
 
 
 def _is_table(name):
