@@ -2,9 +2,11 @@
 
 All math is float64. Layers hold :class:`ParamTensor` parameters; ``forward``
 returns ``(output, cache)`` and ``backward(cache, grad_out)`` accumulates
-parameter gradients into ``.grad`` and returns the input gradient, which the
-layer in front consumes. ``lstm_backward`` returns nothing: the LSTM reads
-frame features from a pretrained network, which stay frozen. Forward and
+parameter gradients into ``.grad``. Parameter-free layers and batch-norm
+return the input gradient, which the layer in front consumes; ``Linear``,
+``MLPHead`` and ``lstm_backward`` return nothing, and a caller that needs a
+linear layer's input gradient forms ``grad_out @ W`` itself. The inputs of
+the first layers are frozen features from pretrained networks. Forward and
 backward are pure given (parameters, input, rng state); the one deliberate
 exception is batch-norm's running-statistics update in train mode, which is
 itself deterministic and does not affect the train-mode output.
@@ -36,7 +38,7 @@ class ParamTensor:
 
     def __init__(self, name, values):
         self.name = name
-        self.values = np.asarray(values, dtype=np.float64)
+        self.values = np.asarray(values, dtype=np.float64, order="C")
         self.grad = np.zeros_like(self.values)
 
     @property
@@ -87,13 +89,14 @@ class Linear:
         return y, x
 
     def backward(self, cache, grad_out):
+        """Accumulate the W and b gradients; returns nothing (the input
+        gradient is ``grad_out @ W.values``, formed by a caller that needs it)."""
         x = cache
         g2 = np.atleast_2d(grad_out)
         x2 = np.atleast_2d(x)
         self.W.grad += g2.swapaxes(-1, -2) @ x2
         if self.b is not None:
             self.b.grad += g2.sum(axis=-2)
-        return grad_out @ self.W.values
 
 
 class ReLU:
@@ -254,12 +257,16 @@ class LSTMParams:
 
     def __init__(self, d_in, hidden, rng=None, name="lstm"):
         self.d_in, self.hidden = d_in, hidden
-        if rng is not None:
-            wx = np.vstack([glorot_uniform(rng, hidden, d_in) for _ in range(4)])
-            wh = np.vstack([glorot_uniform(rng, hidden, hidden) for _ in range(4)])
-        else:
-            wx = np.zeros((4 * hidden, d_in))
-            wh = np.zeros((4 * hidden, hidden))
+
+        def gates(fan_in):
+            # each gate's (hidden, fan_in) block is glorot-uniform; one draw
+            # fills the four in gate order, as four draws would
+            if rng is None:
+                return np.zeros((4 * hidden, fan_in))
+            bound = np.sqrt(6.0 / (fan_in + hidden))
+            return rng.uniform(-bound, bound, size=(4 * hidden, fan_in))
+
+        wx, wh = gates(d_in), gates(hidden)
         b = np.zeros(4 * hidden)
         b[hidden:2 * hidden] = 1.0
         self.Wx = ParamTensor(f"{name}.Wx", wx)
@@ -284,24 +291,38 @@ def _cache_arrays(shapes, cache):
             for a, shape, size in zip(cache, shapes, sizes)]
 
 
+def _fronts(buffer, shapes):
+    """Consecutive arrays of ``shapes`` from the front of the flat
+    ``buffer`` when it is large enough, else from a new one."""
+    sizes = [math.prod(shape) for shape in shapes]
+    if buffer is None or buffer.size < sum(sizes):
+        buffer = np.empty(sum(sizes))
+    ends = np.cumsum(sizes).tolist()
+    return [buffer[end - size:end].reshape(shape)
+            for shape, size, end in zip(shapes, sizes, ends)]
+
+
 def lstm_forward(params: LSTMParams, xs, keep_caches=True, cache=None):
     """Run a (..., B, T, D) batch through the cell from zero state.
 
     Each step computes ``z = (x_t Wx^T + h Wh^T) + b``, a sigmoid over the
     input, forget and output gate slices of the (..., B, 4H) block and a
     tanh over its cell slice. Returns the final hidden state (..., B, H) and
-    the BPTT cache: a copy of the inputs and the per-step gates, hidden and
-    cell states and tanh(c), as (..., T, B, .) arrays, each the front of a
-    flat buffer (its ``.base``). With ``keep_caches=False`` (inference)
-    nothing is stored and the cache is None, so memory stays flat in T.
-    Stacked parameters take xs of shape (M, B, T, D), or (B, T, D) shared by
-    all members.
+    the BPTT cache: a time-major copy of the inputs, and the per-step gates,
+    input cell states and tanh(c), as (..., T, B, .) arrays, each the front
+    of a flat buffer (its ``.base``). The hidden states are not stored:
+    ``lstm_backward`` recomputes each as ``o * tanh(c)``. With
+    ``keep_caches=False`` (inference) nothing is stored and the cache is
+    None, so memory stays flat in T. Stacked parameters take xs of shape
+    (M, B, T, D), or (B, T, D) shared by all members.
 
-    ``cache`` may be an earlier cache that ``lstm_backward`` has consumed;
-    if its buffers are large enough for this batch, the new cache is
-    written into their fronts, so training allocates and first touches one
-    cache for every batch shape. Otherwise it is left as it is. The results
-    are the same.
+    ``cache`` may be an earlier cache that ``lstm_backward`` has consumed.
+    If its buffers are large enough for this batch, a training forward
+    writes its cache into their fronts, so training allocates and first
+    touches one cache for every batch shape; an inference forward writes
+    its gate block and its per-step temporaries into the front of the gates
+    buffer. Otherwise it is left as it is. The results, and the returned
+    hidden state, which never shares memory with ``cache``, are the same.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim < 3 or xs.shape[-1] != params.d_in:
@@ -312,33 +333,37 @@ def lstm_forward(params: LSTMParams, xs, keep_caches=True, cache=None):
     lead = np.broadcast_shapes(xs.shape[:-3], params.Wx.values.shape[:-2])
     WxT = params.Wx.values.swapaxes(-1, -2)
     WhT = params.Wh.values.swapaxes(-1, -2)
-    h, c = np.zeros((2, *lead, B, H))
     xs_t = xs.swapaxes(-3, -2)  # (..., T, B, D), a view
+    block, row = (*lead, B, 4 * H), (*lead, B, H)
     if keep_caches:
         arrays = _cache_arrays(
-            [xs_t.shape, (*lead, T, B, 4 * H)] + [(*lead, T, B, H)] * 3,
+            [xs_t.shape, (*lead, T, B, 4 * H)] + [(*lead, T, B, H)] * 2,
             cache)
         arrays[0][...] = xs_t  # time-major: backward's products take it as is
-        xs_t, gates, hs, cs, tcs = arrays
-    else:
-        a = np.empty((*lead, B, 4 * H))  # one block, rewritten every step
+        xs_t, gates, cs, tcs = arrays
+        za, tg, c = _fronts(None, [block, row, row])
+    else:  # inference: one gate block and its work, rewritten every step
+        a, za, tg, tc, c = _fronts(None if cache is None else cache[1].base,
+                                   [block] * 2 + [row] * 3)
+    h = np.zeros(row)
+    c[...] = 0.0
     for t in range(T):
         if keep_caches:
-            a = gates[..., t, :, :]
+            a, tc = gates[..., t, :, :], tcs[..., t, :, :]
+            cs[..., t, :, :] = c
         np.matmul(xs_t[..., t, :, :], WxT, out=a)
-        a += h @ WhT
+        a += np.matmul(h, WhT, out=za)
         a += params.b.values[..., None, :]
         i, f, g, o = (a[..., :H], a[..., H:2 * H], a[..., 2 * H:3 * H],
                       a[..., 3 * H:])
-        tg = np.tanh(g)
+        np.tanh(g, out=tg)
         sigmoid(a, out=a)  # one pass over the contiguous block
         g[...] = tg
-        if keep_caches:
-            hs[..., t, :, :], cs[..., t, :, :] = h, c
-        c = f * c + i * g
-        tc = np.tanh(c, out=tcs[..., t, :, :] if keep_caches else None)
-        h = o * tc
-    return h, ((xs_t, gates, hs, cs, tcs) if keep_caches else None)
+        c *= f  # c = f * c + i * g
+        c += np.multiply(i, g, out=tg)
+        np.tanh(c, out=tc)
+        np.multiply(o, tc, out=h)
+    return h, ((xs_t, gates, cs, tcs) if keep_caches else None)
 
 
 def lstm_backward(params: LSTMParams, cache, dh_last):
@@ -347,11 +372,13 @@ def lstm_backward(params: LSTMParams, cache, dh_last):
     frozen features, so no input gradient is formed).
 
     The time loop carries only ``dh`` and ``dc``: each step writes its
-    pre-activation gradient dz over its gate cache (so a cache serves one
-    backward pass). Each weight gradient is then one matmul (per member)
-    over all (T * B) rows.
+    pre-activation gradient dz over its gate cache and the hidden state it
+    produced, ``o * tanh(c)``, over the next step's spent tanh(c), so the
+    tanh(c) array ends as the per-step input hidden states (so a cache
+    serves one backward pass). Each weight gradient is then one matmul (per
+    member) over all (T * B) rows.
     """
-    xs, gates, hs, cs, tcs = cache
+    xs, gates, cs, tcs = cache
     *lead, T, B, _ = gates.shape
     D, H = xs.shape[-1], params.hidden
     dh = np.asarray(dh_last, dtype=np.float64)
@@ -360,6 +387,8 @@ def lstm_backward(params: LSTMParams, cache, dh_last):
         a, tc = gates[..., t, :, :], tcs[..., t, :, :]
         i, f, g, o = (a[..., :H], a[..., H:2 * H], a[..., 2 * H:3 * H],
                       a[..., 3 * H:])
+        if t + 1 < T:  # step t + 1 has read its tanh(c)
+            np.multiply(o, tc, out=tcs[..., t + 1, :, :])
         do = dh * tc
         dcell = dc + dh * o * (1.0 - tc * tc)
         di = dcell * g
@@ -371,10 +400,11 @@ def lstm_backward(params: LSTMParams, cache, dh_last):
         a[..., 2 * H:3 * H] = dg * (1.0 - g * g)
         a[..., 3 * H:] = do * o * (1.0 - o)
         dh = a @ params.Wh.values
+    tcs[..., 0, :, :] = 0.0  # the zero initial state
     dz = gates.reshape(*lead, T * B, 4 * H)
     dzT = dz.swapaxes(-1, -2)
     params.Wx.grad += dzT @ xs.reshape(*lead, T * B, D)
-    params.Wh.grad += dzT @ hs.reshape(*lead, T * B, H)
+    params.Wh.grad += dzT @ tcs.reshape(*lead, T * B, H)
     params.b.grad += dz.sum(axis=-2)
 
 
@@ -410,12 +440,15 @@ class MLPHead:
         return logits, (c1, c2, c3, c4, c5)
 
     def backward(self, cache, grad_out):
+        """Accumulate every parameter's gradient; returns nothing (the
+        input features are frozen)."""
         c1, c2, c3, c4, c5 = cache
-        g = self.out_layer.backward(c5, np.atleast_2d(grad_out))
-        g = self.dropout.backward(c4, g)
+        g = np.atleast_2d(grad_out)
+        self.out_layer.backward(c5, g)
+        g = self.dropout.backward(c4, g @ self.out_layer.W.values)
         g = self.relu.backward(c3, g)
         g = self.bn.backward(c2, g)
-        return self.hidden_layer.backward(c1, g)
+        self.hidden_layer.backward(c1, g)
 
 
 # -- stacked members -----------------------------------------------------------

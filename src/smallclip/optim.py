@@ -2,10 +2,13 @@
 minibatch training loop that every gradient-trained model runs.
 
 An optimizer step consumes the accumulated ``.grad`` of every parameter and
-zeroes it afterward. It updates in place through one scratch buffer made
-once per optimizer (Adam also writes into the spent gradient), in the
-operation order of the textbook expressions, so its results are those
-expressions' bit for bit. A step does not check its
+zeroes it afterward. It updates in place, in the operation order of the
+textbook expressions, so its results are those expressions' bit for bit.
+SGD forms ``lr * v`` in the spent gradient and holds no scratch. Adam steps
+each parameter in consecutive chunks of at most ``BLOCK`` elements through
+one scratch buffer of that size, so its working set is one fixed block
+whatever the parameter sizes, and forms its denominator in the spent
+gradient. A step does not check its
 gradients: ``train_minibatches`` checks each member's loss and gradient
 before every step, so a non-finite one raises a TrainingError naming the
 epoch and the member's seed and leaves parameters and moments untouched.
@@ -19,12 +22,7 @@ from .config import OPTIMIZERS
 from .errors import ConfigError, TrainingError
 from .nn import softmax
 
-
-def _scratch(params):
-    """One scratch view per parameter, shaped like it, into one buffer the
-    size of the largest parameter."""
-    buffer = np.empty(max((p.values.size for p in params), default=0))
-    return [buffer[:p.values.size].reshape(p.shape) for p in params]
+BLOCK = 4096  # elements per Adam chunk: 32 KB of float64
 
 
 class SGD:
@@ -34,20 +32,20 @@ class SGD:
         self.momentum = float(momentum)
         self.step_count = 0
         self.velocity = [np.zeros_like(p.values) for p in self.params]
-        self._scratch = _scratch(self.params)
 
     def step(self):
         """``v = momentum * v + g; p -= lr * v``, or ``p -= lr * g``
         without momentum."""
         self.step_count += 1
-        for p, v, s in zip(self.params, self.velocity, self._scratch):
+        for p, v in zip(self.params, self.velocity):
+            g = p.grad
             if self.momentum != 0.0:
                 v *= self.momentum
-                v += p.grad
-                np.multiply(v, self.lr, out=s)
+                v += g
+                np.multiply(v, self.lr, out=g)
             else:
-                np.multiply(p.grad, self.lr, out=s)
-            p.values -= s
+                g *= self.lr
+            p.values -= g
             p.zero_grad()
 
 
@@ -59,31 +57,36 @@ class Adam:
         self.step_count = 0
         self.m = [np.zeros_like(p.values) for p in self.params]
         self.v = [np.zeros_like(p.values) for p in self.params]
-        self._scratch = _scratch(self.params)
+        self._scratch = np.empty(BLOCK)
 
     def step(self):
         """``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
         ``p -= lr (m / bc1) / (sqrt(v / bc2) + eps)``, with the bias
-        corrections ``bc = 1 - b ** t``. Once ``m`` and ``v`` hold their
-        new values, the denominator is formed in the spent gradient."""
+        corrections ``bc = 1 - b ** t``. Once a chunk's ``m`` and ``v`` hold
+        their new values, its denominator is formed in the spent gradient.
+        Every operation is elementwise, so chunking changes no bit."""
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
-        for p, m, v, s in zip(self.params, self.m, self.v, self._scratch):
-            g = p.grad
-            m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=s)
-            v *= self.beta2
-            np.multiply(g, 1.0 - self.beta2, out=s)
-            v += np.multiply(s, g, out=s)
-            np.divide(m, bc1, out=s)
-            s *= self.lr
-            np.divide(v, bc2, out=g)
-            np.sqrt(g, out=g)
-            g += self.eps
-            s /= g
-            p.values -= s
+        for p, m, v in zip(self.params, self.m, self.v):
+            # parameter arrays are C-contiguous, so these are views
+            flat = [a.reshape(-1) for a in (p.values, p.grad, m, v)]
+            for start in range(0, p.values.size, BLOCK):
+                x, g, m, v = (a[start:start + BLOCK] for a in flat)
+                s = self._scratch[:g.size]
+                m *= self.beta1
+                m += np.multiply(g, 1.0 - self.beta1, out=s)
+                v *= self.beta2
+                np.multiply(g, 1.0 - self.beta2, out=s)
+                v += np.multiply(s, g, out=s)
+                np.divide(m, bc1, out=s)
+                s *= self.lr
+                np.divide(v, bc2, out=g)
+                np.sqrt(g, out=g)
+                g += self.eps
+                s /= g
+                x -= s
             p.zero_grad()
 
 

@@ -167,8 +167,9 @@ class VideoModel:
         inference: the LSTM then keeps no BPTT caches, so the returned cache
         cannot be passed to ``backward_batch``. ``spent`` may be an earlier
         cache that ``backward_batch`` has consumed, of any batch shape; the
-        LSTM writes its new BPTT cache into its buffers when they are large
-        enough (``lstm_forward``'s ``cache``).
+        LSTM writes its new BPTT cache, or in inference its per-step work,
+        into its buffers when they are large enough (``lstm_forward``'s
+        ``cache``).
         """
         if self.kind == "avg-pool":
             return self.classifier.forward(pool_average(F))
@@ -192,7 +193,8 @@ class VideoModel:
             self.classifier.backward(cache, dlogits)
         elif self.kind == "weighted-avg-pool":
             lcache, F, AV, w, pooled = cache
-            dpooled = self.classifier.backward(lcache, dlogits)
+            self.classifier.backward(lcache, dlogits)
+            dpooled = dlogits @ self.classifier.W.values
             # quotient rule through pooled = sum_i w_i f_i / sum_i w_i; one
             # (M, B, n, D) temporary per step
             dw = np.einsum("...bnd,...bd->...bn", F - pooled[..., None, :],
@@ -206,8 +208,9 @@ class VideoModel:
                 axis=-1, keepdims=True)
         elif self.kind == "lstm":
             lcache, lstm_cache = cache
+            self.classifier.backward(lcache, dlogits)
             lstm_backward(self.lstm, lstm_cache,
-                          self.classifier.backward(lcache, dlogits))
+                          dlogits @ self.classifier.W.values)
 
     # -- inference -------------------------------------------------------
 
@@ -274,7 +277,9 @@ def train_video_models(ds: Dataset, config: TrainConfig, seeds):
     F, AV = inputs(train_clips)
     y = np.array([c.label for c in train_clips], dtype=np.int64)
     stack = stack_members(models)
-    spent = None  # the cache the last backward consumed, for every shape
+    # the cache the last backward consumed, for every batch shape and for
+    # the val forward's work
+    spent = None
 
     def step(batch):
         nonlocal spent
@@ -287,8 +292,8 @@ def train_video_models(ds: Dataset, config: TrainConfig, seeds):
     val = None
     if val_clips:
         F_val, AV_val = inputs(val_clips)
-        val = (lambda: stack.forward_batch(F_val, AV_val, keep_cache=False)[0],
-               y_val)
+        val = (lambda: stack.forward_batch(F_val, AV_val, keep_cache=False,
+                                           spent=spent)[0], y_val)
     logs = train_minibatches(stack.params(), step, rngs, seeds, len(y),
                              config.epochs, config.lr, config, val)
     return list(zip(models, logs))

@@ -8,41 +8,43 @@ from smallclip.nn import (Linear, MLPHead, ParamTensor,
 from conftest import grad_check, softmax_cross_entropy
 
 
-def projection_loss(module, x_t, proj, mode="train"):
-    """Scalar loss sum(proj * forward(x)); routes input grads into x_t.grad."""
+def projection_loss(module, x, proj, mode="train"):
+    """Scalar loss sum(proj * forward(x)). The input is frozen: backward
+    accumulates the parameter gradients and returns nothing."""
     def loss_fn(compute_grad):
-        out, cache = module.forward(x_t.values, mode=mode)
+        out, cache = module.forward(x, mode=mode)
         loss = float((out * proj).sum())
         if compute_grad:
-            gx = module.backward(cache, proj)
-            x_t.grad += gx.reshape(x_t.values.shape)
+            assert module.backward(cache, proj) is None
         return loss
     return loss_fn
 
 
 def test_linear_grad_check(rng):
     lin = Linear(4, 3, rng=rng)
-    x_t = ParamTensor("x", rng.standard_normal((2, 4)))
+    x = rng.standard_normal((2, 4))
     proj = rng.standard_normal((2, 3))
-    err = grad_check(projection_loss(lin, x_t, proj), lin.params() + [x_t])
+    err = grad_check(projection_loss(lin, x, proj), lin.params())
     assert err < 1e-7
 
 
 def test_mlp_head_grad_check(rng):
+    # the hidden layer's gradients check the input gradients the MLP forms
+    # itself, from the output layer's down through batch-norm
     mlp = MLPHead(5, 6, 4, dropout=0.0, rng=rng)
-    x_t = ParamTensor("x", rng.standard_normal((3, 5)))
+    x = rng.standard_normal((3, 5))
     proj = rng.standard_normal((3, 4))
-    err = grad_check(projection_loss(mlp, x_t, proj), mlp.params() + [x_t])
+    err = grad_check(projection_loss(mlp, x, proj), mlp.params())
     assert err < 1e-4
 
 
 def test_mlp_head_with_cross_entropy(rng):
     mlp = MLPHead(5, 4, 3, dropout=0.0, rng=rng)
-    x_t = ParamTensor("x", rng.standard_normal((4, 5)))
+    x = rng.standard_normal((4, 5))
     labels = np.array([0, 2, 1, 1])
 
     def loss_fn(compute_grad):
-        logits, cache = mlp.forward(x_t.values, mode="train")
+        logits, cache = mlp.forward(x, mode="train")
         total = 0.0
         dlogits = np.zeros_like(logits)
         for i, lab in enumerate(labels):
@@ -50,11 +52,10 @@ def test_mlp_head_with_cross_entropy(rng):
             total += loss
             dlogits[i] = grad
         if compute_grad:
-            gx = mlp.backward(cache, dlogits)
-            x_t.grad += gx
+            assert mlp.backward(cache, dlogits) is None
         return total
 
-    err = grad_check(loss_fn, mlp.params() + [x_t])
+    err = grad_check(loss_fn, mlp.params())
     assert err < 1e-4
 
 
@@ -63,19 +64,19 @@ def test_stacked_mlp_head_grad_check(rng):
     stack = stack_members([MLPHead(D, 6, C, dropout=0.4,
                                    rng=np.random.default_rng(m))
                            for m in range(M)])
-    x_t = ParamTensor("x", rng.standard_normal((M, B, D)))
+    x = rng.standard_normal((M, B, D))
     labels = rng.integers(0, C, size=(M, B))
 
     def loss_fn(compute_grad):
         # one rng per member, reseeded so every call draws the same masks
         rngs = [np.random.default_rng(10 + m) for m in range(M)]
-        logits, cache = stack.forward(x_t.values, mode="train", rng=rngs)
+        logits, cache = stack.forward(x, mode="train", rng=rngs)
         loss, dlogits, _ = softmax_cross_entropy_batch(logits, labels)
         if compute_grad:
-            x_t.grad += stack.backward(cache, dlogits)
+            assert stack.backward(cache, dlogits) is None
         return float(loss.sum())
 
-    err = grad_check(loss_fn, stack.params() + [x_t])
+    err = grad_check(loss_fn, stack.params())
     assert err < 1e-4
 
 

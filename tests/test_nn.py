@@ -24,8 +24,8 @@ def test_linear_backward_analytic(rng):
     x = rng.standard_normal(4)
     _, cache = lin.forward(x)
     g = rng.standard_normal(3)
-    gx = lin.backward(cache, g)
-    np.testing.assert_allclose(gx, lin.W.values.T @ g, atol=1e-12)
+    # no input gradient: a caller that needs one forms g @ W itself
+    assert lin.backward(cache, g) is None
     np.testing.assert_allclose(lin.W.grad, np.outer(g, x), atol=1e-12)
     np.testing.assert_allclose(lin.b.grad, g, atol=1e-12)
 
@@ -170,8 +170,9 @@ def test_batch_cross_entropy_rejects_out_of_range_labels(rng):
 def test_lstm_zero_fixed_point():
     p = LSTMParams(3, 2)
     p.b.values[:] = 0.0  # clear the forget-bias init
-    h, (_, _, hs, cs, tcs) = lstm_forward(p, np.zeros((2, 4, 3)))
+    h, (_, gates, cs, tcs) = lstm_forward(p, np.zeros((2, 4, 3)))
     np.testing.assert_array_equal(h, np.zeros((2, 2)))
+    hs = gates[..., 6:] * tcs  # each step's h = o * tanh(c)
     for states in (hs, cs, tcs):
         np.testing.assert_array_equal(states, np.zeros((4, 2, 2)))
 
@@ -195,17 +196,20 @@ def test_lstm_large_forget_bias_closed_form():
     p.Wx.values[:] = wx
     p.b.values[H:2 * H] = 50.0
     xs = np.array([[[0.4, 0.9], [0.7, -1.2]]])
-    h2, (_, _, _, cs, _) = lstm_forward(p, xs)
+    h2, (_, cached_gates, cs, tcs) = lstm_forward(p, xs)
 
     def gates(x):
         z = p.Wx.values @ x + p.b.values
         return (1 / (1 + np.exp(-z[0:H])), np.tanh(z[2 * H:3 * H]),
                 1 / (1 + np.exp(-z[3 * H:4 * H])))
 
-    i1, g1, _ = gates(xs[0, 0])
+    i1, g1, o1 = gates(xs[0, 0])
     i2, g2, o2 = gates(xs[0, 1])
     c1 = i1 * g1
     np.testing.assert_allclose(cs[1, 0], c1, atol=1e-8)
+    # the cache's h of step 0 is its o times its tanh(c)
+    np.testing.assert_allclose(cached_gates[0, 0, 3 * H:] * tcs[0, 0],
+                               o1 * np.tanh(c1), atol=1e-8)
     np.testing.assert_allclose(h2[0], o2 * np.tanh(c1 + i2 * g2), atol=1e-8)
 
 
@@ -231,9 +235,11 @@ def test_lstm_forward_without_caches_matches(rng):
     h_free, no_cache = lstm_forward(p, xs, keep_caches=False)
     np.testing.assert_array_equal(h_free, h)
     assert no_cache is None
-    _, gates, hs, cs, tcs = cache
+    _, gates, cs, tcs = cache
     assert gates.shape == (5, 6, 12)
-    assert hs.shape == cs.shape == tcs.shape == (5, 6, 3)
+    assert cs.shape == tcs.shape == (5, 6, 3)
+    # the final h is the last step's o * tanh(c), bit for bit
+    assert np.array_equal(gates[-1, :, 9:] * tcs[-1], h)
 
 
 def _forward_backward(p, xs, dh, cache=None):
@@ -291,6 +297,26 @@ def test_lstm_forward_leaves_a_cache_too_small_untouched(rng):
         np.testing.assert_array_equal(a, b)
     for a, b in zip(spent, before):
         np.testing.assert_array_equal(a, b)
+
+
+def test_lstm_inference_forward_works_in_a_spent_cache_that_fits(rng):
+    p = LSTMParams(4, 3, rng=rng)
+    xs = rng.standard_normal((5, 6, 4))  # 5 clips of 6 steps
+    h_ref, _ = lstm_forward(p, xs, keep_caches=False)
+    for rows, fits in ((8, True), (2, False)):  # 8 * 6 * 12 gate entries
+        _, spent, _, _ = _forward_backward(
+            p, rng.standard_normal((rows, 6, 4)), rng.standard_normal((rows, 3)))
+        for a in spent:
+            a.base[...] = np.nan
+        h, none = lstm_forward(p, xs, keep_caches=False, cache=spent)
+        assert none is None
+        assert np.array_equal(h, h_ref)  # bit for bit
+        assert not any(np.shares_memory(h, a.base) for a in spent)
+        # the gate block and the step's work went into the spent gates
+        # buffer when it fits; nothing of a cache too small is touched
+        written = ~np.isnan(spent[1].base)
+        assert written.any() == fits
+        assert not any((~np.isnan(a.base)).any() for a in spent[:1] + spent[2:])
 
 
 def assert_close_relative(actual, expected, rtol):

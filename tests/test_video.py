@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from smallclip import optim
 from smallclip.config import VIDEO_HEADS, TrainConfig
 from smallclip.data import Clip
 from smallclip.errors import ContractError, TrainingError
@@ -579,15 +582,20 @@ def test_stack_of_one_matches_per_model_reference(head, optimizer):
 def test_lstm_steps_write_into_the_cache_of_their_batch_shape(monkeypatch):
     ds = short_batch_dataset()
     cfg = TrainConfig(head="lstm", n=6, epochs=3, lstm_hidden=8)
-    written_into, buffers = [], set()
+    written_into, buffers, val_got_spent = [], set(), []
     real = video_module.lstm_forward
+    last = None  # the cache of the last training forward
 
     def recording(params, xs, keep_caches=True, cache=None):
+        nonlocal last
         h, new = real(params, xs, keep_caches=keep_caches, cache=cache)
         if keep_caches:
             written_into.append(cache is not None and all(
                 a.base is b.base for a, b in zip(new, cache)))
             buffers.update(id(a.base) for a in new)
+            last = new
+        else:
+            val_got_spent.append(cache is not None and cache is last)
         return h, new
 
     monkeypatch.setattr(video_module, "lstm_forward", recording)
@@ -595,7 +603,34 @@ def test_lstm_steps_write_into_the_cache_of_their_batch_shape(monkeypatch):
     # the first step allocates the one cache; every later step, of 16 rows
     # or of the 3-row last batch, writes into the fronts of its buffers
     assert written_into == [False] + [True] * 8
-    assert len(buffers) == 5
+    assert len(buffers) == 4
+    # every epoch's val forward works in the cache its last step spent
+    assert val_got_spent == [True] * cfg.epochs
+
+
+def test_lstm_training_peak_stays_in_its_persistent_arrays():
+    # batches of 16, 16 and 3, and 133 val clips whose (N, 4H) gate block
+    # fits, with the val forward's work, in the spent gates buffer
+    ds = generate_synthetic(SynthConfig(
+        train_per_class=5, val_per_class=19, n_classes=7, d_feature=8,
+        margin=2.0, noise=0.5, frames_min=3, frames_max=30), seed=4)
+    cfg = TrainConfig(head="lstm", n=24, epochs=2, lstm_hidden=64)
+    n_train, n_val = len(ds.labeled("train")), len(ds.labeled("val"))
+    D, H, C, T, B = ds.d_feature, cfg.lstm_hidden, ds.n_classes, cfg.n, 16
+    assert (n_train, n_val) == (35, 133)
+    params = 4 * H * (D + H + 1) + C * (H + 1)
+    persistent = 8 * (
+        4 * params + optim.BLOCK  # values, grads, Adam moments and block
+        + T * B * (D + 4 * H + 2 * H)  # the four-array BPTT cache
+        + (n_train + n_val) * T * (D + 2))  # the selected frames
+    val_block = 8 * n_val * 4 * H
+    tracemalloc.start()
+    try:
+        train_video_models(ds, cfg, [0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - persistent < val_block
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
