@@ -155,17 +155,21 @@ def _check_clip(clip: Clip, dims):
 
 def build_dataset(clips, meta=None) -> Dataset:
     """Assemble clips into a Dataset, inferring dims from the first clip and
-    enforcing them (plus uniqueness and finiteness) globally."""
+    enforcing them (plus ranks, uniqueness and finiteness) globally."""
     if not clips:
         raise DataValidationError("dataset contains no clips")
-    first = clips[0]
-    if first.n_frames < 1:
-        raise DataValidationError(f"clip {first.id!r}: must contain at least one frame")
     d_audio = None
-    for c in clips:
-        if c.audio is not None:
+    for c in clips:  # ranks first: the dims are read off the shapes
+        for name, ndim in (("features", 2), ("scores", 2), ("av", 2),
+                           ("audio", 1)):
+            arr = getattr(c, name)
+            if arr is not None and arr.ndim != ndim:
+                raise DataValidationError(
+                    f"clip {c.id!r}: {name} must be {ndim}-dimensional, "
+                    f"got shape {arr.shape}")
+        if d_audio is None and c.audio is not None:
             d_audio = c.audio.shape[0]
-            break
+    first = clips[0]
     dims = (first.features.shape[1], first.scores.shape[1], d_audio)
     seen = set()
     for c in clips:
@@ -195,7 +199,7 @@ def _clip_from_json(obj, line_no):
         av = np.array([fr["av"] for fr in frames], dtype=np.float64)
         return Clip(clip_id, obj["split"], features, scores, av,
                     audio=obj.get("audio"), label=label)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"line {line_no}: malformed clip record ({e})") from e
 
 
@@ -227,9 +231,9 @@ def load_dataset(manifest_path) -> Dataset:
                     continue
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError as e:
+                except ValueError as e:  # also an integer too long to read
                     raise ParseError(f"line {line_no}: invalid JSON "
-                                     f"({e.msg})") from e
+                                     f"({getattr(e, 'msg', e)})") from e
                 clips.append(_clip_from_json(obj, line_no))
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read manifest {manifest_path}: "

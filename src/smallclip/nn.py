@@ -7,9 +7,11 @@ return the input gradient, which the layer in front consumes; ``Linear``,
 ``MLPHead`` and ``lstm_backward`` return nothing, and a caller that needs a
 linear layer's input gradient forms ``grad_out @ W`` itself. The inputs of
 the first layers are frozen features from pretrained networks. Forward and
-backward are pure given (parameters, input, rng state); the one deliberate
-exception is batch-norm's running-statistics update in train mode, which is
-itself deterministic and does not affect the train-mode output.
+backward are pure given (parameters, input, rng state); the deliberate
+exceptions are batch-norm's running-statistics update in train mode, which is
+itself deterministic and does not affect the train-mode output, and the LSTM's
+reuse of a consumed BPTT cache (``LSTMParams.spent``), which decides where a
+forward works but not what it computes.
 
 The leading member axis is optional: a layer whose arrays are M models'
 stacked on axis 0 (``stack_members``) runs each model's math on its slice.
@@ -252,7 +254,9 @@ class LSTMParams:
     """Packed gate parameters, gate order [input, forget, cell, output].
 
     Wx is (4H, D), Wh is (4H, H), b is (4H,); the forget-gate bias slice is
-    initialized to 1.0.
+    initialized to 1.0. ``spent`` is the flat buffer under the BPTT cache
+    that ``lstm_backward`` last consumed, or None; ``lstm_forward`` works in
+    it.
     """
 
     def __init__(self, d_in, hidden, rng=None, name="lstm"):
@@ -272,23 +276,10 @@ class LSTMParams:
         self.Wx = ParamTensor(f"{name}.Wx", wx)
         self.Wh = ParamTensor(f"{name}.Wh", wh)
         self.b = ParamTensor(f"{name}.b", b)
+        self.spent = None
 
     def params(self):
         return [self.Wx, self.Wh, self.b]
-
-
-def _cache_arrays(shapes, cache):
-    """Arrays of ``shapes``, each the front of a flat buffer (its ``.base``):
-    the buffers of ``cache``, an earlier cache's arrays in order, when every
-    one is large enough, else new ones. An array of ``cache`` that already
-    has its shape is passed on as it is."""
-    sizes = [math.prod(shape) for shape in shapes]
-    if cache is None or any(a.base is None or a.base.size < size
-                            for a, size in zip(cache, sizes)):
-        return [np.empty(size).reshape(shape)
-                for shape, size in zip(shapes, sizes)]
-    return [a if a.shape == shape else a.base[:size].reshape(shape)
-            for a, shape, size in zip(cache, shapes, sizes)]
 
 
 def _fronts(buffer, shapes):
@@ -302,27 +293,28 @@ def _fronts(buffer, shapes):
             for shape, size, end in zip(shapes, sizes, ends)]
 
 
-def lstm_forward(params: LSTMParams, xs, keep_caches=True, cache=None):
+def lstm_forward(params: LSTMParams, xs, keep_caches=True):
     """Run a (..., B, T, D) batch through the cell from zero state.
 
     Each step computes ``z = (x_t Wx^T + h Wh^T) + b``, a sigmoid over the
     input, forget and output gate slices of the (..., B, 4H) block and a
     tanh over its cell slice. Returns the final hidden state (..., B, H) and
     the BPTT cache: a time-major copy of the inputs, and the per-step gates,
-    input cell states and tanh(c), as (..., T, B, .) arrays, each the front
-    of a flat buffer (its ``.base``). The hidden states are not stored:
-    ``lstm_backward`` recomputes each as ``o * tanh(c)``. With
+    input cell states and tanh(c), as (..., T, B, .) arrays, consecutive
+    views of one flat buffer (their ``.base``). The hidden states are not
+    stored: ``lstm_backward`` recomputes each as ``o * tanh(c)``. With
     ``keep_caches=False`` (inference) nothing is stored and the cache is
     None, so memory stays flat in T. Stacked parameters take xs of shape
     (M, B, T, D), or (B, T, D) shared by all members.
 
-    ``cache`` may be an earlier cache that ``lstm_backward`` has consumed.
-    If its buffers are large enough for this batch, a training forward
-    writes its cache into their fronts, so training allocates and first
-    touches one cache for every batch shape; an inference forward writes
-    its gate block and its per-step temporaries into the front of the gates
-    buffer. Otherwise it is left as it is. The results, and the returned
-    hidden state, which never shares memory with ``cache``, are the same.
+    A training forward carves its cache from the front of ``params.spent``
+    when that is large enough, and clears ``params.spent`` either way: so
+    training allocates and first touches one buffer for all its batch
+    shapes, and a forward whose earlier cache has not been through backward
+    yet gets a new one. An inference forward writes its gate block and its
+    per-step work into the front of ``params.spent`` when they fit, and
+    leaves it recorded. The results, and the returned hidden state, which
+    never shares memory with the buffer, are the same either way.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim < 3 or xs.shape[-1] != params.d_in:
@@ -336,15 +328,14 @@ def lstm_forward(params: LSTMParams, xs, keep_caches=True, cache=None):
     xs_t = xs.swapaxes(-3, -2)  # (..., T, B, D), a view
     block, row = (*lead, B, 4 * H), (*lead, B, H)
     if keep_caches:
-        arrays = _cache_arrays(
-            [xs_t.shape, (*lead, T, B, 4 * H)] + [(*lead, T, B, H)] * 2,
-            cache)
+        spent, params.spent = params.spent, None
+        arrays = _fronts(spent, [xs_t.shape, (*lead, T, B, 4 * H)]
+                         + [(*lead, T, B, H)] * 2)
         arrays[0][...] = xs_t  # time-major: backward's products take it as is
         xs_t, gates, cs, tcs = arrays
         za, tg, c = _fronts(None, [block, row, row])
     else:  # inference: one gate block and its work, rewritten every step
-        a, za, tg, tc, c = _fronts(None if cache is None else cache[1].base,
-                                   [block] * 2 + [row] * 3)
+        a, za, tg, tc, c = _fronts(params.spent, [block] * 2 + [row] * 3)
     h = np.zeros(row)
     c[...] = 0.0
     for t in range(T):
@@ -374,9 +365,10 @@ def lstm_backward(params: LSTMParams, cache, dh_last):
     The time loop carries only ``dh`` and ``dc``: each step writes its
     pre-activation gradient dz over its gate cache and the hidden state it
     produced, ``o * tanh(c)``, over the next step's spent tanh(c), so the
-    tanh(c) array ends as the per-step input hidden states (so a cache
-    serves one backward pass). Each weight gradient is then one matmul (per
-    member) over all (T * B) rows.
+    tanh(c) array ends as the per-step input hidden states. A cache thus
+    serves one backward pass, which records its flat buffer as
+    ``params.spent`` for the next forward to work in. Each weight gradient
+    is then one matmul (per member) over all (T * B) rows.
     """
     xs, gates, cs, tcs = cache
     *lead, T, B, _ = gates.shape
@@ -406,6 +398,7 @@ def lstm_backward(params: LSTMParams, cache, dh_last):
     params.Wx.grad += dzT @ xs.reshape(*lead, T * B, D)
     params.Wh.grad += dzT @ tcs.reshape(*lead, T * B, H)
     params.b.grad += dz.sum(axis=-2)
+    params.spent = xs.base
 
 
 # -- MLP head ------------------------------------------------------------------

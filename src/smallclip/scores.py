@@ -2,8 +2,8 @@
 
 The format is one header row ``clip_id,p0,...,p{C-1}`` followed by one row
 per clip. Floats are written with ``repr`` so a read back is bit-exact. Every table,
-built or loaded, holds at least one row, and every row is finite and
-nonnegative with a positive sum.
+built or loaded, holds at least one row, no clip id holds a comma or a line
+break, and every row is finite and nonnegative with a positive sum.
 Tables keep their row order; ``reordered`` aligns one table to another's.
 """
 
@@ -15,6 +15,9 @@ import numpy as np
 
 from .data import atomic_write_text, read_text
 from .errors import ContractError, ParseError
+
+# a comma ends the id field, and ``str.splitlines`` ends a row at any of these
+_ID_BREAKS = frozenset(",\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
 @dataclass
@@ -32,6 +35,11 @@ class ScoreTable:
                 f"{len(self.ids)} ids")
         if len(set(self.ids)) != len(self.ids):
             raise ContractError("duplicate clip ids in score table")
+        for cid in self.ids:
+            if not _ID_BREAKS.isdisjoint(cid):
+                raise ContractError(
+                    f"clip {cid!r}: a score table cannot hold an id with a "
+                    f"comma or a line break")
         p = self.probs
         finite = np.isfinite(p).all(axis=1)
         nonnegative = (p >= 0).all(axis=1)

@@ -157,7 +157,7 @@ class VideoModel:
 
     # -- batched forward and backward -----------------------------------
 
-    def forward_batch(self, F, AV, keep_cache=True, spent=None):
+    def forward_batch(self, F, AV, keep_cache=True):
         """Logits for a batch of selected clips; returns (logits, cache).
 
         ``F`` is (..., B, n, D) and ``AV`` (..., B, n, 2); a stacked model
@@ -165,11 +165,9 @@ class VideoModel:
         and returns (M, B, C) logits. The cache serves the parameters'
         gradients only: ``F`` is frozen. ``keep_cache=False`` is for
         inference: the LSTM then keeps no BPTT caches, so the returned cache
-        cannot be passed to ``backward_batch``. ``spent`` may be an earlier
-        cache that ``backward_batch`` has consumed, of any batch shape; the
-        LSTM writes its new BPTT cache, or in inference its per-step work,
-        into its buffers when they are large enough (``lstm_forward``'s
-        ``cache``).
+        cannot be passed to ``backward_batch``. The LSTM works in the cache
+        that its last backward consumed when that is large enough
+        (``lstm_forward``).
         """
         if self.kind == "avg-pool":
             return self.classifier.forward(pool_average(F))
@@ -178,9 +176,7 @@ class VideoModel:
             logits, lcache = self.classifier.forward(pooled)
             return logits, (lcache, F, AV, w, pooled)
         if self.kind == "lstm":
-            h, lstm_cache = lstm_forward(
-                self.lstm, F, keep_caches=keep_cache,
-                cache=None if spent is None else spent[1])
+            h, lstm_cache = lstm_forward(self.lstm, F, keep_caches=keep_cache)
             logits, lcache = self.classifier.forward(h)
             return logits, (lcache, lstm_cache)
         raise ContractError(f"head {self.kind!r} has no trainable forward")
@@ -277,23 +273,18 @@ def train_video_models(ds: Dataset, config: TrainConfig, seeds):
     F, AV = inputs(train_clips)
     y = np.array([c.label for c in train_clips], dtype=np.int64)
     stack = stack_members(models)
-    # the cache the last backward consumed, for every batch shape and for
-    # the val forward's work
-    spent = None
 
     def step(batch):
-        nonlocal spent
-        logits, cache = stack.forward_batch(F[batch], AV[batch], spent=spent)
+        logits, cache = stack.forward_batch(F[batch], AV[batch])
         loss, dlogits, _ = softmax_cross_entropy_batch(logits, y[batch])
         stack.backward_batch(cache, dlogits)
-        spent = cache
         return loss
 
     val = None
     if val_clips:
         F_val, AV_val = inputs(val_clips)
-        val = (lambda: stack.forward_batch(F_val, AV_val, keep_cache=False,
-                                           spent=spent)[0], y_val)
+        val = (lambda: stack.forward_batch(F_val, AV_val,
+                                           keep_cache=False)[0], y_val)
     logs = train_minibatches(stack.params(), step, rngs, seeds, len(y),
                              config.epochs, config.lr, config, val)
     return list(zip(models, logs))

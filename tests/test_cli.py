@@ -229,6 +229,49 @@ def test_predict_bad_clip_exits_one_with_one_error_line(workdir, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("clip_id", ["a,b", "a\nb", "a\rb"])
+def test_predict_rejects_an_id_no_table_can_hold(workdir, capsys, clip_id):
+    m = workdir / "data.jsonl"
+    model = str(workdir / "video.json")
+    assert main(["train-video", "--manifest", str(m), "--config",
+                 str(workdir / "fast.cfg"), "--pooling", "avg-pool",
+                 "--out", model]) == 0
+    records = [json.loads(line) for line in m.read_text().splitlines()]
+    records[1]["id"] = clip_id
+    odd = workdir / "odd.jsonl"
+    odd.write_text("".join(json.dumps(r) + "\n" for r in records))
+    capsys.readouterr()
+    out = workdir / "scores.csv"
+    assert main(["predict", "--model", model, "--manifest", str(odd),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: clip {clip_id!r}: a score table cannot hold an id with a "
+        f"comma or a line break"]
+    assert not out.exists()
+    assert not (workdir / "scores.csv.manifest.json").exists()
+
+
+@pytest.mark.parametrize("index", [0, 5], ids=["first", "later"])
+@pytest.mark.parametrize("field", ["audio", "f", "s"])
+def test_validate_rejects_a_scalar_array(workdir, capsys, field, index):
+    records = [json.loads(line) for line in
+               (workdir / "data.jsonl").read_text().splitlines()]
+    if field == "audio":
+        records[index]["audio"] = 5
+    else:
+        for frame in records[index]["frames"]:
+            frame[field] = 5
+    bad = workdir / "bad.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+    capsys.readouterr()
+    assert main(["validate", "--manifest", str(bad)]) == 1
+    name = {"audio": "audio", "f": "features", "s": "scores"}[field]
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: clip {records[index]['id']!r}: {name} must be "
+        f"{1 if field == 'audio' else 2}-dimensional, got shape "
+        f"{() if field == 'audio' else (len(records[index]['frames']),)}"]
+
+
 def test_train_predict_evaluate_pipeline(workdir, capsys):
     m = str(workdir / "data.jsonl")
     cfg = str(workdir / "fast.cfg")

@@ -89,6 +89,21 @@ def test_non_integer_label_names_line_number(tmp_path, rng, label):
         load_dataset(path)
 
 
+def test_numbers_beyond_float_range_are_parse_errors(tmp_path, rng):
+    path = tmp_path / "d.jsonl"
+    write_dataset(build_dataset([make_clip(rng, "a", d_audio=3)]), path)
+    obj = json.loads(path.read_text())
+    obj["audio"][0] = 10 ** 400  # a JSON integer no float can hold
+    path.write_text(json.dumps(obj) + "\n")
+    with pytest.raises(ParseError, match=r"^line 1: malformed clip record "
+                                         r"\(int too large"):
+        load_dataset(path)
+    # more digits than Python converts to an int
+    path.write_text('{"id": "a", "label": ' + "1" * 5000 + "}\n")
+    with pytest.raises(ParseError, match=r"^line 1: invalid JSON \(Exceeds"):
+        load_dataset(path)
+
+
 def test_dimension_mismatch_names_clip(tmp_path, rng):
     clips = [make_clip(rng, "good", n_classes=7), make_clip(rng, "bad", n_classes=3)]
     with pytest.raises(DataValidationError, match="bad"):

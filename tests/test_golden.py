@@ -204,6 +204,15 @@ def test_golden_outputs(name, tmp_path):
             f"{mode} mode: stdout of {name} differs"
 
 
+def test_golden_directory_holds_the_digests_and_the_tables_alone():
+    # what regenerate() writes, so regenerating deletes no tracked file
+    golden = json.loads((GOLDEN / "golden.json").read_text())
+    want = {GOLDEN / "golden.json"} | {
+        _stored(out) for outputs in golden["outputs"].values()
+        for out in outputs if _is_table(out)}
+    assert {p for p in GOLDEN.rglob("*") if p.is_file()} == want
+
+
 def regenerate():
     """Rewrite ``tests/data/golden/`` from the outputs of this checkout."""
     golden = {"environment": environment(), "outputs": {}, "stdout": {}}

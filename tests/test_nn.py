@@ -242,14 +242,28 @@ def test_lstm_forward_without_caches_matches(rng):
     assert np.array_equal(gates[-1, :, 9:] * tcs[-1], h)
 
 
-def _forward_backward(p, xs, dh, cache=None):
-    """h, the BPTT cache's arrays before backward, and the gradients."""
+def _forward_backward(p, xs, dh, spent=None):
+    """h, the BPTT cache's arrays before backward, and the gradients, from a
+    forward that finds ``spent`` (a flat buffer, or None) recorded on ``p``."""
     for q in p.params():
         q.zero_grad()
-    h, cache = lstm_forward(p, xs, cache=cache)
+    p.spent = spent
+    h, cache = lstm_forward(p, xs)
+    assert p.spent is None  # a training forward takes the buffer
     kept = [a.copy() for a in cache]
     dx = lstm_backward(p, cache, dh)
+    assert p.spent is cache[0].base  # backward records the one it consumed
     return h, cache, kept, [dx] + [q.grad.copy() for q in p.params()]
+
+
+def _carved_from(arrays, buffer):
+    """Whether ``arrays`` are consecutive views from the front of ``buffer``."""
+    start = buffer.__array_interface__["data"][0]
+    for a in arrays:
+        if a.base is not buffer or a.__array_interface__["data"][0] != start:
+            return False
+        start += a.nbytes
+    return True
 
 
 def test_lstm_forward_writes_into_a_consumed_cache(rng):
@@ -257,8 +271,13 @@ def test_lstm_forward_writes_into_a_consumed_cache(rng):
     xs1, xs2 = rng.standard_normal((2, 6, 5, 4))
     dh = rng.standard_normal((6, 3))
     _, spent, _, _ = _forward_backward(p, xs1, dh)
-    h, cache, kept, grads = _forward_backward(p, xs2, dh, cache=spent)
-    assert all(a is b for a, b in zip(cache[1:], spent[1:]))
+    buffer = p.spent
+    assert _carved_from(spent, buffer)
+    assert buffer.size == sum(a.size for a in spent)  # nothing else in it
+    h, cache, kept, grads = _forward_backward(p, xs2, dh, spent=buffer)
+    # the same four arrays, carved again from the same buffer
+    assert _carved_from(cache, buffer)
+    assert [a.shape for a in cache] == [a.shape for a in spent]
     h_ref, _, kept_ref, grads_ref = _forward_backward(p, xs2, dh)
     assert np.array_equal(h, h_ref)  # bit for bit
     for a, b in zip(kept + grads, kept_ref + grads_ref):
@@ -268,14 +287,13 @@ def test_lstm_forward_writes_into_a_consumed_cache(rng):
 def test_lstm_forward_writes_a_short_batch_into_a_larger_cache(rng):
     p = LSTMParams(4, 3, rng=rng)
     dh = rng.standard_normal((4, 3))
-    _, spent, _, _ = _forward_backward(p, rng.standard_normal((6, 5, 4)),
-                                       rng.standard_normal((6, 3)))
-    buffers = [a.base for a in spent]
+    _forward_backward(p, rng.standard_normal((6, 5, 4)),
+                      rng.standard_normal((6, 3)))
+    buffer = p.spent
     xs = rng.standard_normal((4, 5, 4))  # a short last batch
-    h, cache, kept, grads = _forward_backward(p, xs, dh, cache=spent)
-    # the fronts of the same buffers, shaped for this batch
-    assert all(a.base is b for a, b in zip(cache, buffers))
-    assert all(np.shares_memory(a, b) for a, b in zip(cache, spent))
+    h, cache, kept, grads = _forward_backward(p, xs, dh, spent=buffer)
+    # the front of the same buffer, shaped for this batch
+    assert _carved_from(cache, buffer)
     h_ref, cache_ref, kept_ref, grads_ref = _forward_backward(p, xs, dh)
     assert np.array_equal(h, h_ref)  # bit for bit
     for a, b in zip(cache, cache_ref):
@@ -286,37 +304,62 @@ def test_lstm_forward_writes_a_short_batch_into_a_larger_cache(rng):
 
 def test_lstm_forward_leaves_a_cache_too_small_untouched(rng):
     p = LSTMParams(4, 3, rng=rng)
-    _, spent = lstm_forward(p, rng.standard_normal((4, 5, 4)))
-    before = [a.copy() for a in spent]
+    _forward_backward(p, rng.standard_normal((4, 5, 4)),
+                      rng.standard_normal((4, 3)))
+    buffer = p.spent
+    before = buffer.copy()
     xs = rng.standard_normal((6, 5, 4))  # a larger batch
-    h, cache = lstm_forward(p, xs, cache=spent)
+    h, cache = lstm_forward(p, xs)
+    assert p.spent is None  # taken, though too small
     h_ref, cache_ref = lstm_forward(p, xs)
     assert np.array_equal(h, h_ref)
-    assert not any(np.shares_memory(a, b) for a, b in zip(cache, spent))
+    assert not any(np.shares_memory(a, buffer) for a in cache)
     for a, b in zip(cache, cache_ref):
         np.testing.assert_array_equal(a, b)
-    for a, b in zip(spent, before):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(buffer, before)
 
 
 def test_lstm_inference_forward_works_in_a_spent_cache_that_fits(rng):
     p = LSTMParams(4, 3, rng=rng)
     xs = rng.standard_normal((5, 6, 4))  # 5 clips of 6 steps
     h_ref, _ = lstm_forward(p, xs, keep_caches=False)
-    for rows, fits in ((8, True), (2, False)):  # 8 * 6 * 12 gate entries
-        _, spent, _, _ = _forward_backward(
-            p, rng.standard_normal((rows, 6, 4)), rng.standard_normal((rows, 3)))
-        for a in spent:
-            a.base[...] = np.nan
-        h, none = lstm_forward(p, xs, keep_caches=False, cache=spent)
+    work = 5 * (2 * 12 + 3 * 3)  # two gate blocks and three state rows
+    for rows, fits in ((8, True), (1, False)):  # rows * 6 * (4 + 18) entries
+        _forward_backward(p, rng.standard_normal((rows, 6, 4)),
+                          rng.standard_normal((rows, 3)))
+        buffer = p.spent
+        buffer[...] = np.nan
+        h, none = lstm_forward(p, xs, keep_caches=False)
         assert none is None
+        assert p.spent is buffer  # left recorded for the next forward
         assert np.array_equal(h, h_ref)  # bit for bit
-        assert not any(np.shares_memory(h, a.base) for a in spent)
-        # the gate block and the step's work went into the spent gates
-        # buffer when it fits; nothing of a cache too small is touched
-        written = ~np.isnan(spent[1].base)
-        assert written.any() == fits
-        assert not any((~np.isnan(a.base)).any() for a in spent[:1] + spent[2:])
+        assert not np.shares_memory(h, buffer)
+        # the gate block and the step's work went into the front of the
+        # buffer when they fit; nothing of a buffer too small is touched
+        written = ~np.isnan(buffer)
+        assert written[:work].all() == fits
+        assert not written[work if fits else 0:].any()
+
+
+def test_lstm_training_forwards_before_backward_get_their_own_buffers(rng):
+    p = LSTMParams(4, 3, rng=rng)
+    xs1, xs2 = rng.standard_normal((2, 6, 5, 4))
+    dh1, dh2 = rng.standard_normal((2, 6, 3))
+    _, _, _, ref1 = _forward_backward(p, xs1, dh1)
+    _, _, _, ref2 = _forward_backward(p, xs2, dh2)
+    buffer = p.spent
+    for q in p.params():
+        q.zero_grad()
+    _, cache1 = lstm_forward(p, xs1)  # takes the spent buffer
+    _, cache2 = lstm_forward(p, xs2)  # cache1 is not consumed: a new one
+    assert _carved_from(cache1, buffer)
+    assert not any(np.shares_memory(a, buffer) for a in cache2)
+    for cache, dh, ref in ((cache1, dh1, ref1), (cache2, dh2, ref2)):
+        lstm_backward(p, cache, dh)
+        assert p.spent is cache[0].base
+        for q, g in zip(p.params(), ref[1:]):
+            np.testing.assert_array_equal(q.grad, g)  # bit for bit
+            q.zero_grad()
 
 
 def assert_close_relative(actual, expected, rtol):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,15 @@ def test_duplicate_ids_rejected(tmp_path):
     p.write_text("clip_id,p0,p1\na,0.5,0.5\na,0.1,0.9\n")
     with pytest.raises(ParseError):
         load_score_table(p)
+
+
+@pytest.mark.parametrize("cid", ["a,b", "a\nb", "a\r", "\u2028a"])
+def test_ids_with_a_comma_or_line_break_rejected(cid):
+    # the table would be written, and then no reader could split its rows
+    with pytest.raises(ContractError, match=f"^clip {re.escape(repr(cid))}: "
+                                            f"a score table cannot hold"):
+        ScoreTable(["a", cid], np.ones((2, 3)))
+    assert len(ScoreTable(["", "a b;\t"], np.ones((2, 3)))) == 2
 
 
 def test_shape_mismatch_rejected():

@@ -584,26 +584,28 @@ def test_lstm_steps_write_into_the_cache_of_their_batch_shape(monkeypatch):
     cfg = TrainConfig(head="lstm", n=6, epochs=3, lstm_hidden=8)
     written_into, buffers, val_got_spent = [], set(), []
     real = video_module.lstm_forward
-    last = None  # the cache of the last training forward
+    last = None  # the buffer of the last training forward's cache
 
-    def recording(params, xs, keep_caches=True, cache=None):
+    def recording(params, xs, keep_caches=True):
         nonlocal last
-        h, new = real(params, xs, keep_caches=keep_caches, cache=cache)
+        spent = params.spent
+        h, new = real(params, xs, keep_caches=keep_caches)
         if keep_caches:
-            written_into.append(cache is not None and all(
-                a.base is b.base for a, b in zip(new, cache)))
-            buffers.update(id(a.base) for a in new)
-            last = new
+            written_into.append(spent is not None and all(
+                a.base is spent for a in new))
+            buffers.add(id(new[0].base))
+            last = new[0].base
         else:
-            val_got_spent.append(cache is not None and cache is last)
+            val_got_spent.append(spent is not None and spent is last
+                                 and params.spent is spent)
         return h, new
 
     monkeypatch.setattr(video_module, "lstm_forward", recording)
     train_video_models(ds, cfg, [0, 1])
-    # the first step allocates the one cache; every later step, of 16 rows
-    # or of the 3-row last batch, writes into the fronts of its buffers
+    # the first step allocates the one buffer; every later step, of 16 rows
+    # or of the 3-row last batch, writes its cache into its front
     assert written_into == [False] + [True] * 8
-    assert len(buffers) == 4
+    assert len(buffers) == 1
     # every epoch's val forward works in the cache its last step spent
     assert val_got_spent == [True] * cfg.epochs
 
