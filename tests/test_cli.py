@@ -252,24 +252,25 @@ def test_predict_rejects_an_id_no_table_can_hold(workdir, capsys, clip_id):
 
 
 @pytest.mark.parametrize("index", [0, 5], ids=["first", "later"])
-@pytest.mark.parametrize("field", ["audio", "f", "s"])
-def test_validate_rejects_a_scalar_array(workdir, capsys, field, index):
+@pytest.mark.parametrize("field, name", [
+    ("audio", "audio"), ("f", "features"), ("s", "scores")])
+def test_validate_rejects_a_scalar_array(workdir, capsys, field, name,
+                                         index):
     records = [json.loads(line) for line in
                (workdir / "data.jsonl").read_text().splitlines()]
+    clip = records[index]
     if field == "audio":
-        records[index]["audio"] = 5
+        clip["audio"], ranks = 5, "1-dimensional, got shape ()"
     else:
-        for frame in records[index]["frames"]:
+        for frame in clip["frames"]:
             frame[field] = 5
+        ranks = f"2-dimensional, got shape ({len(clip['frames'])},)"
     bad = workdir / "bad.jsonl"
     bad.write_text("".join(json.dumps(r) + "\n" for r in records))
     capsys.readouterr()
     assert main(["validate", "--manifest", str(bad)]) == 1
-    name = {"audio": "audio", "f": "features", "s": "scores"}[field]
     assert capsys.readouterr().err.splitlines() == [
-        f"error: clip {records[index]['id']!r}: {name} must be "
-        f"{1 if field == 'audio' else 2}-dimensional, got shape "
-        f"{() if field == 'audio' else (len(records[index]['frames']),)}"]
+        f"error: clip {clip['id']!r}: {name} must be {ranks}"]
 
 
 def test_train_predict_evaluate_pipeline(workdir, capsys):
