@@ -84,8 +84,8 @@ def train_audio_models(ds: Dataset, config: TrainConfig, seeds,
     permutation and that epoch's dropout masks, so every member is bit for
     bit what it is when trained alone. A non-finite loss or gradient raises
     a TrainingError naming the phase, epoch and first failing member's seed.
-    A log's ``val_accuracy`` is over the val clips with audio and labels
-    (None when there are none); the MLP's is its last training epoch's.
+    No split is scored here: accuracies come from ``predict_batch``, but a
+    forest's log keeps its ``train_accuracy`` on its own training rows.
     """
     if config.model == "forest" and pretrain is not None:
         raise ContractError("the forest model does not support pretraining")
@@ -95,7 +95,6 @@ def train_audio_models(ds: Dataset, config: TrainConfig, seeds,
     X, y = _audio_matrix(ds.split("train"))
     if X is None:
         raise TrainingError("train split has no labeled clips with audio")
-    Xv, yv = _audio_matrix(ds.split("val"))
     seeds = list(seeds)
     if config.model == "forest":
         out = []
@@ -106,8 +105,6 @@ def train_audio_models(ds: Dataset, config: TrainConfig, seeds,
             model = AudioModel("forest", ds.d_audio, ds.n_classes, forest=f)
             out.append((model, {
                 "train_accuracy": float((f.predict(X) == y).mean()),
-                "val_accuracy": (None if Xv is None
-                                 else float((f.predict(Xv) == yv).mean())),
                 "n_trees": len(f.trees)}))
         return out
     if not seeds:
@@ -118,7 +115,7 @@ def train_audio_models(ds: Dataset, config: TrainConfig, seeds,
             for rng in rngs]
     stack = stack_members(mlps)
 
-    def train(X, y, epochs, lr, phase, val=None):
+    def train(X, y, epochs, lr, phase):
         def step(batch):
             logits, cache = stack.forward(X[batch], mode=TRAIN, rng=rngs)
             loss, dlogits, _ = softmax_cross_entropy_batch(logits, y[batch])
@@ -126,7 +123,7 @@ def train_audio_models(ds: Dataset, config: TrainConfig, seeds,
             return loss
 
         return train_minibatches(stack.params(), step, rngs, seeds, len(y),
-                                 epochs, lr, config, val, phase)
+                                 epochs, lr, config, phase)
 
     pretrain_logs = [[] for _ in seeds]
     lr = config.lr
@@ -140,13 +137,10 @@ def train_audio_models(ds: Dataset, config: TrainConfig, seeds,
                     else config.pretrain_epochs)
         pretrain_logs = train(Xp, yp, p_epochs, lr, "pretraining")
         lr = config.lr * config.finetune_lr_ratio
-    val = None if Xv is None else (
-        lambda: stack.forward(Xv, mode=EVAL)[0], yv)
-    train_logs = train(X, y, config.epochs, lr, "training", val)
+    train_logs = train(X, y, config.epochs, lr, "training")
     return [(AudioModel("mlp", ds.d_audio, ds.n_classes, mlp=mlp),
              {"pretrain_loss": [e["train_loss"] for e in pre],
-              "train_loss": [e["train_loss"] for e in log], "lr": lr,
-              "val_accuracy": log[-1]["val_accuracy"]})
+              "train_loss": [e["train_loss"] for e in log], "lr": lr})
             for mlp, pre, log in zip(mlps, pretrain_logs, train_logs)]
 
 

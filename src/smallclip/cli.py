@@ -5,7 +5,10 @@ predict, fuse, learn-fusion, ensemble, evaluate, cross-validate, repeat,
 recipe). Every file output is written atomically and accompanied by a
 ``<out>.manifest.json`` run manifest recording the command, config snapshot,
 seeds, paths, version, and duration, which is enough to reproduce the output
-bit for bit. All randomness flows from ``--seed``. ``--jobs N`` (N >= 1)
+bit for bit. An ``--out`` that cannot be written fails before any work.
+``train-video`` and ``train-audio`` report the val accuracy of the trained
+model's ``predict_batch``, as ``evaluate`` computes it: training itself
+scores no split. All randomness flows from ``--seed``. ``--jobs N`` (N >= 1)
 trains independent units (one stack per kind of member, whose seeds come
 from ``recipe``, ``ensemble`` or ``repeat``, or cross-validation folds) in
 up to N forked worker processes, capped at the CPUs this process may run
@@ -19,6 +22,7 @@ Exit codes: 0 success, 2 usage error, 1 runtime error. ``SMALLCLIP_LOG``
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import json
 import logging
@@ -45,7 +49,7 @@ from .config import AUDIO_MODELS, VIDEO_HEADS, TrainConfig, load_config
 from .data import (Dataset, atomic_write_text, class_names, load_dataset,
                    load_distribution, packaged_distribution_path,
                    validate_dataset, write_dataset)
-from .errors import ConfigError, ContractError, SmallclipError
+from .errors import ConfigError, ContractError, ParseError, SmallclipError
 from .evaluate import (RunStatistics, cross_validate, evaluate,
                        predictions_from_table)
 from .fusion import (check_weights, fuse_tables, grid_divisions,
@@ -157,10 +161,19 @@ def _members(args, cfg, seeds) -> list:
             for seed in seeds]
 
 
-def _scoreable(args, clips) -> list:
-    """The labeled ``clips``, with audio for the audio ``--modality``."""
+def _scoreable(modality, clips) -> list:
+    """The labeled ``clips``, with audio for the audio ``modality``."""
     return [c for c in clips if c.label is not None
-            and (args.modality == "video" or c.audio is not None)]
+            and (modality == "video" or c.audio is not None)]
+
+
+def _val_accuracy(model, clips):
+    """Accuracy of ``model.predict_batch`` on the labeled ``clips``, as
+    ``evaluate`` reports it; None when there are none."""
+    if not clips:
+        return None
+    pred = model.predict_batch(clips).argmax(axis=1)
+    return evaluate(pred, [c.label for c in clips], model.n_classes).overall
 
 
 def _print(text):
@@ -191,9 +204,9 @@ def _cmd_train_video(args, run):
     cfg = _load_config(run, args)
     model, history = train_video_model(ds, cfg, seed=args.seed)
     save_checkpoint(model, args.out)
-    run.extra["final_epoch"] = history[-1]
+    val = _val_accuracy(model, _scoreable("video", ds.split("val")))
+    run.extra["final_epoch"] = dict(history[-1], val_accuracy=val)
     run.emit(args.out)
-    val = history[-1]["val_accuracy"]
     _print(f"trained {cfg.head} head; "
            f"val accuracy: {'n/a' if val is None else f'{val:.4f}'}")
 
@@ -205,10 +218,11 @@ def _cmd_train_audio(args, run):
     model, history = train_audio_model(ds, cfg, seed=args.seed,
                                        pretrain=pretrain)
     save_checkpoint(model, args.out)
+    val = _val_accuracy(model, _scoreable("audio", ds.split("val")))
+    history["val_accuracy"] = val
     run.extra["log"] = {k: v for k, v in history.items()
                         if k in ("val_accuracy", "train_accuracy", "lr")}
     run.emit(args.out)
-    val = history.get("val_accuracy")
     _print(f"trained audio {cfg.model}; "
            f"val accuracy: {'n/a' if val is None else f'{val:.4f}'}")
 
@@ -284,7 +298,7 @@ def _cmd_cross_validate(args, run):
         return score_members(fold_ds, cfg, member,
                              fold_ds.split("val"))[0].argmax(axis=1)
 
-    pool = Dataset(_scoreable(args, ds.clips), ds.dims, ds.meta)
+    pool = Dataset(_scoreable(args.modality, ds.clips), ds.dims, ds.meta)
     report = cross_validate(pool, args.folds, fit_predict, jobs=args.jobs)
     run.write(args.out, report.to_csv())
     _print(report.to_text())
@@ -293,7 +307,7 @@ def _cmd_cross_validate(args, run):
 def _cmd_repeat(args, run):
     ds = _load_manifest(run, args.manifest)
     cfg = _load_config(run, args)
-    val = _scoreable(args, ds.split("val"))
+    val = _scoreable(args.modality, ds.split("val"))
     if not val:
         raise ContractError("no labeled val clips to score")
     true = np.array([c.label for c in val])
@@ -479,6 +493,23 @@ def _check_flags(args):
         check_weights(args.weights, len(args.scores), ConfigError)
 
 
+def _check_out(path):
+    """ParseError ``cannot write <path>: ...`` when a write of ``path`` or
+    of its run manifest would fail for want of a writable parent directory
+    or because the path is a directory. It creates nothing, and the writes
+    keep their own checks: a directory can vanish in between."""
+    for target in (path, path + ".manifest.json"):
+        parent = os.path.dirname(target) or "."
+        code = (errno.ENOENT if not os.path.exists(parent)
+                else errno.ENOTDIR if not os.path.isdir(parent)
+                else errno.EACCES if not os.access(parent, os.W_OK | os.X_OK)
+                else errno.EISDIR if (os.path.isdir(target)
+                                      and not os.path.islink(target))
+                else None)
+        if code is not None:
+            raise ParseError(f"cannot write {target}: {os.strerror(code)}")
+
+
 def main(argv=None) -> int:
     _setup_logging()
     try:
@@ -487,6 +518,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _check_flags(args)
+        if args.out:
+            _check_out(args.out)
         args.handler(args, _Run(args, sys.argv[1:] if argv is None else argv))
         return 0
     except ConfigError as exc:

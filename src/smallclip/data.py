@@ -27,6 +27,10 @@ from .errors import DataValidationError, ParseError
 
 SPLITS = ("train", "val", "test")
 
+# no clip id holds one: a comma ends a score table's id field, and
+# ``str.splitlines`` ends its row at any of these
+ID_BREAKS = frozenset(",\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+
 # Canonical 7-emotion order used throughout (index 0..6).
 CANONICAL_CLASS_NAMES = ("Angry", "Disgust", "Fear", "Happy", "Sad", "Neutral", "Surprise")
 
@@ -126,6 +130,9 @@ class Dataset:
 def _check_clip(clip: Clip, dims):
     d_feature, n_classes, d_audio = dims
     where = f"clip {clip.id!r}"
+    if not ID_BREAKS.isdisjoint(clip.id):
+        raise DataValidationError(f"{where}: a score table cannot hold an id "
+                                  f"with a comma or a line break")
     if clip.n_frames < 1:
         raise DataValidationError(f"{where}: must contain at least one frame")
     if clip.split not in SPLITS:
@@ -155,7 +162,8 @@ def _check_clip(clip: Clip, dims):
 
 def build_dataset(clips, meta=None) -> Dataset:
     """Assemble clips into a Dataset, inferring dims from the first clip and
-    enforcing them (plus ranks, uniqueness and finiteness) globally."""
+    enforcing them (plus ranks, uniqueness, finiteness and ids that a score
+    table can hold) globally."""
     if not clips:
         raise DataValidationError("dataset contains no clips")
     d_audio = None

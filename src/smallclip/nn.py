@@ -11,7 +11,7 @@ backward are pure given (parameters, input, rng state); the deliberate
 exceptions are batch-norm's running-statistics update in train mode, which is
 itself deterministic and does not affect the train-mode output, and the LSTM's
 reuse of a consumed BPTT cache (``LSTMParams.spent``), which decides where a
-forward works but not what it computes.
+training forward works but not what it computes.
 
 The leading member axis is optional: a layer whose arrays are M models'
 stacked on axis 0 (``stack_members``) runs each model's math on its slice.
@@ -255,8 +255,8 @@ class LSTMParams:
 
     Wx is (4H, D), Wh is (4H, H), b is (4H,); the forget-gate bias slice is
     initialized to 1.0. ``spent`` is the flat buffer under the BPTT cache
-    that ``lstm_backward`` last consumed, or None; ``lstm_forward`` works in
-    it.
+    that ``lstm_backward`` last consumed, or None; the next training
+    ``lstm_forward`` carves its cache from it.
     """
 
     def __init__(self, d_in, hidden, rng=None, name="lstm"):
@@ -311,10 +311,8 @@ def lstm_forward(params: LSTMParams, xs, keep_caches=True):
     when that is large enough, and clears ``params.spent`` either way: so
     training allocates and first touches one buffer for all its batch
     shapes, and a forward whose earlier cache has not been through backward
-    yet gets a new one. An inference forward writes its gate block and its
-    per-step work into the front of ``params.spent`` when they fit, and
-    leaves it recorded. The results, and the returned hidden state, which
-    never shares memory with the buffer, are the same either way.
+    yet gets a new one. The results are the same either way. An inference
+    forward neither reads nor clears ``params.spent``.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim < 3 or xs.shape[-1] != params.d_in:
@@ -335,7 +333,7 @@ def lstm_forward(params: LSTMParams, xs, keep_caches=True):
         xs_t, gates, cs, tcs = arrays
         za, tg, c = _fronts(None, [block, row, row])
     else:  # inference: one gate block and its work, rewritten every step
-        a, za, tg, tc, c = _fronts(params.spent, [block] * 2 + [row] * 3)
+        a, za, tg, tc, c = _fronts(None, [block] * 2 + [row] * 3)
     h = np.zeros(row)
     c[...] = 0.0
     for t in range(T):

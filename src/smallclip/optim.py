@@ -20,7 +20,6 @@ import numpy as np
 
 from .config import OPTIMIZERS
 from .errors import ConfigError, TrainingError
-from .nn import softmax
 
 BLOCK = 4096  # elements per Adam chunk: 32 KB of float64
 
@@ -117,7 +116,7 @@ def _check_stack_finite(epoch, seeds, loss, params, phase=None):
 
 
 def train_minibatches(params, step, rngs, seeds, n, epochs, lr, config,
-                      val=None, phase=None):
+                      phase=None):
     """Train M members stacked on a leading axis; returns one log per member.
 
     Each epoch, member m orders the ``n`` train rows by
@@ -126,10 +125,10 @@ def train_minibatches(params, step, rngs, seeds, n, epochs, lr, config,
     member's gradient into its slice of ``params`` and returns the (M,)
     mean losses; the loss and gradient of every member are checked
     (``_check_stack_finite``) before one optimizer of ``config.optimizer``
-    at ``lr`` steps all ``params``. A log is one dict
-    per epoch: the size-weighted mean train loss and, when ``val`` is
-    ``(val_logits, labels)``, the accuracy of the argmax of one softmax over
-    the (M, N, C) logits ``val_logits()`` returns (else None).
+    at ``lr`` steps all ``params``. A log is one dict per epoch, its
+    number and size-weighted mean train loss. Training only trains: no
+    split is scored here, so a model's accuracy comes from its batched
+    ``predict_batch`` alone.
     """
     opt = make_optimizer(params, config.optimizer, lr=lr,
                          momentum=config.momentum)
@@ -143,12 +142,6 @@ def train_minibatches(params, step, rngs, seeds, n, epochs, lr, config,
             _check_stack_finite(epoch, seeds, loss, params, phase)
             opt.step()
             total += loss * batch.shape[1]
-        accs = [None] * len(rngs)
-        if val is not None:
-            val_logits, labels = val
-            pred = softmax(val_logits(), axis=-1).argmax(axis=-1)
-            accs = [int(h) / len(labels) for h in (pred == labels).sum(axis=1)]
-        for log, t, acc in zip(logs, total, accs):
-            log.append({"epoch": epoch, "train_loss": float(t) / n,
-                        "val_accuracy": acc})
+        for log, t in zip(logs, total):
+            log.append({"epoch": epoch, "train_loss": float(t) / n})
     return logs

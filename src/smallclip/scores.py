@@ -13,11 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import atomic_write_text, read_text
+from .data import ID_BREAKS, atomic_write_text, read_text
 from .errors import ContractError, ParseError
-
-# a comma ends the id field, and ``str.splitlines`` ends a row at any of these
-_ID_BREAKS = frozenset(",\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
 @dataclass
@@ -36,7 +33,7 @@ class ScoreTable:
         if len(set(self.ids)) != len(self.ids):
             raise ContractError("duplicate clip ids in score table")
         for cid in self.ids:
-            if not _ID_BREAKS.isdisjoint(cid):
+            if not ID_BREAKS.isdisjoint(cid):
                 raise ContractError(
                     f"clip {cid!r}: a score table cannot hold an id with a "
                     f"comma or a line break")

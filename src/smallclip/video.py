@@ -165,9 +165,9 @@ class VideoModel:
         and returns (M, B, C) logits. The cache serves the parameters'
         gradients only: ``F`` is frozen. ``keep_cache=False`` is for
         inference: the LSTM then keeps no BPTT caches, so the returned cache
-        cannot be passed to ``backward_batch``. The LSTM works in the cache
-        that its last backward consumed when that is large enough
-        (``lstm_forward``).
+        cannot be passed to ``backward_batch``. A training forward of the
+        LSTM works in the cache that its last backward consumed when that
+        is large enough (``lstm_forward``).
         """
         if self.kind == "avg-pool":
             return self.classifier.forward(pool_average(F))
@@ -230,17 +230,16 @@ def train_video_model(ds: Dataset, config: TrainConfig, seed: int):
 def train_video_models(ds: Dataset, config: TrainConfig, seeds):
     """Fit one head per seed on the train split; returns [(model, log), ...].
 
-    A log is one dict per epoch with the mean train loss and the val-split
-    accuracy (None when the val split has no labels); score-mean members
-    log epoch 0 alone, from one ``score_mean`` pass. Member m's rng
+    A log is one dict per epoch with its mean train loss; score-mean
+    members need no training and log epoch 0 with no loss. No split is
+    scored here: accuracies come from ``predict_batch``. Member m's rng
     ``default_rng([seeds[m], 0x71D])`` draws its init and its epoch
-    permutations. The train and labeled val clips are each one
-    ``select_frames`` batch per call, and the members train in lockstep
-    as one stacked model (``nn.stack_members``) in
-    ``optim.train_minibatches``, so each member's parameters and log are
-    bit for bit those it gets when trained alone. A non-finite loss or
-    gradient raises a TrainingError naming the epoch and the first failing
-    member's seed.
+    permutations. The labeled train clips are one ``select_frames`` batch
+    per call, and the members train in lockstep as one stacked model
+    (``nn.stack_members``) in ``optim.train_minibatches``, so each member's
+    parameters and log are bit for bit those it gets when trained alone. A
+    non-finite loss or gradient raises a TrainingError naming the epoch and
+    the first failing member's seed.
     """
     config.validate()
     seeds = list(seeds)
@@ -249,28 +248,17 @@ def train_video_models(ds: Dataset, config: TrainConfig, seeds):
     train_clips = ds.labeled("train")
     if not train_clips:
         raise TrainingError("train split has no labeled clips")
-    val_clips = ds.labeled("val")
-    y_val = np.array([c.label for c in val_clips], dtype=np.int64)
     rngs = [np.random.default_rng([seed, 0x71D]) for seed in seeds]
     models = [VideoModel(config.head, config.n, ds.d_feature, ds.n_classes,
                          score_mode=config.score_mode,
                          lstm_hidden=config.lstm_hidden, rng=rng)
               for rng in rngs]
     if config.head == "score-mean":
-        acc = None
-        if val_clips:
-            pred = score_mean(val_clips, config.score_mode).argmax(axis=1)
-            acc = float((pred == y_val).mean())
-        return [(model, [{"epoch": 0, "train_loss": None,
-                          "val_accuracy": acc}]) for model in models]
-
-    def inputs(clips):
-        F, AV, _ = select_frames(clips, config.n)
-        if config.head == "avg-pool":  # pool once, not every step
-            return pool_average(F)[:, None, :], AV[:, :1]
-        return F, AV
-
-    F, AV = inputs(train_clips)
+        return [(model, [{"epoch": 0, "train_loss": None}])
+                for model in models]
+    F, AV, _ = select_frames(train_clips, config.n)
+    if config.head == "avg-pool":  # pool once, not every step
+        F, AV = pool_average(F)[:, None, :], AV[:, :1]
     y = np.array([c.label for c in train_clips], dtype=np.int64)
     stack = stack_members(models)
 
@@ -280,13 +268,8 @@ def train_video_models(ds: Dataset, config: TrainConfig, seeds):
         stack.backward_batch(cache, dlogits)
         return loss
 
-    val = None
-    if val_clips:
-        F_val, AV_val = inputs(val_clips)
-        val = (lambda: stack.forward_batch(F_val, AV_val,
-                                           keep_cache=False)[0], y_val)
     logs = train_minibatches(stack.params(), step, rngs, seeds, len(y),
-                             config.epochs, config.lr, config, val)
+                             config.epochs, config.lr, config)
     return list(zip(models, logs))
 
 

@@ -777,6 +777,144 @@ def test_out_directory_fails_without_traceback(workdir, capsys):
     assert list(taken.iterdir()) == []
 
 
+# every subcommand, with inputs that exist and an --out to be appended
+OUT_COMMANDS = {
+    "synth": ["synth", "--seed", "0"],
+    "validate": ["validate", "--manifest", "data.jsonl"],
+    "train-video": ["train-video", "--manifest", "data.jsonl",
+                    "--config", "fast.cfg", "--pooling", "lstm"],
+    "train-audio": ["train-audio", "--manifest", "data.jsonl",
+                    "--config", "fast.cfg", "--model", "forest"],
+    "predict": ["predict", "--model", "video.json",
+                "--manifest", "data.jsonl"],
+    "fuse": ["fuse", "--scores", "video.csv", "video.csv"],
+    "learn-fusion": ["learn-fusion", "--scores", "video.csv", "video.csv",
+                     "--manifest", "data.jsonl"],
+    "ensemble": ["ensemble", "--manifest", "data.jsonl",
+                 "--config", "fast.cfg", "--count", "2"],
+    "evaluate": ["evaluate", "--scores", "video.csv",
+                 "--manifest", "data.jsonl"],
+    "cross-validate": ["cross-validate", "--manifest", "data.jsonl",
+                       "--config", "fast.cfg", "--folds", "2"],
+    "repeat": ["repeat", "--manifest", "data.jsonl", "--config", "fast.cfg",
+               "--seeds", "1", "2"],
+    "recipe": ["recipe", "--preset", "submission1",
+               "--manifest", "data.jsonl", "--config", "fast.cfg"],
+}
+
+
+def test_out_commands_cover_every_subcommand_with_an_out():
+    assert set(OUT_COMMANDS) == {
+        command for command, options in HELP_OPTIONS.items()
+        if "--out" in options}
+
+
+def _never_train(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("trained although --out cannot be written")
+
+    for module, name in ((cli, "train_video_model"),
+                         (cli, "train_audio_model"),
+                         (recipes, "train_video_models"),
+                         (recipes, "train_audio_models")):
+        monkeypatch.setattr(module, name, never)
+
+
+def _tree(root):
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+
+@pytest.mark.parametrize("bad, reason", [
+    ("missing/out.csv", "No such file or directory"),
+    ("data.jsonl/out.csv", "Not a directory"),
+    ("taken", "Is a directory"),
+    ("sidecar.csv", "Is a directory"),
+], ids=["missing-dir", "parent-is-a-file", "out-is-a-dir",
+        "sidecar-is-a-dir"])
+@pytest.mark.parametrize("command", list(OUT_COMMANDS))
+def test_unwritable_out_fails_before_any_work(
+        workdir, capsys, monkeypatch, command, bad, reason):
+    monkeypatch.chdir(workdir)
+    assert main(["train-video", "--manifest", "data.jsonl", "--config",
+                 "fast.cfg", "--pooling", "avg-pool",
+                 "--out", "video.json"]) == 0
+    assert main(["predict", "--model", "video.json", "--manifest",
+                 "data.jsonl", "--out", "video.csv"]) == 0
+    (workdir / "taken").mkdir()
+    (workdir / "sidecar.csv.manifest.json").mkdir()
+    capsys.readouterr()
+    _never_train(monkeypatch)
+    before = _tree(workdir)
+    out = str(workdir / bad)
+    assert main(OUT_COMMANDS[command] + ["--out", out]) == 1
+    target = out + (".manifest.json" if bad == "sidecar.csv" else "")
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot write {target}: {reason}"]
+    assert _tree(workdir) == before
+
+
+@pytest.mark.parametrize("train", [
+    ["train-video", "--pooling", "lstm"],
+    ["train-video", "--pooling", "score-mean"],
+    ["train-audio", "--model", "mlp"],
+    ["train-audio", "--model", "forest"],
+], ids=["lstm", "score-mean", "mlp", "forest"])
+def test_train_records_the_val_accuracy_that_predict_gives(
+        tmp_path, capsys, train):
+    m = str(tmp_path / "data.jsonl")
+    ckpt = str(tmp_path / "model.json")
+    # noisy, so some val clips are misclassified
+    assert main(SYNTH + ["--margin", "0.5", "--noise", "1.0",
+                         "--val-per-class", "5", "--out", m]) == 0
+    (tmp_path / "fast.cfg").write_text(FAST_CFG)
+    argv = train + ["--manifest", m, "--config", str(tmp_path / "fast.cfg"),
+                    "--out", ckpt]
+    key = "final_epoch" if train[0] == "train-video" else "log"
+    assert main(argv) == 0
+    logged = json.loads(Path(ckpt + ".manifest.json").read_text())[
+        "extra"][key]["val_accuracy"]
+    report = str(tmp_path / "report.csv")
+    assert main(["predict", "--model", ckpt, "--manifest", m, "--split",
+                 "val", "--out", str(tmp_path / "val.csv")]) == 0
+    assert main(["evaluate", "--scores", str(tmp_path / "val.csv"),
+                 "--manifest", m, "--out", report]) == 0
+    overall = next(line.split(",") for line in
+                   Path(report).read_text().splitlines()
+                   if line.startswith("overall,"))
+    assert 0 < logged < 1
+    assert logged == float(overall[1])  # at full precision
+    assert f"val accuracy: {logged:.4f}\n" in capsys.readouterr().out
+
+    # no labeled val clips: nothing to score
+    records = [json.loads(line) for line in Path(m).read_text().splitlines()]
+    Path(m).write_text("".join(
+        json.dumps(dict(r, label=None) if r["split"] == "val" else r) + "\n"
+        for r in records))
+    assert main(argv) == 0
+    assert json.loads(Path(ckpt + ".manifest.json").read_text())[
+        "extra"][key]["val_accuracy"] is None
+    assert capsys.readouterr().out.endswith("; val accuracy: n/a\n")
+
+
+@pytest.mark.parametrize("clip_id", ["a,b", "a\nb", "a\u2028b"])
+@pytest.mark.parametrize("command", ["validate", "ensemble", "recipe"])
+def test_an_id_no_table_can_hold_fails_at_load(workdir, capsys, monkeypatch,
+                                               command, clip_id):
+    monkeypatch.chdir(workdir)
+    records = [json.loads(line) for line in
+               (workdir / "data.jsonl").read_text().splitlines()]
+    records[3]["id"] = clip_id
+    (workdir / "data.jsonl").write_text(
+        "".join(json.dumps(r) + "\n" for r in records))
+    _never_train(monkeypatch)
+    before = _tree(workdir)
+    assert main(OUT_COMMANDS[command] + ["--out", "out.csv"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: clip {clip_id!r}: a score table cannot hold an id with a "
+        f"comma or a line break"]
+    assert _tree(workdir) == before
+
+
 def _fresh(args, cwd=None, **env_vars):
     """Run ``python <args>`` in a fresh interpreter with the checkout's
     sources on the path, the BLAS thread variables removed from the

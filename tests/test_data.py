@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -121,6 +122,17 @@ def test_empty_clip_rejected(rng):
 def test_duplicate_ids_rejected(rng):
     with pytest.raises(DataValidationError, match="duplicate"):
         build_dataset([make_clip(rng, "a"), make_clip(rng, "a")])
+
+
+@pytest.mark.parametrize("cid", ["a,b", "a\nb", "a\r", "\u2028a"])
+def test_ids_no_score_table_can_hold_rejected(rng, cid):
+    with pytest.raises(DataValidationError,
+                       match=f"^clip {re.escape(repr(cid))}: a score table "
+                             f"cannot hold an id with a comma or a line "
+                             f"break$"):
+        build_dataset([make_clip(rng, "a"), make_clip(rng, cid)])
+    ok = build_dataset([make_clip(rng, ""), make_clip(rng, "a b;\t")])
+    assert [c.id for c in ok.clips] == ["", "a b;\t"]
 
 
 def test_non_finite_rejected(rng):
