@@ -5,7 +5,8 @@ predict, fuse, learn-fusion, ensemble, evaluate, cross-validate, repeat,
 recipe). Every file output is written atomically and accompanied by a
 ``<out>.manifest.json`` run manifest recording the command, config snapshot,
 seeds, paths, version, and duration, which is enough to reproduce the output
-bit for bit. An ``--out`` that cannot be written fails before any work.
+bit for bit. An ``--out`` that cannot be written, or that would replace a
+file the command reads, fails before any work.
 ``train-video`` and ``train-audio`` report the val accuracy of the trained
 model's ``predict_batch``, as ``evaluate`` computes it: training itself
 scores no split. All randomness flows from ``--seed``. ``--jobs N`` (N >= 1)
@@ -510,6 +511,34 @@ def _check_out(path):
             raise ParseError(f"cannot write {target}: {os.strerror(code)}")
 
 
+# flags naming files a command reads; ``--model`` names one only in predict,
+# where the others take a model kind
+INPUT_FLAGS = ("manifest", "model", "scores", "config", "recipe", "dist",
+               "pretrain")
+
+
+def _same_file(a, b):
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one is missing, so writing ``a`` leaves ``b`` alone
+        return False
+
+
+def _check_out_spares_inputs(args):
+    """ConfigError when ``--out``, or its run manifest, is the same file as
+    an input of the command, which the write would replace."""
+    for flag in INPUT_FLAGS:
+        if flag == "model" and args.command != "predict":
+            continue
+        for path in np.ravel(getattr(args, flag, None) or []).tolist():
+            for target, name in ((args.out, "--out"),
+                                 (args.out + ".manifest.json",
+                                  "the run manifest")):
+                if _same_file(target, path):
+                    raise ConfigError(f"{name} {target} would overwrite "
+                                      f"--{flag} {path}")
+
+
 def main(argv=None) -> int:
     _setup_logging()
     try:
@@ -519,6 +548,7 @@ def main(argv=None) -> int:
     try:
         _check_flags(args)
         if args.out:
+            _check_out_spares_inputs(args)
             _check_out(args.out)
         args.handler(args, _Run(args, sys.argv[1:] if argv is None else argv))
         return 0

@@ -31,6 +31,19 @@ SPLITS = ("train", "val", "test")
 # ``str.splitlines`` ends its row at any of these
 ID_BREAKS = frozenset(",\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
+
+def id_fault(clip_id):
+    """Why no score table can hold ``clip_id``, or None. A comma or a line
+    break would split its row, and a lone surrogate (which a JSON string
+    can spell) has no UTF-8 form to write."""
+    if not ID_BREAKS.isdisjoint(clip_id):
+        return "a score table cannot hold an id with a comma or a line break"
+    try:
+        clip_id.encode("utf-8")
+    except UnicodeEncodeError:
+        return "a score table cannot hold an id with a lone surrogate"
+    return None
+
 # Canonical 7-emotion order used throughout (index 0..6).
 CANONICAL_CLASS_NAMES = ("Angry", "Disgust", "Fear", "Happy", "Sad", "Neutral", "Surprise")
 
@@ -130,9 +143,9 @@ class Dataset:
 def _check_clip(clip: Clip, dims):
     d_feature, n_classes, d_audio = dims
     where = f"clip {clip.id!r}"
-    if not ID_BREAKS.isdisjoint(clip.id):
-        raise DataValidationError(f"{where}: a score table cannot hold an id "
-                                  f"with a comma or a line break")
+    fault = id_fault(clip.id)
+    if fault:
+        raise DataValidationError(f"{where}: {fault}")
     if clip.n_frames < 1:
         raise DataValidationError(f"{where}: must contain at least one frame")
     if clip.split not in SPLITS:

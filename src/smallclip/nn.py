@@ -293,6 +293,18 @@ def _fronts(buffer, shapes):
             for shape, size, end in zip(shapes, sizes, ends)]
 
 
+def _training_arrays(buffer, xs_shape, lead, H):
+    """The BPTT cache of a (..., T, B, D) time-major batch (the inputs, the
+    gates, c and tanh(c)) and then one flat work region, consecutive from
+    the front of ``buffer`` (``_fronts``). The work region holds a step's
+    rows: the forward's gate product and two (..., B, H) rows, the
+    backward's five rows, or one gate block's weight-gradient product."""
+    *_, T, B, D = xs_shape
+    work = math.prod(lead) * max(6 * B * H, H * max(D, H))
+    return _fronts(buffer, [xs_shape, (*lead, T, B, 4 * H)]
+                   + [(*lead, T, B, H)] * 2 + [(work,)])
+
+
 def lstm_forward(params: LSTMParams, xs, keep_caches=True):
     """Run a (..., B, T, D) batch through the cell from zero state.
 
@@ -307,12 +319,14 @@ def lstm_forward(params: LSTMParams, xs, keep_caches=True):
     None, so memory stays flat in T. Stacked parameters take xs of shape
     (M, B, T, D), or (B, T, D) shared by all members.
 
-    A training forward carves its cache from the front of ``params.spent``
-    when that is large enough, and clears ``params.spent`` either way: so
-    training allocates and first touches one buffer for all its batch
-    shapes, and a forward whose earlier cache has not been through backward
-    yet gets a new one. The results are the same either way. An inference
-    forward neither reads nor clears ``params.spent``.
+    A training forward carves its cache, and the work region after it
+    (``_training_arrays``) in which it and ``lstm_backward`` do their
+    per-step work, from the front of ``params.spent`` when that is large
+    enough, and clears ``params.spent`` either way: so training allocates
+    and first touches one buffer for all its batch shapes and steps, and a
+    forward whose earlier cache has not been through backward yet gets a
+    new one. The results are the same either way. An inference forward
+    neither reads nor clears ``params.spent``.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim < 3 or xs.shape[-1] != params.d_in:
@@ -327,11 +341,10 @@ def lstm_forward(params: LSTMParams, xs, keep_caches=True):
     block, row = (*lead, B, 4 * H), (*lead, B, H)
     if keep_caches:
         spent, params.spent = params.spent, None
-        arrays = _fronts(spent, [xs_t.shape, (*lead, T, B, 4 * H)]
-                         + [(*lead, T, B, H)] * 2)
-        arrays[0][...] = xs_t  # time-major: backward's products take it as is
-        xs_t, gates, cs, tcs = arrays
-        za, tg, c = _fronts(None, [block, row, row])
+        cache = _training_arrays(spent, xs_t.shape, lead, H)
+        cache[0][...] = xs_t  # time-major: backward's products take it as is
+        xs_t, gates, cs, tcs, work = cache
+        za, tg, c = _fronts(work, [block, row, row])
     else:  # inference: one gate block and its work, rewritten every step
         a, za, tg, tc, c = _fronts(None, [block] * 2 + [row] * 3)
     h = np.zeros(row)
@@ -365,36 +378,59 @@ def lstm_backward(params: LSTMParams, cache, dh_last):
     produced, ``o * tanh(c)``, over the next step's spent tanh(c), so the
     tanh(c) array ends as the per-step input hidden states. A cache thus
     serves one backward pass, which records its flat buffer as
-    ``params.spent`` for the next forward to work in. Each weight gradient
-    is then one matmul (per member) over all (T * B) rows.
+    ``params.spent`` for the next forward to work in. Each step computes
+    the textbook expressions in their operation order, each into a fixed
+    row of the buffer's work region. Each weight gradient then gets one
+    gate's block of rows at a time, ``grad[k] += dz_k^T X`` over all
+    (T * B) rows, through one block of the same region; so a backward pass
+    allocates no arrays of its own.
     """
     xs, gates, cs, tcs = cache
     *lead, T, B, _ = gates.shape
     D, H = xs.shape[-1], params.hidden
-    dh = np.asarray(dh_last, dtype=np.float64)
-    dc = np.zeros_like(dh)
+    *_, work = _training_arrays(xs.base, xs.shape, lead, H)
+    dh, dc, do, dcell, s = _fronts(work, [(*lead, B, H)] * 5)
+    dh[...] = dh_last
+    dc[...] = 0.0
     for t in reversed(range(T)):
         a, tc = gates[..., t, :, :], tcs[..., t, :, :]
         i, f, g, o = (a[..., :H], a[..., H:2 * H], a[..., 2 * H:3 * H],
                       a[..., 3 * H:])
         if t + 1 < T:  # step t + 1 has read its tanh(c)
             np.multiply(o, tc, out=tcs[..., t + 1, :, :])
-        do = dh * tc
-        dcell = dc + dh * o * (1.0 - tc * tc)
-        di = dcell * g
-        df = dcell * cs[..., t, :, :]
-        dg = dcell * i
-        dc = dcell * f
-        a[..., 0:H] = di * i * (1.0 - i)
-        a[..., H:2 * H] = df * f * (1.0 - f)
-        a[..., 2 * H:3 * H] = dg * (1.0 - g * g)
-        a[..., 3 * H:] = do * o * (1.0 - o)
-        dh = a @ params.Wh.values
+        np.multiply(dh, tc, out=do)
+        np.multiply(tc, tc, out=s)  # dcell = dc + dh * o * (1 - tc * tc)
+        np.subtract(1.0, s, out=s)
+        np.multiply(dh, o, out=dcell)
+        dcell *= s
+        dcell += dc
+        # each gate's dz goes over the gate once nothing reads it
+        do *= o  # o: do * o * (1 - o)
+        np.subtract(1.0, o, out=s)
+        np.multiply(do, s, out=o)
+        np.multiply(dcell, cs[..., t, :, :], out=do)  # f: df * f * (1 - f)
+        do *= f
+        np.subtract(1.0, f, out=s)
+        np.multiply(dcell, f, out=dc)  # the next step's dc, before f goes
+        np.multiply(do, s, out=f)
+        np.multiply(dcell, g, out=do)  # i: di * i * (1 - i)
+        np.multiply(dcell, i, out=s)  # dg, before i goes
+        do *= i
+        np.subtract(1.0, i, out=dcell)
+        np.multiply(do, dcell, out=i)
+        np.multiply(g, g, out=do)  # g: dg * (1 - g * g)
+        np.subtract(1.0, do, out=do)
+        np.multiply(s, do, out=g)
+        np.matmul(a, params.Wh.values, out=dh)
     tcs[..., 0, :, :] = 0.0  # the zero initial state
     dz = gates.reshape(*lead, T * B, 4 * H)
     dzT = dz.swapaxes(-1, -2)
-    params.Wx.grad += dzT @ xs.reshape(*lead, T * B, D)
-    params.Wh.grad += dzT @ tcs.reshape(*lead, T * B, H)
+    for p, rows in ((params.Wx, xs.reshape(*lead, T * B, D)),
+                    (params.Wh, tcs.reshape(*lead, T * B, H))):
+        part, = _fronts(work, [(*lead, H, rows.shape[-1])])
+        for k in range(0, 4 * H, H):  # one gate's rows at a time
+            p.grad[..., k:k + H, :] += np.matmul(dzT[..., k:k + H, :], rows,
+                                                 out=part)
     params.b.grad += dz.sum(axis=-2)
     params.spent = xs.base
 

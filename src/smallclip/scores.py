@@ -2,8 +2,9 @@
 
 The format is one header row ``clip_id,p0,...,p{C-1}`` followed by one row
 per clip. Floats are written with ``repr`` so a read back is bit-exact. Every table,
-built or loaded, holds at least one row, no clip id holds a comma or a line
-break, and every row is finite and nonnegative with a positive sum.
+built or loaded, holds at least one row, every clip id is one a table can
+hold (``data.id_fault``), and every row is finite and nonnegative with a
+positive sum.
 Tables keep their row order; ``reordered`` aligns one table to another's.
 """
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ID_BREAKS, atomic_write_text, read_text
+from .data import atomic_write_text, id_fault, read_text
 from .errors import ContractError, ParseError
 
 
@@ -33,10 +34,9 @@ class ScoreTable:
         if len(set(self.ids)) != len(self.ids):
             raise ContractError("duplicate clip ids in score table")
         for cid in self.ids:
-            if not ID_BREAKS.isdisjoint(cid):
-                raise ContractError(
-                    f"clip {cid!r}: a score table cannot hold an id with a "
-                    f"comma or a line break")
+            fault = id_fault(cid)
+            if fault:
+                raise ContractError(f"clip {cid!r}: {fault}")
         p = self.probs
         finite = np.isfinite(p).all(axis=1)
         nonnegative = (p >= 0).all(axis=1)

@@ -853,6 +853,60 @@ def test_unwritable_out_fails_before_any_work(
     assert _tree(workdir) == before
 
 
+@pytest.mark.parametrize("argv, flag, path, target", [
+    (["predict", "--model", "video.json", "--manifest", "data.jsonl",
+      "--out", "data.jsonl"], "manifest", "data.jsonl", "data.jsonl"),
+    (["predict", "--model", "video.json", "--manifest", "data.jsonl",
+      "--out", "./video.json"], "model", "video.json", "./video.json"),
+    (["evaluate", "--scores", "video.csv", "--manifest", "data.jsonl",
+      "--out", "video.csv"], "scores", "video.csv", "video.csv"),
+    (["evaluate", "--scores", "video.csv", "--manifest", "data.jsonl",
+      "--dist", "dist.csv", "--out", "dist.csv"], "dist", "dist.csv",
+     "dist.csv"),
+    (["train-video", "--manifest", "data.jsonl", "--config", "fast.cfg",
+      "--out", "fast.cfg"], "config", "fast.cfg", "fast.cfg"),
+    (["train-audio", "--manifest", "data.jsonl", "--model", "mlp",
+      "--pretrain", "pre.jsonl", "--out", "pre.jsonl"], "pretrain",
+     "pre.jsonl", "pre.jsonl"),
+    (["recipe", "--recipe", "my.recipe", "--manifest", "data.jsonl",
+      "--out", "my.recipe"], "recipe", "my.recipe", "my.recipe"),
+    (["validate", "--manifest", "data.jsonl.manifest.json", "--out",
+      "data.jsonl"], "manifest", "data.jsonl.manifest.json",
+     "data.jsonl.manifest.json"),
+], ids=["manifest", "model", "scores", "dist", "config", "pretrain",
+        "recipe", "sidecar"])
+def test_out_that_would_overwrite_an_input_fails_before_any_work(
+        workdir, capsys, monkeypatch, argv, flag, path, target):
+    monkeypatch.chdir(workdir)
+    assert main(["train-video", "--manifest", "data.jsonl", "--config",
+                 "fast.cfg", "--pooling", "avg-pool",
+                 "--out", "video.json"]) == 0
+    assert main(["predict", "--model", "video.json", "--manifest",
+                 "data.jsonl", "--out", "video.csv"]) == 0
+    (workdir / "dist.csv").write_text("class,count\nclass0,1\n")
+    (workdir / "pre.jsonl").write_bytes((workdir / "data.jsonl").read_bytes())
+    (workdir / "my.recipe").write_text("not read\n")
+    capsys.readouterr()
+    _never_train(monkeypatch)
+    before = _tree(workdir)
+    kept = (workdir / path).read_bytes()
+    assert main(argv) == 2
+    name = "--out" if target == argv[-1] else "the run manifest"
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {name} {target} would overwrite --{flag} {path}"]
+    assert (workdir / path).read_bytes() == kept
+    assert _tree(workdir) == before
+
+
+def test_a_model_kind_is_no_input_file(workdir, monkeypatch):
+    # outside predict, --model names a kind, not a checkpoint to read
+    monkeypatch.chdir(workdir)
+    (workdir / "forest").write_text("an earlier output\n")
+    assert main(["train-audio", "--manifest", "data.jsonl", "--config",
+                 "fast.cfg", "--model", "forest", "--out", "forest"]) == 0
+    assert (workdir / "forest").read_text().startswith("{")
+
+
 @pytest.mark.parametrize("train", [
     ["train-video", "--pooling", "lstm"],
     ["train-video", "--pooling", "score-mean"],
@@ -913,6 +967,18 @@ def test_an_id_no_table_can_hold_fails_at_load(workdir, capsys, monkeypatch,
         f"error: clip {clip_id!r}: a score table cannot hold an id with a "
         f"comma or a line break"]
     assert _tree(workdir) == before
+
+
+def test_validate_rejects_an_id_with_a_lone_surrogate(workdir, capsys):
+    m = workdir / "data.jsonl"
+    records = [json.loads(line) for line in m.read_text().splitlines()]
+    records[3]["id"] = "a\ud800"
+    m.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert "\\ud800" in m.read_text()  # JSON spells it as an escape
+    assert main(["validate", "--manifest", str(m)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: clip 'a\\ud800': a score table cannot hold an id with a "
+        "lone surrogate"]
 
 
 def _fresh(args, cwd=None, **env_vars):

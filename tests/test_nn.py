@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -273,7 +276,9 @@ def test_lstm_forward_writes_into_a_consumed_cache(rng):
     _, spent, _, _ = _forward_backward(p, xs1, dh)
     buffer = p.spent
     assert _carved_from(spent, buffer)
-    assert buffer.size == sum(a.size for a in spent)  # nothing else in it
+    # the cache, then the work region: six (B, H) rows here, more than
+    # one gate's (H, max(D, H)) block of a weight gradient
+    assert buffer.size == sum(a.size for a in spent) + 6 * 6 * 3
     h, cache, kept, grads = _forward_backward(p, xs2, dh, spent=buffer)
     # the same four arrays, carved again from the same buffer
     assert _carved_from(cache, buffer)
@@ -353,6 +358,105 @@ def test_lstm_training_forwards_before_backward_get_their_own_buffers(rng):
         for q, g in zip(p.params(), ref[1:]):
             np.testing.assert_array_equal(q.grad, g)  # bit for bit
             q.zero_grad()
+
+
+def _backward_reference(params, cache, dh_last):
+    """``lstm_backward`` as plain textbook code: each step's expressions
+    into fresh temporaries, then one (4H, .) product per weight gradient,
+    added to a copy of it. Returns the Wx, Wh and b gradients and leaves
+    the cache and the parameters as they are."""
+    xs, gates, cs, tcs = cache
+    *lead, T, B, _ = gates.shape
+    D, H = xs.shape[-1], params.hidden
+    hs = np.zeros_like(tcs)  # each step's input hidden state
+    dz = np.empty_like(gates)
+    dh, dc = dh_last, np.zeros_like(dh_last)
+    for t in reversed(range(T)):
+        a, tc = gates[..., t, :, :], tcs[..., t, :, :]
+        i, f, g, o = (a[..., :H], a[..., H:2 * H], a[..., 2 * H:3 * H],
+                      a[..., 3 * H:])
+        if t + 1 < T:
+            hs[..., t + 1, :, :] = o * tc
+        do = dh * tc
+        dcell = dc + dh * o * (1.0 - tc * tc)
+        di = dcell * g
+        df = dcell * cs[..., t, :, :]
+        dg = dcell * i
+        dc = dcell * f
+        dz[..., t, :, :] = np.concatenate(
+            [di * i * (1.0 - i), df * f * (1.0 - f), dg * (1.0 - g * g),
+             do * o * (1.0 - o)], axis=-1)
+        dh = dz[..., t, :, :] @ params.Wh.values
+    dz = dz.reshape(*lead, T * B, 4 * H)
+    dzT = dz.swapaxes(-1, -2)
+    return (params.Wx.grad + dzT @ xs.reshape(*lead, T * B, D),
+            params.Wh.grad + dzT @ hs.reshape(*lead, T * B, H),
+            params.b.grad + dz.sum(axis=-2))
+
+
+def _lstm(rng, members, D, H):
+    """A lone LSTM (``members`` None) or a stack of that many."""
+    models = [LSTMParams(D, H, rng=rng) for _ in range(members or 1)]
+    return models[0] if members is None else nn.stack_members(models)
+
+
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("T", [1, 5])
+@pytest.mark.parametrize("M", [None, 1, 2])
+def test_lstm_backward_matches_a_plain_loop_reference(M, T, B):
+    rng = np.random.default_rng([M or 0, T, B])
+    D, H = 5, 7  # at B 1, one gate's (H, H) block outgrows six (B, H) rows
+    p = _lstm(rng, M, D, H)
+    p.b.values += rng.standard_normal(p.b.shape) * 0.5
+    lead = () if M is None else (M,)
+    # a batch into zeroed gradients, then a shorter one, in the buffer of
+    # the first, added to them
+    for b, carved in ((B + 2, False), (B, True)):
+        spent = p.spent
+        xs = rng.standard_normal((*lead, b, T, D))
+        dh = rng.standard_normal((*lead, b, H))
+        _, cache = lstm_forward(p, xs)
+        assert (cache[0].base is spent) == carved
+        want = _backward_reference(p, cache, dh)
+        lstm_backward(p, cache, dh)
+        for q, w in zip(p.params(), want, strict=True):
+            assert q.grad.tobytes() == w.tobytes()  # bit for bit
+
+
+@pytest.mark.parametrize("M, B", [(None, 256), (2, 128)])
+def test_lstm_steps_after_the_first_allocate_no_rows(M, B):
+    # numpy's ufuncs over gate slices copy through iterator buffers of at
+    # most 8,192 elements; at B * H = 32,768 per member each stays below a
+    # quarter of one (..., B, H) row, so a temporary row would show
+    rng = np.random.default_rng(6)
+    T, D, H = 3, 128, 128
+    p = _lstm(rng, M, D, H)
+    lead = () if M is None else (M,)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for b in (B, B - 5, B):  # a short batch, then a full one again
+            xs = rng.standard_normal((*lead, b, T, D))
+            dh = rng.standard_normal((*lead, b, H))
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            h, cache = lstm_forward(p, xs)
+            forward = tracemalloc.get_traced_memory()[1] - start - h.nbytes
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            lstm_backward(p, cache, dh)
+            backward = tracemalloc.get_traced_memory()[1] - start
+            peaks.append((h.nbytes, forward, backward))
+    finally:
+        tracemalloc.stop()
+    row = 8 * math.prod(lead) * B * H
+    # the first forward allocates the buffer: cache and work region
+    assert peaks[0][1] > 10 * row
+    # later ones allocate their output h alone, and backward nothing,
+    # beyond the iterator buffers: no row and no (4H, .) product
+    for h_bytes, forward, backward in peaks[1:]:
+        assert h_bytes <= row
+        assert forward < row and backward < row
 
 
 def assert_close_relative(actual, expected, rtol):

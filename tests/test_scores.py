@@ -95,6 +95,14 @@ def test_ids_with_a_comma_or_line_break_rejected(cid):
     assert len(ScoreTable(["", "a b;\t"], np.ones((2, 3)))) == 2
 
 
+def test_an_id_with_a_lone_surrogate_rejected():
+    # a JSON string can spell one, and no UTF-8 file can hold it
+    with pytest.raises(ContractError, match=r"^clip 'a\\ud800': a score table "
+                                            r"cannot hold an id with a lone "
+                                            r"surrogate$"):
+        ScoreTable(["b", "a\ud800"], np.ones((2, 3)))
+
+
 def test_shape_mismatch_rejected():
     with pytest.raises(ContractError):
         ScoreTable(["a", "b", "c"], np.ones((2, 3)))
