@@ -44,6 +44,7 @@ def id_fault(clip_id):
         return "a score table cannot hold an id with a lone surrogate"
     return None
 
+
 # Canonical 7-emotion order used throughout (index 0..6).
 CANONICAL_CLASS_NAMES = ("Angry", "Disgust", "Fear", "Happy", "Sad", "Neutral", "Surprise")
 

@@ -255,8 +255,8 @@ class LSTMParams:
 
     Wx is (4H, D), Wh is (4H, H), b is (4H,); the forget-gate bias slice is
     initialized to 1.0. ``spent`` is the flat buffer under the BPTT cache
-    that ``lstm_backward`` last consumed, or None; the next training
-    ``lstm_forward`` carves its cache from it.
+    and the step work that ``lstm_backward`` last consumed, or None; the
+    next training ``lstm_forward`` carves both from it.
     """
 
     def __init__(self, d_in, hidden, rng=None, name="lstm"):
@@ -383,7 +383,7 @@ def lstm_backward(params: LSTMParams, cache, dh_last):
     row of the buffer's work region. Each weight gradient then gets one
     gate's block of rows at a time, ``grad[k] += dz_k^T X`` over all
     (T * B) rows, through one block of the same region; so a backward pass
-    allocates no arrays of its own.
+    allocates no (B, H) row and no (4H, .) product.
     """
     xs, gates, cs, tcs = cache
     *lead, T, B, _ = gates.shape
