@@ -473,6 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_flags(args):
     """ConfigError naming the first flag whose value is out of range."""
+    if getattr(args, "out", None) == "":
+        raise ConfigError("--out must name a file, got ''")
     if getattr(args, "jobs", 1) < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     for key in ("seed", "centroid_seed", "seeds"):

@@ -8,10 +8,8 @@ return the input gradient, which the layer in front consumes; ``Linear``,
 linear layer's input gradient forms ``grad_out @ W`` itself. The inputs of
 the first layers are frozen features from pretrained networks. Forward and
 backward are pure given (parameters, input, rng state); the deliberate
-exceptions are batch-norm's running-statistics update in train mode, which is
-itself deterministic and does not affect the train-mode output, and the LSTM's
-reuse of a consumed BPTT cache (``LSTMParams.spent``), which decides where a
-training forward works but not what it computes.
+exception is batch-norm's running-statistics update in train mode, which is
+itself deterministic and does not affect the train-mode output.
 
 The leading member axis is optional: a layer whose arrays are M models'
 stacked on axis 0 (``stack_members``) runs each model's math on its slice.
@@ -254,9 +252,7 @@ class LSTMParams:
     """Packed gate parameters, gate order [input, forget, cell, output].
 
     Wx is (4H, D), Wh is (4H, H), b is (4H,); the forget-gate bias slice is
-    initialized to 1.0. ``spent`` is the flat buffer under the BPTT cache
-    and the step work that ``lstm_backward`` last consumed, or None; the
-    next training ``lstm_forward`` carves both from it.
+    initialized to 1.0.
     """
 
     def __init__(self, d_in, hidden, rng=None, name="lstm"):
@@ -276,7 +272,6 @@ class LSTMParams:
         self.Wx = ParamTensor(f"{name}.Wx", wx)
         self.Wh = ParamTensor(f"{name}.Wh", wh)
         self.b = ParamTensor(f"{name}.b", b)
-        self.spent = None
 
     def params(self):
         return [self.Wx, self.Wh, self.b]
@@ -284,9 +279,9 @@ class LSTMParams:
 
 def _fronts(buffer, shapes):
     """Consecutive arrays of ``shapes`` from the front of the flat
-    ``buffer`` when it is large enough, else from a new one."""
+    ``buffer``, or from a new one when it is None."""
     sizes = [math.prod(shape) for shape in shapes]
-    if buffer is None or buffer.size < sum(sizes):
+    if buffer is None:
         buffer = np.empty(sum(sizes))
     ends = np.cumsum(sizes).tolist()
     return [buffer[end - size:end].reshape(shape)
@@ -319,14 +314,9 @@ def lstm_forward(params: LSTMParams, xs, keep_caches=True):
     None, so memory stays flat in T. Stacked parameters take xs of shape
     (M, B, T, D), or (B, T, D) shared by all members.
 
-    A training forward carves its cache, and the work region after it
-    (``_training_arrays``) in which it and ``lstm_backward`` do their
-    per-step work, from the front of ``params.spent`` when that is large
-    enough, and clears ``params.spent`` either way: so training allocates
-    and first touches one buffer for all its batch shapes and steps, and a
-    forward whose earlier cache has not been through backward yet gets a
-    new one. The results are the same either way. An inference forward
-    neither reads nor clears ``params.spent``.
+    A training forward allocates one flat buffer for its cache and the
+    work region after it (``_training_arrays``), in which it and
+    ``lstm_backward`` do their per-step work.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim < 3 or xs.shape[-1] != params.d_in:
@@ -340,8 +330,7 @@ def lstm_forward(params: LSTMParams, xs, keep_caches=True):
     xs_t = xs.swapaxes(-3, -2)  # (..., T, B, D), a view
     block, row = (*lead, B, 4 * H), (*lead, B, H)
     if keep_caches:
-        spent, params.spent = params.spent, None
-        cache = _training_arrays(spent, xs_t.shape, lead, H)
+        cache = _training_arrays(None, xs_t.shape, lead, H)
         cache[0][...] = xs_t  # time-major: backward's products take it as is
         xs_t, gates, cs, tcs, work = cache
         za, tg, c = _fronts(work, [block, row, row])
@@ -376,14 +365,14 @@ def lstm_backward(params: LSTMParams, cache, dh_last):
     The time loop carries only ``dh`` and ``dc``: each step writes its
     pre-activation gradient dz over its gate cache and the hidden state it
     produced, ``o * tanh(c)``, over the next step's spent tanh(c), so the
-    tanh(c) array ends as the per-step input hidden states. A cache thus
-    serves one backward pass, which records its flat buffer as
-    ``params.spent`` for the next forward to work in. Each step computes
-    the textbook expressions in their operation order, each into a fixed
-    row of the buffer's work region. Each weight gradient then gets one
-    gate's block of rows at a time, ``grad[k] += dz_k^T X`` over all
-    (T * B) rows, through one block of the same region; so a backward pass
-    allocates no (B, H) row and no (4H, .) product.
+    tanh(c) array ends as the per-step input hidden states, and a cache
+    serves one backward pass. Each step computes the textbook expressions
+    in their operation order, each into a fixed row of the work region
+    that follows the cache in its buffer (``xs.base``). Each weight
+    gradient then gets one gate's block of rows at a time,
+    ``grad[k] += dz_k^T X`` over all (T * B) rows, through one block of the
+    same region; so a backward pass allocates no (B, H) row and no (4H, .)
+    product.
     """
     xs, gates, cs, tcs = cache
     *lead, T, B, _ = gates.shape
@@ -425,14 +414,13 @@ def lstm_backward(params: LSTMParams, cache, dh_last):
     tcs[..., 0, :, :] = 0.0  # the zero initial state
     dz = gates.reshape(*lead, T * B, 4 * H)
     dzT = dz.swapaxes(-1, -2)
-    for p, rows in ((params.Wx, xs.reshape(*lead, T * B, D)),
+    for p, rows in ((params.Wx, xs.reshape(*xs.shape[:-3], T * B, D)),
                     (params.Wh, tcs.reshape(*lead, T * B, H))):
         part, = _fronts(work, [(*lead, H, rows.shape[-1])])
         for k in range(0, 4 * H, H):  # one gate's rows at a time
             p.grad[..., k:k + H, :] += np.matmul(dzT[..., k:k + H, :], rows,
                                                  out=part)
     params.b.grad += dz.sum(axis=-2)
-    params.spent = xs.base
 
 
 # -- MLP head ------------------------------------------------------------------

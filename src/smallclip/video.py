@@ -165,9 +165,7 @@ class VideoModel:
         and returns (M, B, C) logits. The cache serves the parameters'
         gradients only: ``F`` is frozen. ``keep_cache=False`` is for
         inference: the LSTM then keeps no BPTT caches, so the returned cache
-        cannot be passed to ``backward_batch``. A training forward of the
-        LSTM works in the cache that its last backward consumed when that
-        is large enough (``lstm_forward``).
+        cannot be passed to ``backward_batch``.
         """
         if self.kind == "avg-pool":
             return self.classifier.forward(pool_average(F))

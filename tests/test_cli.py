@@ -824,16 +824,17 @@ def _tree(root):
     return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
 
 
-@pytest.mark.parametrize("bad, reason", [
-    ("missing/out.csv", "No such file or directory"),
-    ("data.jsonl/out.csv", "Not a directory"),
-    ("taken", "Is a directory"),
-    ("sidecar.csv", "Is a directory"),
+@pytest.mark.parametrize("bad, code, error", [
+    ("missing/out.csv", 1, "cannot write {out}: No such file or directory"),
+    ("data.jsonl/out.csv", 1, "cannot write {out}: Not a directory"),
+    ("taken", 1, "cannot write {out}: Is a directory"),
+    ("sidecar.csv", 1, "cannot write {out}.manifest.json: Is a directory"),
+    (None, 2, "--out must name a file, got ''"),
 ], ids=["missing-dir", "parent-is-a-file", "out-is-a-dir",
-        "sidecar-is-a-dir"])
+        "sidecar-is-a-dir", "empty"])
 @pytest.mark.parametrize("command", list(OUT_COMMANDS))
 def test_unwritable_out_fails_before_any_work(
-        workdir, capsys, monkeypatch, command, bad, reason):
+        workdir, capsys, monkeypatch, command, bad, code, error):
     monkeypatch.chdir(workdir)
     assert main(["train-video", "--manifest", "data.jsonl", "--config",
                  "fast.cfg", "--pooling", "avg-pool",
@@ -845,11 +846,10 @@ def test_unwritable_out_fails_before_any_work(
     capsys.readouterr()
     _never_train(monkeypatch)
     before = _tree(workdir)
-    out = str(workdir / bad)
-    assert main(OUT_COMMANDS[command] + ["--out", out]) == 1
-    target = out + (".manifest.json" if bad == "sidecar.csv" else "")
+    out = "" if bad is None else str(workdir / bad)
+    assert main(OUT_COMMANDS[command] + ["--out", out]) == code
     assert capsys.readouterr().err.splitlines() == [
-        f"error: cannot write {target}: {reason}"]
+        "error: " + error.format(out=out)]
     assert _tree(workdir) == before
 
 

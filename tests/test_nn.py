@@ -245,18 +245,43 @@ def test_lstm_forward_without_caches_matches(rng):
     assert np.array_equal(gates[-1, :, 9:] * tcs[-1], h)
 
 
-def _forward_backward(p, xs, dh, spent=None):
-    """h, the BPTT cache's arrays before backward, and the gradients, from a
-    forward that finds ``spent`` (a flat buffer, or None) recorded on ``p``."""
+def _forward_backward(p, xs, dh):
+    """h, the BPTT cache's arrays before backward, and the gradients of one
+    training step into zeroed gradients."""
     for q in p.params():
         q.zero_grad()
-    p.spent = spent
     h, cache = lstm_forward(p, xs)
-    assert p.spent is None  # a training forward takes the buffer
     kept = [a.copy() for a in cache]
-    dx = lstm_backward(p, cache, dh)
-    assert p.spent is cache[0].base  # backward records the one it consumed
-    return h, cache, kept, [dx] + [q.grad.copy() for q in p.params()]
+    lstm_backward(p, cache, dh)
+    return [h] + kept + [q.grad.copy() for q in p.params()]
+
+
+@pytest.mark.parametrize("before", [
+    "larger-batch", "short-batch", "inference", "open-forward"])
+def test_lstm_step_is_bit_identical_whatever_ran_before(before):
+    rng = np.random.default_rng(7)
+    p = LSTMParams(4, 3, rng=rng)
+    xs, dh = rng.standard_normal((6, 5, 4)), rng.standard_normal((6, 3))
+    want = _forward_backward(p, xs, dh)
+    b = 3 if before == "short-batch" else 8
+    xs0, dh0 = rng.standard_normal((b, 5, 4)), rng.standard_normal((b, 3))
+    if before == "inference":
+        lstm_forward(p, xs0, keep_caches=False)
+    elif before == "open-forward":  # two forwards before either backward
+        want0 = _forward_backward(p, xs0, dh0)[-3:]
+        _, cache0 = lstm_forward(p, xs0)
+    else:
+        _forward_backward(p, xs0, dh0)
+    got = _forward_backward(p, xs, dh)
+    for a, w in zip(got, want, strict=True):
+        assert a.shape == w.shape
+        assert a.tobytes() == w.tobytes()  # bit for bit
+    if before == "open-forward":
+        for q in p.params():
+            q.zero_grad()
+        lstm_backward(p, cache0, dh0)
+        for q, w in zip(p.params(), want0, strict=True):
+            assert q.grad.tobytes() == w.tobytes()
 
 
 def _carved_from(arrays, buffer):
@@ -269,95 +294,12 @@ def _carved_from(arrays, buffer):
     return True
 
 
-def test_lstm_forward_writes_into_a_consumed_cache(rng):
-    p = LSTMParams(4, 3, rng=rng)
-    xs1, xs2 = rng.standard_normal((2, 6, 5, 4))
-    dh = rng.standard_normal((6, 3))
-    _, spent, _, _ = _forward_backward(p, xs1, dh)
-    buffer = p.spent
-    assert _carved_from(spent, buffer)
-    # the cache, then the work region: six (B, H) rows here, more than
-    # one gate's (H, max(D, H)) block of a weight gradient
-    assert buffer.size == sum(a.size for a in spent) + 6 * 6 * 3
-    h, cache, kept, grads = _forward_backward(p, xs2, dh, spent=buffer)
-    # the same four arrays, carved again from the same buffer
-    assert _carved_from(cache, buffer)
-    assert [a.shape for a in cache] == [a.shape for a in spent]
-    h_ref, _, kept_ref, grads_ref = _forward_backward(p, xs2, dh)
-    assert np.array_equal(h, h_ref)  # bit for bit
-    for a, b in zip(kept + grads, kept_ref + grads_ref):
-        np.testing.assert_array_equal(a, b)
-
-
-def test_lstm_forward_writes_a_short_batch_into_a_larger_cache(rng):
-    p = LSTMParams(4, 3, rng=rng)
-    dh = rng.standard_normal((4, 3))
-    _forward_backward(p, rng.standard_normal((6, 5, 4)),
-                      rng.standard_normal((6, 3)))
-    buffer = p.spent
-    xs = rng.standard_normal((4, 5, 4))  # a short last batch
-    h, cache, kept, grads = _forward_backward(p, xs, dh, spent=buffer)
-    # the front of the same buffer, shaped for this batch
-    assert _carved_from(cache, buffer)
-    h_ref, cache_ref, kept_ref, grads_ref = _forward_backward(p, xs, dh)
-    assert np.array_equal(h, h_ref)  # bit for bit
-    for a, b in zip(cache, cache_ref):
-        assert a.shape == b.shape
-    for a, b in zip(kept + grads, kept_ref + grads_ref):
-        np.testing.assert_array_equal(a, b)
-
-
-def test_lstm_forward_leaves_a_cache_too_small_untouched(rng):
-    p = LSTMParams(4, 3, rng=rng)
-    _forward_backward(p, rng.standard_normal((4, 5, 4)),
-                      rng.standard_normal((4, 3)))
-    buffer = p.spent
-    before = buffer.copy()
-    xs = rng.standard_normal((6, 5, 4))  # a larger batch
-    h, cache = lstm_forward(p, xs)
-    assert p.spent is None  # taken, though too small
-    h_ref, cache_ref = lstm_forward(p, xs)
-    assert np.array_equal(h, h_ref)
-    assert not any(np.shares_memory(a, buffer) for a in cache)
-    for a, b in zip(cache, cache_ref):
-        np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(buffer, before)
-
-
-def test_lstm_inference_forward_leaves_a_spent_cache_alone(rng):
-    p = LSTMParams(4, 3, rng=rng)
-    xs = rng.standard_normal((5, 6, 4))  # 5 clips of 6 steps
-    h_ref, _ = lstm_forward(p, xs, keep_caches=False)
-    _forward_backward(p, rng.standard_normal((8, 6, 4)),
-                      rng.standard_normal((8, 3)))
-    buffer = p.spent
-    buffer[...] = np.nan
-    h, none = lstm_forward(p, xs, keep_caches=False)
-    assert none is None
-    assert p.spent is buffer  # left recorded for the next training forward
-    assert np.array_equal(h, h_ref)  # bit for bit
-    assert np.isnan(buffer).all()  # neither read nor written
-
-
-def test_lstm_training_forwards_before_backward_get_their_own_buffers(rng):
-    p = LSTMParams(4, 3, rng=rng)
-    xs1, xs2 = rng.standard_normal((2, 6, 5, 4))
-    dh1, dh2 = rng.standard_normal((2, 6, 3))
-    _, _, _, ref1 = _forward_backward(p, xs1, dh1)
-    _, _, _, ref2 = _forward_backward(p, xs2, dh2)
-    buffer = p.spent
-    for q in p.params():
-        q.zero_grad()
-    _, cache1 = lstm_forward(p, xs1)  # takes the spent buffer
-    _, cache2 = lstm_forward(p, xs2)  # cache1 is not consumed: a new one
-    assert _carved_from(cache1, buffer)
-    assert not any(np.shares_memory(a, buffer) for a in cache2)
-    for cache, dh, ref in ((cache1, dh1, ref1), (cache2, dh2, ref2)):
-        lstm_backward(p, cache, dh)
-        assert p.spent is cache[0].base
-        for q, g in zip(p.params(), ref[1:]):
-            np.testing.assert_array_equal(q.grad, g)  # bit for bit
-            q.zero_grad()
+def _buffer_size(lead, T, B, D, H):
+    """Elements of a training forward's flat buffer: the four-array BPTT
+    cache, then the work region of six (B, H) rows or one gate's
+    (H, max(D, H)) block of a weight gradient, whichever is larger."""
+    M = math.prod(lead)
+    return M * (T * B * (D + 4 * H + 2 * H) + max(6 * B * H, H * max(D, H)))
 
 
 def _backward_reference(params, cache, dh_last):
@@ -409,18 +351,33 @@ def test_lstm_backward_matches_a_plain_loop_reference(M, T, B):
     p = _lstm(rng, M, D, H)
     p.b.values += rng.standard_normal(p.b.shape) * 0.5
     lead = () if M is None else (M,)
-    # a batch into zeroed gradients, then a shorter one, in the buffer of
-    # the first, added to them
-    for b, carved in ((B + 2, False), (B, True)):
-        spent = p.spent
+    # a batch into zeroed gradients, then a shorter one added to them
+    for b in (B + 2, B):
         xs = rng.standard_normal((*lead, b, T, D))
         dh = rng.standard_normal((*lead, b, H))
         _, cache = lstm_forward(p, xs)
-        assert (cache[0].base is spent) == carved
+        # the cache, then the work region, tile one buffer
+        buffer = cache[0].base
+        assert _carved_from(cache, buffer)
+        assert buffer.size == _buffer_size(lead, T, b, D, H)
         want = _backward_reference(p, cache, dh)
         lstm_backward(p, cache, dh)
         for q, w in zip(p.params(), want, strict=True):
             assert q.grad.tobytes() == w.tobytes()  # bit for bit
+
+
+@pytest.mark.parametrize("T", [1, 5])
+def test_stacked_lstm_trains_on_a_batch_its_members_share(T):
+    rng = np.random.default_rng(T)
+    p = _lstm(rng, 2, 4, 3)
+    xs, dh = rng.standard_normal((5, T, 4)), rng.standard_normal((2, 5, 3))
+    # the same batch given to each member: what the shared one must give
+    want = _forward_backward(p, np.broadcast_to(xs, (2, *xs.shape)).copy(),
+                             dh)
+    got = _forward_backward(p, xs, dh)
+    for a, w in ((got[0], want[0]), *zip(got[-3:], want[-3:])):
+        assert a.shape == w.shape
+        assert a.tobytes() == w.tobytes()  # bit for bit
 
 
 @pytest.mark.parametrize("M, B", [(None, 256), (2, 128)])
@@ -441,21 +398,23 @@ def test_lstm_steps_after_the_first_allocate_no_rows(M, B):
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             h, cache = lstm_forward(p, xs)
-            forward = tracemalloc.get_traced_memory()[1] - start - h.nbytes
+            buffer = cache[0].base
+            forward = (tracemalloc.get_traced_memory()[1] - start - h.nbytes
+                       - buffer.nbytes)
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             lstm_backward(p, cache, dh)
             backward = tracemalloc.get_traced_memory()[1] - start
-            peaks.append((h.nbytes, forward, backward))
+            peaks.append((h.nbytes, buffer.size, _buffer_size(lead, T, b, D, H),
+                          forward, backward))
     finally:
         tracemalloc.stop()
     row = 8 * math.prod(lead) * B * H
-    # the first forward allocates the buffer: cache and work region
-    assert peaks[0][1] > 10 * row
-    # later ones allocate their output h alone, and backward nothing,
-    # beyond the iterator buffers: no row and no (4H, .) product
-    for h_bytes, forward, backward in peaks[1:]:
-        assert h_bytes <= row
+    # every forward allocates its output h and one buffer, for the cache
+    # and the work region, and backward nothing, beyond the iterator
+    # buffers: no row and no (4H, .) product
+    for h_bytes, size, want, forward, backward in peaks:
+        assert h_bytes <= row and size == want
         assert forward < row and backward < row
 
 

@@ -562,28 +562,6 @@ def test_stack_of_one_matches_per_model_reference(head, optimizer):
         assert len(log) == cfg.epochs
 
 
-def test_lstm_steps_write_into_the_cache_of_their_batch_shape(monkeypatch):
-    ds = short_batch_dataset()
-    cfg = TrainConfig(head="lstm", n=6, epochs=3, lstm_hidden=8)
-    written_into, buffers = [], set()
-    real = video_module.lstm_forward
-
-    def recording(params, xs, keep_caches=True):
-        spent = params.spent
-        h, new = real(params, xs, keep_caches=keep_caches)
-        written_into.append(spent is not None and all(
-            a.base is spent for a in new))
-        buffers.add(id(new[0].base))
-        return h, new
-
-    monkeypatch.setattr(video_module, "lstm_forward", recording)
-    train_video_models(ds, cfg, [0, 1])
-    # the first step allocates the one buffer; every later step, of 16 rows
-    # or of the 3-row last batch, writes its cache into its front
-    assert written_into == [False] + [True] * 8
-    assert len(buffers) == 1
-
-
 def test_lstm_training_peak_stays_in_its_persistent_arrays():
     # batches of 16, 16 and 3; the 133 val clips are not scored, so neither
     # their frames nor a forward over them is held
