@@ -16,8 +16,15 @@ up to N forked worker processes, capped at the CPUs this process may run
 on, each with a fixed share of the units and its own pipe back; it never
 changes results.
 
-Exit codes: 0 success, 2 usage error, 1 runtime error. ``SMALLCLIP_LOG``
-(error, info, debug) controls logging verbosity.
+Exit codes: 0 success, 2 usage error, 1 runtime error. A failure prints
+one ``error: <message>`` line to stderr. ``SMALLCLIP_LOG`` adds lines of
+the form ``<LEVEL> smallclip: <message>`` to stderr, never to stdout:
+
+- ``error`` (the default, and what any other value means): none;
+- ``info``: ``INFO smallclip: wrote <out>.manifest.json`` per run manifest;
+- ``debug``: those, and before a failure's ``error:`` line, ``DEBUG
+  smallclip: usage error`` or ``DEBUG smallclip: runtime error`` followed
+  by the exception's traceback.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ import argparse
 import errno
 import gc
 import json
-import logging
 import os
 import sys
 import time
@@ -60,18 +66,24 @@ from .scores import ScoreTable, load_score_table, write_score_table
 from .synth import SynthConfig, generate_synthetic
 from .video import train_video_model
 
-log = logging.getLogger("smallclip")
+# the levels each ``SMALLCLIP_LOG`` value shows; ``error``, the default,
+# and any other value show none. The standard library's ``logging`` is not
+# used: with the ``traceback`` and ``string`` modules it loads, it costs
+# every process about 0.5 MB and 3 ms for three lines.
+_LOG_SHOWS = {"info": ("info",), "debug": ("info", "debug")}
 
-_LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO,
-               "debug": logging.DEBUG}
 
-
-def _setup_logging():
+def _log(level, message, exc=False):
+    """Write ``<LEVEL> smallclip: <message>`` to stderr when
+    ``SMALLCLIP_LOG`` shows ``level``; with ``exc``, the traceback of the
+    exception being handled follows it."""
     wanted = os.environ.get("SMALLCLIP_LOG", "error").lower()
-    level = _LOG_LEVELS.get(wanted, logging.ERROR)
-    logging.basicConfig(level=level,
-                        format="%(levelname)s %(name)s: %(message)s")
-    log.setLevel(level)
+    if level not in _LOG_SHOWS.get(wanted, ()):
+        return
+    sys.stderr.write(f"{level.upper()} smallclip: {message}\n")
+    if exc:
+        import traceback  # loaded only when a traceback prints
+        traceback.print_exc(file=sys.stderr)
 
 
 # -- run manifests -------------------------------------------------------------
@@ -106,7 +118,7 @@ class _Run:
         path = str(out_path) + ".manifest.json"
         atomic_write_text(path, json.dumps(manifest, indent=2,
                                            sort_keys=True) + "\n")
-        log.info("wrote %s", path)
+        _log("info", f"wrote {path}")
 
     def write(self, path, text):
         """Write ``text`` to ``path`` and its manifest; no path, no write."""
@@ -542,7 +554,6 @@ def _check_out_spares_inputs(args):
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse handles --help and usage errors
@@ -555,11 +566,11 @@ def main(argv=None) -> int:
         args.handler(args, _Run(args, sys.argv[1:] if argv is None else argv))
         return 0
     except ConfigError as exc:
-        log.debug("usage error", exc_info=True)
+        _log("debug", "usage error", exc=True)
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except SmallclipError as exc:
-        log.debug("runtime error", exc_info=True)
+        _log("debug", "runtime error", exc=True)
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

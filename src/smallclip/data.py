@@ -329,8 +329,11 @@ def load_distribution(path) -> ClassDistribution:
     """Read a ``class,count`` CSV; the counts must not all be 0."""
     import csv  # imported where used: every command loads this module
 
-    rows = list(csv.reader(io.StringIO(read_text(path, "distribution"),
-                                       newline="")))
+    try:
+        rows = list(csv.reader(io.StringIO(read_text(path, "distribution"),
+                                           newline="")))
+    except csv.Error as e:  # such as a field past csv's size limit
+        raise ParseError(f"{path}: {e}") from e
     if not rows or [c.strip() for c in rows[0]] != ["class", "count"]:
         raise ParseError(f"{path}: expected header 'class,count'")
     counts = []
@@ -343,6 +346,8 @@ def load_distribution(path) -> ClassDistribution:
             raise ParseError(f"{path}: line {i}: bad count {row[1]!r}") from e
         if counts[-1] < 0:
             raise ParseError(f"{path}: line {i}: negative count {row[1]!r}")
+    if sum(counts) > np.iinfo(np.int64).max:  # int64 would wrap silently
+        raise ParseError(f"{path}: class counts sum past the int64 limit")
     dist = ClassDistribution(np.array(counts, dtype=np.int64))
     if dist.total == 0:
         raise ParseError(f"{path}: class counts sum to 0")

@@ -372,7 +372,9 @@ def lstm_backward(params: LSTMParams, cache, dh_last):
     gradient then gets one gate's block of rows at a time,
     ``grad[k] += dz_k^T X`` over all (T * B) rows, through one block of the
     same region; so a backward pass allocates no (B, H) row and no (4H, .)
-    product.
+    product. Step 0 forms no ``dh`` or ``dc`` for the step before it: those
+    are the gradients of the constant zero initial state, which nothing
+    reads.
     """
     xs, gates, cs, tcs = cache
     *lead, T, B, _ = gates.shape
@@ -400,7 +402,8 @@ def lstm_backward(params: LSTMParams, cache, dh_last):
         np.multiply(dcell, cs[..., t, :, :], out=do)  # f: df * f * (1 - f)
         do *= f
         np.subtract(1.0, f, out=s)
-        np.multiply(dcell, f, out=dc)  # the next step's dc, before f goes
+        if t:  # the next step's dc, before f goes
+            np.multiply(dcell, f, out=dc)
         np.multiply(do, s, out=f)
         np.multiply(dcell, g, out=do)  # i: di * i * (1 - i)
         np.multiply(dcell, i, out=s)  # dg, before i goes
@@ -410,7 +413,8 @@ def lstm_backward(params: LSTMParams, cache, dh_last):
         np.multiply(g, g, out=do)  # g: dg * (1 - g * g)
         np.subtract(1.0, do, out=do)
         np.multiply(s, do, out=g)
-        np.matmul(a, params.Wh.values, out=dh)
+        if t:
+            np.matmul(a, params.Wh.values, out=dh)
     tcs[..., 0, :, :] = 0.0  # the zero initial state
     dz = gates.reshape(*lead, T * B, 4 * H)
     dzT = dz.swapaxes(-1, -2)

@@ -1015,10 +1015,55 @@ def test_cli_import_runs_blas_on_one_thread():
 
 
 def test_cli_import_loads_no_module_it_never_uses():
-    # weighted accuracy and distribution files import these where used
+    # weighted accuracy and distribution files import these where used, and
+    # SMALLCLIP_LOG's lines need no logging
     loaded = _fresh(["-c", "import sys, smallclip.cli; print(*sorted("
-                     "{'fractions', 'decimal', 'csv'} & set(sys.modules)))"])
+                     "{'fractions', 'decimal', 'csv', 'logging'} "
+                     "& set(sys.modules)))"])
     assert loaded.split() == []
+
+
+def test_a_command_run_as_smallclip_loads_no_logging(workdir):
+    out = _fresh(["-c", "import sys, smallclip.cli as cli; code = cli.run(); "
+                  "print(code, 'logging' in sys.modules)",
+                  "validate", "--manifest", str(workdir / "data.jsonl")])
+    assert out.split()[-2:] == ["0", "False"]
+
+
+@pytest.mark.parametrize("level", [None, "error", "info", "debug", "DEBUG",
+                                   "verbose"])
+def test_smallclip_log_adds_stderr_lines_only(workdir, capsys, monkeypatch,
+                                              level):
+    m, out = str(workdir / "data.jsonl"), str(workdir / "v.txt")
+    runs = [(["validate", "--manifest", m, "--out", out], 0, None),
+            (["validate", "--manifest", str(workdir / "gone.jsonl")], 1,
+             "runtime error"),
+            (["ensemble", "--manifest", m, "--count", "0", "--out", out], 2,
+             "usage error")]
+    monkeypatch.delenv("SMALLCLIP_LOG", raising=False)
+    unset = []
+    for argv, code, _ in runs:
+        assert main(argv) == code
+        unset.append(capsys.readouterr())
+    assert unset[0].err == ""
+    assert all(len(got.err.splitlines()) == 1 for got in unset[1:])
+    if level is not None:
+        monkeypatch.setenv("SMALLCLIP_LOG", level)
+    wanted = level.lower() if level in ("info", "debug", "DEBUG") else "error"
+    for (argv, code, event), quiet in zip(runs, unset):
+        assert main(argv) == code
+        got = capsys.readouterr()
+        assert got.out == quiet.out
+        if event is None:  # any other value means error, which adds nothing
+            assert got.err == ("" if wanted == "error" else
+                               f"INFO smallclip: wrote {out}.manifest.json\n")
+        elif wanted == "debug":  # the traceback, then the one error: line
+            head = (f"DEBUG smallclip: {event}\n"
+                    "Traceback (most recent call last):\n")
+            assert got.err.startswith(head) and got.err.endswith(quiet.err)
+            assert "smallclip.errors." in got.err
+        else:
+            assert got.err == quiet.err
 
 
 def test_run_freezes_the_collector_and_main_leaves_it_alone(workdir):
