@@ -91,10 +91,12 @@ def _log(level, message, exc=False):
 class _Run:
     """Collects manifest ingredients while a subcommand executes.
 
-    The seeds start as the run's ``--seed`` or ``--seeds``, if it has one.
+    The inputs are the paths of the files the command reads, in
+    ``INPUT_FLAGS`` order. The seeds start as the run's ``--seed`` or
+    ``--seeds``, if it has one.
     """
 
-    def __init__(self, args, argv):
+    def __init__(self, args, argv, inputs):
         self.command = args.command
         self.argv = list(argv)
         self.started = time.monotonic()
@@ -102,17 +104,15 @@ class _Run:
         self.seeds: list = ([given["seed"]] if "seed" in given
                             else list(given.get("seeds", [])))
         self.config: dict | None = None
-        self.inputs: list = []
-        self.outputs: list = []
+        self.inputs = inputs
         self.extra: dict = {}
 
     def emit(self, out_path):
         """Write ``<out_path>.manifest.json`` (sorted keys) for this run."""
-        self.outputs.append(str(out_path))
         manifest = {"command": self.command, "argv": self.argv,
                     "version": __version__, "seeds": self.seeds,
                     "config": self.config, "inputs": self.inputs,
-                    "outputs": self.outputs,
+                    "outputs": [str(out_path)],
                     "duration_s": time.monotonic() - self.started,
                     "extra": self.extra}
         path = str(out_path) + ".manifest.json"
@@ -120,25 +120,11 @@ class _Run:
                                            sort_keys=True) + "\n")
         _log("info", f"wrote {path}")
 
-    def write(self, path, text):
-        """Write ``text`` to ``path`` and its manifest; no path, no write."""
-        if path:
-            atomic_write_text(path, text)
-            self.emit(path)
-
 
 # -- shared helpers ------------------------------------------------------------
 
-def _load_manifest(run: _Run, path):
-    run.inputs.append(str(path))
-    return load_dataset(path)
-
-
 def _load_config(run: _Run, args) -> TrainConfig:
-    cfg = TrainConfig()
-    if getattr(args, "config", None):
-        run.inputs.append(args.config)
-        cfg = load_config(args.config)
+    cfg = load_config(args.config) if args.config else TrainConfig()
     if getattr(args, "pooling", None):
         cfg.head = args.pooling
     if getattr(args, "model", None):
@@ -148,23 +134,10 @@ def _load_config(run: _Run, args) -> TrainConfig:
     return cfg
 
 
-def _load_scores(run: _Run, paths) -> list:
-    run.inputs.extend(paths)
-    return [load_score_table(p) for p in paths]
-
-
-def _resolve_dist(run: _Run, path):
-    """The ``--dist`` distribution. A bare file name that does not exist
-    falls back to the packaged file of that name; any other path is read
-    as given."""
-    if path is None:
-        return None
-    if not os.path.dirname(path) and not os.path.exists(path):
-        packaged = packaged_distribution_path(path)
-        if os.path.isfile(packaged):
-            path = packaged
-    run.inputs.append(str(path))
-    return load_distribution(path)
+def _write(path, text):
+    """Write ``text`` to ``path``; no path, no write."""
+    if path:
+        atomic_write_text(path, text)
 
 
 def _members(args, cfg, seeds) -> list:
@@ -189,12 +162,9 @@ def _val_accuracy(model, clips):
     return evaluate(pred, [c.label for c in clips], model.n_classes).overall
 
 
-def _print(text):
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
 # -- subcommand handlers -------------------------------------------------------
-# Each takes the parsed flags and the run that ``main`` started.
+# Each takes the parsed flags and the run that ``main`` started, writes the
+# command's output file, if any, and returns what it prints.
 
 def _cmd_synth(args, run):
     names = {f.name for f in fields(SynthConfig)}
@@ -202,32 +172,30 @@ def _cmd_synth(args, run):
     run.config = dict(vars(cfg))
     ds = generate_synthetic(cfg, seed=args.seed)
     write_dataset(ds, args.out)
-    run.emit(args.out)
-    _print(f"wrote {len(ds.clips)} clips to {args.out}")
+    return f"wrote {len(ds.clips)} clips to {args.out}"
 
 
 def _cmd_validate(args, run):
-    text = validate_dataset(_load_manifest(run, args.manifest)).to_text()
-    run.write(args.out, text)
-    _print(text)
+    text = validate_dataset(load_dataset(args.manifest)).to_text()
+    _write(args.out, text)
+    return text
 
 
 def _cmd_train_video(args, run):
-    ds = _load_manifest(run, args.manifest)
+    ds = load_dataset(args.manifest)
     cfg = _load_config(run, args)
     model, history = train_video_model(ds, cfg, seed=args.seed)
     save_checkpoint(model, args.out)
     val = _val_accuracy(model, _scoreable("video", ds.split("val")))
     run.extra["final_epoch"] = dict(history[-1], val_accuracy=val)
-    run.emit(args.out)
-    _print(f"trained {cfg.head} head; "
-           f"val accuracy: {'n/a' if val is None else f'{val:.4f}'}")
+    return (f"trained {cfg.head} head; "
+            f"val accuracy: {'n/a' if val is None else f'{val:.4f}'}")
 
 
 def _cmd_train_audio(args, run):
-    ds = _load_manifest(run, args.manifest)
+    ds = load_dataset(args.manifest)
     cfg = _load_config(run, args)
-    pretrain = _load_manifest(run, args.pretrain) if args.pretrain else None
+    pretrain = load_dataset(args.pretrain) if args.pretrain else None
     model, history = train_audio_model(ds, cfg, seed=args.seed,
                                        pretrain=pretrain)
     save_checkpoint(model, args.out)
@@ -235,15 +203,13 @@ def _cmd_train_audio(args, run):
     history["val_accuracy"] = val
     run.extra["log"] = {k: v for k, v in history.items()
                         if k in ("val_accuracy", "train_accuracy", "lr")}
-    run.emit(args.out)
-    _print(f"trained audio {cfg.model}; "
-           f"val accuracy: {'n/a' if val is None else f'{val:.4f}'}")
+    return (f"trained audio {cfg.model}; "
+            f"val accuracy: {'n/a' if val is None else f'{val:.4f}'}")
 
 
 def _cmd_predict(args, run):
-    run.inputs.append(args.model)
     model = load_checkpoint(args.model)
-    ds = _load_manifest(run, args.manifest)
+    ds = load_dataset(args.manifest)
     clips = ds.clips if args.split == "all" else ds.split(args.split)
     if not clips:
         raise ContractError(f"no clips in split {args.split!r}")
@@ -252,32 +218,30 @@ def _cmd_predict(args, run):
         scores = model.predict_batch(clips)
     table = ScoreTable([c.id for c in clips], scores)
     write_score_table(table, args.out)
-    run.emit(args.out)
-    _print(f"scored {len(clips)} clips to {args.out}")
+    return f"scored {len(clips)} clips to {args.out}"
 
 
 def _cmd_fuse(args, run):
-    tables = _load_scores(run, args.scores)
+    tables = [load_score_table(p) for p in args.scores]
     table = fuse_tables(tables, weights=args.weights)
     run.extra["weights"] = args.weights
     write_score_table(table, args.out)
-    run.emit(args.out)
-    _print(f"fused {len(tables)} tables over {len(table)} clips to {args.out}")
+    return f"fused {len(tables)} tables over {len(table)} clips to {args.out}"
 
 
 def _cmd_learn_fusion(args, run):
-    tables = _load_scores(run, args.scores)
-    ds = _load_manifest(run, args.manifest)
+    tables = [load_score_table(p) for p in args.scores]
+    ds = load_dataset(args.manifest)
     weights, acc = learn_fusion_weights(tables, ds, grid_step=args.grid_step)
     payload = {"weights": [float(w) for w in weights], "accuracy": acc,
                "grid_step": args.grid_step, "sources": list(args.scores)}
-    run.write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _print("weights: " + " ".join(f"{w:g}" for w in weights)
-           + f"\naccuracy: {acc:.4f}")
+    _write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return ("weights: " + " ".join(f"{w:g}" for w in weights)
+            + f"\naccuracy: {acc:.4f}")
 
 
 def _cmd_ensemble(args, run):
-    ds = _load_manifest(run, args.manifest)
+    ds = load_dataset(args.manifest)
     cfg = _load_config(run, args)
     run.seeds = [args.seed + i for i in range(args.count)]
     run.extra["modality"] = args.modality
@@ -285,25 +249,24 @@ def _cmd_ensemble(args, run):
     fused = fuse_tables([ScoreTable(ids, p) for p in score_members(
         ds, cfg, _members(args, cfg, run.seeds), ds.clips, jobs=args.jobs)])
     write_score_table(fused, args.out)
-    run.emit(args.out)
-    _print(f"ensembled {args.count} members to {args.out}")
+    return f"ensembled {args.count} members to {args.out}"
 
 
 def _cmd_evaluate(args, run):
-    tables = _load_scores(run, [args.scores])
-    ds = _load_manifest(run, args.manifest)
-    dist = _resolve_dist(run, args.dist)
-    pred, true = predictions_from_table(tables[0], ds, args.split)
+    table = load_score_table(args.scores)
+    ds = load_dataset(args.manifest)
+    dist = load_distribution(args.dist) if args.dist else None
+    pred, true = predictions_from_table(table, ds, args.split)
     report = evaluate(pred, true, ds.n_classes, dist=dist)
     names = class_names(ds.n_classes)
     text = report.to_text(names)
     as_csv = (args.out or "").endswith(".csv")
-    run.write(args.out, report.to_csv(names) if as_csv else text)
-    _print(text)
+    _write(args.out, report.to_csv(names) if as_csv else text)
+    return text
 
 
 def _cmd_cross_validate(args, run):
-    ds = _load_manifest(run, args.manifest)
+    ds = load_dataset(args.manifest)
     cfg = _load_config(run, args)
 
     def fit_predict(fold_ds, fold):
@@ -313,12 +276,12 @@ def _cmd_cross_validate(args, run):
 
     pool = Dataset(_scoreable(args.modality, ds.clips), ds.dims, ds.meta)
     report = cross_validate(pool, args.folds, fit_predict, jobs=args.jobs)
-    run.write(args.out, report.to_csv())
-    _print(report.to_text())
+    _write(args.out, report.to_csv())
+    return report.to_text()
 
 
 def _cmd_repeat(args, run):
-    ds = _load_manifest(run, args.manifest)
+    ds = load_dataset(args.manifest)
     cfg = _load_config(run, args)
     val = _scoreable(args.modality, ds.split("val"))
     if not val:
@@ -328,8 +291,8 @@ def _cmd_repeat(args, run):
                           jobs=args.jobs)
     stats = RunStatistics(args.seeds, np.array(
         [int((p.argmax(axis=1) == true).sum()) / len(val) for p in probs]))
-    run.write(args.out, stats.to_csv())
-    _print(stats.to_text())
+    _write(args.out, stats.to_csv())
+    return stats.to_text()
 
 
 def _cmd_recipe(args, run):
@@ -337,22 +300,19 @@ def _cmd_recipe(args, run):
         raise ConfigError("give exactly one of --preset or --recipe")
     recipe = (packaged_recipe(args.preset) if args.preset
               else load_recipe(args.recipe))
-    if args.recipe:
-        run.inputs.append(args.recipe)
-    ds = _load_manifest(run, args.manifest)
+    ds = load_dataset(args.manifest)
     cfg = _load_config(run, args)
-    pretrain = _load_manifest(run, args.pretrain) if args.pretrain else None
+    pretrain = load_dataset(args.pretrain) if args.pretrain else None
     result = run_recipe(recipe, ds, cfg, seed=args.seed, pretrain=pretrain,
                         jobs=args.jobs)
     run.extra = {"recipe": recipe.name, "members": result.members,
                  "fusion": recipe.fusion, "weights": recipe.weights}
     write_score_table(result.table, args.out)
-    run.emit(args.out)
     lines = [f"recipe {recipe.name}: {len(result.members)} members fused "
              f"({recipe.fusion})"]
     if result.report is not None:
         lines.append(f"held-out accuracy: {result.report.overall:.4f}")
-    _print("\n".join(lines))
+    return "\n".join(lines)
 
 
 # -- argument parsing ----------------------------------------------------------
@@ -531,6 +491,25 @@ INPUT_FLAGS = ("manifest", "model", "scores", "config", "recipe", "dist",
                "pretrain")
 
 
+def _dist_path(path):
+    """The file ``--dist`` reads. A bare file name that does not exist
+    falls back to the packaged file of that name; any other path is read
+    as given."""
+    if not os.path.dirname(path) and not os.path.exists(path):
+        packaged = packaged_distribution_path(path)
+        if os.path.isfile(packaged):
+            return packaged
+    return path
+
+
+def _inputs(args) -> list:
+    """``(flag, path)`` for each file the command reads, in ``INPUT_FLAGS``
+    order."""
+    return [(flag, path) for flag in INPUT_FLAGS
+            if flag != "model" or args.command == "predict"
+            for path in np.ravel(getattr(args, flag, None) or []).tolist()]
+
+
 def _same_file(a, b):
     try:
         return os.path.samefile(a, b)
@@ -538,32 +517,39 @@ def _same_file(a, b):
         return False
 
 
-def _check_out_spares_inputs(args):
-    """ConfigError when ``--out``, or its run manifest, is the same file as
-    an input of the command, which the write would replace."""
-    for flag in INPUT_FLAGS:
-        if flag == "model" and args.command != "predict":
-            continue
-        for path in np.ravel(getattr(args, flag, None) or []).tolist():
-            for target, name in ((args.out, "--out"),
-                                 (args.out + ".manifest.json",
-                                  "the run manifest")):
-                if _same_file(target, path):
-                    raise ConfigError(f"{name} {target} would overwrite "
-                                      f"--{flag} {path}")
+def _check_out_spares_inputs(out, inputs):
+    """ConfigError when ``out``, or its run manifest, is the same file as
+    one of the ``(flag, path)`` inputs, which the write would replace."""
+    for flag, path in inputs:
+        for target, name in ((out, "--out"),
+                             (out + ".manifest.json", "the run manifest")):
+            if _same_file(target, path):
+                raise ConfigError(f"{name} {target} would overwrite "
+                                  f"--{flag} {path}")
 
 
 def main(argv=None) -> int:
+    """Run one command: check its flags, ``--out`` and inputs, run its
+    handler, then write the run manifest beside ``--out`` and print what
+    the handler returned."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse handles --help and usage errors
         return int(exc.code or 0)
     try:
         _check_flags(args)
+        if getattr(args, "dist", None):
+            args.dist = _dist_path(args.dist)
+        inputs = _inputs(args)
         if args.out:
-            _check_out_spares_inputs(args)
+            _check_out_spares_inputs(args.out, inputs)
             _check_out(args.out)
-        args.handler(args, _Run(args, sys.argv[1:] if argv is None else argv))
+        run = _Run(args, sys.argv[1:] if argv is None else argv,
+                   [path for _, path in inputs])
+        text = args.handler(args, run)
+        if args.out:
+            run.emit(args.out)
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
         return 0
     except ConfigError as exc:
         _log("debug", "usage error", exc=True)

@@ -126,21 +126,24 @@ def labeled_rows(table, ds: Dataset, split: str | None = None):
     """(rows, true): the table rows of the labeled clips it scores, in
     dataset order, and their labels.
 
-    With an explicit split, every labeled clip of that split must have a row
-    (a missing prediction is a contract error naming the clip); without one,
-    the table's own coverage defines the evaluation set.
+    With an explicit split, that split must have labeled clips and every
+    one of them a row (a missing prediction is a contract error naming the
+    clip); without one, the table's own coverage defines the evaluation
+    set, which must not be empty.
     """
     clips = ds.labeled(split)
     pos = {cid: i for i, cid in enumerate(table.ids)}
     if split is not None:
+        if not clips:
+            raise ContractError(f"split {split!r} has no labeled clips")
         missing = [c.id for c in clips if c.id not in pos]
         if missing:
             raise ContractError(f"no prediction for labeled clip "
                                 f"{missing[0]!r} in split {split!r}")
     else:
         clips = [c for c in clips if c.id in pos]
-    if not clips:
-        raise ContractError("score table covers no labeled clips")
+        if not clips:
+            raise ContractError("score table covers no labeled clips")
     rows = np.array([pos[c.id] for c in clips], dtype=np.int64)
     true = np.array([c.label for c in clips], dtype=np.int64)
     return rows, true

@@ -19,13 +19,18 @@ from .scores import ScoreTable
 
 def check_weights(weights, n, error=ContractError) -> np.ndarray:
     """``weights`` as an (n,) array of finite, nonnegative values that are
-    not all zero; otherwise ``error``."""
+    not all zero and whose sum is finite, so no fused score overflows;
+    otherwise ``error``."""
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (n,):
         raise error(f"expected {n} weights, got shape {w.shape}")
     if not np.all(np.isfinite(w)) or np.any(w < 0):
         raise error("fusion weights must be finite and nonnegative")
-    if w.sum() <= 0:
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        total = w.sum()
+    if total == np.inf:
+        raise error("fusion weights must have a finite sum")
+    if total <= 0:
         raise error("fusion weights must not all be zero")
     return w
 

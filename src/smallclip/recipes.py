@@ -23,7 +23,7 @@ from .data import Dataset, build_dataset, read_text
 from .errors import ConfigError
 from .evaluate import EvalReport, evaluate, predictions_from_table
 from .fusion import check_weights, fuse_tables
-from .parallel import parallel_map
+from .parallel import _cores, parallel_map
 from .scores import ScoreTable
 # train_video_model is unused here, but perfbench's tracer test checks that
 # the tracer rewraps this module's binding of it
@@ -156,10 +156,11 @@ def score_members(train_ds: Dataset, config: TrainConfig, members, clips,
 
     ``members`` are dicts with ``modality``, ``kind`` and ``seed``. Returns
     one (N, C) probability array per member, in member order. Members are
-    independent, so how ``jobs`` splits them into units (``_units``) only
-    changes wall-clock time: a unit trains in one call, and a video unit
-    scores every clip in one batched pass (``video.predict_stacked``). Only
-    the audio mlp takes the ``pretrain`` corpus.
+    independent, so how ``jobs``, capped at the cores this process may run
+    on, splits them into units (``_units``) only changes wall-clock time: a
+    unit trains in one call, and a video unit scores every clip in one
+    batched pass (``video.predict_stacked``). Only the audio mlp takes the
+    ``pretrain`` corpus.
     """
     def run_unit(unit):
         first = members[unit[0]]
@@ -175,7 +176,9 @@ def score_members(train_ds: Dataset, config: TrainConfig, members, clips,
             pretrain=pretrain if first["kind"] == "mlp" else None)
         return [model.predict_batch(clips) for model, _ in trained]
 
-    units = _units(members, jobs)
+    # parallel_map starts at most one worker per core, so a stack split
+    # for more workers than that would only repeat its per-step work
+    units = _units(members, min(jobs, _cores()))
     probs = [None] * len(members)
     for unit, out in zip(units, parallel_map(run_unit, units, jobs=jobs)):
         for i, p in zip(unit, out):

@@ -622,8 +622,9 @@ def test_recipe_source_selection_errors(workdir, capsys):
     (["-1", "2"], "fusion weights must be finite and nonnegative"),
     (["nan", "1"], "fusion weights must be finite and nonnegative"),
     (["0", "0"], "fusion weights must not all be zero"),
+    (["1.7e308", "1.6e308"], "fusion weights must have a finite sum"),
     (["1"], "expected 2 weights, got shape (1,)"),
-], ids=["negative", "nan", "all-zero", "wrong-count"])
+], ids=["negative", "nan", "all-zero", "sum-overflows", "wrong-count"])
 @pytest.mark.parametrize("command", ["fuse", "recipe"])
 def test_bad_fusion_weights_exit_two_before_any_work(
         workdir, capsys, monkeypatch, command, weights, message):
@@ -905,6 +906,130 @@ def test_a_model_kind_is_no_input_file(workdir, monkeypatch):
     assert main(["train-audio", "--manifest", "data.jsonl", "--config",
                  "fast.cfg", "--model", "forest", "--out", "forest"]) == 0
     assert (workdir / "forest").read_text().startswith("{")
+
+
+def _stand_in_packaged_dist(workdir, monkeypatch):
+    """A 3-class copy that a bare ``--dist afew_test_dist.csv`` falls back
+    to, so that no test writes into the package."""
+    packaged = workdir / "package" / "afew_test_dist.csv"
+    packaged.parent.mkdir()
+    packaged.write_text("class,count\nclass0,1\nclass1,2\nclass2,3\n")
+    monkeypatch.setattr(cli, "packaged_distribution_path",
+                        lambda name: str(packaged.parent / name))
+    return packaged
+
+
+def test_out_that_would_overwrite_the_packaged_dist_fails(
+        workdir, capsys, monkeypatch):
+    # a bare --dist name that does not exist reads the packaged file, so
+    # that is the file an --out must spare
+    packaged = _stand_in_packaged_dist(workdir, monkeypatch)
+    monkeypatch.chdir(workdir)
+    assert main(["train-video", "--manifest", "data.jsonl", "--config",
+                 "fast.cfg", "--pooling", "avg-pool",
+                 "--out", "video.json"]) == 0
+    assert main(["predict", "--model", "video.json", "--manifest",
+                 "data.jsonl", "--out", "video.csv"]) == 0
+    capsys.readouterr()
+    kept = packaged.read_bytes()
+    assert main(["evaluate", "--scores", "video.csv", "--manifest",
+                 "data.jsonl", "--dist", "afew_test_dist.csv",
+                 "--out", str(packaged)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --out {packaged} would overwrite --dist {packaged}"]
+    assert packaged.read_bytes() == kept
+    assert not Path(f"{packaged}.manifest.json").exists()
+
+
+# every subcommand with an --out, given every input flag it takes in an
+# order that is not INPUT_FLAGS', and the inputs its run manifest records:
+# INPUT_FLAGS order, with --dist as the file read
+SIDECAR_INPUTS = {
+    "synth": (["synth", "--seed", "0"], []),
+    "validate": (["validate", "--manifest", "data.jsonl"], ["data.jsonl"]),
+    "train-video": (["train-video", "--config", "fast.cfg", "--manifest",
+                     "data.jsonl", "--pooling", "avg-pool"],
+                    ["data.jsonl", "fast.cfg"]),
+    "train-audio": (["train-audio", "--pretrain", "pre.jsonl", "--config",
+                     "fast.cfg", "--model", "mlp", "--manifest",
+                     "data.jsonl"], ["data.jsonl", "fast.cfg", "pre.jsonl"]),
+    "predict": (["predict", "--manifest", "data.jsonl", "--model",
+                 "video.json"], ["data.jsonl", "video.json"]),
+    "fuse": (["fuse", "--scores", "video.csv", "video.csv"],
+             ["video.csv", "video.csv"]),
+    "learn-fusion": (["learn-fusion", "--scores", "video.csv", "video.csv",
+                      "--manifest", "data.jsonl"],
+                     ["data.jsonl", "video.csv", "video.csv"]),
+    "ensemble": (["ensemble", "--config", "fast.cfg", "--manifest",
+                  "data.jsonl", "--count", "2"], ["data.jsonl", "fast.cfg"]),
+    "evaluate": (["evaluate", "--dist", "afew_test_dist.csv", "--scores",
+                  "video.csv", "--manifest", "data.jsonl"],
+                 ["data.jsonl", "video.csv", "package/afew_test_dist.csv"]),
+    "cross-validate": (["cross-validate", "--config", "fast.cfg",
+                        "--manifest", "data.jsonl", "--folds", "2"],
+                       ["data.jsonl", "fast.cfg"]),
+    "repeat": (["repeat", "--config", "fast.cfg", "--manifest",
+                "data.jsonl", "--seeds", "1", "2"],
+               ["data.jsonl", "fast.cfg"]),
+    "recipe": (["recipe", "--pretrain", "pre.jsonl", "--recipe",
+                "my.recipe", "--config", "fast.cfg", "--manifest",
+                "data.jsonl"],
+               ["data.jsonl", "fast.cfg", "my.recipe", "pre.jsonl"]),
+}
+
+
+def test_sidecar_inputs_cover_every_subcommand_with_an_out():
+    assert set(SIDECAR_INPUTS) == set(OUT_COMMANDS)
+
+
+@pytest.mark.parametrize("command", list(SIDECAR_INPUTS))
+def test_run_manifest_records_inputs_in_input_flags_order(
+        workdir, capsys, monkeypatch, command):
+    packaged = _stand_in_packaged_dist(workdir, monkeypatch)
+    monkeypatch.chdir(workdir)
+    assert main(["train-video", "--manifest", "data.jsonl", "--config",
+                 "fast.cfg", "--pooling", "avg-pool",
+                 "--out", "video.json"]) == 0
+    assert main(["predict", "--model", "video.json", "--manifest",
+                 "data.jsonl", "--out", "video.csv"]) == 0
+    (workdir / "pre.jsonl").write_bytes((workdir / "data.jsonl").read_bytes())
+    (workdir / "my.recipe").write_text("video = avg-pool\naudio = mlp\n")
+    argv, inputs = SIDECAR_INPUTS[command]
+    assert main(argv + ["--out", "result"]) == 0
+    capsys.readouterr()
+    manifest = json.loads((workdir / "result.manifest.json").read_text())
+    assert manifest["inputs"] == [
+        str(packaged) if path.startswith("package/") else path
+        for path in inputs]
+    assert manifest["outputs"] == ["result"]
+
+
+def test_evaluate_names_a_split_without_labeled_clips(
+        workdir, capsys, monkeypatch):
+    monkeypatch.chdir(workdir)
+    records = [json.loads(line) for line in
+               (workdir / "data.jsonl").read_text().splitlines()]
+    (workdir / "data.jsonl").write_text("".join(
+        json.dumps(dict(r, label=None) if r["split"] == "test" else r)
+        + "\n" for r in records))
+    assert main(["train-video", "--manifest", "data.jsonl", "--config",
+                 "fast.cfg", "--pooling", "avg-pool",
+                 "--out", "video.json"]) == 0
+    for split in ("all", "test"):
+        assert main(["predict", "--model", "video.json", "--manifest",
+                     "data.jsonl", "--split", split,
+                     "--out", f"{split}.csv"]) == 0
+    capsys.readouterr()
+    # the table covers every clip, but the split has no labels to score
+    assert main(["evaluate", "--scores", "all.csv", "--manifest",
+                 "data.jsonl", "--split", "test"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: split 'test' has no labeled clips"]
+    # without --split, the table's coverage is what holds no labels
+    assert main(["evaluate", "--scores", "test.csv", "--manifest",
+                 "data.jsonl"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: score table covers no labeled clips"]
 
 
 @pytest.mark.parametrize("train", [

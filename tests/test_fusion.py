@@ -109,6 +109,9 @@ def test_bad_weights_rejected():
         fuse_rows([a, a], [0.5, -0.5])
     with pytest.raises(ContractError):
         fuse_rows([a, a], [0.0, 0.0])
+    # each is finite, but a fused score would overflow
+    with pytest.raises(ContractError, match="finite sum"):
+        fuse_rows([a, a], [1.7e308, 1.6e308])
 
 
 def test_fuse_tables_copies_and_order(rng):

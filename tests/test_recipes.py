@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from smallclip import parallel, recipes
 from smallclip.audio import train_audio_model
 from smallclip.config import TrainConfig
 from smallclip.errors import ConfigError
@@ -202,6 +203,27 @@ def test_units_split_the_largest_group_while_fewer_than_jobs():
     assert _units(s6, 2) == [list(range(50)), [50, 51]]
     # no unit splits below one member
     assert _units(members, 8) == [[0], [1], [2], [3], [4], [5]]
+
+
+def test_stacks_split_for_no_more_workers_than_cores(monkeypatch):
+    # submission4 has two kinds, so at jobs=3 _units would split a stack for
+    # a third worker that parallel_map never starts on two cores
+    ds = recipe_dataset(seed=4)
+    recipe = packaged_recipe("submission4")
+    serial = run_recipe(recipe, ds, fast_config(), seed=3, jobs=1)
+    for module in (parallel, recipes):
+        monkeypatch.setattr(module, "_cores", lambda: 2)
+    mapped = []
+    real_map = recipes.parallel_map
+
+    def counting_map(fn, items, jobs=1):
+        mapped.append(len(items))
+        return real_map(fn, items, jobs=jobs)
+
+    monkeypatch.setattr(recipes, "parallel_map", counting_map)
+    capped = run_recipe(recipe, ds, fast_config(), seed=3, jobs=3)
+    assert mapped == [2]
+    assert np.array_equal(capped.table.probs, serial.table.probs)
 
 
 def test_run_recipe_stacks_are_jobs_invariant_and_match_members_alone():
