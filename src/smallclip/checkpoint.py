@@ -149,7 +149,7 @@ def checkpoint_dict(model) -> dict:
     if isinstance(model, AudioModel) and model.kind == "mlp":
         mlp = model.mlp
         meta = {"d_audio": model.d_audio, "n_classes": model.n_classes,
-                "hidden": mlp.hidden, "dropout": mlp.dropout.rate}
+                "hidden": mlp.hidden, "dropout": mlp.dropout}
         extra = {"running_mean": _arr(mlp.bn.running_mean),
                  "running_var": _arr(mlp.bn.running_var)}
         return {"format": FORMAT, "version": VERSION, "kind": "audio-mlp",

@@ -59,7 +59,7 @@ from .data import (Dataset, atomic_write_text, class_names, load_dataset,
 from .errors import ConfigError, ContractError, ParseError, SmallclipError
 from .evaluate import (RunStatistics, cross_validate, evaluate,
                        predictions_from_table)
-from .fusion import (check_weights, fuse_tables, grid_divisions,
+from .fusion import (check_weights, fuse, fuse_tables, grid_divisions,
                      learn_fusion_weights)
 from .recipes import load_recipe, packaged_recipe, run_recipe, score_members
 from .scores import ScoreTable, load_score_table, write_score_table
@@ -245,10 +245,10 @@ def _cmd_ensemble(args, run):
     cfg = _load_config(run, args)
     run.seeds = [args.seed + i for i in range(args.count)]
     run.extra["modality"] = args.modality
-    ids = [c.id for c in ds.clips]
-    fused = fuse_tables([ScoreTable(ids, p) for p in score_members(
-        ds, cfg, _members(args, cfg, run.seeds), ds.clips, jobs=args.jobs)])
-    write_score_table(fused, args.out)
+    probs = score_members(ds, cfg, _members(args, cfg, run.seeds), ds.clips,
+                          jobs=args.jobs)
+    write_score_table(ScoreTable([c.id for c in ds.clips], fuse(probs)),
+                      args.out)
     return f"ensembled {args.count} members to {args.out}"
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ClassDistribution, Dataset, build_dataset
+from .data import ClassDistribution, Dataset
 from .errors import ConfigError, ContractError
 from .parallel import parallel_map
 
@@ -245,7 +245,7 @@ def cross_validate(ds: Dataset, k: int, fit_predict, jobs=1) -> CVReport:
         train = [c.with_split("train") for c in pool if fold_of[c.id] != fold]
         held = [c for c in pool if fold_of[c.id] == fold]
         val = [c.with_split("val") for c in held]
-        fold_ds = build_dataset(train + val, meta=dict(ds.meta or {}))
+        fold_ds = Dataset(train + val, ds.dims, ds.meta)
         pred = np.asarray(fit_predict(fold_ds, fold), dtype=np.int64)
         true = np.array([c.label for c in held], dtype=np.int64)
         if pred.shape != true.shape:

@@ -63,12 +63,19 @@ def _fuse(stack, w=None) -> np.ndarray:
     return fused / fused.sum(axis=1, keepdims=True)
 
 
-def fuse_tables(tables, weights=None) -> ScoreTable:
-    """Fuse whole tables over the same clips: mean, or weighted mean
-    (``_fuse``), in the first table's id order."""
-    stack = _aligned(tables)
+def fuse(stack, weights=None) -> np.ndarray:
+    """Fuse M sources that score the same N clips in the same order, as an
+    (M, N, C) stack or M (N, C) arrays: mean, or weighted mean (``_fuse``)."""
+    stack = np.asarray(stack, dtype=np.float64)
     w = None if weights is None else check_weights(weights, stack.shape[0])
-    return ScoreTable(list(tables[0].ids), _fuse(stack, w))
+    return _fuse(stack, w)
+
+
+def fuse_tables(tables, weights=None) -> ScoreTable:
+    """Fuse whole tables over the same clips (``fuse``), in the first
+    table's id order."""
+    fused = fuse(_aligned(tables), weights)  # refuses [] before tables[0]
+    return ScoreTable(list(tables[0].ids), fused)
 
 
 def _compositions(total, parts):
@@ -117,12 +124,11 @@ def learn_fusion_weights(tables, ds, grid_step=None):
     rows, y = labeled_rows(tables[0], ds)
     stack = stack[:, rows]
 
-    best = None  # (hits, distance-to-uniform, composition)
-    for comp in _compositions(k, m):
+    def score(comp):
         w = np.asarray(comp, dtype=np.float64) / k
-        hits = int(np.sum(_fuse(stack, w).argmax(axis=1) == y))
-        dist = sum((ki * m - k) ** 2 for ki in comp)
-        if best is None or hits > best[0] or (hits == best[0] and dist < best[1]):
-            best = (hits, dist, comp)
-    weights = np.asarray(best[2], dtype=np.float64) / k
-    return weights, best[0] / len(y)
+        return (int(np.sum(_fuse(stack, w).argmax(axis=1) == y)),
+                -sum((ki * m - k) ** 2 for ki in comp))
+
+    # max keeps the first of equal scores, the lexicographically smallest
+    best = max(_compositions(k, m), key=score)
+    return np.asarray(best, dtype=np.float64) / k, score(best)[0] / len(y)

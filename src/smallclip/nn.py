@@ -2,10 +2,11 @@
 
 All math is float64. Layers hold :class:`ParamTensor` parameters; ``forward``
 returns ``(output, cache)`` and ``backward(cache, grad_out)`` accumulates
-parameter gradients into ``.grad``. Parameter-free layers and batch-norm
-return the input gradient, which the layer in front consumes; ``Linear``,
-``MLPHead`` and ``lstm_backward`` return nothing, and a caller that needs a
-linear layer's input gradient forms ``grad_out @ W`` itself. The inputs of
+parameter gradients into ``.grad``. Batch-norm returns the input gradient,
+which the layer in front consumes; ``Linear``, ``MLPHead`` and
+``lstm_backward`` return nothing, and a caller that needs a linear layer's
+input gradient forms ``grad_out @ W`` itself. Nonlinearities and dropout are
+written inline by the models that use them. The inputs of
 the first layers are frozen features from pretrained networks. Forward and
 backward are pure given (parameters, input, rng state); the deliberate
 exception is batch-norm's running-statistics update in train mode, which is
@@ -79,7 +80,7 @@ class Linear:
     def params(self):
         return [self.W] if self.b is None else [self.W, self.b]
 
-    def forward(self, x, mode=TRAIN, rng=None):
+    def forward(self, x):
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.d_in:
             raise ContractError(f"linear expects last dim {self.d_in}, got {x.shape}")
@@ -97,17 +98,6 @@ class Linear:
         self.W.grad += g2.swapaxes(-1, -2) @ x2
         if self.b is not None:
             self.b.grad += g2.sum(axis=-2)
-
-
-class ReLU:
-    def params(self):
-        return []
-
-    def forward(self, x, mode=TRAIN, rng=None):
-        return np.maximum(x, 0.0), x
-
-    def backward(self, cache, grad_out):
-        return grad_out * (cache > 0)
 
 
 def sigmoid(x, out=None):
@@ -142,7 +132,7 @@ class BatchNorm:
     def params(self):
         return [self.gamma, self.beta]
 
-    def forward(self, x, mode=TRAIN, rng=None):
+    def forward(self, x, mode=TRAIN):
         _check_mode(mode)
         x = np.asarray(x, dtype=np.float64)
         if x.ndim < 2 or x.shape[-1] != self.dim:
@@ -178,37 +168,20 @@ class BatchNorm:
                          - xhat * (gxhat * xhat).mean(axis=-2, keepdims=True))
 
 
-class Dropout:
-    """Inverted dropout: train scales kept units by 1/(1-rate), eval is identity.
-    A stacked input takes one rng per member, drawing its mask as alone."""
-
-    def __init__(self, rate):
-        if not (0.0 <= rate < 1.0):
-            raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
-
-    def params(self):
-        return []
-
-    def forward(self, x, mode=TRAIN, rng=None):
-        _check_mode(mode)
-        if mode == EVAL or self.rate == 0.0:
-            return np.asarray(x, dtype=np.float64), None
-        if rng is None:
-            raise ContractError("dropout in train mode needs an rng")
-        if isinstance(rng, np.random.Generator):
-            u = rng.random(np.shape(x))
-        else:
-            u = np.empty(np.shape(x))
-            for r, u_m in zip(rng, u):
-                r.random(out=u_m)
-        keep = (u >= self.rate) / (1.0 - self.rate)
-        return x * keep, keep
-
-    def backward(self, cache, grad_out):
-        if cache is None:
-            return grad_out
-        return grad_out * cache
+def dropout_keep(rate, shape, rng):
+    """The inverted-dropout multiplier of a ``shape`` batch: 0 for a unit
+    dropped with probability ``rate``, 1/(1-rate) for a kept one. ``rng``
+    is one Generator, or one per member of a stacked (M, ...) batch, each
+    drawing its slice as alone."""
+    if rng is None:
+        raise ContractError("dropout in train mode needs an rng")
+    if isinstance(rng, np.random.Generator):
+        u = rng.random(shape)
+    else:
+        u = np.empty(shape)
+        for r, u_m in zip(rng, u):
+            r.random(out=u_m)
+    return (u >= rate) / (1.0 - rate)
 
 
 # -- softmax / cross-entropy ---------------------------------------------------
@@ -435,38 +408,47 @@ class MLPHead:
 
     The hidden linear is bias-free: batch-norm's shift parameter plays that
     role, and a bias in front of the mean subtraction would be untrainable.
+    ``dropout`` is the rate of inverted dropout in train mode
+    (``dropout_keep``); eval mode drops nothing.
     """
 
     def __init__(self, d_in, hidden, n_classes, dropout=0.0, rng=None, name="mlp"):
+        if not (0.0 <= dropout < 1.0):
+            raise ContractError(f"dropout rate must be in [0, 1), got {dropout}")
         self.hidden_layer = Linear(d_in, hidden, rng=rng, name=f"{name}.hidden",
                                    bias=False)
         self.bn = BatchNorm(hidden, name=f"{name}.bn")
-        self.relu = ReLU()
-        self.dropout = Dropout(dropout)
         self.out_layer = Linear(hidden, n_classes, rng=rng, name=f"{name}.out")
+        self.dropout = dropout
         self.d_in, self.hidden, self.n_classes = d_in, hidden, n_classes
 
     def params(self):
         return (self.hidden_layer.params() + self.bn.params() + self.out_layer.params())
 
     def forward(self, x, mode=TRAIN, rng=None):
+        """Logits and the backward cache. A train-mode forward with dropout
+        draws its masks from ``rng``, one Generator or one per member."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        h, c1 = self.hidden_layer.forward(x, mode, rng)
-        hn, c2 = self.bn.forward(h, mode, rng)
-        a, c3 = self.relu.forward(hn, mode, rng)
-        d, c4 = self.dropout.forward(a, mode, rng)
-        logits, c5 = self.out_layer.forward(d, mode, rng)
-        return logits, (c1, c2, c3, c4, c5)
+        h, c1 = self.hidden_layer.forward(x)
+        hn, c2 = self.bn.forward(h, mode)
+        a = np.maximum(hn, 0.0)
+        keep = None
+        if mode == TRAIN and self.dropout > 0.0:
+            keep = dropout_keep(self.dropout, a.shape, rng)
+            a *= keep
+        logits, c3 = self.out_layer.forward(a)
+        return logits, (c1, c2, hn, keep, c3)
 
     def backward(self, cache, grad_out):
         """Accumulate every parameter's gradient; returns nothing (the
         input features are frozen)."""
-        c1, c2, c3, c4, c5 = cache
+        c1, c2, hn, keep, c3 = cache
         g = np.atleast_2d(grad_out)
-        self.out_layer.backward(c5, g)
-        g = self.dropout.backward(c4, g @ self.out_layer.W.values)
-        g = self.relu.backward(c3, g)
-        g = self.bn.backward(c2, g)
+        self.out_layer.backward(c3, g)
+        g = g @ self.out_layer.W.values
+        if keep is not None:
+            g *= keep
+        g = self.bn.backward(c2, g * (hn > 0))
         self.hidden_layer.backward(c1, g)
 
 

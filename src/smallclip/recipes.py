@@ -19,10 +19,10 @@ from importlib import resources
 
 from .audio import train_audio_models
 from .config import AUDIO_MODELS, VIDEO_HEADS, TrainConfig, key_values
-from .data import Dataset, build_dataset, read_text
+from .data import Dataset, read_text
 from .errors import ConfigError
 from .evaluate import EvalReport, evaluate, predictions_from_table
-from .fusion import check_weights, fuse_tables
+from .fusion import check_weights, fuse, fuse_tables
 from .parallel import _cores, parallel_map
 from .scores import ScoreTable
 # train_video_model is unused here, but perfbench's tracer test checks that
@@ -189,7 +189,7 @@ def score_members(train_ds: Dataset, config: TrainConfig, members, clips,
 def _merge_val_into_train(ds: Dataset) -> Dataset:
     clips = [c.with_split("train") if c.split == "val" else c
              for c in ds.clips]
-    return build_dataset(clips, meta=dict(ds.meta or {}))
+    return Dataset(clips, ds.dims, ds.meta)
 
 
 def run_recipe(recipe: Recipe, ds: Dataset, config: TrainConfig, seed: int,
@@ -220,10 +220,9 @@ def run_recipe(recipe: Recipe, ds: Dataset, config: TrainConfig, seed: int,
                           pretrain=pretrain)
     modality_tables = []
     for modality in ("video", "audio"):
-        group = [ScoreTable(all_ids, p) for p, m in zip(probs, members)
-                 if m["modality"] == modality]
+        group = [p for p, m in zip(probs, members) if m["modality"] == modality]
         if group:
-            modality_tables.append(fuse_tables(group))
+            modality_tables.append(ScoreTable(all_ids, fuse(group)))
 
     fused = fuse_tables(modality_tables, weights=recipe.weights)
 

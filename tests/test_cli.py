@@ -115,6 +115,46 @@ def test_missing_files_exit_one(workdir, capsys):
         [f"error: {zeros}: class counts sum to 0"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["train-video", "--manifest", "{manifest}", "--out", "{d}/m.json"],
+    ["train-audio", "--manifest", "{manifest}", "--out", "{d}/m.json"],
+    ["fuse", "--scores", "{scores}", "{scores}", "--out", "{d}/f.csv"],
+    ["learn-fusion", "--manifest", "{manifest}", "--scores", "{scores}",
+     "{scores}"],
+    ["ensemble", "--manifest", "{manifest}", "--count", "2",
+     "--out", "{d}/e.csv"],
+    ["cross-validate", "--manifest", "{manifest}", "--folds", "2"],
+    ["repeat", "--manifest", "{manifest}", "--seeds", "1", "2"],
+    ["recipe", "--preset", "submission1", "--manifest", "{manifest}",
+     "--out", "{d}/r.csv"],
+], ids=lambda argv: argv[0])
+def test_garbage_inputs_exit_with_one_error_line(workdir, capsys, argv):
+    # a manifest that is not UTF-8 or whose line is not a clip record, and
+    # a score table that is not UTF-8 or not CSV (the manifest itself)
+    m = workdir / "data.jsonl"
+    ids = [json.loads(line)["id"] for line in m.read_text().splitlines()]
+    scores = workdir / "s.csv"
+    scores.write_text("clip_id,p0,p1,p2\n"
+                      + "".join(f"{i},1,0,0\n" for i in ids))
+    not_utf8 = workdir / "not-utf8"
+    not_utf8.write_bytes(b"\xff\xfe")
+    not_a_clip = workdir / "list.jsonl"
+    not_a_clip.write_text("[1, 2]\n")
+    cases = []
+    if "{manifest}" in argv:
+        cases += [(bad, scores) for bad in (not_utf8, not_a_clip)]
+    if "{scores}" in argv:
+        cases += [(m, bad) for bad in (not_utf8, m)]
+    for manifest, table in cases:
+        filled = [a.format(manifest=manifest, scores=table, d=workdir)
+                  for a in argv]
+        assert main(filled) in (1, 2), filled
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), filled
+        assert "Traceback" not in captured.err + captured.out
+
+
 def test_negative_distribution_count_exits_one(workdir, capsys):
     m = str(workdir / "data.jsonl")
     ids = [json.loads(line)["id"]

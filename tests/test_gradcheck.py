@@ -8,11 +8,12 @@ from smallclip.nn import (Linear, MLPHead, ParamTensor,
 from conftest import grad_check, softmax_cross_entropy
 
 
-def projection_loss(module, x, proj, mode="train"):
-    """Scalar loss sum(proj * forward(x)). The input is frozen: backward
-    accumulates the parameter gradients and returns nothing."""
+def projection_loss(module, x, proj):
+    """Scalar loss sum(proj * forward(x)), in train mode for an MLP. The
+    input is frozen: backward accumulates the parameter gradients and
+    returns nothing."""
     def loss_fn(compute_grad):
-        out, cache = module.forward(x, mode=mode)
+        out, cache = module.forward(x)
         loss = float((out * proj).sum())
         if compute_grad:
             assert module.backward(cache, proj) is None

@@ -7,7 +7,7 @@ import pytest
 from smallclip import nn
 from smallclip.errors import ContractError
 from smallclip.nn import (
-    BatchNorm, Dropout, Linear, LSTMParams, MLPHead, ParamTensor, ReLU,
+    BatchNorm, Linear, LSTMParams, MLPHead, ParamTensor, dropout_keep,
     lstm_backward, lstm_forward, sigmoid, softmax, softmax_cross_entropy_batch,
 )
 
@@ -40,10 +40,16 @@ def test_linear_shape_error():
 
 
 def test_relu_backward():
-    relu = ReLU()
-    y, cache = relu.forward(np.array([-1.0, 2.0]))
-    np.testing.assert_array_equal(y, [0.0, 2.0])
-    np.testing.assert_array_equal(relu.backward(cache, np.array([1.0, 1.0])), [0.0, 1.0])
+    # the batch [[1], [3]] normalizes to about [-1, 1]: the MLP's ReLU
+    # zeroes the first clip's hidden unit and the gradient through it
+    mlp = MLPHead(1, 1, 1)
+    mlp.hidden_layer.W.values[:] = 1.0
+    mlp.out_layer.W.values[:] = 1.0
+    logits, cache = mlp.forward(np.array([[1.0], [3.0]]), mode="train")
+    assert logits[0, 0] == 0.0
+    np.testing.assert_allclose(logits[1], [1.0], atol=1e-4)
+    mlp.backward(cache, np.ones((2, 1)))
+    assert mlp.bn.beta.grad.tolist() == [1.0]
 
 
 def test_batchnorm_hand_computed():
@@ -65,32 +71,39 @@ def test_batchnorm_eval_is_affine():
 
 
 def test_dropout_eval_identity():
-    drop = Dropout(0.5)
-    x = np.random.default_rng(0).standard_normal((4, 5))
-    y, _ = drop.forward(x, mode="eval")
-    np.testing.assert_array_equal(y, x)
+    # eval mode drops nothing: linear -> batch-norm -> ReLU -> linear
+    rng = np.random.default_rng(0)
+    mlp = MLPHead(5, 8, 3, dropout=0.5, rng=rng)
+    x = rng.standard_normal((4, 5))
+    y, _ = mlp.forward(x, mode="eval")
+    hn, _ = mlp.bn.forward(mlp.hidden_layer.forward(x)[0], mode="eval")
+    want, _ = mlp.out_layer.forward(np.maximum(hn, 0.0))
+    np.testing.assert_array_equal(y, want)
 
 
 def test_dropout_train_fraction_and_scaling():
-    drop = Dropout(0.3)
-    rng = np.random.default_rng(7)
-    x = np.ones(10_000)
-    y, _ = drop.forward(x, mode="train", rng=rng)
-    zeroed = np.mean(y == 0.0)
+    keep = dropout_keep(0.3, (10_000,), np.random.default_rng(7))
+    zeroed = np.mean(keep == 0.0)
     # ~4 sigma band around the rate
     assert abs(zeroed - 0.3) < 0.02
-    kept = y[y != 0.0]
+    kept = keep[keep != 0.0]
     np.testing.assert_allclose(kept, 1.0 / 0.7)
+    # one rng per member draws each member's slice as alone
+    stacked = dropout_keep(0.3, (2, 5, 4),
+                           [np.random.default_rng(s) for s in (1, 2)])
+    for s, member in zip((1, 2), stacked):
+        np.testing.assert_array_equal(
+            member, dropout_keep(0.3, (5, 4), np.random.default_rng(s)))
 
 
 def test_dropout_needs_rng_in_train():
-    with pytest.raises(ContractError):
-        Dropout(0.5).forward(np.ones(3), mode="train")
+    with pytest.raises(ContractError, match="needs an rng"):
+        MLPHead(3, 4, 2, dropout=0.5).forward(np.ones((2, 3)), mode="train")
 
 
 def test_dropout_bad_rate():
-    with pytest.raises(ContractError):
-        Dropout(1.0)
+    with pytest.raises(ContractError, match=r"dropout rate must be in \[0, 1\)"):
+        MLPHead(3, 4, 2, dropout=1.0)
 
 
 def test_softmax_properties(rng):
