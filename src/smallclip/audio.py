@@ -62,12 +62,11 @@ class AudioModel:
 
 
 def _audio_matrix(clips):
-    """(X, y) of the ``clips`` with audio and a label; (None, None) if none."""
-    usable = [c for c in clips if c.audio is not None and c.label is not None]
-    if not usable:
+    """(X, y) of labeled ``clips`` with audio; (None, None) if none."""
+    if not clips:
         return None, None
-    return (np.stack([c.audio for c in usable]),
-            np.array([c.label for c in usable], dtype=np.int64))
+    return (np.stack([c.audio for c in clips]),
+            np.array([c.label for c in clips], dtype=np.int64))
 
 
 def train_audio_models(ds: Dataset, config: TrainConfig, seeds,
@@ -92,7 +91,7 @@ def train_audio_models(ds: Dataset, config: TrainConfig, seeds,
     config.validate()
     if ds.d_audio is None:
         raise TrainingError("dataset has no audio features")
-    X, y = _audio_matrix(ds.split("train"))
+    X, y = _audio_matrix(ds.labeled("train", "audio"))
     if X is None:
         raise TrainingError("train split has no labeled clips with audio")
     seeds = list(seeds)
@@ -130,7 +129,7 @@ def train_audio_models(ds: Dataset, config: TrainConfig, seeds,
     if pretrain is not None:
         if pretrain.d_audio != ds.d_audio or pretrain.n_classes != ds.n_classes:
             raise ContractError("pretraining dataset dims do not match target")
-        Xp, yp = _audio_matrix(pretrain.labeled())
+        Xp, yp = _audio_matrix(pretrain.labeled(modality="audio"))
         if Xp is None:
             raise TrainingError("pretraining dataset has no labeled audio")
         p_epochs = (config.epochs if config.pretrain_epochs is None

@@ -147,12 +147,6 @@ def _members(args, cfg, seeds) -> list:
             for seed in seeds]
 
 
-def _scoreable(modality, clips) -> list:
-    """The labeled ``clips``, with audio for the audio ``modality``."""
-    return [c for c in clips if c.label is not None
-            and (modality == "video" or c.audio is not None)]
-
-
 def _val_accuracy(model, clips):
     """Accuracy of ``model.predict_batch`` on the labeled ``clips``, as
     ``evaluate`` reports it; None when there are none."""
@@ -186,7 +180,7 @@ def _cmd_train_video(args, run):
     cfg = _load_config(run, args)
     model, history = train_video_model(ds, cfg, seed=args.seed)
     save_checkpoint(model, args.out)
-    val = _val_accuracy(model, _scoreable("video", ds.split("val")))
+    val = _val_accuracy(model, ds.labeled("val"))
     run.extra["final_epoch"] = dict(history[-1], val_accuracy=val)
     return (f"trained {cfg.head} head; "
             f"val accuracy: {'n/a' if val is None else f'{val:.4f}'}")
@@ -199,7 +193,7 @@ def _cmd_train_audio(args, run):
     model, history = train_audio_model(ds, cfg, seed=args.seed,
                                        pretrain=pretrain)
     save_checkpoint(model, args.out)
-    val = _val_accuracy(model, _scoreable("audio", ds.split("val")))
+    val = _val_accuracy(model, ds.labeled("val", "audio"))
     history["val_accuracy"] = val
     run.extra["log"] = {k: v for k, v in history.items()
                         if k in ("val_accuracy", "train_accuracy", "lr")}
@@ -274,7 +268,7 @@ def _cmd_cross_validate(args, run):
         return score_members(fold_ds, cfg, member,
                              fold_ds.split("val"))[0].argmax(axis=1)
 
-    pool = Dataset(_scoreable(args.modality, ds.clips), ds.dims, ds.meta)
+    pool = Dataset(ds.labeled(modality=args.modality), ds.dims, ds.meta)
     report = cross_validate(pool, args.folds, fit_predict, jobs=args.jobs)
     _write(args.out, report.to_csv())
     return report.to_text()
@@ -283,7 +277,7 @@ def _cmd_cross_validate(args, run):
 def _cmd_repeat(args, run):
     ds = load_dataset(args.manifest)
     cfg = _load_config(run, args)
-    val = _scoreable(args.modality, ds.split("val"))
+    val = ds.labeled("val", args.modality)
     if not val:
         raise ContractError("no labeled val clips to score")
     true = np.array([c.label for c in val])
@@ -305,11 +299,12 @@ def _cmd_recipe(args, run):
     pretrain = load_dataset(args.pretrain) if args.pretrain else None
     result = run_recipe(recipe, ds, cfg, seed=args.seed, pretrain=pretrain,
                         jobs=args.jobs)
+    fusion = "mean" if recipe.weights is None else "weighted"
     run.extra = {"recipe": recipe.name, "members": result.members,
-                 "fusion": recipe.fusion, "weights": recipe.weights}
+                 "fusion": fusion, "weights": recipe.weights}
     write_score_table(result.table, args.out)
     lines = [f"recipe {recipe.name}: {len(result.members)} members fused "
-             f"({recipe.fusion})"]
+             f"({fusion})"]
     if result.report is not None:
         lines.append(f"held-out accuracy: {result.report.overall:.4f}")
     return "\n".join(lines)
@@ -454,6 +449,11 @@ def _check_flags(args):
         if low < 0:
             raise ConfigError(f"--{key.replace('_', '-')} must be >= 0, "
                               f"got {low}")
+    if args.command in ("ensemble", "cross-validate", "repeat"):
+        flag = "model" if args.modality == "video" else "pooling"
+        if getattr(args, flag):
+            raise ConfigError(f"--{flag} does not apply to --modality "
+                              f"{args.modality}")
     if args.command == "ensemble" and args.count < 1:
         raise ConfigError(f"--count must be >= 1, got {args.count}")
     if args.command == "repeat" and len(args.seeds) < 2:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .data import read_text
+from .data import quoted, read_text
 from .errors import ConfigError
 
 VIDEO_HEADS = ("score-mean", "avg-pool", "weighted-avg-pool", "lstm")
@@ -48,7 +48,7 @@ class TrainConfig:
                               ("optimizer", OPTIMIZERS),
                               ("score_mode", SCORE_MODES)):
             if getattr(self, name) not in allowed:
-                raise ConfigError(f"unknown {name} {getattr(self, name)!r}, "
+                raise ConfigError(f"unknown {name} {quoted(getattr(self, name))}, "
                                   f"expected one of {', '.join(allowed)}")
         for name in _INT_FIELDS:
             value = getattr(self, name)
@@ -85,7 +85,7 @@ def key_values(text: str):
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
+            raise ConfigError(f"line {lineno}: expected key=value, got {quoted(raw)}")
         key, _, value = line.partition("=")
         yield lineno, key.strip(), value.strip()
 
@@ -95,7 +95,7 @@ def parse_config(text: str) -> TrainConfig:
     cfg = TrainConfig()
     for lineno, key, value in key_values(text):
         if key not in _FIELDS:
-            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+            raise ConfigError(f"line {lineno}: unknown config key {quoted(key)}")
         try:
             if value.lower() == "none" and _FIELDS[key] == "int | None":
                 parsed = None
@@ -107,7 +107,7 @@ def parse_config(text: str) -> TrainConfig:
                 parsed = value
         except ValueError:
             raise ConfigError(
-                f"line {lineno}: bad value {value!r} for key {key!r}") from None
+                f"line {lineno}: bad value {quoted(value)} for key {key!r}") from None
         setattr(cfg, key, parsed)
     return cfg.validate()
 

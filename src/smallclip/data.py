@@ -132,9 +132,12 @@ class Dataset:
     def split(self, name: str) -> list:
         return [c for c in self.clips if c.split == name]
 
-    def labeled(self, split: str | None = None) -> list:
+    def labeled(self, split: str | None = None, modality="video") -> list:
+        """The labeled clips of ``split`` (every split when None) that a
+        source of ``modality`` covers: for audio, only those with audio."""
         clips = self.clips if split is None else self.split(split)
-        return [c for c in clips if c.label is not None]
+        return [c for c in clips if c.label is not None
+                and (modality == "video" or c.audio is not None)]
 
     def distribution(self, split: str) -> ClassDistribution:
         labels = [c.label for c in self.labeled(split)]
@@ -223,6 +226,12 @@ def _clip_from_json(obj, line_no):
                     audio=obj.get("audio"), label=label)
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"line {line_no}: malformed clip record ({e})") from e
+
+
+def quoted(text: str, limit: int = 60) -> str:
+    """``repr(text)`` cut to ``limit`` characters and ``...``, for errors."""
+    r = repr(text)
+    return r if len(r) <= limit else r[:limit] + "..."
 
 
 def read_text(path, what, error=ParseError) -> str:
@@ -343,9 +352,9 @@ def load_distribution(path) -> ClassDistribution:
         try:
             counts.append(int(row[1]))
         except ValueError as e:
-            raise ParseError(f"{path}: line {i}: bad count {row[1]!r}") from e
+            raise ParseError(f"{path}: line {i}: bad count {quoted(row[1])}") from e
         if counts[-1] < 0:
-            raise ParseError(f"{path}: line {i}: negative count {row[1]!r}")
+            raise ParseError(f"{path}: line {i}: negative count {quoted(row[1])}")
     if sum(counts) > np.iinfo(np.int64).max:  # int64 would wrap silently
         raise ParseError(f"{path}: class counts sum past the int64 limit")
     dist = ClassDistribution(np.array(counts, dtype=np.int64))

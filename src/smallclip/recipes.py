@@ -4,8 +4,8 @@ A recipe lists the model members per modality with multiplicities, e.g.
 ``video = avg-pool*2 weighted-avg-pool*2`` plus ``audio = forest*1 mlp*1``.
 Members of one modality are trained with derived seeds (base seed + global
 member index) and mean-ensembled into one modality table; the modality tables
-are then fused by mean or by fixed weights. ``train_on = train+val`` merges
-the val split into training (the last shipped preset does this).
+are then fused by the fixed weights of a ``weights`` line, or else by mean.
+``train_on = train+val`` merges the val split into training (submission7).
 
 Preset files are key=value text; the seven packaged ones are named
 ``submission1`` .. ``submission7``.
@@ -19,7 +19,7 @@ from importlib import resources
 
 from .audio import train_audio_models
 from .config import AUDIO_MODELS, VIDEO_HEADS, TrainConfig, key_values
-from .data import Dataset, read_text
+from .data import Dataset, quoted, read_text
 from .errors import ConfigError
 from .evaluate import EvalReport, evaluate, predictions_from_table
 from .fusion import check_weights, fuse, fuse_tables
@@ -38,8 +38,7 @@ class Recipe:
     name: str
     video: list  # [(head kind, multiplicity), ...]
     audio: list  # [(model kind, multiplicity), ...]
-    fusion: str = "mean"            # "mean" | "weighted"
-    weights: list | None = None     # one weight per modality, fusion=weighted
+    weights: list | None = None     # one weight per modality; None: mean
     train_on: str = "train"         # "train" | "train+val"
 
     def validate(self):
@@ -49,22 +48,15 @@ class Recipe:
                                      (self.audio, AUDIO_MODELS, "audio model")):
             for kind, mult in members:
                 if kind not in kinds:
-                    raise ConfigError(f"unknown {what} {kind!r}")
+                    raise ConfigError(f"unknown {what} {quoted(kind)}")
                 if mult < 1:
                     raise ConfigError(f"multiplicity must be >= 1, got {mult}")
-        if self.fusion not in ("mean", "weighted"):
-            raise ConfigError(f"fusion must be 'mean' or 'weighted', "
-                              f"got {self.fusion!r}")
-        if self.fusion == "weighted":
-            if self.weights is None:
-                raise ConfigError("weighted fusion needs a weights line")
+        if self.weights is not None:
             check_weights(self.weights, bool(self.video) + bool(self.audio),
                           ConfigError)
-        elif self.weights is not None:
-            raise ConfigError("a weights line needs fusion = weighted")
         if self.train_on not in ("train", "train+val"):
             raise ConfigError(f"train_on must be 'train' or 'train+val', "
-                              f"got {self.train_on!r}")
+                              f"got {quoted(self.train_on)}")
         return self
 
 
@@ -75,8 +67,8 @@ def _parse_members(value, lineno):
         try:
             members.append((kind, int(mult) if star else 1))
         except ValueError:
-            raise ConfigError(f"line {lineno}: bad member token {token!r}, "
-                              f"expected kind*count") from None
+            raise ConfigError(f"line {lineno}: bad member token "
+                              f"{quoted(token)}, expected kind*count") from None
     return members
 
 
@@ -89,19 +81,17 @@ def parse_recipe(text: str, name: str = "recipe") -> Recipe:
             recipe.video = _parse_members(value, lineno)
         elif key == "audio":
             recipe.audio = _parse_members(value, lineno)
-        elif key == "fusion":
-            recipe.fusion = value
         elif key == "weights":
             try:
                 recipe.weights = [float(v) for v in
                                   value.replace(",", " ").split()]
             except ValueError:
                 raise ConfigError(f"line {lineno}: bad weights "
-                                  f"{value!r}") from None
+                                  f"{quoted(value)}") from None
         elif key == "train_on":
             recipe.train_on = value
         else:
-            raise ConfigError(f"line {lineno}: unknown recipe key {key!r}")
+            raise ConfigError(f"line {lineno}: unknown recipe key {quoted(key)}")
     return recipe.validate()
 
 

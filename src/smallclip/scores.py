@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import atomic_write_text, id_fault, read_text
+from .data import atomic_write_text, id_fault, quoted, read_text
 from .errors import ContractError, ParseError
 
 
@@ -84,10 +84,10 @@ def load_score_table(path) -> ScoreTable:
         raise ParseError(f"{path}: empty score table")
     header = lines[0].split(",")
     if header[0] != "clip_id" or len(header) < 2:
-        raise ParseError(f"{path}: bad header {lines[0]!r}")
+        raise ParseError(f"{path}: bad header {quoted(lines[0])}")
     n_classes = len(header) - 1
     if header[1:] != [f"p{i}" for i in range(n_classes)]:
-        raise ParseError(f"{path}: bad header {lines[0]!r}")
+        raise ParseError(f"{path}: bad header {quoted(lines[0])}")
     ids, rows = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:

@@ -207,14 +207,15 @@ def _run_epochs(mlp, X, y, epochs, lr, config, rng, phase):
 
 def _train_mlp_reference(ds, config, seed, pretrain=None):
     """Reference: ``train_audio_mlp`` running ``_run_epochs`` per phase."""
-    X, y = audio_module._audio_matrix(ds.split("train"))
+    X, y = audio_module._audio_matrix(ds.labeled("train", "audio"))
     rng = np.random.default_rng([seed, 0xA0D])
     mlp = MLPHead(ds.d_audio, config.hidden, ds.n_classes,
                   dropout=config.dropout, rng=rng, name="audio")
     log = {"pretrain_loss": [], "train_loss": [], "lr": config.lr}
     lr = config.lr
     if pretrain is not None:
-        Xp, yp = audio_module._audio_matrix(pretrain.labeled())
+        Xp, yp = audio_module._audio_matrix(
+            pretrain.labeled(modality="audio"))
         log["pretrain_loss"] = _run_epochs(
             mlp, Xp, yp, config.pretrain_epochs or config.epochs, lr, config,
             rng, "pretraining")

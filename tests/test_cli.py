@@ -16,6 +16,7 @@ import smallclip
 from conftest import checkpoint_as_version
 from smallclip import cli, recipes
 from smallclip.audio import train_audio_model
+from smallclip.checkpoint import load_checkpoint
 from smallclip.cli import BLAS_THREAD_VARS, main
 from smallclip.config import AUDIO_MODELS, VIDEO_HEADS, load_config
 from smallclip.data import load_dataset
@@ -153,6 +154,31 @@ def test_garbage_inputs_exit_with_one_error_line(workdir, capsys, argv):
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), filled
         assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--scores", "{m}", "--manifest", "{m}"],
+    ["fuse", "--scores", "{m}", "{m}", "--out", "{d}/f.csv"],
+    ["train-video", "--config", "{m}", "--manifest", "{m}",
+     "--out", "{d}/v.json"],
+    ["recipe", "--recipe", "{m}", "--manifest", "{m}", "--out", "{d}/r.csv"],
+    ["evaluate", "--scores", "{s}", "--manifest", "{m}", "--dist", "{m}"],
+], ids=["scores", "fuse-scores", "config", "recipe", "dist"])
+def test_an_error_line_quotes_at_most_a_short_part_of_a_file(
+        workdir, capsys, argv):
+    # the manifest given as every other kind of input file; its lines are
+    # hundreds of bytes long
+    m = workdir / "data.jsonl"
+    assert min(map(len, m.read_text().splitlines())) > 300
+    ids = [json.loads(line)["id"] for line in m.read_text().splitlines()]
+    scores = workdir / "s.csv"
+    scores.write_text("clip_id,p0,p1,p2\n"
+                      + "".join(f"{i},1,0,0\n" for i in ids))
+    capsys.readouterr()
+    assert main([a.format(m=m, s=scores, d=workdir) for a in argv]) in (1, 2)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert len(err[0].encode()) < 200, err[0]
 
 
 def test_negative_distribution_count_exits_one(workdir, capsys):
@@ -529,6 +555,68 @@ def test_audio_cross_validate_and_repeat_skip_clips_without_audio(
     capsys.readouterr()
 
 
+def test_val_accuracy_scores_the_clips_each_modality_covers(tmp_path,
+                                                            capsys):
+    m = tmp_path / "noisy.jsonl"  # noisy enough that some val clips miss
+    assert main(SYNTH[:-2] + ["--margin", "1", "--noise", "1", "--seed", "3",
+                              "--out", str(m)]) == 0
+    records = [json.loads(line) for line in m.read_text().splitlines()]
+    for split in ("train", "val"):
+        next(r for r in records if r["split"] == split)["audio"] = None
+    m.write_text("".join(json.dumps(r) + "\n" for r in records))
+    ds = load_dataset(str(m))
+    val = [c for c in ds.split("val") if c.label is not None]
+    with_audio = [c for c in val if c.audio is not None]
+    assert (len(val), len(with_audio)) == (6, 5)
+    (tmp_path / "fast.cfg").write_text(FAST_CFG)
+    flags = ["--manifest", str(m), "--config", str(tmp_path / "fast.cfg")]
+
+    def accuracy(path, clips):
+        pred = load_checkpoint(str(path)).predict_batch(clips).argmax(axis=1)
+        return int((pred == [c.label for c in clips]).sum()) / len(clips)
+
+    capsys.readouterr()
+    assert main(["train-video", *flags, "--seed", "1",
+                 "--out", str(tmp_path / "video.json")]) == 0
+    printed = capsys.readouterr().out
+    expected = accuracy(tmp_path / "video.json", val)
+    assert expected != accuracy(tmp_path / "video.json", val[1:])
+    assert printed.endswith(f"val accuracy: {expected:.4f}\n")
+    per_seed = []
+    for seed in (1, 2):
+        out = tmp_path / f"forest-{seed}.json"
+        assert main(["train-audio", *flags, "--model", "forest",
+                     "--seed", str(seed), "--out", str(out)]) == 0
+        per_seed.append(accuracy(out, with_audio))
+        assert capsys.readouterr().out.endswith(
+            f"val accuracy: {per_seed[-1]:.4f}\n")
+    rep = tmp_path / "seeds.csv"
+    assert main(["repeat", *flags, "--modality", "audio", "--model",
+                 "forest", "--seeds", "1", "2", "--out", str(rep)]) == 0
+    rows = [line.split(",") for line in rep.read_text().splitlines()[1:]]
+    assert [float(v) for _, v in rows] == per_seed
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--model", "forest"], "--model does not apply to --modality video"),
+    (["--modality", "audio", "--pooling", "lstm"],
+     "--pooling does not apply to --modality audio"),
+], ids=["model-with-video", "pooling-with-audio"])
+@pytest.mark.parametrize("command", [
+    ["ensemble", "--out", "{d}/e.csv"], ["cross-validate"],
+    ["repeat", "--seeds", "1", "2"],
+], ids=lambda command: command[0])
+def test_member_commands_refuse_the_other_modalitys_kind_flag(
+        tmp_path, capsys, command, flags, message):
+    # the manifest does not exist: the flags are refused before any read
+    argv = [command[0], "--manifest", str(tmp_path / "gone.jsonl"), *flags,
+            *(a.format(d=tmp_path) for a in command[1:])]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert list(tmp_path.iterdir()) == []
+
+
 KINDS = [("video", kind) for kind in VIDEO_HEADS] + \
         [("audio", kind) for kind in AUDIO_MODELS]
 
@@ -677,7 +765,7 @@ def test_bad_fusion_weights_exit_two_before_any_work(
         Path(tables[-1]).write_text("clip_id,p0,p1,p2\n" + "".join(
             f"{cid},1,{i},0\n" for cid in ids))
     rcp = workdir / "weighted.preset"
-    rcp.write_text("video = avg-pool\naudio = mlp\nfusion = weighted\n"
+    rcp.write_text("video = avg-pool\naudio = mlp\n"
                    f"weights = {' '.join(weights)}\n")
 
     def never(*args, **kwargs):
@@ -696,18 +784,17 @@ def test_bad_fusion_weights_exit_two_before_any_work(
     assert not Path(str(out) + ".manifest.json").exists()
 
 
-def test_recipe_weights_without_weighted_fusion_exit_two(
+def test_recipe_fusion_line_is_an_unknown_key_exit_two(
         workdir, capsys, monkeypatch):
     rcp = workdir / "mean.preset"
-    rcp.write_text("video = avg-pool\naudio = mlp\nfusion = mean\n"
-                   "weights = 0.9 0.1\n")
+    rcp.write_text("video = avg-pool\naudio = mlp\nfusion = mean\n")
     monkeypatch.setattr(recipes, "train_video_models", None)
     monkeypatch.setattr(recipes, "train_audio_models", None)
     out = workdir / "mean.csv"
     assert main(["recipe", "--recipe", str(rcp), "--manifest",
                  str(workdir / "data.jsonl"), "--out", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == \
-        ["error: a weights line needs fusion = weighted"]
+        ["error: line 3: unknown recipe key 'fusion'"]
     assert not out.exists()
 
 
@@ -716,7 +803,7 @@ def test_recipe_file_and_member_manifest(workdir, capsys):
     cfg = str(workdir / "fast.cfg")
     rcp = workdir / "six.preset"
     rcp.write_text("video = avg-pool*2 weighted-avg-pool*2\n"
-                   "audio = forest*1 mlp*1\nfusion = mean\n")
+                   "audio = forest*1 mlp*1\n")
     out = str(workdir / "six.csv")
     assert main(["recipe", "--recipe", str(rcp), "--manifest", m,
                  "--config", cfg, "--seed", "0", "--out", out]) == 0

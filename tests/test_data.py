@@ -7,7 +7,7 @@ import pytest
 
 from smallclip.data import (
     Clip, atomic_write_text, build_dataset, class_names,
-    load_dataset, load_distribution, packaged_distribution_path,
+    load_dataset, load_distribution, packaged_distribution_path, quoted,
     validate_dataset, write_dataset,
 )
 from smallclip.errors import DataValidationError, ParseError
@@ -155,6 +155,31 @@ def test_validation_report_totals():
     assert report.split_counts["val"].total == 383
     assert report.split_counts["test"].total == 653
     assert "773" in report.to_text()
+
+
+def test_labeled_keeps_the_clips_a_modality_covers(rng):
+    ds = build_dataset([make_clip(rng, "a", d_audio=3),
+                        make_clip(rng, "no-audio"),
+                        make_clip(rng, "unlabeled", d_audio=3, label=None),
+                        make_clip(rng, "v", split="val", d_audio=3),
+                        make_clip(rng, "v-no-audio", split="val")])
+
+    def ids(clips):
+        return [c.id for c in clips]
+
+    assert ids(ds.labeled()) == ["a", "no-audio", "v", "v-no-audio"]
+    assert ids(ds.labeled(modality="audio")) == ["a", "v"]
+    assert ids(ds.labeled("train")) == ["a", "no-audio"]
+    assert ids(ds.labeled("train", "audio")) == ["a"]
+    assert ids(ds.labeled("val", "video")) == ["v", "v-no-audio"]
+    assert ids(ds.labeled("val", "audio")) == ["v"]
+
+
+def test_quoted_cuts_a_long_quote_to_its_limit():
+    assert quoted("a" * 58) == repr("a" * 58)  # 60 characters with quotes
+    assert quoted("a" * 59) == "'" + "a" * 59 + "..."
+    assert quoted("x=1", limit=4) == "'x=1..."
+    assert len(quoted("\u2028" * 1000)) == 63
 
 
 def test_validation_report_audio_and_lengths(rng):

@@ -43,7 +43,6 @@ RECIPE_POOLS = {
     "name": st.text(max_size=8),
     "video": _members(VIDEO_HEADS),
     "audio": _members(AUDIO_MODELS),
-    "fusion": st.sampled_from(["mean", "weighted"]),
     "weights": st.lists(st.sampled_from(
         ["0.5", "1", "0", "1e308", "1.7e308", "nan", "-1"]), min_size=1,
         max_size=3).map(" ".join),
@@ -81,12 +80,11 @@ def test_any_text_parses_to_a_valid_config_or_raises_a_config_error(text):
 
 
 @settings(max_examples=500, derandomize=True, deadline=1000, database=None)
-@given(st.one_of(*[key_value_texts(RECIPE_POOLS, 6)] * 3,
+@given(st.one_of(*[key_value_texts(RECIPE_POOLS, 5)] * 3,
                  st.text(max_size=60)))
 # found at 3,000 examples: each weight is finite, their sum is not, and
 # check_weights summed them with a RuntimeWarning
-@example("audio=mlp\nfusion=weighted\nname=\nvideo=score-mean\n"
-         "weights=1e308 1e308\n")
+@example("audio=mlp\nname=\nvideo=score-mean\nweights=1e308 1e308\n")
 def test_any_text_parses_to_a_valid_recipe_or_raises_a_config_error(text):
     try:
         recipe = parse_recipe(text)

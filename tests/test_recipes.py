@@ -16,7 +16,6 @@ from smallclip.video import train_video_model
 def test_parse_members_and_weights():
     r = parse_recipe("video = avg-pool*2, lstm\n"
                      "audio = mlp*3\n"
-                     "fusion = weighted\n"
                      "weights = 0.7, 0.3\n")
     assert r.video == [("avg-pool", 2), ("lstm", 1)]
     assert r.audio == [("mlp", 3)]
@@ -40,8 +39,7 @@ def test_parse_errors():
     with pytest.raises(ConfigError, match="key=value"):
         parse_recipe("video avg-pool\n")
     with pytest.raises(ConfigError, match="bad weights"):
-        parse_recipe("video = avg-pool\naudio = mlp\nfusion = weighted\n"
-                     "weights = half half\n")
+        parse_recipe("video = avg-pool\naudio = mlp\nweights = half half\n")
 
 
 def test_validate_errors():
@@ -53,19 +51,11 @@ def test_validate_errors():
         Recipe("r", [], [("svm", 1)]).validate()
     with pytest.raises(ConfigError, match="multiplicity"):
         Recipe("r", [("avg-pool", 0)], []).validate()
-    with pytest.raises(ConfigError, match="weights line"):
-        Recipe("r", [("avg-pool", 1)], [("mlp", 1)],
-               fusion="weighted").validate()
     with pytest.raises(ConfigError, match=r"expected 2 weights, got shape"):
-        Recipe("r", [("avg-pool", 1)], [("mlp", 1)], fusion="weighted",
-               weights=[1.0]).validate()
-    with pytest.raises(ConfigError, match="needs fusion = weighted"):
         Recipe("r", [("avg-pool", 1)], [("mlp", 1)],
-               weights=[0.9, 0.1]).validate()
+               weights=[1.0]).validate()
     with pytest.raises(ConfigError, match="train_on"):
         Recipe("r", [("avg-pool", 1)], [], train_on="test").validate()
-    with pytest.raises(ConfigError, match="fusion"):
-        Recipe("r", [("avg-pool", 1)], [], fusion="max").validate()
 
 
 def test_load_recipe_uses_stem_as_name(tmp_path):
@@ -89,12 +79,12 @@ def test_packaged_presets_load_and_validate():
 def test_packaged_preset_structure():
     r1 = packaged_recipe("submission1")
     assert r1.video == [("avg-pool", 1)] and r1.audio == [("mlp", 1)]
-    assert r1.fusion == "weighted" and r1.weights == [0.65, 0.35]
+    assert r1.weights == [0.65, 0.35]
 
     r3 = packaged_recipe("submission3")
     assert r3.video == [("avg-pool", 2), ("weighted-avg-pool", 2)]
     assert r3.audio == [("forest", 1), ("mlp", 1)]
-    assert r3.fusion == "mean"
+    assert r3.weights is None
     assert sum(m for _, m in r3.video + r3.audio) == 6
 
     r6 = packaged_recipe("submission6")
@@ -132,7 +122,7 @@ def test_run_recipe_members_and_seeds():
 def test_run_recipe_deterministic_and_jobs_invariant():
     ds = recipe_dataset(seed=1)
     recipe = parse_recipe("video = avg-pool\naudio = mlp\n"
-                          "fusion = weighted\nweights = 0.65 0.35\n")
+                          "weights = 0.65 0.35\n")
     a = run_recipe(recipe, ds, fast_config(), seed=0, jobs=1)
     b = run_recipe(recipe, ds, fast_config(), seed=0, jobs=3)
     assert np.array_equal(a.table.probs, b.table.probs)
