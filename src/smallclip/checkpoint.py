@@ -28,7 +28,7 @@ import numpy as np
 
 from .audio import AudioModel
 from .config import SCORE_MODES, VIDEO_HEADS
-from .data import atomic_write_text, read_text
+from .data import atomic_write_text, quoted, read_text
 from .errors import ContractError, ParseError
 from .forest import TREE_ARRAYS, Forest, Tree
 from .nn import MLPHead
@@ -127,7 +127,8 @@ def _meta(meta, key, ok, expected):
     """``meta[key]``, which ``ok`` must accept (else a ParseError)."""
     if not ok(meta[key]):
         raise ParseError(f"malformed checkpoint: meta {key} must be "
-                         f"{expected}, got {json.dumps(meta[key])}")
+                         f"{expected}, got "
+                         f"{quoted(meta[key], spell=json.dumps)}")
     return meta[key]
 
 
@@ -176,9 +177,9 @@ def model_from_dict(obj) -> VideoModel | AudioModel:
     version = obj.get("version")
     if type(version) is not int:
         raise ParseError("malformed checkpoint: version must be an integer, "
-                         f"got {json.dumps(version)}")
+                         f"got {quoted(version, spell=json.dumps)}")
     if version not in (1, VERSION):
-        raise ParseError(f"unsupported checkpoint version {version}")
+        raise ParseError(f"unsupported checkpoint version {quoted(version)}")
     kind = obj.get("kind")
     meta = obj.get("meta", {})
     try:
@@ -227,7 +228,7 @@ def model_from_dict(obj) -> VideoModel | AudioModel:
             return AudioModel("forest", d_audio, n_classes, forest=f)
     except (KeyError, TypeError, ContractError) as exc:
         raise ParseError(f"malformed checkpoint: {exc}") from exc
-    raise ParseError(f"unknown checkpoint kind {kind!r}")
+    raise ParseError(f"unknown checkpoint kind {quoted(kind)}")
 
 
 def load_checkpoint(path) -> VideoModel | AudioModel:

@@ -146,14 +146,14 @@ class Dataset:
 
 def _check_clip(clip: Clip, dims):
     d_feature, n_classes, d_audio = dims
-    where = f"clip {clip.id!r}"
+    where = f"clip {quoted(clip.id)}"
     fault = id_fault(clip.id)
     if fault:
         raise DataValidationError(f"{where}: {fault}")
     if clip.n_frames < 1:
         raise DataValidationError(f"{where}: must contain at least one frame")
     if clip.split not in SPLITS:
-        raise DataValidationError(f"{where}: unknown split {clip.split!r}")
+        raise DataValidationError(f"{where}: unknown split {quoted(clip.split)}")
     if clip.features.shape != (clip.n_frames, d_feature):
         raise DataValidationError(
             f"{where}: feature dimension {clip.features.shape[1:]} != ({d_feature},)"
@@ -190,7 +190,7 @@ def build_dataset(clips, meta=None) -> Dataset:
             arr = getattr(c, name)
             if arr is not None and arr.ndim != ndim:
                 raise DataValidationError(
-                    f"clip {c.id!r}: {name} must be {ndim}-dimensional, "
+                    f"clip {quoted(c.id)}: {name} must be {ndim}-dimensional, "
                     f"got shape {arr.shape}")
         if d_audio is None and c.audio is not None:
             d_audio = c.audio.shape[0]
@@ -199,7 +199,7 @@ def build_dataset(clips, meta=None) -> Dataset:
     seen = set()
     for c in clips:
         if c.id in seen:
-            raise DataValidationError(f"duplicate clip id {c.id!r}")
+            raise DataValidationError(f"duplicate clip id {quoted(c.id)}")
         seen.add(c.id)
         _check_clip(c, dims)
     return Dataset(list(clips), dims, meta=meta)
@@ -210,14 +210,14 @@ def _clip_from_json(obj, line_no):
         frames, clip_id = obj["frames"], obj["id"]
         if type(clip_id) is not str:
             raise ParseError(f"line {line_no}: id must be a string, got "
-                             f"{json.dumps(clip_id)}")
+                             f"{quoted(clip_id, spell=json.dumps)}")
         label = obj.get("label")
         if label is not None and type(label) is not int:  # bool is an int
             raise ParseError(f"line {line_no}: label must be an integer or "
-                             f"null, got {json.dumps(label)}")
+                             f"null, got {quoted(label, spell=json.dumps)}")
         if not isinstance(frames, list) or not frames:
             raise DataValidationError(
-                f"clip {obj.get('id')!r}: must contain at least one frame"
+                f"clip {quoted(clip_id)}: must contain at least one frame"
             )
         features = np.array([fr["f"] for fr in frames], dtype=np.float64)
         scores = np.array([fr["s"] for fr in frames], dtype=np.float64)
@@ -228,9 +228,11 @@ def _clip_from_json(obj, line_no):
         raise ParseError(f"line {line_no}: malformed clip record ({e})") from e
 
 
-def quoted(text: str, limit: int = 60) -> str:
-    """``repr(text)`` cut to ``limit`` characters and ``...``, for errors."""
-    r = repr(text)
+def quoted(value, limit: int = 60, spell=repr) -> str:
+    """``spell(value)`` cut to ``limit`` characters and ``...``, for errors
+    that quote a value read from a file (``spell=json.dumps`` spells it as
+    the JSON it came from)."""
+    r = spell(value)
     return r if len(r) <= limit else r[:limit] + "..."
 
 

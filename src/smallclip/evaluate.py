@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ClassDistribution, Dataset
+from .data import ClassDistribution, Dataset, quoted
 from .errors import ConfigError, ContractError
 from .parallel import parallel_map
 
@@ -139,7 +139,7 @@ def labeled_rows(table, ds: Dataset, split: str | None = None):
         missing = [c.id for c in clips if c.id not in pos]
         if missing:
             raise ContractError(f"no prediction for labeled clip "
-                                f"{missing[0]!r} in split {split!r}")
+                                f"{quoted(missing[0])} in split {split!r}")
     else:
         clips = [c for c in clips if c.id in pos]
         if not clips:

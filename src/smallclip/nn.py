@@ -263,14 +263,15 @@ def _fronts(buffer, shapes):
 
 def _training_arrays(buffer, xs_shape, lead, H):
     """The BPTT cache of a (..., T, B, D) time-major batch (the inputs, the
-    gates, c and tanh(c)) and then one flat work region, consecutive from
-    the front of ``buffer`` (``_fronts``). The work region holds a step's
-    rows: the forward's gate product and two (..., B, H) rows, the
-    backward's five rows, or one gate block's weight-gradient product."""
+    gates, and the cell states c_-1..c_T-1 with the zero initial state in
+    slot 0) and then one flat work region, consecutive from the front of
+    ``buffer`` (``_fronts``). The work region holds a step's rows: the
+    forward's gate product and two (..., B, H) rows, the backward's six
+    rows, or one gate block's weight-gradient product."""
     *_, T, B, D = xs_shape
     work = math.prod(lead) * max(6 * B * H, H * max(D, H))
-    return _fronts(buffer, [xs_shape, (*lead, T, B, 4 * H)]
-                   + [(*lead, T, B, H)] * 2 + [(work,)])
+    return _fronts(buffer, [xs_shape, (*lead, T, B, 4 * H),
+                            (*lead, T + 1, B, H), (work,)])
 
 
 def lstm_forward(params: LSTMParams, xs, keep_caches=True):
@@ -279,10 +280,12 @@ def lstm_forward(params: LSTMParams, xs, keep_caches=True):
     Each step computes ``z = (x_t Wx^T + h Wh^T) + b``, a sigmoid over the
     input, forget and output gate slices of the (..., B, 4H) block and a
     tanh over its cell slice. Returns the final hidden state (..., B, H) and
-    the BPTT cache: a time-major copy of the inputs, and the per-step gates,
-    input cell states and tanh(c), as (..., T, B, .) arrays, consecutive
-    views of one flat buffer (their ``.base``). The hidden states are not
-    stored: ``lstm_backward`` recomputes each as ``o * tanh(c)``. With
+    the BPTT cache: a time-major copy of the inputs and the per-step gates,
+    as (..., T, B, .) arrays, and the cell states as a (..., T+1, B, H)
+    array whose slot 0 is the zero initial state and slot t+1 step t's c;
+    consecutive views of one flat buffer (their ``.base``). Neither the
+    hidden states nor tanh(c) are stored: ``lstm_backward`` recomputes
+    tanh(c) from c, and each h as ``o * tanh(c)``. With
     ``keep_caches=False`` (inference) nothing is stored and the cache is
     None, so memory stays flat in T. Stacked parameters take xs of shape
     (M, B, T, D), or (B, T, D) shared by all members.
@@ -305,16 +308,17 @@ def lstm_forward(params: LSTMParams, xs, keep_caches=True):
     if keep_caches:
         cache = _training_arrays(None, xs_t.shape, lead, H)
         cache[0][...] = xs_t  # time-major: backward's products take it as is
-        xs_t, gates, cs, tcs, work = cache
-        za, tg, c = _fronts(work, [block, row, row])
+        xs_t, gates, cs, work = cache
+        za, tg, tc = _fronts(work, [block, row, row])
+        c = cs[..., 0, :, :]
     else:  # inference: one gate block and its work, rewritten every step
         a, za, tg, tc, c = _fronts(None, [block] * 2 + [row] * 3)
     h = np.zeros(row)
     c[...] = 0.0
     for t in range(T):
+        c_in = c
         if keep_caches:
-            a, tc = gates[..., t, :, :], tcs[..., t, :, :]
-            cs[..., t, :, :] = c
+            a, c = gates[..., t, :, :], cs[..., t + 1, :, :]
         np.matmul(xs_t[..., t, :, :], WxT, out=a)
         a += np.matmul(h, WhT, out=za)
         a += params.b.values[..., None, :]
@@ -323,11 +327,11 @@ def lstm_forward(params: LSTMParams, xs, keep_caches=True):
         np.tanh(g, out=tg)
         sigmoid(a, out=a)  # one pass over the contiguous block
         g[...] = tg
-        c *= f  # c = f * c + i * g
+        np.multiply(c_in, f, out=c)  # c = f * c + i * g
         c += np.multiply(i, g, out=tg)
         np.tanh(c, out=tc)
         np.multiply(o, tc, out=h)
-    return h, ((xs_t, gates, cs, tcs) if keep_caches else None)
+    return h, ((xs_t, gates, cs) if keep_caches else None)
 
 
 def lstm_backward(params: LSTMParams, cache, dh_last):
@@ -335,33 +339,34 @@ def lstm_backward(params: LSTMParams, cache, dh_last):
     ``Wx``, ``Wh`` and ``b`` gradients and returns nothing (the inputs are
     frozen features, so no input gradient is formed).
 
-    The time loop carries only ``dh`` and ``dc``: each step writes its
-    pre-activation gradient dz over its gate cache and the hidden state it
-    produced, ``o * tanh(c)``, over the next step's spent tanh(c), so the
-    tanh(c) array ends as the per-step input hidden states, and a cache
-    serves one backward pass. Each step computes the textbook expressions
-    in their operation order, each into a fixed row of the work region
-    that follows the cache in its buffer (``xs.base``). Each weight
-    gradient then gets one gate's block of rows at a time,
-    ``grad[k] += dz_k^T X`` over all (T * B) rows, through one block of the
-    same region; so a backward pass allocates no (B, H) row and no (4H, .)
-    product. Step 0 forms no ``dh`` or ``dc`` for the step before it: those
-    are the gradients of the constant zero initial state, which nothing
-    reads.
+    The time loop carries only ``dh`` and ``dc``: each step recomputes its
+    tanh(c) from its c into a work row, writes the hidden state it
+    produced, ``o * tanh(c)``, over that c, which nothing reads again, and
+    writes its pre-activation gradient dz over its gate cache. So the cell
+    states end as the per-step input hidden states (slot 0 stays the zero
+    initial state), and a cache serves one backward pass. Each step
+    computes the textbook expressions in their operation order, each into
+    a fixed row of the work region that follows the cache in its buffer
+    (``xs.base``). Each weight gradient then gets one gate's block of rows
+    at a time, ``grad[k] += dz_k^T X`` over all (T * B) rows, through one
+    block of the same region; so a backward pass allocates no (B, H) row
+    and no (4H, .) product. Step 0 forms no ``dh`` or ``dc`` for the step
+    before it: those are the gradients of the constant zero initial state,
+    which nothing reads.
     """
-    xs, gates, cs, tcs = cache
+    xs, gates, cs = cache
     *lead, T, B, _ = gates.shape
     D, H = xs.shape[-1], params.hidden
     *_, work = _training_arrays(xs.base, xs.shape, lead, H)
-    dh, dc, do, dcell, s = _fronts(work, [(*lead, B, H)] * 5)
+    dh, dc, do, dcell, s, tc = _fronts(work, [(*lead, B, H)] * 6)
     dh[...] = dh_last
     dc[...] = 0.0
     for t in reversed(range(T)):
-        a, tc = gates[..., t, :, :], tcs[..., t, :, :]
+        a = gates[..., t, :, :]
         i, f, g, o = (a[..., :H], a[..., H:2 * H], a[..., 2 * H:3 * H],
                       a[..., 3 * H:])
-        if t + 1 < T:  # step t + 1 has read its tanh(c)
-            np.multiply(o, tc, out=tcs[..., t + 1, :, :])
+        np.tanh(cs[..., t + 1, :, :], out=tc)
+        np.multiply(o, tc, out=cs[..., t + 1, :, :])  # h over the spent c
         np.multiply(dh, tc, out=do)
         np.multiply(tc, tc, out=s)  # dcell = dc + dh * o * (1 - tc * tc)
         np.subtract(1.0, s, out=s)
@@ -388,11 +393,10 @@ def lstm_backward(params: LSTMParams, cache, dh_last):
         np.multiply(s, do, out=g)
         if t:
             np.matmul(a, params.Wh.values, out=dh)
-    tcs[..., 0, :, :] = 0.0  # the zero initial state
     dz = gates.reshape(*lead, T * B, 4 * H)
     dzT = dz.swapaxes(-1, -2)
     for p, rows in ((params.Wx, xs.reshape(*xs.shape[:-3], T * B, D)),
-                    (params.Wh, tcs.reshape(*lead, T * B, H))):
+                    (params.Wh, cs[..., :T, :, :].reshape(*lead, T * B, H))):
         part, = _fronts(work, [(*lead, H, rows.shape[-1])])
         for k in range(0, 4 * H, H):  # one gate's rows at a time
             p.grad[..., k:k + H, :] += np.matmul(dzT[..., k:k + H, :], rows,

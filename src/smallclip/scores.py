@@ -36,7 +36,7 @@ class ScoreTable:
         for cid in self.ids:
             fault = id_fault(cid)
             if fault:
-                raise ContractError(f"clip {cid!r}: {fault}")
+                raise ContractError(f"clip {quoted(cid)}: {fault}")
         p = self.probs
         finite = np.isfinite(p).all(axis=1)
         nonnegative = (p >= 0).all(axis=1)
@@ -47,7 +47,7 @@ class ScoreTable:
             fault = ("non-finite" if not finite[i] else
                      "negative" if not nonnegative[i] else "all-zero")
             raise ContractError(
-                f"clip {self.ids[i]!r}: {fault} scores (rows must be finite "
+                f"clip {quoted(self.ids[i])}: {fault} scores (rows must be finite "
                 f"and nonnegative with a positive sum)")
 
     @property

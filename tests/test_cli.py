@@ -181,6 +181,54 @@ def test_an_error_line_quotes_at_most_a_short_part_of_a_file(
     assert len(err[0].encode()) < 200, err[0]
 
 
+def _with_long_value(workdir, case):
+    """The argv of a command whose input file holds a value thousands of
+    bytes long where the error line quotes it: a manifest record's field,
+    a checkpoint field, or the clip id of a bad score-table row."""
+    m = workdir / "data.jsonl"
+    long_id = "c" * 5000
+    if case.startswith("manifest-"):
+        key, value = {
+            "manifest-id-list": ("id", list(range(3000))),
+            "manifest-split-long": ("split", "s" * 5000),
+            "manifest-split-list": ("split", ["train"] * 2000),
+            "manifest-label-list": ("label", list(range(2000))),
+        }[case]
+        records = [json.loads(line) for line in m.read_text().splitlines()]
+        records[2][key] = value
+        bad = workdir / "bad.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+        return ["validate", "--manifest", str(bad)]
+    if case.startswith("checkpoint-"):
+        ckpt = workdir / "model.json"
+        assert main(["train-video", "--manifest", str(m), "--config",
+                     str(workdir / "fast.cfg"), "--out", str(ckpt)]) == 0
+        obj = json.loads(ckpt.read_text())
+        if case == "checkpoint-head-list":
+            obj["meta"]["head"] = ["lstm"] * 3000
+        else:
+            obj["version"] = list(range(2000))
+        ckpt.write_text(json.dumps(obj))
+        return ["predict", "--model", str(ckpt), "--manifest", str(m),
+                "--out", str(workdir / "p.csv")]
+    scores = workdir / "s.csv"
+    scores.write_text(f"clip_id,p0,p1,p2\n{long_id},0,0,0\n")
+    return ["evaluate", "--scores", str(scores), "--manifest", str(m)]
+
+
+@pytest.mark.parametrize("case", [
+    "manifest-id-list", "manifest-split-long", "manifest-split-list",
+    "manifest-label-list", "checkpoint-head-list", "checkpoint-version-list",
+    "score-table-long-id"])
+def test_an_error_line_cuts_a_long_value_from_a_file(workdir, capsys, case):
+    argv = _with_long_value(workdir, case)
+    capsys.readouterr()
+    assert main(argv) in (1, 2)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert len(err[0].encode()) < 300, err[0]
+
+
 def test_negative_distribution_count_exits_one(workdir, capsys):
     m = str(workdir / "data.jsonl")
     ids = [json.loads(line)["id"]

@@ -67,7 +67,7 @@ def key_value_texts(draw, pools, most):
     return "".join(line + draw(LINE_ENDS) for line in lines)
 
 
-@settings(max_examples=500, derandomize=True, deadline=1000, database=None)
+@settings(max_examples=250, derandomize=True, deadline=1000, database=None)
 @given(st.one_of(*[key_value_texts(CONFIG_POOLS, 4)] * 3,
                  st.text(max_size=60)))
 def test_any_text_parses_to_a_valid_config_or_raises_a_config_error(text):

@@ -186,11 +186,11 @@ def test_batch_cross_entropy_rejects_out_of_range_labels(rng):
 def test_lstm_zero_fixed_point():
     p = LSTMParams(3, 2)
     p.b.values[:] = 0.0  # clear the forget-bias init
-    h, (_, gates, cs, tcs) = lstm_forward(p, np.zeros((2, 4, 3)))
+    h, (_, gates, cs) = lstm_forward(p, np.zeros((2, 4, 3)))
     np.testing.assert_array_equal(h, np.zeros((2, 2)))
-    hs = gates[..., 6:] * tcs  # each step's h = o * tanh(c)
-    for states in (hs, cs, tcs):
-        np.testing.assert_array_equal(states, np.zeros((4, 2, 2)))
+    np.testing.assert_array_equal(cs, np.zeros((5, 2, 2)))
+    hs = gates[..., 6:] * np.tanh(cs[1:])  # each step's h = o * tanh(c)
+    np.testing.assert_array_equal(hs, np.zeros((4, 2, 2)))
 
 
 def test_lstm_forget_bias_default_one():
@@ -212,7 +212,7 @@ def test_lstm_large_forget_bias_closed_form():
     p.Wx.values[:] = wx
     p.b.values[H:2 * H] = 50.0
     xs = np.array([[[0.4, 0.9], [0.7, -1.2]]])
-    h2, (_, cached_gates, cs, tcs) = lstm_forward(p, xs)
+    h2, (_, cached_gates, cs) = lstm_forward(p, xs)
 
     def gates(x):
         z = p.Wx.values @ x + p.b.values
@@ -224,7 +224,7 @@ def test_lstm_large_forget_bias_closed_form():
     c1 = i1 * g1
     np.testing.assert_allclose(cs[1, 0], c1, atol=1e-8)
     # the cache's h of step 0 is its o times its tanh(c)
-    np.testing.assert_allclose(cached_gates[0, 0, 3 * H:] * tcs[0, 0],
+    np.testing.assert_allclose(cached_gates[0, 0, 3 * H:] * np.tanh(cs[1, 0]),
                                o1 * np.tanh(c1), atol=1e-8)
     np.testing.assert_allclose(h2[0], o2 * np.tanh(c1 + i2 * g2), atol=1e-8)
 
@@ -251,11 +251,22 @@ def test_lstm_forward_without_caches_matches(rng):
     h_free, no_cache = lstm_forward(p, xs, keep_caches=False)
     np.testing.assert_array_equal(h_free, h)
     assert no_cache is None
-    _, gates, cs, tcs = cache
+    _, gates, cs = cache
     assert gates.shape == (5, 6, 12)
-    assert cs.shape == tcs.shape == (5, 6, 3)
+    assert cs.shape == (6, 6, 3)  # the zero initial state, then each step's
+    assert not cs[0].any()
     # the final h is the last step's o * tanh(c), bit for bit
-    assert np.array_equal(gates[-1, :, 9:] * tcs[-1], h)
+    assert np.array_equal(gates[-1, :, 9:] * np.tanh(cs[-1]), h)
+
+
+def test_lstm_training_buffer_holds_three_cache_arrays():
+    # at B 16, T 16, D 32, H 128 (perfbench's roundtrip-hard): the inputs,
+    # the gates and the 17 cell states, then the work region; one more
+    # (T, B, H) array would add 262,144 bytes
+    p = LSTMParams(32, 128)
+    _, cache = lstm_forward(p, np.zeros((16, 16, 32)))
+    assert len(cache) == 3
+    assert cache[0].base.size == 190_464  # 1,523,712 bytes
 
 
 def _forward_backward(p, xs, dh):
@@ -308,11 +319,13 @@ def _carved_from(arrays, buffer):
 
 
 def _buffer_size(lead, T, B, D, H):
-    """Elements of a training forward's flat buffer: the four-array BPTT
-    cache, then the work region of six (B, H) rows or one gate's
-    (H, max(D, H)) block of a weight gradient, whichever is larger."""
+    """Elements of a training forward's flat buffer: the three-array BPTT
+    cache (inputs, gates and T + 1 cell states), then the work region of
+    six (B, H) rows or one gate's (H, max(D, H)) block of a weight
+    gradient, whichever is larger."""
     M = math.prod(lead)
-    return M * (T * B * (D + 4 * H + 2 * H) + max(6 * B * H, H * max(D, H)))
+    return M * (T * B * (D + 4 * H) + (T + 1) * B * H
+                + max(6 * B * H, H * max(D, H)))
 
 
 def _backward_reference(params, cache, dh_last):
@@ -320,14 +333,14 @@ def _backward_reference(params, cache, dh_last):
     into fresh temporaries, then one (4H, .) product per weight gradient,
     added to a copy of it. Returns the Wx, Wh and b gradients and leaves
     the cache and the parameters as they are."""
-    xs, gates, cs, tcs = cache
+    xs, gates, cs = cache
     *lead, T, B, _ = gates.shape
     D, H = xs.shape[-1], params.hidden
-    hs = np.zeros_like(tcs)  # each step's input hidden state
+    hs = np.zeros_like(cs[..., :T, :, :])  # each step's input hidden state
     dz = np.empty_like(gates)
     dh, dc = dh_last, np.zeros_like(dh_last)
     for t in reversed(range(T)):
-        a, tc = gates[..., t, :, :], tcs[..., t, :, :]
+        a, tc = gates[..., t, :, :], np.tanh(cs[..., t + 1, :, :])
         i, f, g, o = (a[..., :H], a[..., H:2 * H], a[..., 2 * H:3 * H],
                       a[..., 3 * H:])
         if t + 1 < T:
