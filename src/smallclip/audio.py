@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import TrainConfig
-from .data import Clip, Dataset
+from .data import Clip, Dataset, quoted
 from .errors import ContractError, TrainingError
 from .forest import Forest, train_forest
 from .nn import (EVAL, TRAIN, MLPHead, softmax, softmax_cross_entropy_batch,
@@ -44,11 +44,13 @@ class AudioModel:
         """
         for clip in clips:
             if clip.audio is None:
-                raise ContractError(f"clip {clip.id} has no audio features")
+                raise ContractError(
+                    f"clip {quoted(clip.id, spell=str)} has no audio features")
             if clip.audio.shape[0] != self.d_audio:
                 raise ContractError(
-                    f"clip {clip.id}: audio dim {clip.audio.shape[0]} does "
-                    f"not match model dim {self.d_audio}")
+                    f"clip {quoted(clip.id, spell=str)}: audio dim "
+                    f"{clip.audio.shape[0]} does not match model dim "
+                    f"{self.d_audio}")
         if not clips:
             return np.empty((0, self.n_classes))
         X = np.stack([c.audio for c in clips])

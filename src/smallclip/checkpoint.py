@@ -235,6 +235,6 @@ def load_checkpoint(path) -> VideoModel | AudioModel:
     text = read_text(path, "checkpoint")
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer too long to read
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     return model_from_dict(obj)

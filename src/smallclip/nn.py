@@ -15,6 +15,10 @@ itself deterministic and does not affect the train-mode output.
 The leading member axis is optional: a layer whose arrays are M models'
 stacked on axis 0 (``stack_members``) runs each model's math on its slice.
 
+A training LSTM forward caches only what its backward cannot cheaply
+recompute: the inputs, the gates and the cell states. The backward
+recomputes each step's tanh(c) and hidden state from them.
+
 Weight init: uniform(+-sqrt(6 / (fan_in + fan_out))), biases zero, LSTM forget
 bias 1.0.
 """

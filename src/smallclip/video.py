@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import SCORE_MODES, TrainConfig, VIDEO_HEADS
-from .data import Clip, Dataset
+from .data import Clip, Dataset, quoted
 from .errors import ContractError, TrainingError
 from .nn import (LSTMParams, Linear, lstm_backward, lstm_forward, sigmoid,
                  softmax, softmax_cross_entropy_batch, stack_members)
@@ -73,8 +73,9 @@ def score_mean(clips, score_mode: str = "probs") -> np.ndarray:
     bad = np.any(mean < 0, axis=-1) | (total[:, 0] <= 0)
     if bad.any():
         raise ContractError(
-            f"clip {clips[int(np.argmax(bad))].id}: stored scores are not "
-            f"probability-like; use score_mode='logits'")
+            f"clip {quoted(clips[int(np.argmax(bad))].id, spell=str)}: "
+            f"stored scores are not probability-like; use "
+            f"score_mode='logits'")
     return mean / total
 
 
@@ -109,8 +110,9 @@ def _check_feature_dim(clips, d_feature):
     for clip in clips:
         if clip.features.shape[1] != d_feature:
             raise ContractError(
-                f"clip {clip.id}: feature dim {clip.features.shape[1]} "
-                f"does not match model dim {d_feature}")
+                f"clip {quoted(clip.id, spell=str)}: feature dim "
+                f"{clip.features.shape[1]} does not match model dim "
+                f"{d_feature}")
 
 
 class VideoModel:

@@ -123,6 +123,11 @@ def test_malformed_checkpoints_rejected(tmp_path):
     p.write_text("{not json")
     with pytest.raises(ParseError):
         load_checkpoint(p)
+    # more digits than Python converts to an int
+    p.write_text('{"format": "smallclip-checkpoint", "version": '
+                 + "1" * 5000 + "}")
+    with pytest.raises(ParseError, match=r"invalid JSON: Exceeds"):
+        load_checkpoint(p)
     with pytest.raises(ParseError):
         load_checkpoint(tmp_path / "absent.json")
     with pytest.raises(ParseError):

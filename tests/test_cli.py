@@ -184,9 +184,18 @@ def test_an_error_line_quotes_at_most_a_short_part_of_a_file(
 def _with_long_value(workdir, case):
     """The argv of a command whose input file holds a value thousands of
     bytes long where the error line quotes it: a manifest record's field,
-    a checkpoint field, or the clip id of a bad score-table row."""
+    a checkpoint field, or the clip id of a bad score-table row or of a
+    clip without audio."""
     m = workdir / "data.jsonl"
     long_id = "c" * 5000
+
+    def manifest_with(i, **fields):
+        records = [json.loads(line) for line in m.read_text().splitlines()]
+        records[i].update(fields)
+        bad = workdir / "bad.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+        return str(bad)
+
     if case.startswith("manifest-"):
         key, value = {
             "manifest-id-list": ("id", list(range(3000))),
@@ -194,11 +203,15 @@ def _with_long_value(workdir, case):
             "manifest-split-list": ("split", ["train"] * 2000),
             "manifest-label-list": ("label", list(range(2000))),
         }[case]
-        records = [json.loads(line) for line in m.read_text().splitlines()]
-        records[2][key] = value
-        bad = workdir / "bad.jsonl"
-        bad.write_text("".join(json.dumps(r) + "\n" for r in records))
-        return ["validate", "--manifest", str(bad)]
+        return ["validate", "--manifest", manifest_with(2, **{key: value})]
+    if case == "audio-clip-long-id":
+        ckpt = workdir / "forest.json"
+        assert main(["train-audio", "--manifest", str(m), "--model", "forest",
+                     "--config", str(workdir / "fast.cfg"),
+                     "--out", str(ckpt)]) == 0
+        return ["predict", "--model", str(ckpt), "--manifest",
+                manifest_with(-1, id=long_id, audio=None),
+                "--out", str(workdir / "p.csv")]
     if case.startswith("checkpoint-"):
         ckpt = workdir / "model.json"
         assert main(["train-video", "--manifest", str(m), "--config",
@@ -219,7 +232,7 @@ def _with_long_value(workdir, case):
 @pytest.mark.parametrize("case", [
     "manifest-id-list", "manifest-split-long", "manifest-split-list",
     "manifest-label-list", "checkpoint-head-list", "checkpoint-version-list",
-    "score-table-long-id"])
+    "score-table-long-id", "audio-clip-long-id"])
 def test_an_error_line_cuts_a_long_value_from_a_file(workdir, capsys, case):
     argv = _with_long_value(workdir, case)
     capsys.readouterr()
