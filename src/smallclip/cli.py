@@ -61,9 +61,7 @@ from .evaluate import (RunStatistics, cross_validate, evaluate,
                        predictions_from_table)
 from .fusion import (check_weights, fuse, fuse_tables, grid_divisions,
                      learn_fusion_weights)
-from .recipes import load_recipe, packaged_recipe, run_recipe, score_members
 from .scores import ScoreTable, load_score_table, write_score_table
-from .synth import SynthConfig, generate_synthetic
 from .video import train_video_model
 
 # the levels each ``SMALLCLIP_LOG`` value shows; ``error``, the default,
@@ -158,9 +156,12 @@ def _val_accuracy(model, clips):
 
 # -- subcommand handlers -------------------------------------------------------
 # Each takes the parsed flags and the run that ``main`` started, writes the
-# command's output file, if any, and returns what it prints.
+# command's output file, if any, and returns what it prints. ``recipes`` and
+# ``synth`` are imported by the handlers that use them, so that no other
+# command loads them.
 
 def _cmd_synth(args, run):
+    from .synth import SynthConfig, generate_synthetic
     names = {f.name for f in fields(SynthConfig)}
     cfg = SynthConfig(**{k: v for k, v in vars(args).items() if k in names})
     run.config = dict(vars(cfg))
@@ -235,6 +236,7 @@ def _cmd_learn_fusion(args, run):
 
 
 def _cmd_ensemble(args, run):
+    from .recipes import score_members
     ds = load_dataset(args.manifest)
     cfg = _load_config(run, args)
     run.seeds = [args.seed + i for i in range(args.count)]
@@ -260,6 +262,7 @@ def _cmd_evaluate(args, run):
 
 
 def _cmd_cross_validate(args, run):
+    from .recipes import score_members
     ds = load_dataset(args.manifest)
     cfg = _load_config(run, args)
 
@@ -275,6 +278,7 @@ def _cmd_cross_validate(args, run):
 
 
 def _cmd_repeat(args, run):
+    from .recipes import score_members
     ds = load_dataset(args.manifest)
     cfg = _load_config(run, args)
     val = ds.labeled("val", args.modality)
@@ -290,6 +294,7 @@ def _cmd_repeat(args, run):
 
 
 def _cmd_recipe(args, run):
+    from .recipes import load_recipe, packaged_recipe, run_recipe
     if bool(args.preset) == bool(args.recipe):
         raise ConfigError("give exactly one of --preset or --recipe")
     recipe = (packaged_recipe(args.preset) if args.preset
@@ -312,14 +317,49 @@ def _cmd_recipe(args, run):
 
 # -- argument parsing ----------------------------------------------------------
 
-def _shared(flag, **kwargs) -> argparse.ArgumentParser:
-    """A flag declared once, for the subcommands that list it in parents=."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(flag, **kwargs)
-    return parent
+# each subcommand's handler and help line, in the order ``-h`` lists them
+COMMANDS = {
+    "synth": (_cmd_synth, "generate a synthetic labeled manifest"),
+    "validate": (_cmd_validate,
+                 "check a manifest and print split statistics"),
+    "train-video": (_cmd_train_video, "train a temporal pooling head"),
+    "train-audio": (_cmd_train_audio, "train an audio classifier"),
+    "predict": (_cmd_predict, "score clips with a trained checkpoint"),
+    "fuse": (_cmd_fuse, "combine score tables (mean or fixed weights)"),
+    "learn-fusion": (_cmd_learn_fusion,
+                     "grid-search fusion weights on labeled clips"),
+    "ensemble": (_cmd_ensemble,
+                 "train seed-ensemble members and fuse their scores"),
+    "evaluate": (_cmd_evaluate, "score a table against manifest labels"),
+    "cross-validate": (_cmd_cross_validate,
+                       "stratified k-fold CV over train+val"),
+    "repeat": (_cmd_repeat, "train with several seeds and report mean/std"),
+    "recipe": (_cmd_recipe,
+               "run a named multi-member training and fusion recipe"),
+}
+
+# flags that several subcommands take, each declared once
+_SHARED_FLAGS = {
+    "--manifest": {"required": True},
+    "--config": {},
+    "--seed": {"type": int, "default": 0},
+    "--jobs": {"type": int, "default": 1,
+               "help": "worker processes; never changes results"},
+    "--pretrain": {"help": "manifest of a pretraining corpus (mlp only)"},
+    "--pooling": {"choices": VIDEO_HEADS,
+                  "help": "override the config's head"},
+    "--model": {"choices": AUDIO_MODELS,
+                "help": "override the config's model kind"},
+    "--modality": {"default": "video", "choices": ("video", "audio")},
+}
+_MEMBER_FLAGS = ("--manifest", "--config", "--pooling", "--model",
+                "--modality")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The ``smallclip`` parser. Every subcommand is listed, so ``-h`` and
+    usage errors read the same either way, but only ``command`` gets its
+    flags and handler; with no ``command``, every subcommand does."""
     parser = argparse.ArgumentParser(
         prog="smallclip",
         description="Train, fuse, and evaluate small audiovisual clip "
@@ -328,112 +368,93 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"smallclip {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, *shared, **kwargs):
+        """``name``'s subparser with its shared flags and handler, or None
+        once listed when another subcommand is the one being built."""
+        handler, help_line = COMMANDS[name]
+        if command not in (None, name):
+            sub.add_parser(name, help=help_line)
+            return None
+        p = sub.add_parser(name, help=help_line, **kwargs)
+        for flag in shared:
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
         p.set_defaults(handler=handler)
         return p
 
-    manifest = _shared("--manifest", required=True)
-    config = _shared("--config")
-    seed = _shared("--seed", type=int, default=0)
-    jobs = _shared("--jobs", type=int, default=1,
-                   help="worker processes; never changes results")
-    pretrain = _shared("--pretrain",
-                       help="manifest of a pretraining corpus (mlp only)")
-    pooling = _shared("--pooling", choices=VIDEO_HEADS,
-                      help="override the config's head")
-    model = _shared("--model", choices=AUDIO_MODELS,
-                    help="override the config's model kind")
-    member_flags = [manifest, config, pooling, model,
-               _shared("--modality", default="video",
-                       choices=("video", "audio"))]
-
     # synth's defaults are SynthConfig's: an absent flag sets nothing
-    p = add("synth", _cmd_synth, argument_default=argparse.SUPPRESS,
-            help="generate a synthetic labeled manifest")
-    p.add_argument("--classes", dest="n_classes", type=int)
-    p.add_argument("--clips-per-class", dest="train_per_class", type=int,
-                   help="train clips per class")
-    for flag in ("--val-per-class", "--test-per-class", "--frames-min",
-                 "--frames-max", "--d-feature", "--d-audio"):
-        p.add_argument(flag, type=int)
-    p.add_argument("--no-audio", dest="with_audio", action="store_false")
-    for flag in ("--margin", "--noise", "--av-noise"):
-        p.add_argument(flag, type=float)
-    p.add_argument("--centroid-seed", type=int,
-                   help="separate seed for class geometry (shared across sets)")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
+    if p := add("synth", argument_default=argparse.SUPPRESS):
+        p.add_argument("--classes", dest="n_classes", type=int)
+        p.add_argument("--clips-per-class", dest="train_per_class", type=int,
+                       help="train clips per class")
+        for flag in ("--val-per-class", "--test-per-class", "--frames-min",
+                     "--frames-max", "--d-feature", "--d-audio"):
+            p.add_argument(flag, type=int)
+        p.add_argument("--no-audio", dest="with_audio", action="store_false")
+        for flag in ("--margin", "--noise", "--av-noise"):
+            p.add_argument(flag, type=float)
+        p.add_argument("--centroid-seed", type=int,
+                       help="separate seed for class geometry (shared "
+                            "across sets)")
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--out", required=True)
 
-    p = add("validate", _cmd_validate, parents=[manifest],
-            help="check a manifest and print split statistics")
-    p.add_argument("--out")
+    if p := add("validate", "--manifest"):
+        p.add_argument("--out")
 
-    p = add("train-video", _cmd_train_video,
-            parents=[manifest, config, pooling, seed],
-            help="train a temporal pooling head")
-    p.add_argument("--out", required=True, help="checkpoint path")
+    if p := add("train-video", "--manifest", "--config", "--pooling",
+                "--seed"):
+        p.add_argument("--out", required=True, help="checkpoint path")
 
-    p = add("train-audio", _cmd_train_audio,
-            parents=[manifest, config, model, pretrain, seed],
-            help="train an audio classifier")
-    p.add_argument("--out", required=True, help="checkpoint path")
+    if p := add("train-audio", "--manifest", "--config", "--model",
+                "--pretrain", "--seed"):
+        p.add_argument("--out", required=True, help="checkpoint path")
 
-    p = add("predict", _cmd_predict, parents=[manifest, jobs],
-            help="score clips with a trained checkpoint",
-            description="Scoring is one batched call; --jobs is accepted "
-                        "for compatibility.")
-    p.add_argument("--model", required=True, help="checkpoint path")
-    p.add_argument("--split", default="all",
-                   choices=("all", "train", "val", "test"))
-    p.add_argument("--out", required=True, help="score CSV path")
+    if p := add("predict", "--manifest", "--jobs",
+                description="Scoring is one batched call; --jobs is "
+                            "accepted for compatibility."):
+        p.add_argument("--model", required=True, help="checkpoint path")
+        p.add_argument("--split", default="all",
+                       choices=("all", "train", "val", "test"))
+        p.add_argument("--out", required=True, help="score CSV path")
 
-    p = add("fuse", _cmd_fuse,
-            help="combine score tables (mean or fixed weights)")
-    p.add_argument("--scores", nargs="+", required=True)
-    p.add_argument("--weights", nargs="+", type=float)
-    p.add_argument("--out", required=True)
+    if p := add("fuse"):
+        p.add_argument("--scores", nargs="+", required=True)
+        p.add_argument("--weights", nargs="+", type=float)
+        p.add_argument("--out", required=True)
 
-    p = add("learn-fusion", _cmd_learn_fusion, parents=[manifest],
-            help="grid-search fusion weights on labeled clips")
-    p.add_argument("--scores", nargs="+", required=True)
-    p.add_argument("--grid-step", type=float,
-                   help="default 0.05 for two sources, 0.1 beyond")
-    p.add_argument("--out", help="weights JSON path")
+    if p := add("learn-fusion", "--manifest"):
+        p.add_argument("--scores", nargs="+", required=True)
+        p.add_argument("--grid-step", type=float,
+                       help="default 0.05 for two sources, 0.1 beyond")
+        p.add_argument("--out", help="weights JSON path")
 
-    p = add("ensemble", _cmd_ensemble, parents=member_flags + [seed, jobs],
-            help="train seed-ensemble members and fuse their scores")
-    p.add_argument("--count", type=int, default=4, help="ensemble size")
-    p.add_argument("--out", required=True)
+    if p := add("ensemble", *_MEMBER_FLAGS, "--seed", "--jobs"):
+        p.add_argument("--count", type=int, default=4, help="ensemble size")
+        p.add_argument("--out", required=True)
 
-    p = add("evaluate", _cmd_evaluate, parents=[manifest],
-            help="score a table against manifest labels")
-    p.add_argument("--scores", required=True)
-    p.add_argument("--split", choices=("train", "val", "test"),
-                   help="default: all labeled clips the table covers")
-    p.add_argument("--dist",
-                   help="class distribution CSV for weighted accuracy "
-                        "(falls back to the packaged file by name)")
-    p.add_argument("--out",
-                   help="report path; .csv extension selects CSV form")
+    if p := add("evaluate", "--manifest"):
+        p.add_argument("--scores", required=True)
+        p.add_argument("--split", choices=("train", "val", "test"),
+                       help="default: all labeled clips the table covers")
+        p.add_argument("--dist",
+                       help="class distribution CSV for weighted accuracy "
+                            "(falls back to the packaged file by name)")
+        p.add_argument("--out",
+                       help="report path; .csv extension selects CSV form")
 
-    p = add("cross-validate", _cmd_cross_validate,
-            parents=member_flags + [seed, jobs],
-            help="stratified k-fold CV over train+val")
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--out", help="per-fold CSV path")
+    if p := add("cross-validate", *_MEMBER_FLAGS, "--seed", "--jobs"):
+        p.add_argument("--folds", type=int, default=5)
+        p.add_argument("--out", help="per-fold CSV path")
 
-    p = add("repeat", _cmd_repeat, parents=member_flags + [jobs],
-            help="train with several seeds and report mean/std")
-    p.add_argument("--seeds", nargs="+", type=int, required=True)
-    p.add_argument("--out", help="per-seed CSV path")
+    if p := add("repeat", *_MEMBER_FLAGS, "--jobs"):
+        p.add_argument("--seeds", nargs="+", type=int, required=True)
+        p.add_argument("--out", help="per-seed CSV path")
 
-    p = add("recipe", _cmd_recipe,
-            parents=[manifest, config, pretrain, seed, jobs],
-            help="run a named multi-member training and fusion recipe")
-    p.add_argument("--preset", help="one of submission1..submission7")
-    p.add_argument("--recipe", help="recipe file path")
-    p.add_argument("--out", required=True, help="fused score CSV path")
+    if p := add("recipe", "--manifest", "--config", "--pretrain", "--seed",
+                "--jobs"):
+        p.add_argument("--preset", help="one of submission1..submission7")
+        p.add_argument("--recipe", help="recipe file path")
+        p.add_argument("--out", required=True, help="fused score CSV path")
 
     return parser
 
@@ -442,6 +463,9 @@ def _check_flags(args):
     """ConfigError naming the first flag whose value is out of range."""
     if getattr(args, "out", None) == "":
         raise ConfigError("--out must name a file, got ''")
+    for flag, path in _inputs(args):
+        if path == "":
+            raise ConfigError(f"--{flag} must name a file, got ''")
     if getattr(args, "jobs", 1) < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     for key in ("seed", "centroid_seed", "seeds"):
@@ -507,7 +531,8 @@ def _inputs(args) -> list:
     order."""
     return [(flag, path) for flag in INPUT_FLAGS
             if flag != "model" or args.command == "predict"
-            for path in np.ravel(getattr(args, flag, None) or []).tolist()]
+            if getattr(args, flag, None) is not None
+            for path in np.ravel(getattr(args, flag)).tolist()]
 
 
 def _same_file(a, b):
@@ -529,11 +554,14 @@ def _check_out_spares_inputs(out, inputs):
 
 
 def main(argv=None) -> int:
-    """Run one command: check its flags, ``--out`` and inputs, run its
-    handler, then write the run manifest beside ``--out`` and print what
-    the handler returned."""
+    """Run one command: parse its flags (when the first argument names a
+    subcommand, the parser builds only that one's), check them, ``--out``
+    and the inputs, run its handler, then write the run manifest beside
+    ``--out`` and print what the handler returned."""
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:  # argparse handles --help and usage errors
         return int(exc.code or 0)
     try:
@@ -544,8 +572,7 @@ def main(argv=None) -> int:
         if args.out:
             _check_out_spares_inputs(args.out, inputs)
             _check_out(args.out)
-        run = _Run(args, sys.argv[1:] if argv is None else argv,
-                   [path for _, path in inputs])
+        run = _Run(args, argv, [path for _, path in inputs])
         text = args.handler(args, run)
         if args.out:
             run.emit(args.out)

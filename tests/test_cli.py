@@ -726,7 +726,7 @@ def test_repeat_without_labeled_val_clips_fails_before_training(
     def never(*args, **kwargs):
         raise AssertionError("trained although nothing can be scored")
 
-    monkeypatch.setattr(cli, "score_members", never)
+    monkeypatch.setattr(recipes, "score_members", never)
     out = tmp_path / "seeds.csv"
     assert main(["repeat", "--manifest", m, "--modality", modality,
                  "--seeds", "1", "2", "--out", str(out)]) == 1
@@ -1042,6 +1042,35 @@ def test_unwritable_out_fails_before_any_work(
     assert _tree(workdir) == before
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["train-video", "--manifest", "data.jsonl", "--config", "",
+      "--out", "out"], "config"),
+    (["evaluate", "--scores", "s.csv", "--manifest", "data.jsonl",
+      "--dist", ""], "dist"),
+    (["train-audio", "--manifest", "data.jsonl", "--config", "fast.cfg",
+      "--pretrain", "", "--out", "out"], "pretrain"),
+    (["recipe", "--preset", "submission1", "--recipe", "", "--manifest",
+      "data.jsonl", "--config", "fast.cfg", "--out", "out"], "recipe"),
+    (["validate", "--manifest", ""], "manifest"),
+    (["predict", "--model", "", "--manifest", "data.jsonl", "--out", "out"],
+     "model"),
+    (["fuse", "--scores", "s.csv", "", "--out", "out"], "scores"),
+], ids=lambda value: value if isinstance(value, str) else value[0])
+def test_an_empty_file_flag_is_a_usage_error(workdir, capsys, monkeypatch,
+                                             argv, flag):
+    monkeypatch.chdir(workdir)
+    ids = [json.loads(line)["id"]
+           for line in (workdir / "data.jsonl").read_text().splitlines()]
+    (workdir / "s.csv").write_text("clip_id,p0,p1,p2\n"
+                                   + "".join(f"{i},1,0,0\n" for i in ids))
+    capsys.readouterr()
+    before = _tree(workdir)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --{flag} must name a file, got ''"]
+    assert _tree(workdir) == before
+
+
 @pytest.mark.parametrize("argv, flag, path, target", [
     (["predict", "--model", "video.json", "--manifest", "data.jsonl",
       "--out", "data.jsonl"], "manifest", "data.jsonl", "data.jsonl"),
@@ -1336,6 +1365,20 @@ def test_cli_import_loads_no_module_it_never_uses():
     assert loaded.split() == []
 
 
+@pytest.mark.parametrize("argv, loaded", [
+    (["validate", "--manifest", "data.jsonl"], []),
+    (["recipe", "--preset", "submission1", "--manifest", "data.jsonl",
+      "--config", "fast.cfg", "--out", "r.csv"], ["smallclip.recipes"]),
+], ids=["validate", "recipe"])
+def test_a_command_loads_recipes_and_synth_only_where_used(workdir, argv,
+                                                           loaded):
+    out = _fresh(["-c", "import sys, smallclip.cli as cli; "
+                  "code = cli.main(sys.argv[1:]); print(code, *sorted("
+                  "{'smallclip.recipes', 'smallclip.synth'} "
+                  "& set(sys.modules)))", *argv], cwd=workdir)
+    assert out.splitlines()[-1].split() == ["0", *loaded]
+
+
 def test_a_command_run_as_smallclip_loads_no_logging(workdir):
     out = _fresh(["-c", "import sys, smallclip.cli as cli; code = cli.run(); "
                   "print(code, 'logging' in sys.modules)",
@@ -1554,10 +1597,34 @@ NAMESPACES = {
     ids=[f"{command}-{kind}" for command in NAMESPACES
          for kind in ("required", "every-flag")])
 def test_argv_parses_to_the_same_namespace(command, flags, expected):
-    parsed = vars(cli.build_parser().parse_args([command, *flags]))
-    handler = parsed.pop("handler")
-    assert parsed == expected
-    assert handler is getattr(cli, "_cmd_" + command.replace("-", "_"))
+    # the full parser and the one that main builds for the command alone
+    for parser in (cli.build_parser(), cli.build_parser(command)):
+        parsed = vars(parser.parse_args([command, *flags]))
+        handler = parsed.pop("handler")
+        assert parsed == expected
+        assert handler is getattr(cli, "_cmd_" + command.replace("-", "_"))
+
+
+def test_a_parser_built_for_one_command_has_no_other_commands_flags(capsys):
+    with pytest.raises(SystemExit):
+        cli.build_parser("validate").parse_args(
+            ["fuse", "--scores", "a", "--out", "o"])
+    assert capsys.readouterr().err.endswith(
+        "error: unrecognized arguments: --scores a --out o\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], *[[command, "-h"] for command in cli.COMMANDS], ["bogus"],
+    ["validate", "--nope"], ["train-video", "--manifest", "m"]],
+    ids=["top-level-help", *[f"{command}-help" for command in cli.COMMANDS],
+         "unknown-command", "unknown-flag", "missing-required-flag"])
+def test_main_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
+    code = main(argv)
+    narrow = capsys.readouterr()
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert main(argv) == code == (0 if "-h" in argv else 2)
+    assert capsys.readouterr() == narrow
 
 
 # synth's flags name SynthConfig fields, so its namespace changed; the

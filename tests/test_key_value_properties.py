@@ -79,7 +79,7 @@ def test_any_text_parses_to_a_valid_config_or_raises_a_config_error(text):
     assert cfg.validate() is cfg
 
 
-@settings(max_examples=500, derandomize=True, deadline=1000, database=None)
+@settings(max_examples=250, derandomize=True, deadline=1000, database=None)
 @given(st.one_of(*[key_value_texts(RECIPE_POOLS, 5)] * 3,
                  st.text(max_size=60)))
 # found at 3,000 examples: each weight is finite, their sum is not, and
